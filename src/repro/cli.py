@@ -34,6 +34,17 @@ from typing import Dict, Optional
 from repro.experiments import DEFAULT_EXPERIMENT_INSTRUCTIONS
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from repro.results.orchestrator import registry_names
 
@@ -53,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--instructions",
-        type=int,
+        type=_positive_int,
         default=None,
         help="dynamic trace length per workload (default %d; overrides "
         "--smoke/--full)" % DEFAULT_EXPERIMENT_INSTRUCTIONS,

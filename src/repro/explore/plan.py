@@ -22,11 +22,18 @@ chunk) pair is one unit of work:
   under a plan-scoped checkpoint journal, so they inherit the
   supervised executors (``--parallel`` pools, the durable ``queue``
   executor for fleet-scale grids) and mid-sweep kill/resume.
-* Inside a chunk every front-end configuration shares one decoded
-  trace via the batched
-  :func:`repro.frontend.simulation.simulate_frontend_many` engine
-  (respectively one cached workload profile for CMP grids), which is
-  what makes thousands of configs per workload cheap.
+* Front-end chunks run through the batched
+  :func:`repro.frontend.simulation.simulate_frontend_many` engine,
+  whose work is shared per trace, not per chunk: every chunk of a
+  workload in one process gets the same cached trace, and the engine
+  memoizes on it each predictor's result and one LRU stack-distance
+  histogram per BTB or I-cache set count.  The first chunk that needs
+  a predictor or set count pays for it; the other chunks, and every
+  associativity at that set count, reuse it.  So a grid's cost grows
+  with its distinct predictors and set counts, not with its points or
+  its chunk count, which is what makes thousands of configs per
+  workload cheap.  CMP grids share one cached workload profile the
+  same way.
 
 Static per-point columns (area, power) are pure arithmetic and are
 recomputed at assembly time rather than stored.

@@ -11,7 +11,9 @@ rebalance:
 
 :mod:`repro.frontend.simulation` drives a dynamic trace through these
 structures and reports MPKI exactly as the paper's
-microarchitecture-dependent pintools do (Section IV).
+microarchitecture-dependent pintools do (Section IV);
+:mod:`repro.frontend.stack_distance` lets it answer every associativity
+of one BTB or I-cache set count from a single LRU pass.
 :mod:`repro.frontend.configs` defines the baseline and tailored
 front-end configurations evaluated in Section V.
 """

@@ -5,32 +5,81 @@ the branch instruction address (simple modulo indexing, as in the
 paper).  Only branches predicted/observed taken are inserted; a miss is
 counted whenever a taken branch looks up the BTB and its entry (with
 the correct target) is absent.
+
+Two paths give the same miss counts:
+
+* :class:`BranchTargetBuffer` is the reference: one BTB object walking
+  the taken-branch stream through per-set dictionaries, with state
+  that persists across calls.
+* :func:`btb_stack_histogram` is the batch path for fresh BTBs.  Every
+  lookup, hit or miss, leaves its branch most recently used with the
+  branch's current target, and a set and tag identify the PC, so each
+  set is a plain LRU stack of PCs.  By the inclusion property of LRU
+  (:mod:`repro.frontend.stack_distance`) a branch is present in an
+  ``A``-way BTB exactly when its stack distance is below ``A``, and a
+  present entry holds the target of the branch's previous execution.
+  A lookup therefore misses iff it is cold or at distance ``>= A``, or
+  at distance ``< A`` with a target that differs from last time.  One
+  pass per set count serves every associativity.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.frontend.predictors.base import index_bits
+from repro.frontend.stack_distance import StackHistogram, lru_stack_distances
+
+
+def btb_stack_histogram(
+    addresses: np.ndarray, targets: np.ndarray, num_sets: int, depth: int
+) -> StackHistogram:
+    """Stack-distance histogram of a taken-branch stream at one set count.
+
+    ``misses(A)`` of the result equals the misses of a fresh ``A``-way
+    :class:`BranchTargetBuffer` with ``num_sets`` sets after
+    :meth:`BranchTargetBuffer.access_sequence` over the same stream.
+    """
+    pcs = addresses >> 2
+    # Whether each branch's previous execution went to another target.
+    order = np.argsort(pcs, kind="stable")
+    by_pc, by_pc_targets = pcs[order], targets[order]
+    retargeted = np.zeros(pcs.shape[0], dtype=bool)
+    retargeted[order[1:]] = (by_pc[1:] == by_pc[:-1]) & (
+        by_pc_targets[1:] != by_pc_targets[:-1]
+    )
+    distances = lru_stack_distances(pcs, num_sets, depth)
+    return StackHistogram(
+        depth,
+        np.bincount(distances, minlength=depth + 1),
+        np.bincount(distances[retargeted], minlength=depth + 1)[:depth],
+    )
 
 
 class BranchTargetBuffer:
     """Set-associative BTB with LRU replacement."""
 
     def __init__(self, entries: int = 2048, associativity: int = 4, tag_bits: int = 20, target_bits: int = 32) -> None:
-        if entries <= 0 or entries & (entries - 1):
-            raise ValueError("entries must be a positive power of two")
-        if associativity <= 0 or entries % associativity:
-            raise ValueError("associativity must divide the entry count")
+        self.sets = self.set_count(entries, associativity)
         self.entries = entries
         self.associativity = associativity
         self.tag_bits = tag_bits
         self.target_bits = target_bits
-        self.sets = entries // associativity
         # Each set maps tag -> target, with insertion order giving LRU.
         self._sets: List[Dict[int, int]] = [dict() for _ in range(self.sets)]
         self.lookups = 0
         self.misses = 0
+
+    @staticmethod
+    def set_count(entries: int, associativity: int) -> int:
+        """The number of sets of a geometry (raises ValueError if invalid)."""
+        if entries <= 0 or entries & (entries - 1):
+            raise ValueError("entries must be a positive power of two")
+        if associativity <= 0 or entries % associativity:
+            raise ValueError("associativity must divide the entry count")
+        return entries // associativity
 
     def _locate(self, address: int) -> Tuple[int, int]:
         pc = address >> 2

@@ -4,37 +4,102 @@ A set-associative cache with LRU replacement.  Fetch follows the
 paper's model: once a line is fetched, instructions are extracted
 sequentially until the end of the line or a taken branch, so the cache
 is accessed once per line that a dynamic basic block touches.
+
+Two paths give the same miss counts:
+
+* :class:`InstructionCache` is the reference: one cache object walking
+  the line stream through per-set dictionaries, with state that
+  persists across calls (warm caches).
+* :func:`line_stack_histogram` is the batch path for fresh caches.  A
+  line's set and tag identify it, so each set is a plain LRU stack of
+  line numbers; by the inclusion property of LRU
+  (:mod:`repro.frontend.stack_distance`) a line misses in an ``A``-way
+  cache exactly when it is cold or at stack distance ``>= A``.  One pass
+  per (line size, set count) thus serves every associativity.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.frontend.predictors.base import index_bits
+from repro.frontend.stack_distance import StackHistogram, lru_stack_distances
+
+
+def line_stream(start_addresses, sizes, line_bytes: int) -> Tuple[np.ndarray, int]:
+    """The line accesses of fetched byte ranges, run-length compressed.
+
+    The ranges are expanded into the cache lines they touch with one
+    vectorized pass.  Consecutive accesses to the same line are
+    guaranteed hits (the line is already most-recently-used), so only
+    line *changes* are returned, together with the total number of line
+    accesses.
+    """
+    line_shift = index_bits(line_bytes)
+    first_lines = start_addresses >> line_shift
+    last_lines = (start_addresses + sizes - 1) >> line_shift
+    lines_per_range = last_lines - first_lines + 1
+    total_accesses = int(lines_per_range.sum())
+    if total_accesses == 0:
+        return np.empty(0, dtype=np.int64), 0
+    repeated_firsts = np.repeat(first_lines, lines_per_range)
+    run_starts = np.cumsum(lines_per_range) - lines_per_range
+    offsets = np.arange(total_accesses, dtype=np.int64) - np.repeat(
+        run_starts, lines_per_range
+    )
+    lines = repeated_firsts + offsets
+    changed = np.empty(total_accesses, dtype=bool)
+    changed[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=changed[1:])
+    return lines[changed], total_accesses
+
+
+def line_stack_histogram(
+    start_addresses, sizes, line_bytes: int, num_sets: int, depth: int
+) -> StackHistogram:
+    """Stack-distance histogram of fetched byte ranges at one geometry.
+
+    ``misses(A)`` of the result equals the misses of a fresh
+    ``A``-way :class:`InstructionCache` with ``num_sets`` sets of
+    ``line_bytes`` lines after :meth:`InstructionCache.fetch_ranges`
+    over the same ranges; the compressed repeats count at distance 0.
+    """
+    lines, total_accesses = line_stream(start_addresses, sizes, line_bytes)
+    counts = np.bincount(
+        lru_stack_distances(lines, num_sets, depth), minlength=depth + 1
+    )
+    counts[0] += total_accesses - lines.shape[0]
+    return StackHistogram(depth, counts)
 
 
 class InstructionCache:
     """Set-associative instruction cache with LRU replacement."""
 
     def __init__(self, size_bytes: int = 32 * 1024, line_bytes: int = 64, associativity: int = 4) -> None:
+        self.num_sets = self.set_count(size_bytes, line_bytes, associativity)
+        self.size_bytes = size_bytes
+        self.line_bytes = line_bytes
+        self.associativity = associativity
+        self.num_lines = size_bytes // line_bytes
+        self._sets: List[Dict[int, None]] = [dict() for _ in range(self.num_sets)]
+        self.accesses = 0
+        self.misses = 0
+
+    @staticmethod
+    def set_count(size_bytes: int, line_bytes: int, associativity: int) -> int:
+        """The number of sets of a geometry (raises ValueError if invalid)."""
         if size_bytes <= 0 or line_bytes <= 0:
             raise ValueError("cache and line sizes must be positive")
         if line_bytes & (line_bytes - 1):
             raise ValueError("line_bytes must be a power of two")
         if size_bytes % (line_bytes * associativity):
             raise ValueError("size must be a multiple of line_bytes * associativity")
-        self.size_bytes = size_bytes
-        self.line_bytes = line_bytes
-        self.associativity = associativity
-        self.num_lines = size_bytes // line_bytes
-        self.num_sets = self.num_lines // associativity
-        if self.num_sets & (self.num_sets - 1):
+        num_sets = size_bytes // line_bytes // associativity
+        if num_sets & (num_sets - 1):
             raise ValueError("number of sets must be a power of two")
-        self._sets: List[Dict[int, None]] = [dict() for _ in range(self.num_sets)]
-        self.accesses = 0
-        self.misses = 0
+        return num_sets
 
     def _set_index(self, line_address: int) -> int:
         if self.num_sets == 1:
@@ -73,32 +138,14 @@ class InstructionCache:
     def fetch_ranges(self, start_addresses, sizes) -> int:
         """Batch :meth:`fetch_range` over byte ranges; returns misses.
 
-        The ranges are expanded into the cache lines they touch with
-        one vectorized pass; consecutive accesses to the same line are
-        guaranteed hits (the line is already most-recently-used), so
-        they are run-length compressed away and only line *changes*
-        walk the LRU state, in a tight loop with the set dictionaries
-        held in locals.  Counters and replacement state evolve exactly
-        as under per-range :meth:`fetch_range`.
+        Only the line changes of :func:`line_stream` walk the LRU state,
+        in a tight loop with the set dictionaries held in locals.
+        Counters and replacement state evolve exactly as under
+        per-range :meth:`fetch_range`.
         """
-        line_shift = index_bits(self.line_bytes)
-        first_lines = start_addresses >> line_shift
-        last_lines = (start_addresses + sizes - 1) >> line_shift
-        lines_per_range = last_lines - first_lines + 1
-        total_accesses = int(lines_per_range.sum())
-        if total_accesses == 0:
-            return 0
-        repeated_firsts = np.repeat(first_lines, lines_per_range)
-        run_starts = np.cumsum(lines_per_range) - lines_per_range
-        offsets = np.arange(total_accesses, dtype=np.int64) - np.repeat(
-            run_starts, lines_per_range
+        distinct_lines, total_accesses = line_stream(
+            start_addresses, sizes, self.line_bytes
         )
-        lines = repeated_firsts + offsets
-        changed = np.empty(total_accesses, dtype=bool)
-        changed[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=changed[1:])
-        distinct_lines = lines[changed]
-
         sets = self._sets
         num_sets = self.num_sets
         associativity_limit = self.associativity

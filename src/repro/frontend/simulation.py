@@ -4,26 +4,40 @@ These functions are the microarchitecture-dependent pintools of
 Section IV: each one walks the dynamic trace and reports misses per
 kilo-instruction (MPKI) for a branch predictor, a BTB, or an I-cache,
 optionally restricted to the serial or parallel code section.
+
+A call that passes a simulator instance (and :func:`simulate_frontend`)
+runs the reference simulators from that instance's state.  A call that
+names only a geometry or a configuration (and
+:func:`simulate_frontend_many`) is answered from work shared per trace
+section: predictor results and LRU stack-distance histograms that
+outlive the call (:class:`_SectionStreams`).  Both give identical
+results for fresh structures.
 """
 
 from __future__ import annotations
 
-import functools
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.frontend.btb import BranchTargetBuffer
-from repro.frontend.configs import FrontEndConfig
-from repro.frontend.icache import InstructionCache
+from repro.frontend.btb import BranchTargetBuffer, btb_stack_histogram
+from repro.frontend.configs import (
+    BranchPredictorConfig,
+    BTBConfig,
+    FrontEndConfig,
+    ICacheConfig,
+)
+from repro.frontend.icache import InstructionCache, line_stack_histogram
 from repro.frontend.predictors import BranchPredictor
+from repro.frontend.stack_distance import MIN_STACK_DEPTH, StackHistogram
 from repro.trace.columns import program_columns
 from repro.trace.events import Trace
 from repro.trace.instruction import BranchKind, CodeSection
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchPredictionResult:
     """Outcome of simulating a direction predictor over a trace section."""
 
@@ -62,7 +76,7 @@ class BranchPredictionResult:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BTBResult:
     """Outcome of simulating a branch target buffer over a trace section."""
 
@@ -88,7 +102,7 @@ class BTBResult:
         return self.misses / self.taken_branches
 
 
-@dataclass
+@dataclass(frozen=True)
 class ICacheResult:
     """Outcome of simulating an instruction cache over a trace section."""
 
@@ -126,43 +140,75 @@ class FrontEndResult:
     icache: ICacheResult
 
 
-def simulate_branch_predictor(
-    trace: Trace,
-    predictor: BranchPredictor,
-    section: CodeSection = CodeSection.TOTAL,
-) -> BranchPredictionResult:
-    """Measure the branch MPKI of a direction predictor on one trace.
-
-    The conditional-branch stream is gathered from the trace columns in
-    one shot; the predictor runs its batch path (vectorized for static
-    predictors, a tight inlined loop for the stateful ones) and the
-    misprediction breakdown is tallied with boolean-mask reductions.
-    """
+def _conditional_stream(
+    trace: Trace, section: CodeSection
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Addresses, outcomes and targets of a section's conditional branches."""
     columns = trace.branch_columns(section)
     mask = columns.is_conditional
-    addresses = columns.addresses[mask]
-    taken = columns.taken[mask]
-    targets = columns.targets[mask]
-    conditional = int(addresses.shape[0])
+    return columns.addresses[mask], columns.taken[mask], columns.targets[mask]
 
+
+def _btb_stream(
+    trace: Trace, section: CodeSection, include_returns: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Addresses and targets of the taken branches that look up the BTB."""
+    columns = trace.branch_columns(section)
+    mask = columns.taken & (columns.targets >= 0)
+    if not include_returns:
+        mask &= columns.kinds != int(BranchKind.RETURN)
+    return columns.addresses[mask], columns.targets[mask]
+
+
+def _fetched_ranges(trace: Trace, section: CodeSection) -> Tuple[np.ndarray, np.ndarray]:
+    """Start addresses and byte sizes of a section's fetched blocks."""
+    block_ids, _, _, _ = trace.event_columns(section)
+    static = program_columns(trace.program)
+    return static.addresses[block_ids], static.size_bytes[block_ids]
+
+
+def _score_predictor(
+    predictor: BranchPredictor,
+    stream: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    section: CodeSection,
+    instruction_count: int,
+) -> BranchPredictionResult:
+    """Run a predictor over a conditional stream and tally its misses.
+
+    The predictor runs its batch path (vectorized for static predictors,
+    a tight inlined loop for the stateful ones) and the misprediction
+    breakdown is tallied with boolean-mask reductions.
+    """
+    addresses, taken, targets = stream
     predictions = predictor.simulate_sequence(addresses, taken, targets)
-
     wrong = predictions != taken
     mispredictions = int(np.count_nonzero(wrong))
     miss_not_taken = int(np.count_nonzero(wrong & ~taken))
     backward = (targets >= 0) & (targets < addresses)
     miss_taken_backward = int(np.count_nonzero(wrong & taken & backward))
-    miss_taken_forward = mispredictions - miss_not_taken - miss_taken_backward
-
     return BranchPredictionResult(
         predictor_name=predictor.name,
         section=section,
-        instruction_count=trace.instruction_count(section),
-        conditional_branches=conditional,
+        instruction_count=instruction_count,
+        conditional_branches=int(addresses.shape[0]),
         mispredictions=mispredictions,
         mispredicted_not_taken=miss_not_taken,
         mispredicted_taken_backward=miss_taken_backward,
-        mispredicted_taken_forward=miss_taken_forward,
+        mispredicted_taken_forward=mispredictions - miss_not_taken - miss_taken_backward,
+    )
+
+
+def simulate_branch_predictor(
+    trace: Trace,
+    predictor: BranchPredictor,
+    section: CodeSection = CodeSection.TOTAL,
+) -> BranchPredictionResult:
+    """Measure the branch MPKI of a direction predictor on one trace."""
+    return _score_predictor(
+        predictor,
+        _conditional_stream(trace, section),
+        section,
+        trace.instruction_count(section),
     )
 
 
@@ -177,25 +223,23 @@ def simulate_btb(
     """Measure BTB MPKI: taken branches that miss in the target buffer.
 
     Returns are excluded by default because their targets are supplied
-    by the return address stack rather than the BTB.
+    by the return address stack rather than the BTB.  Without a ``btb``
+    instance the geometry is answered from the trace's shared
+    stack-distance histograms (:class:`_SectionStreams`); a passed
+    instance runs the reference simulator from its current state.
     """
+    if btb is None and not include_returns:
+        return _section_streams(trace, section).btb(BTBConfig(entries, associativity))
     if btb is None:
         btb = BranchTargetBuffer(entries, associativity)
-    columns = trace.branch_columns(section)
-    mask = columns.taken & (columns.targets >= 0)
-    if not include_returns:
-        mask &= columns.kinds != int(BranchKind.RETURN)
-    addresses = columns.addresses[mask]
-    targets = columns.targets[mask]
-    taken_branches = int(addresses.shape[0])
-    misses = btb.access_sequence(addresses, targets)
+    addresses, targets = _btb_stream(trace, section, include_returns)
     return BTBResult(
         entries=btb.entries,
         associativity=btb.associativity,
         section=section,
         instruction_count=trace.instruction_count(section),
-        taken_branches=taken_branches,
-        misses=misses,
+        taken_branches=int(addresses.shape[0]),
+        misses=btb.access_sequence(addresses, targets),
     )
 
 
@@ -207,21 +251,27 @@ def simulate_icache(
     line_bytes: int = 64,
     associativity: int = 4,
 ) -> ICacheResult:
-    """Measure I-cache MPKI with sequential-fetch access semantics."""
+    """Measure I-cache MPKI with sequential-fetch access semantics.
+
+    Without a ``cache`` instance the geometry is answered from the
+    trace's shared stack-distance histograms (:class:`_SectionStreams`);
+    a passed instance runs the reference simulator from its current
+    (possibly warm) state, and the result counts this call's accesses
+    and misses only.
+    """
     if cache is None:
-        cache = InstructionCache(size_bytes, line_bytes, associativity)
-    block_ids, _, _, _ = trace.event_columns(section)
-    static = program_columns(trace.program)
-    misses = cache.fetch_ranges(
-        static.addresses[block_ids], static.size_bytes[block_ids]
-    )
+        return _section_streams(trace, section).icache(
+            ICacheConfig(size_bytes, line_bytes, associativity)
+        )
+    accesses_before = cache.accesses
+    misses = cache.fetch_ranges(*_fetched_ranges(trace, section))
     return ICacheResult(
         size_bytes=cache.size_bytes,
         line_bytes=cache.line_bytes,
         associativity=cache.associativity,
         section=section,
         instruction_count=trace.instruction_count(section),
-        accesses=cache.accesses,
+        accesses=cache.accesses - accesses_before,
         misses=misses,
     )
 
@@ -231,7 +281,11 @@ def simulate_frontend(
     config: FrontEndConfig,
     section: CodeSection = CodeSection.TOTAL,
 ) -> FrontEndResult:
-    """Simulate all three structures of a front-end configuration."""
+    """Simulate all three structures of a front-end configuration.
+
+    Runs the reference simulators on freshly built instances; the
+    batch engine (:func:`simulate_frontend_many`) is checked against it.
+    """
     branch = simulate_branch_predictor(trace, config.predictor.build(), section)
     btb = simulate_btb(trace, config.btb.build(), section)
     icache = simulate_icache(trace, config.icache.build(), section)
@@ -245,97 +299,121 @@ def simulate_frontend(
 
 
 class _SectionStreams:
-    """The decoded input streams of one trace section, gathered once.
+    """Everything simulated so far over one trace section, for reuse.
 
-    Holds exactly the arrays the three structure simulators consume --
-    the conditional-branch stream (direction prediction), the
-    taken-non-return stream (BTB lookups), and the fetched line ranges
-    (I-cache) -- so a batch over many configurations pays the masked
-    gathers once instead of once per configuration.  The BTB and line
-    streams are decoded lazily, so predictor-only batches
-    (:func:`simulate_branch_predictors`) never gather them.
+    One instance per (trace, section) lives in :data:`_STREAMS`, weakly
+    keyed by the trace, so every caller that simulates that trace --
+    each chunk of an exploration, each geometry of a figure worker, each
+    core of a profile -- shares it, and it is dropped with the trace.
+    It memoizes
+
+    * stack-distance histograms, keyed by ``("icache", line bytes, set
+      count)`` or ``("btb", set count)``, each answering every
+      associativity up to its depth (one pass per set count), and
+    * result objects, keyed by the sub-configuration
+      (:class:`BranchPredictorConfig`, :class:`BTBConfig`,
+      :class:`ICacheConfig`), so a predictor runs once per trace
+      section and identical sub-configurations share one result (the
+      result classes are frozen, since every caller gets that object).
+
+    Only histograms and results are kept: the decoded streams are
+    gathered when a pass needs them and dropped afterwards.
     """
 
     def __init__(self, trace: Trace, section: CodeSection) -> None:
-        self._trace = trace
+        self._trace = weakref.ref(trace)
         self.section = section
         self.instruction_count = trace.instruction_count(section)
-        self._columns = trace.branch_columns(section)
+        self._histograms: Dict[tuple, StackHistogram] = {}
+        self._results: Dict[object, object] = {}
 
-        conditional = self._columns.is_conditional
-        self.cond_addresses = self._columns.addresses[conditional]
-        self.cond_taken = self._columns.taken[conditional]
-        self.cond_targets = self._columns.targets[conditional]
-        self.cond_backward = (self.cond_targets >= 0) & (
-            self.cond_targets < self.cond_addresses
-        )
-        self.conditional_count = int(self.cond_addresses.shape[0])
+    def _histogram(self, key: tuple, associativity: int, build) -> StackHistogram:
+        """The histogram under ``key``, deep enough for ``associativity``."""
+        histogram = self._histograms.get(key)
+        if histogram is None or histogram.depth < associativity:
+            histogram = build(max(MIN_STACK_DEPTH, associativity))
+            self._histograms[key] = histogram
+        return histogram
 
-    @functools.cached_property
-    def _btb_stream(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Addresses and targets of the taken non-return branches."""
-        columns = self._columns
-        mask = columns.taken & (columns.targets >= 0)
-        mask &= columns.kinds != int(BranchKind.RETURN)
-        return columns.addresses[mask], columns.targets[mask]
+    def predictor(self, config: BranchPredictorConfig) -> BranchPredictionResult:
+        """The result of one direction predictor over this section."""
+        result = self._results.get(config)
+        if result is None:
+            result = _score_predictor(
+                config.build(),
+                _conditional_stream(self._trace(), self.section),
+                self.section,
+                self.instruction_count,
+            )
+            self._results[config] = result
+        return result
 
-    @functools.cached_property
-    def _line_stream(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Start addresses and byte sizes of the fetched block ranges."""
-        block_ids, _, _, _ = self._trace.event_columns(self.section)
-        static = program_columns(self._trace.program)
-        return static.addresses[block_ids], static.size_bytes[block_ids]
+    def btb(self, config: BTBConfig) -> BTBResult:
+        """The result of a fresh BTB of one geometry over this section."""
+        result = self._results.get(config)
+        if result is None:
+            sets = BranchTargetBuffer.set_count(config.entries, config.associativity)
+            histogram = self._histogram(
+                ("btb", sets),
+                config.associativity,
+                lambda depth: btb_stack_histogram(
+                    *_btb_stream(self._trace(), self.section), sets, depth
+                ),
+            )
+            result = BTBResult(
+                entries=config.entries,
+                associativity=config.associativity,
+                section=self.section,
+                instruction_count=self.instruction_count,
+                taken_branches=histogram.accesses,
+                misses=histogram.misses(config.associativity),
+            )
+            self._results[config] = result
+        return result
 
-    def run_predictor(self, predictor: BranchPredictor) -> BranchPredictionResult:
-        """Run one direction predictor over the shared conditional stream."""
-        predictions = predictor.simulate_sequence(
-            self.cond_addresses, self.cond_taken, self.cond_targets
-        )
-        wrong = predictions != self.cond_taken
-        mispredictions = int(np.count_nonzero(wrong))
-        miss_not_taken = int(np.count_nonzero(wrong & ~self.cond_taken))
-        miss_taken_backward = int(
-            np.count_nonzero(wrong & self.cond_taken & self.cond_backward)
-        )
-        return BranchPredictionResult(
-            predictor_name=predictor.name,
-            section=self.section,
-            instruction_count=self.instruction_count,
-            conditional_branches=self.conditional_count,
-            mispredictions=mispredictions,
-            mispredicted_not_taken=miss_not_taken,
-            mispredicted_taken_backward=miss_taken_backward,
-            mispredicted_taken_forward=(
-                mispredictions - miss_not_taken - miss_taken_backward
-            ),
-        )
+    def icache(self, config: ICacheConfig) -> ICacheResult:
+        """The result of a fresh I-cache of one geometry over this section."""
+        result = self._results.get(config)
+        if result is None:
+            sets = InstructionCache.set_count(
+                config.size_bytes, config.line_bytes, config.associativity
+            )
+            histogram = self._histogram(
+                ("icache", config.line_bytes, sets),
+                config.associativity,
+                lambda depth: line_stack_histogram(
+                    *_fetched_ranges(self._trace(), self.section),
+                    config.line_bytes,
+                    sets,
+                    depth,
+                ),
+            )
+            result = ICacheResult(
+                size_bytes=config.size_bytes,
+                line_bytes=config.line_bytes,
+                associativity=config.associativity,
+                section=self.section,
+                instruction_count=self.instruction_count,
+                accesses=histogram.accesses,
+                misses=histogram.misses(config.associativity),
+            )
+            self._results[config] = result
+        return result
 
-    def run_btb(self, btb: BranchTargetBuffer) -> BTBResult:
-        """Run one BTB over the shared taken-branch stream."""
-        addresses, targets = self._btb_stream
-        misses = btb.access_sequence(addresses, targets)
-        return BTBResult(
-            entries=btb.entries,
-            associativity=btb.associativity,
-            section=self.section,
-            instruction_count=self.instruction_count,
-            taken_branches=int(addresses.shape[0]),
-            misses=misses,
-        )
 
-    def run_icache(self, cache: InstructionCache) -> ICacheResult:
-        """Run one I-cache over the shared fetched-line stream."""
-        addresses, sizes = self._line_stream
-        misses = cache.fetch_ranges(addresses, sizes)
-        return ICacheResult(
-            size_bytes=cache.size_bytes,
-            line_bytes=cache.line_bytes,
-            associativity=cache.associativity,
-            section=self.section,
-            instruction_count=self.instruction_count,
-            accesses=cache.accesses,
-            misses=misses,
-        )
+#: trace -> section -> its :class:`_SectionStreams`.
+_STREAMS: "weakref.WeakKeyDictionary[Trace, Dict[CodeSection, _SectionStreams]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _section_streams(trace: Trace, section: CodeSection) -> _SectionStreams:
+    """The shared :class:`_SectionStreams` of one trace section."""
+    per_section = _STREAMS.setdefault(trace, {})
+    streams = per_section.get(section)
+    if streams is None:
+        streams = per_section[section] = _SectionStreams(trace, section)
+    return streams
 
 
 def simulate_branch_predictors(
@@ -351,8 +429,12 @@ def simulate_branch_predictors(
     Results are bit-identical to calling
     :func:`simulate_branch_predictor` per predictor.
     """
-    streams = _SectionStreams(trace, section)
-    return [streams.run_predictor(predictor) for predictor in predictors]
+    stream = _conditional_stream(trace, section)
+    instruction_count = trace.instruction_count(section)
+    return [
+        _score_predictor(predictor, stream, section, instruction_count)
+        for predictor in predictors
+    ]
 
 
 def simulate_frontend_many(
@@ -362,45 +444,28 @@ def simulate_frontend_many(
 ) -> Dict[Tuple[str, CodeSection], FrontEndResult]:
     """Simulate many front-end configurations over one trace, batched.
 
-    This is the multi-configuration engine: per section, the branch and
-    fetched-line streams are decoded **once** (one set of masked
-    gathers) and every configuration's predictor, BTB, and I-cache run
-    over the shared columnar views.  Identical sub-configurations
-    (e.g. two front-ends sharing one BTB geometry) are simulated once
-    and their result object reused, since the simulations are
-    deterministic functions of (geometry, stream).
+    This is the multi-configuration engine.  Every structure is answered
+    through the trace's shared :class:`_SectionStreams`, which outlive
+    the call: each distinct predictor runs once per trace section, and
+    each BTB or I-cache set count (per line size) is one stack-distance
+    pass that serves every associativity.  Later calls over the same
+    trace -- the other chunks of an exploration, other profiles --
+    reuse that work, and identical sub-configurations share one result
+    object.
 
     Returns ``(config.name, section) -> FrontEndResult``; every result
-    is bit-identical to a per-config :func:`simulate_frontend` call
-    (asserted in the test suite).
+    is bit-identical to a per-config :func:`simulate_frontend` call on
+    the reference simulators (asserted in the test suite).
     """
     results: Dict[Tuple[str, CodeSection], FrontEndResult] = {}
-    predictor_memo: Dict[tuple, BranchPredictionResult] = {}
-    btb_memo: Dict[tuple, BTBResult] = {}
-    icache_memo: Dict[tuple, ICacheResult] = {}
     for section in sections:
-        streams = _SectionStreams(trace, section)
+        streams = _section_streams(trace, section)
         for config in configs:
-            predictor_key = (config.predictor, section)
-            branch = predictor_memo.get(predictor_key)
-            if branch is None:
-                branch = streams.run_predictor(config.predictor.build())
-                predictor_memo[predictor_key] = branch
-            btb_key = (config.btb, section)
-            btb = btb_memo.get(btb_key)
-            if btb is None:
-                btb = streams.run_btb(config.btb.build())
-                btb_memo[btb_key] = btb
-            icache_key = (config.icache, section)
-            icache = icache_memo.get(icache_key)
-            if icache is None:
-                icache = streams.run_icache(config.icache.build())
-                icache_memo[icache_key] = icache
             results[(config.name, section)] = FrontEndResult(
                 config_name=config.name,
                 section=section,
-                branch=branch,
-                btb=btb,
-                icache=icache,
+                branch=streams.predictor(config.predictor),
+                btb=streams.btb(config.btb),
+                icache=streams.icache(config.icache),
             )
     return results

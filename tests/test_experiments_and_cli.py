@@ -140,3 +140,10 @@ class TestCli:
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             cli_main(["figure99"])
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "many"])
+    def test_bad_instruction_budget_is_a_usage_error(self, budget, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli_main(["fig1", "--instructions", budget])
+        assert raised.value.code == 2
+        assert "--instructions" in capsys.readouterr().err

@@ -311,6 +311,111 @@ class TestExplorePlan:
         assert ("icache_kb", 8) in axis_values
 
 
+class TestCrossChunkSharing:
+    """Chunks of one workload share the trace's simulation work."""
+
+    #: 2 predictors x 6 BTBs (4 set counts) x 4 I-caches (3 set counts).
+    GRID = GridSpec.frontend(
+        name="sharing",
+        predictor_kind=("gshare", "tournament"),
+        btb_entries=(256, 512, 1024),
+        btb_associativity=(2, 4),
+        icache_kb=(8, 16),
+        icache_associativity=(2, 4),
+    )
+
+    def test_chunk_size_does_not_change_the_frames(self):
+        session = Session(
+            instructions=SMALL, trace_cache_dir=None, result_cache_dir=None
+        )
+        points = len(self.GRID.points())
+        results = [
+            session.explore(
+                self.GRID,
+                workloads=["FT", "gobmk"],
+                chunk_points=chunk_points,
+                use_store=False,
+            ).result()
+            for chunk_points in (1, 64, points)
+        ]
+        assert [r.chunks_computed for r in results] == [2 * points, 2, 2]
+        for name in ("grid", "pareto", "sensitivity"):
+            assert results[0].frames[name] == results[1].frames[name]
+            assert results[0].frames[name] == results[2].frames[name]
+
+    def test_one_pass_per_set_count_and_one_run_per_predictor(self, monkeypatch):
+        from collections import Counter
+
+        from repro.frontend import simulation
+
+        calls = {"icache": [], "btb": [], "predictor": []}
+
+        def counted(kind, kernel, key):
+            def wrapper(*args):
+                calls[kind].append(key(*args))
+                return kernel(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            simulation,
+            "line_stack_histogram",
+            counted(
+                "icache",
+                simulation.line_stack_histogram,
+                lambda starts, sizes, line_bytes, sets, depth: (line_bytes, sets),
+            ),
+        )
+        monkeypatch.setattr(
+            simulation,
+            "btb_stack_histogram",
+            counted(
+                "btb",
+                simulation.btb_stack_histogram,
+                lambda addresses, targets, sets, depth: sets,
+            ),
+        )
+        monkeypatch.setattr(
+            simulation,
+            "_score_predictor",
+            counted(
+                "predictor",
+                simulation._score_predictor,
+                lambda predictor, *rest: predictor.name,
+            ),
+        )
+        # A trace budget no other test uses: no earlier simulation has
+        # filled these traces' shared histograms.
+        session = Session(
+            instructions=SMALL + 17,
+            parallel=False,
+            trace_cache_dir=None,
+            result_cache_dir=None,
+        )
+        workloads = ["FT", "CoEVP"]
+        sections = (CodeSection.SERIAL, CodeSection.PARALLEL)
+        result = session.explore(
+            self.GRID,
+            workloads=workloads,
+            sections=sections,
+            chunk_points=5,
+            use_store=False,
+        ).result()
+        assert result.chunks_computed == len(workloads) * 10
+
+        configs = self.GRID.configs()
+        runs = len(workloads) * len(sections)
+        icache_sets = {
+            (c.icache.line_bytes, c.icache.build().num_sets) for c in configs
+        }
+        btb_sets = {c.btb.build().sets for c in configs}
+        predictors = {c.predictor.build().name for c in configs}
+        assert (len(icache_sets), len(btb_sets), len(predictors)) == (3, 4, 2)
+        assert Counter(calls["icache"]) == {key: runs for key in icache_sets}
+        assert Counter(calls["btb"]) == {key: runs for key in btb_sets}
+        assert Counter(calls["predictor"]) == {key: runs for key in predictors}
+
+
 class TestExploreResume:
     def _session(self, tmp_path):
         return Session(

@@ -1,7 +1,12 @@
 """Tests for the BTB, the I-cache, and the front-end configurations."""
 
+import dataclasses
+
 import pytest
 
+from repro.experiments.fig07_btb import BTB_GEOMETRIES
+from repro.experiments.fig08_icache import ICACHE_GEOMETRIES, LINE_BYTES
+from repro.experiments.fig09_icache_lines import CACHE_SIZE_BYTES, LINE_GEOMETRIES
 from repro.frontend import (
     BASELINE_FRONTEND,
     TAILORED_FRONTEND,
@@ -13,6 +18,20 @@ from repro.frontend import (
 )
 from repro.frontend.simulation import simulate_frontend
 from repro.trace import CodeSection
+
+#: (entries, ways) of every BTB the figures and the 1,080-point
+#: explore-geometry benchmark grid simulate.
+SWEPT_BTBS = sorted(
+    set(BTB_GEOMETRIES)
+    | {(entries, ways) for entries in (256, 512, 1024, 2048, 4096) for ways in (2, 4, 8)}
+)
+
+#: (size bytes, line bytes, ways) of every I-cache they simulate.
+SWEPT_ICACHES = sorted(
+    {(kb * 1024, LINE_BYTES, ways) for kb, ways in ICACHE_GEOMETRIES}
+    | {(CACHE_SIZE_BYTES, line, ways) for line, ways in LINE_GEOMETRIES}
+    | {(kb * 1024, 64, ways) for kb in (8, 16, 32, 64) for ways in (2, 4, 8)}
+)
 
 
 class TestBTB:
@@ -121,6 +140,59 @@ class TestInstructionCache:
         wide = simulate_icache(ft_trace, size_bytes=16 * 1024, line_bytes=128,
                                associativity=8).mpki
         assert wide <= narrow  # Figure 9 shape for HPC
+
+
+class TestStackDistancePath:
+    """Geometry-only calls answer from stack-distance histograms; a
+    passed instance runs the reference simulator.  Both must agree."""
+
+    @pytest.fixture(params=["ft_trace", "gobmk_trace", "coevp_trace"])
+    def trace(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.mark.parametrize(
+        "section",
+        [CodeSection.TOTAL, CodeSection.SERIAL, CodeSection.PARALLEL],
+        ids=lambda section: section.name,
+    )
+    def test_swept_geometries_match_reference(self, trace, section):
+        for entries, ways in SWEPT_BTBS:
+            reference = simulate_btb(trace, BranchTargetBuffer(entries, ways), section)
+            shared = simulate_btb(
+                trace, section=section, entries=entries, associativity=ways
+            )
+            assert dataclasses.asdict(shared) == dataclasses.asdict(reference)
+        for size_bytes, line_bytes, ways in SWEPT_ICACHES:
+            cache = InstructionCache(size_bytes, line_bytes, ways)
+            reference = simulate_icache(trace, cache, section)
+            shared = simulate_icache(
+                trace,
+                section=section,
+                size_bytes=size_bytes,
+                line_bytes=line_bytes,
+                associativity=ways,
+            )
+            assert dataclasses.asdict(shared) == dataclasses.asdict(reference)
+
+    def test_sweep_covers_the_benchmark_grid(self):
+        assert len(SWEPT_BTBS) == 15
+        # fig7 and fig8 lie inside the grid; fig9 adds its 32B and 128B lines.
+        assert len(SWEPT_ICACHES) == 12 + 6
+
+    def test_invalid_geometry_still_raises(self, ft_trace):
+        with pytest.raises(ValueError):
+            simulate_btb(ft_trace, entries=100, associativity=4)
+        with pytest.raises(ValueError):
+            simulate_icache(ft_trace, size_bytes=1000)
+
+    def test_warm_cache_reports_this_calls_accesses(self, ft_trace):
+        cache = InstructionCache(16 * 1024, 64, 4)
+        cold = simulate_icache(ft_trace, cache)
+        warm = simulate_icache(ft_trace, cache)
+        assert warm.accesses == cold.accesses
+        assert warm.misses < cold.misses
+        assert warm.miss_rate == warm.misses / cold.accesses
+        assert cache.accesses == 2 * cold.accesses
 
 
 class TestConfigs:

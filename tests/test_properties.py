@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend.btb import BranchTargetBuffer
-from repro.frontend.icache import InstructionCache
+from repro.frontend.btb import BranchTargetBuffer, btb_stack_histogram
+from repro.frontend.icache import InstructionCache, line_stack_histogram
+from repro.frontend.stack_distance import MIN_STACK_DEPTH
 from repro.frontend.predictors import (
     BimodalPredictor,
     GsharePredictor,
@@ -127,3 +129,93 @@ def test_loop_predictor_learns_any_constant_trip_count(trip, repetitions):
     if repetitions >= predictor.CONFIDENCE_THRESHOLD + 1:
         assert predictor.is_confident(address)
         assert predictor.predict(address) is True
+
+
+# -- stack-distance kernels against the reference simulators -------------
+
+set_counts = st.integers(min_value=0, max_value=10).map(lambda bits: 1 << bits)
+
+
+@st.composite
+def fetch_streams(draw):
+    """A geometry plus byte ranges that crowd a few sets at that geometry."""
+    line_bytes = draw(st.sampled_from([32, 64, 128]))
+    num_sets = draw(set_counts)
+    # Lines from four sets and a couple of dozen tags, so every geometry
+    # sees hits, capacity misses and conflicts.
+    lines = st.builds(
+        lambda set_index, tag: tag * num_sets + set_index,
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=24),
+    )
+    fetches = draw(
+        st.lists(
+            st.tuples(
+                lines,
+                st.integers(min_value=0, max_value=line_bytes - 1),
+                st.integers(min_value=1, max_value=3 * line_bytes),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    starts = np.array([line * line_bytes + offset for line, offset, _ in fetches])
+    sizes = np.array([size for _, _, size in fetches])
+    return line_bytes, num_sets, starts, sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(fetch_streams(), st.integers(min_value=1, max_value=16))
+def test_icache_stack_histogram_matches_reference(stream, capped_ways):
+    line_bytes, num_sets, starts, sizes = stream
+    histogram = line_stack_histogram(starts, sizes, line_bytes, num_sets, MIN_STACK_DEPTH)
+    capped = line_stack_histogram(starts, sizes, line_bytes, num_sets, capped_ways)
+    for ways in range(1, MIN_STACK_DEPTH + 1):
+        cache = InstructionCache(num_sets * ways * line_bytes, line_bytes, ways)
+        assert histogram.misses(ways) == cache.fetch_ranges(starts, sizes)
+        assert histogram.accesses == cache.accesses
+        if ways == capped_ways:
+            assert capped.misses(ways) == cache.misses
+            assert capped.accesses == cache.accesses
+
+
+@st.composite
+def branch_streams(draw):
+    """A set count plus taken branches that repeat PCs and change targets."""
+    num_sets = draw(set_counts)
+    pcs = st.builds(
+        lambda set_index, tag: tag * num_sets + set_index,
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=24),
+    )
+    branches = draw(
+        st.lists(
+            st.tuples(
+                pcs,
+                # The low two address bits alias one PC, as in hardware.
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=0, max_value=3),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    addresses = np.array([pc * 4 + low for pc, low, _ in branches])
+    targets = np.array([0x500000 + 64 * target for _, _, target in branches])
+    return num_sets, addresses, targets
+
+
+@settings(max_examples=60, deadline=None)
+@given(branch_streams(), st.sampled_from([1, 2, 4, 8, 16]))
+def test_btb_stack_histogram_matches_reference(stream, capped_ways):
+    num_sets, addresses, targets = stream
+    histogram = btb_stack_histogram(addresses, targets, num_sets, MIN_STACK_DEPTH)
+    capped = btb_stack_histogram(addresses, targets, num_sets, capped_ways)
+    for ways in (1, 2, 4, 8, 16):
+        misses = BranchTargetBuffer(num_sets * ways, ways).access_sequence(
+            addresses, targets
+        )
+        assert histogram.misses(ways) == misses
+        assert histogram.accesses == len(addresses)
+        if ways == capped_ways:
+            assert capped.misses(ways) == misses
