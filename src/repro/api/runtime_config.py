@@ -382,6 +382,8 @@ class RuntimeConfig:
         )
         executor = str(self.executor).strip() or DEFAULT_EXECUTOR
         object.__setattr__(self, "executor", executor)
+        if self.instructions < 1:
+            raise ValueError(f"instructions must be >= 1, got {self.instructions}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         timeout = self.item_timeout
@@ -495,7 +497,7 @@ class RuntimeConfig:
             resolved_instructions = _env_int(
                 INSTRUCTIONS_VARIABLE, DEFAULT_INSTRUCTIONS
             )
-            if resolved_instructions is None:
+            if resolved_instructions is None or resolved_instructions < 1:
                 resolved_instructions = DEFAULT_INSTRUCTIONS
         else:
             resolved_instructions = int(instructions)

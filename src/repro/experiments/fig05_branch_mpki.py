@@ -18,7 +18,7 @@ from repro.experiments.common import (
     render_blocks,
     suite_cell,
 )
-from repro.frontend.predictors import make_predictor
+from repro.frontend.configs import BranchPredictorConfig
 from repro.frontend.predictors.factory import predictor_configurations
 from repro.frontend.simulation import simulate_branch_predictors
 from repro.results.artifacts import TableBlock
@@ -34,18 +34,20 @@ FIGURE5_LABELS = tuple(label for label, _, _, _ in predictor_configurations())
 def _workload_mpki(args) -> Dict[str, float]:
     """Per-workload worker: all predictor configurations on one trace.
 
-    The nine predictors run through the batched
-    :func:`simulate_branch_predictors`, which decodes the conditional
-    stream once and reuses it for every configuration.
+    The nine configurations go through :func:`simulate_branch_predictors`,
+    which answers them from the trace's per-section memo: each loop-free
+    predictor and the loop predictor run once, and the ``L-`` hybrids
+    combine those passes.  Figure 6, the exploration presets and the
+    Section V profiles then reuse them on the same cached trace.
     """
     spec, instructions, section = args
     trace = workload_trace(spec, instructions)
     configurations = predictor_configurations()
-    predictors = [
-        make_predictor(kind, budget, with_loop)
+    configs = [
+        BranchPredictorConfig(kind, budget, with_loop)
         for _, kind, budget, with_loop in configurations
     ]
-    results = simulate_branch_predictors(trace, predictors, section)
+    results = simulate_branch_predictors(trace, configs, section)
     return {
         label: result.mpki
         for (label, _, _, _), result in zip(configurations, results)

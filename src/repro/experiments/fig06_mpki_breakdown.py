@@ -19,7 +19,7 @@ from repro.experiments.common import (
     fixed,
     render_blocks,
 )
-from repro.frontend.predictors import make_predictor
+from repro.frontend.configs import BranchPredictorConfig
 from repro.frontend.simulation import simulate_branch_predictors
 from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
@@ -85,14 +85,19 @@ class Fig06Result(FrameResult):
 
 
 def _workload_breakdown(args) -> Dict[str, Dict[str, float]]:
-    """Per-workload worker: MPKI breakdown of every Figure 6 config."""
+    """Per-workload worker: MPKI breakdown of every Figure 6 config.
+
+    Answered from the trace's per-section memo
+    (:func:`simulate_branch_predictors`), so on a trace Figure 5 already
+    simulated no predictor runs again.
+    """
     spec, instructions = args
     trace = workload_trace(spec, instructions)
-    predictors = [
-        make_predictor(kind, budget, with_loop)
+    configs = [
+        BranchPredictorConfig(kind, budget, with_loop)
         for _, kind, budget, with_loop in FIGURE6_CONFIGS
     ]
-    outcomes = simulate_branch_predictors(trace, predictors)
+    outcomes = simulate_branch_predictors(trace, configs)
     return {
         label: outcome.breakdown_mpki()
         for (label, _, _, _), outcome in zip(FIGURE6_CONFIGS, outcomes)

@@ -17,7 +17,7 @@ results for fresh structures.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +30,7 @@ from repro.frontend.configs import (
     ICacheConfig,
 )
 from repro.frontend.icache import InstructionCache, line_stack_histogram
-from repro.frontend.predictors import BranchPredictor
+from repro.frontend.predictors import BranchPredictor, LoopPredictor
 from repro.frontend.stack_distance import MIN_STACK_DEPTH, StackHistogram
 from repro.trace.columns import program_columns
 from repro.trace.events import Trace
@@ -167,27 +167,25 @@ def _fetched_ranges(trace: Trace, section: CodeSection) -> Tuple[np.ndarray, np.
     return static.addresses[block_ids], static.size_bytes[block_ids]
 
 
-def _score_predictor(
-    predictor: BranchPredictor,
+def _score_predictions(
+    name: str,
+    predictions: np.ndarray,
     stream: Tuple[np.ndarray, np.ndarray, np.ndarray],
     section: CodeSection,
     instruction_count: int,
 ) -> BranchPredictionResult:
-    """Run a predictor over a conditional stream and tally its misses.
+    """Tally a predictor's misses over the conditional stream it predicted.
 
-    The predictor runs its batch path (vectorized for static predictors,
-    a tight inlined loop for the stateful ones) and the misprediction
-    breakdown is tallied with boolean-mask reductions.
+    The misprediction breakdown is tallied with boolean-mask reductions.
     """
     addresses, taken, targets = stream
-    predictions = predictor.simulate_sequence(addresses, taken, targets)
     wrong = predictions != taken
     mispredictions = int(np.count_nonzero(wrong))
     miss_not_taken = int(np.count_nonzero(wrong & ~taken))
     backward = (targets >= 0) & (targets < addresses)
     miss_taken_backward = int(np.count_nonzero(wrong & taken & backward))
     return BranchPredictionResult(
-        predictor_name=predictor.name,
+        predictor_name=name,
         section=section,
         instruction_count=instruction_count,
         conditional_branches=int(addresses.shape[0]),
@@ -203,10 +201,17 @@ def simulate_branch_predictor(
     predictor: BranchPredictor,
     section: CodeSection = CodeSection.TOTAL,
 ) -> BranchPredictionResult:
-    """Measure the branch MPKI of a direction predictor on one trace."""
-    return _score_predictor(
-        predictor,
-        _conditional_stream(trace, section),
+    """Measure the branch MPKI of a direction predictor on one trace.
+
+    The instance runs its batch path (vectorized for static predictors,
+    a tight inlined loop for the stateful ones) from its current state;
+    this is the reference :func:`simulate_branch_predictors` is held to.
+    """
+    stream = _conditional_stream(trace, section)
+    return _score_predictions(
+        predictor.name,
+        predictor.simulate_sequence(*stream),
+        stream,
         section,
         trace.instruction_count(section),
     )
@@ -303,21 +308,29 @@ class _SectionStreams:
 
     One instance per (trace, section) lives in :data:`_STREAMS`, weakly
     keyed by the trace, so every caller that simulates that trace --
-    each chunk of an exploration, each geometry of a figure worker, each
+    each figure worker and geometry, each chunk of an exploration, each
     core of a profile -- shares it, and it is dropped with the trace.
     It memoizes
 
     * stack-distance histograms, keyed by ``("icache", line bytes, set
       count)`` or ``("btb", set count)``, each answering every
-      associativity up to its depth (one pass per set count), and
+      associativity up to its depth (one pass per set count);
+    * predictor passes, packed one bit per conditional branch: the
+      predictions of every loop-free :class:`BranchPredictorConfig` and
+      the 64-entry loop predictor's overrides, each computed once.  A
+      ``with_loop`` configuration is scored from
+      ``np.where(overrides, loop predictions, base predictions)``,
+      which is exactly what :meth:`PredictorWithLoop.simulate_sequence`
+      computes: both parts train on the resolved outcome alone, so
+      neither pass depends on the other; and
     * result objects, keyed by the sub-configuration
       (:class:`BranchPredictorConfig`, :class:`BTBConfig`,
-      :class:`ICacheConfig`), so a predictor runs once per trace
-      section and identical sub-configurations share one result (the
-      result classes are frozen, since every caller gets that object).
+      :class:`ICacheConfig`), so identical sub-configurations share one
+      result (the result classes are frozen, since every caller gets
+      that object).
 
-    Only histograms and results are kept: the decoded streams are
-    gathered when a pass needs them and dropped afterwards.
+    The decoded streams are gathered when a pass or a tally needs them
+    and dropped afterwards.
     """
 
     def __init__(self, trace: Trace, section: CodeSection) -> None:
@@ -325,6 +338,8 @@ class _SectionStreams:
         self.section = section
         self.instruction_count = trace.instruction_count(section)
         self._histograms: Dict[tuple, StackHistogram] = {}
+        self._predictions: Dict[BranchPredictorConfig, Tuple[str, np.ndarray]] = {}
+        self._loop: Optional[np.ndarray] = None
         self._results: Dict[object, object] = {}
 
     def _histogram(self, key: tuple, associativity: int, build) -> StackHistogram:
@@ -335,15 +350,40 @@ class _SectionStreams:
             self._histograms[key] = histogram
         return histogram
 
+    def _base_predictions(
+        self, config: BranchPredictorConfig, stream
+    ) -> Tuple[str, np.ndarray]:
+        """Name and predictions of a loop-free predictor (one pass)."""
+        run = self._predictions.get(config)
+        if run is None:
+            predictor = config.build()
+            run = (predictor.name, np.packbits(predictor.simulate_sequence(*stream)))
+            self._predictions[config] = run
+        name, packed = run
+        return name, np.unpackbits(packed, count=len(stream[0])).view(bool)
+
+    def _loop_overrides(self, stream) -> np.ndarray:
+        """The loop predictor's (override?, prediction) rows (one pass)."""
+        if self._loop is None:
+            addresses, taken, _ = stream
+            passes = LoopPredictor().simulate_overrides(addresses, taken)
+            self._loop = np.packbits(np.array(passes, dtype=bool), axis=1)
+        return np.unpackbits(self._loop, axis=1, count=len(stream[0])).view(bool)
+
     def predictor(self, config: BranchPredictorConfig) -> BranchPredictionResult:
         """The result of one direction predictor over this section."""
         result = self._results.get(config)
         if result is None:
-            result = _score_predictor(
-                config.build(),
-                _conditional_stream(self._trace(), self.section),
-                self.section,
-                self.instruction_count,
+            stream = _conditional_stream(self._trace(), self.section)
+            name, predictions = self._base_predictions(
+                replace(config, with_loop=False), stream
+            )
+            if config.with_loop:
+                overrides, loop_predictions = self._loop_overrides(stream)
+                predictions = np.where(overrides, loop_predictions, predictions)
+                name = f"L-{name}"  # as PredictorWithLoop names it
+            result = _score_predictions(
+                name, predictions, stream, self.section, self.instruction_count
             )
             self._results[config] = result
         return result
@@ -418,23 +458,22 @@ def _section_streams(trace: Trace, section: CodeSection) -> _SectionStreams:
 
 def simulate_branch_predictors(
     trace: Trace,
-    predictors: Sequence[BranchPredictor],
+    configs: Sequence[BranchPredictorConfig],
     section: CodeSection = CodeSection.TOTAL,
 ) -> List[BranchPredictionResult]:
-    """Measure many direction predictors on one trace section.
+    """Measure many direction-predictor configurations on one trace section.
 
-    The conditional-branch stream is decoded **once** and every
-    predictor runs over the shared columnar view, so an N-configuration
-    sweep (Figures 5/6) pays one set of masked gathers instead of N.
-    Results are bit-identical to calling
-    :func:`simulate_branch_predictor` per predictor.
+    Answered from the trace's shared :class:`_SectionStreams`: each
+    loop-free predictor runs once per trace section, the loop predictor
+    once, and every ``L-`` hybrid combines those passes.  Figure 5's
+    nine configurations, Figure 6's gshare subset, the exploration
+    presets and the Section V profiles over the same cached trace share
+    them.  Every result is bit-identical to
+    :func:`simulate_branch_predictor` on ``config.build()`` (asserted in
+    the test suite).
     """
-    stream = _conditional_stream(trace, section)
-    instruction_count = trace.instruction_count(section)
-    return [
-        _score_predictor(predictor, stream, section, instruction_count)
-        for predictor in predictors
-    ]
+    streams = _section_streams(trace, section)
+    return [streams.predictor(config) for config in configs]
 
 
 def simulate_frontend_many(

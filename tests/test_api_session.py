@@ -145,6 +145,14 @@ class TestSessionConfig:
         monkeypatch.delenv("REPRO_INSTRUCTIONS")
         assert session.config.instructions != 777
 
+    def test_non_positive_budget_is_rejected_at_construction(self, monkeypatch):
+        # A typed error here, not a SweepError from every sweep item later.
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="instructions"):
+                Session(instructions=budget)
+        monkeypatch.setenv("REPRO_INSTRUCTIONS", "0")
+        assert Session().config.instructions == RuntimeConfig().instructions
+
     def test_follow_environment_rejects_explicit_config(self):
         with pytest.raises(ValueError):
             Session(RuntimeConfig(), follow_environment=True)

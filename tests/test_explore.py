@@ -33,6 +33,7 @@ from repro.explore import (
 )
 from repro.explore import pareto as pareto_module
 from repro.frontend.configs import BASELINE_FRONTEND
+from repro.frontend.predictors import GsharePredictor, TournamentPredictor
 from repro.results.store import clear_result_store
 from repro.trace.instruction import CodeSection
 
@@ -375,15 +376,16 @@ class TestCrossChunkSharing:
                 lambda addresses, targets, sets, depth: sets,
             ),
         )
-        monkeypatch.setattr(
-            simulation,
-            "_score_predictor",
-            counted(
-                "predictor",
-                simulation._score_predictor,
-                lambda predictor, *rest: predictor.name,
-            ),
-        )
+        for predictor_class in (GsharePredictor, TournamentPredictor):
+            monkeypatch.setattr(
+                predictor_class,
+                "simulate_sequence",
+                counted(
+                    "predictor",
+                    predictor_class.simulate_sequence,
+                    lambda predictor, *rest: predictor.name,
+                ),
+            )
         # A trace budget no other test uses: no earlier simulation has
         # filled these traces' shared histograms.
         session = Session(

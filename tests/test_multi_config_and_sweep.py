@@ -9,11 +9,15 @@ CLI).
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from repro import experiments
+from repro.api import Session
 from repro.cli import main as cli_main
+from repro.experiments.common import default_workload_names
+from repro.experiments.explore_presets import run_explore_frontend
 from repro.experiments import clear_trace_cache, normalize_to_reference, trace_cache_info
 from repro.frontend.configs import (
     BASELINE_FRONTEND,
@@ -23,7 +27,9 @@ from repro.frontend.configs import (
     FrontEndConfig,
     ICacheConfig,
 )
+from repro.frontend import predictors, simulation
 from repro.frontend.predictors import make_predictor
+from repro.frontend.predictors.factory import predictor_configurations
 from repro.frontend.predictors.hybrid import PredictorWithLoop
 from repro.frontend.predictors.loop import LoopPredictor
 from repro.frontend.simulation import (
@@ -83,6 +89,17 @@ MIXED_FRONTEND = FrontEndConfig(
     btb=BTBConfig(entries=2048, associativity=4),
 )
 
+#: Figure 5's nine configurations, then two static predictors without
+#: and with the loop predictor: every hybrid comes after its base.
+MEMO_CONFIGS = tuple(
+    BranchPredictorConfig(kind, budget, with_loop)
+    for _, kind, budget, with_loop in predictor_configurations()
+) + tuple(
+    BranchPredictorConfig(kind, "small", with_loop)
+    for kind in ("btfn", "always-taken")
+    for with_loop in (False, True)
+)
+
 
 class TestSimulateFrontendMany:
     @pytest.mark.parametrize(
@@ -116,14 +133,84 @@ class TestSimulateFrontendMany:
         assert mixed.btb is baseline.btb
         assert mixed.icache is tailored.icache
 
-    def test_branch_predictor_batch_matches_per_predictor(self, gobmk_trace):
-        kinds = [("gshare", "small", False), ("tournament", "big", False), ("tage", "small", True)]
-        batched = simulate_branch_predictors(
-            gobmk_trace, [make_predictor(*args) for args in kinds]
+    @pytest.mark.parametrize("workload", ["ft_trace", "gobmk_trace", "coevp_trace"])
+    def test_branch_predictor_batch_matches_per_predictor(self, request, workload):
+        trace = request.getfixturevalue(workload)
+        for section in (CodeSection.TOTAL, CodeSection.SERIAL, CodeSection.PARALLEL):
+            reference = {
+                config: dataclasses.asdict(
+                    simulate_branch_predictor(trace, config.build(), section)
+                )
+                for config in MEMO_CONFIGS
+            }
+            # In order every hybrid follows its base; reversed it comes
+            # first.  Each order starts from an empty memo.
+            for configs in (MEMO_CONFIGS, MEMO_CONFIGS[::-1]):
+                simulation._STREAMS.pop(trace, None)
+                batched = simulate_branch_predictors(trace, configs, section)
+                assert [dataclasses.asdict(result) for result in batched] == [
+                    reference[config] for config in configs
+                ]
+
+
+class TestOnePassPerComponent:
+    """Figures 5 and 6 and the front-end preset share predictor passes."""
+
+    #: A trace budget no other test uses: no earlier run filled the
+    #: shared memo of these traces.
+    INSTRUCTIONS = 6_013
+
+    def test_each_predictor_and_the_loop_run_once_per_stream(self, monkeypatch):
+        passes = Counter()
+        loop_passes = Counter()
+
+        def stream_key(addresses, taken):
+            return hash((addresses.tobytes(), taken.tobytes()))
+
+        def counted(original):
+            def simulate_sequence(self, addresses, taken, targets=None):
+                key = (type(self).__name__, self.storage_bits())
+                passes[key + (stream_key(addresses, taken),)] += 1
+                return original(self, addresses, taken, targets)
+
+            return simulate_sequence
+
+        for value in vars(predictors).values():
+            if isinstance(value, type) and "simulate_sequence" in vars(value):
+                monkeypatch.setattr(
+                    value, "simulate_sequence", counted(value.simulate_sequence)
+                )
+        simulate_overrides = LoopPredictor.simulate_overrides
+
+        def counted_overrides(self, addresses, taken):
+            loop_passes[stream_key(addresses, taken)] += 1
+            return simulate_overrides(self, addresses, taken)
+
+        monkeypatch.setattr(LoopPredictor, "simulate_overrides", counted_overrides)
+
+        session = Session(
+            instructions=self.INSTRUCTIONS,
+            parallel=False,
+            trace_cache_dir=None,
+            result_cache_dir=None,
         )
-        for args, many in zip(kinds, batched):
-            single = simulate_branch_predictor(gobmk_trace, make_predictor(*args))
-            assert dataclasses.asdict(many) == dataclasses.asdict(single)
+        with session.activate():
+            experiments.run_fig05()
+            experiments.run_fig06()
+            run_explore_frontend()
+
+        streams = {stream for *_, stream in passes}
+        assert len(streams) == len(default_workload_names())
+        # Six loop-free predictors (three families, two budgets) per
+        # stream, each run once; no hybrid ever runs its own pass.
+        assert set(passes.values()) == {1}
+        assert Counter(stream for *_, stream in passes) == dict.fromkeys(streams, 6)
+        assert {name for name, _, _ in passes} == {
+            "GsharePredictor",
+            "TournamentPredictor",
+            "TagePredictor",
+        }
+        assert loop_passes == dict.fromkeys(streams, 1)
 
 
 class TestProfileCacheRouting:

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,15 @@ from repro.frontend.icache import InstructionCache, line_stack_histogram
 from repro.frontend.stack_distance import MIN_STACK_DEPTH
 from repro.frontend.predictors import (
     BimodalPredictor,
+    BranchPredictor,
     GsharePredictor,
     LoopPredictor,
     TagePredictor,
     TournamentPredictor,
+    make_predictor,
 )
 from repro.frontend.predictors.base import SaturatingCounter
+from repro.frontend.predictors.factory import PREDICTOR_BUDGETS, PREDICTOR_KINDS
 from repro.workloads.synthesis import _Diffuser
 
 addresses = st.integers(min_value=0x400000, max_value=0x4FFFFF).map(lambda a: a & ~0x3)
@@ -129,6 +134,55 @@ def test_loop_predictor_learns_any_constant_trip_count(trip, repetitions):
     if repetitions >= predictor.CONFIDENCE_THRESHOLD + 1:
         assert predictor.is_confident(address)
         assert predictor.predict(address) is True
+
+
+# -- batch predictor paths against the scalar protocol -------------------
+
+
+@st.composite
+def conditional_streams(draw):
+    """Loop latches among body branches that repeat a few PCs.
+
+    Each loop execution takes its latch ``trip - 1`` times, then falls
+    through once.  A constant loop keeps one trip count, long enough for
+    the loop predictor to grow confident; a varying one draws a new trip
+    count per execution.  Body branches take random outcomes, and their
+    PCs come from the latches' pool, so they share loop-table slots and
+    sometimes a latch's PC.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pcs = st.integers(min_value=0, max_value=127).map(lambda i: 0x400000 + 4 * i)
+    branches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        latch = draw(pcs)
+        constant = draw(st.booleans())
+        trip = draw(st.integers(min_value=1, max_value=6))
+        body = draw(st.lists(pcs, max_size=3))
+        for _ in range(draw(st.integers(min_value=1, max_value=12))):
+            if not constant:
+                trip = int(rng.integers(1, 7))
+            for iteration in range(trip):
+                outcomes = rng.random(len(body)) < 0.5
+                branches += [(pc, pc + 64, bool(t)) for pc, t in zip(body, outcomes)]
+                branches.append((latch, latch - 64, iteration < trip - 1))
+    addresses, targets, taken = (np.array(column) for column in zip(*branches))
+    return addresses, taken, targets
+
+
+@settings(max_examples=25, deadline=None)
+@given(conditional_streams())
+def test_batch_predictors_match_the_scalar_protocol(stream):
+    addresses, taken, targets = stream
+    for kind, budget, with_loop in itertools.product(
+        PREDICTOR_KINDS, PREDICTOR_BUDGETS, (False, True)
+    ):
+        batch = make_predictor(kind, budget, with_loop).simulate_sequence(
+            addresses, taken, targets
+        )
+        scalar = BranchPredictor.simulate_sequence(
+            make_predictor(kind, budget, with_loop), addresses, taken, targets
+        )
+        assert batch.tolist() == scalar.tolist(), (kind, budget, with_loop)
 
 
 # -- stack-distance kernels against the reference simulators -------------

@@ -141,10 +141,19 @@ class TestPrecedence:
             rc.RuntimeConfig.from_environment(instructions=12345).instructions
             == 12345
         )
-        # An explicit zero is preserved, not swallowed by a falsy check.
-        assert rc.RuntimeConfig.from_environment(instructions=0).instructions == 0
-        monkeypatch.setenv(rc.INSTRUCTIONS_VARIABLE, "0")
-        assert rc.RuntimeConfig.from_environment().instructions == 0
+        assert rc.RuntimeConfig.from_environment(instructions=1).instructions == 1
+        # Non-positive budgets: explicit ones raise at construction,
+        # environment ones fall back to the default (as REPRO_RETRIES).
+        with pytest.raises(ValueError, match="instructions"):
+            rc.RuntimeConfig.from_environment(instructions=0)
+        with pytest.raises(ValueError, match="instructions"):
+            rc.RuntimeConfig(instructions=-5)
+        for value in ("0", "-5"):
+            monkeypatch.setenv(rc.INSTRUCTIONS_VARIABLE, value)
+            assert (
+                rc.RuntimeConfig.from_environment().instructions
+                == rc.DEFAULT_INSTRUCTIONS
+            )
 
     def test_executor(self, monkeypatch):
         monkeypatch.delenv(rc.EXECUTOR_VARIABLE, raising=False)
