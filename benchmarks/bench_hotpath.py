@@ -233,8 +233,9 @@ def test_serve_warm_request(benchmark, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path / "store"))
     monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", "none")
     clear_result_store()
-    run_experiments(["fig5"], instructions=6_000)
     config = rc.RuntimeConfig.from_environment(instructions=6_000)
+    with rc.activated(config):
+        run_experiments(["fig5"], instructions=6_000)
     with background_server(config=config, queue_dir=None) as server:
         url = server.url + "/experiment/fig5"
 

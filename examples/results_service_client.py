@@ -21,7 +21,7 @@ import threading
 import time
 import urllib.request
 
-from repro.api.runtime_config import RuntimeConfig
+from repro.api.runtime_config import RuntimeConfig, activated
 from repro.exec.queue import serve_queue
 from repro.serve import background_server
 
@@ -36,17 +36,22 @@ def get(url: str) -> tuple[int, bytes]:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
-        os.environ["REPRO_RESULT_CACHE_DIR"] = os.path.join(scratch, "store")
         queue_dir = os.path.join(scratch, "queue")
         os.makedirs(queue_dir)
-        config = RuntimeConfig.from_environment(instructions=INSTRUCTIONS)
+        config = RuntimeConfig.from_environment(
+            instructions=INSTRUCTIONS, result_cache_dir=os.path.join(scratch, "store")
+        )
+
+        def drain() -> None:
+            # The worker runs under the service's config, so what it
+            # computes lands in the store the service reads.
+            with activated(config):
+                serve_queue(queue_dir, max_idle=3.0)
 
         # Service + one worker.  In production these are separate
         # processes: `repro-frontend serve` and `repro-frontend worker`
         # sharing --queue-dir; the wire traffic below is identical.
-        worker = threading.Thread(
-            target=serve_queue, args=(queue_dir,), kwargs={"max_idle": 3.0}
-        )
+        worker = threading.Thread(target=drain)
         worker.start()
         with background_server(config=config, queue_dir=queue_dir) as server:
             print(f"service listening on {server.url}")

@@ -217,9 +217,9 @@ class FrontendSweepPlan(Plan):
 
         A digest of the plan's full provenance via
         :func:`repro.results.store.result_key` -- which also folds in
-        the package source fingerprint and the session's semantic
-        runtime -- so an interrupted ``execute()`` resumes per-item
-        checkpoints only when the code and the plan are both unchanged.
+        the package source fingerprint -- so an interrupted
+        ``execute()`` resumes per-item checkpoints only when the code
+        and the plan are both unchanged.
         """
         import dataclasses
 
@@ -234,7 +234,6 @@ class FrontendSweepPlan(Plan):
             },
             [spec.name for spec in self.workloads],
             seed=self.seed,
-            runtime=self.session.config.semantic(),
         )
 
     def execute(self) -> ResultFrame:

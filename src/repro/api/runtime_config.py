@@ -2,25 +2,22 @@
 
 This module is the **only** place in the package that reads a
 ``REPRO_*`` environment variable.  Everything the environment used to
-configure at scattered call sites -- the trace engine choice, the two
-cache directories, sweep parallelism, and the default instruction
-budget -- is captured by one frozen :class:`RuntimeConfig` dataclass,
-resolved with *explicit argument > environment variable > default*
-precedence.
+configure at scattered call sites -- the two cache directories, sweep
+parallelism, the executor, and the default instruction budget -- is
+captured by one frozen :class:`RuntimeConfig` dataclass, resolved with
+*explicit argument > environment variable > default* precedence.
 
-Two consumption modes coexist:
-
-* **Session mode** (:class:`repro.api.session.Session`): a config is
-  resolved once at construction and *activated* around plan execution,
-  so the lower layers see one consistent snapshot for the whole run.
-* **Legacy mode** (no active config): the ``current_*`` accessors fall
-  back to reading the environment on every call, preserving the
-  historical behaviour of the module-level entry points
-  (``workload_trace`` and friends) bit for bit.
+The environment is read once per :class:`repro.api.session.Session`
+(and by the CLI, which builds one) and once per process: code below a
+session asks :func:`current_config`, which answers with the activated
+config (see :func:`activated`) or, outside any activation, with the
+process snapshot resolved from ``REPRO_*`` on first use.  Nothing
+re-reads the environment after that, so a later change to it reaches
+only configs and sessions built afterwards.
 
 The module deliberately imports nothing from the rest of the package,
-so every layer -- down to :mod:`repro.trace.compiler` -- can consult it
-without creating an import cycle.
+so every layer -- down to :mod:`repro.workloads.trace_cache` -- can
+consult it without creating an import cycle.
 """
 
 from __future__ import annotations
@@ -31,11 +28,7 @@ import dataclasses
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
-
-#: Environment variable selecting the trace generation engine
-#: (``compiled``, the default, or ``reference`` for the tree walk).
-TRACE_ENGINE_VARIABLE = "REPRO_TRACE_ENGINE"
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 #: Environment variable selecting the on-disk trace-cache directory
 #: (unset: no disk layer; ``none``/``off``/``0``/empty: disabled).
@@ -56,8 +49,8 @@ PROCESSES_VARIABLE = "REPRO_PROCESSES"
 #: Environment variable overriding the default dynamic trace length.
 INSTRUCTIONS_VARIABLE = "REPRO_INSTRUCTIONS"
 
-#: Environment variable selecting the sweep executor (``auto``,
-#: ``serial``, ``processes``, or a ``module:attribute`` entry point).
+#: Environment variable selecting the sweep executor (one of
+#: :data:`EXECUTORS`).
 EXECUTOR_VARIABLE = "REPRO_EXECUTOR"
 
 #: Environment variable fixing the per-item retry count of supervised
@@ -109,7 +102,6 @@ SERVE_PORT_VARIABLE = "REPRO_SERVE_PORT"
 #: order.  The API-surface test pins this tuple: growing it is an API
 #: change.
 ENVIRONMENT_VARIABLES: Tuple[str, ...] = (
-    TRACE_ENGINE_VARIABLE,
     TRACE_CACHE_DIR_VARIABLE,
     RESULT_CACHE_DIR_VARIABLE,
     PARALLEL_VARIABLE,
@@ -134,13 +126,12 @@ ENVIRONMENT_VARIABLES: Tuple[str, ...] = (
 #: accepts an ``instructions`` override.
 DEFAULT_INSTRUCTIONS = 150_000
 
-#: The default trace generation engine (bit-identical to ``reference``;
-#: see :mod:`repro.trace.compiler`).
-DEFAULT_TRACE_ENGINE = "compiled"
-
 #: The default sweep executor: ``auto`` resolves to ``processes`` for
 #: parallel sweeps and ``serial`` otherwise (see :mod:`repro.exec`).
 DEFAULT_EXECUTOR = "auto"
+
+#: The sweep executors a config may name (see :mod:`repro.exec`).
+EXECUTORS = ("auto", "serial", "processes", "queue")
 
 #: Default per-item retry count of supervised sweeps.
 DEFAULT_RETRIES = 2
@@ -164,9 +155,6 @@ DEFAULT_SERVE_HOST = "127.0.0.1"
 #: Default results-service port.
 DEFAULT_SERVE_PORT = 8757
 
-#: The recognised trace engines.
-TRACE_ENGINES = ("compiled", "reference")
-
 #: Cache-directory values that disable a disk layer outright
 #: (case-insensitive), shared by the trace cache and the result store.
 CACHE_DISABLE_VALUES = frozenset({"", "0", "none", "off", "disabled"})
@@ -187,17 +175,6 @@ def read_environment(name: str) -> Optional[str]:
     through here; grep for ``os.environ`` to verify.
     """
     return os.environ.get(name)
-
-
-def export_environment_default(name: str, value: str) -> None:
-    """Export a variable into the process environment when it is unset.
-
-    The parallel-sweep helpers use this to hand the shared cache
-    directories to worker processes on spawn platforms; an explicitly
-    set (or explicitly disabled) variable is left untouched.
-    """
-    if os.environ.get(name) is None:
-        os.environ[name] = value
 
 
 def default_trace_cache_dir() -> str:
@@ -272,24 +249,6 @@ def _namespaced(directory: Optional[str], namespace: Optional[str]) -> Optional[
     return os.path.join(directory, namespace)
 
 
-def _resolve_engine(value: str, strict: bool = False) -> str:
-    """Normalize a trace-engine spelling.
-
-    Explicit arguments (``strict``) raise on unknown engines -- the
-    typed API should not silently swallow a typo -- while environment
-    values stay lenient (anything unrecognized means the default),
-    matching the historical env-var contract.
-    """
-    engine = value.strip().lower()
-    if engine in TRACE_ENGINES:
-        return engine
-    if strict:
-        raise ValueError(
-            f"unknown trace engine {value!r}; expected one of {TRACE_ENGINES}"
-        )
-    return DEFAULT_TRACE_ENGINE
-
-
 def _env_bool(name: str, default: bool) -> bool:
     value = read_environment(name)
     if value is None:
@@ -323,15 +282,14 @@ class RuntimeConfig:
 
     Construct via :meth:`from_environment` (explicit keyword beats
     environment variable beats default, field by field) or directly
-    with plain values.  Construction validates the engine (unknown
-    spellings raise) and normalizes both cache-directory fields to
-    their *resolved* setting: ``None`` means "no disk layer", anything
-    else is the active directory -- the ``none``-disables spelling is
-    applied here, so consumers never re-parse it.
+    with plain values.  Construction validates every knob (an unknown
+    executor or an out-of-range count raises) and normalizes both
+    cache-directory fields to their *resolved* setting: ``None`` means
+    "no disk layer", anything else is the active directory -- the
+    ``none``-disables spelling is applied here, so consumers never
+    re-parse it.
     """
 
-    #: Trace generation engine: ``"compiled"`` or ``"reference"``.
-    trace_engine: str = DEFAULT_TRACE_ENGINE
     #: On-disk trace-cache directory, or ``None`` when disabled.
     trace_cache_dir: Optional[str] = None
     #: On-disk result-store directory, or ``None`` when disabled.
@@ -342,8 +300,8 @@ class RuntimeConfig:
     processes: Optional[int] = None
     #: Default dynamic trace length per workload.
     instructions: int = DEFAULT_INSTRUCTIONS
-    #: Sweep executor: ``"auto"``, a registry name (``"serial"``,
-    #: ``"processes"``), or a ``"module:attribute"`` entry point.
+    #: Sweep executor: ``"auto"``, ``"serial"``, ``"processes"`` or
+    #: ``"queue"``.
     executor: str = DEFAULT_EXECUTOR
     #: Per-item retries of supervised sweeps (0 disables retrying).
     retries: int = DEFAULT_RETRIES
@@ -372,16 +330,19 @@ class RuntimeConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "trace_engine", _resolve_engine(str(self.trace_engine), strict=True)
-        )
-        object.__setattr__(
             self, "trace_cache_dir", normalize_cache_dir(self.trace_cache_dir)
         )
         object.__setattr__(
             self, "result_cache_dir", normalize_cache_dir(self.result_cache_dir)
         )
         executor = str(self.executor).strip() or DEFAULT_EXECUTOR
+        if executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
+            )
         object.__setattr__(self, "executor", executor)
+        if self.processes is not None and self.processes < 1:
+            raise ValueError(f"processes must be >= 1, got {self.processes}")
         if self.instructions < 1:
             raise ValueError(f"instructions must be >= 1, got {self.instructions}")
         if self.retries < 0:
@@ -443,7 +404,6 @@ class RuntimeConfig:
     def from_environment(
         cls,
         *,
-        trace_engine: Union[str, Any] = _UNSET,
         trace_cache_dir: Union[str, None, Any] = _UNSET,
         result_cache_dir: Union[str, None, Any] = _UNSET,
         parallel: Union[bool, Any] = _UNSET,
@@ -470,15 +430,11 @@ class RuntimeConfig:
         under ``parallel``, where a fully unset trace-cache setting
         defaults to the per-user shared directory, mirroring the legacy
         ``run_sweep(run_parallel=True)`` auto-enable (an explicit
-        disable still wins).  An explicit unknown ``trace_engine``
-        raises; an unknown environment spelling falls back to the
-        default engine.
+        disable still wins).  Explicit arguments are validated at
+        construction and raise; an environment value that would not
+        validate (an unknown executor, a non-positive count) falls back
+        to the default instead.
         """
-        if trace_engine is _UNSET:
-            environment_engine = read_environment(TRACE_ENGINE_VARIABLE) or ""
-            resolved_engine = _resolve_engine(environment_engine)
-        else:
-            resolved_engine = _resolve_engine(str(trace_engine), strict=True)
         if parallel is _UNSET:
             resolved_parallel = _env_bool(PARALLEL_VARIABLE, False)
         else:
@@ -491,6 +447,8 @@ class RuntimeConfig:
             result_cache_dir = read_environment(RESULT_CACHE_DIR_VARIABLE)
         if processes is _UNSET:
             resolved_processes = _env_int(PROCESSES_VARIABLE, None)
+            if resolved_processes is not None and resolved_processes < 1:
+                resolved_processes = None
         else:
             resolved_processes = None if processes is None else int(processes)
         if instructions is _UNSET:
@@ -502,7 +460,9 @@ class RuntimeConfig:
         else:
             resolved_instructions = int(instructions)
         if executor is _UNSET:
-            executor = read_environment(EXECUTOR_VARIABLE) or DEFAULT_EXECUTOR
+            executor = (read_environment(EXECUTOR_VARIABLE) or "").strip()
+            if executor not in EXECUTORS:
+                executor = DEFAULT_EXECUTOR
         if retries is _UNSET:
             resolved_retries = _env_int(RETRIES_VARIABLE, DEFAULT_RETRIES)
             if resolved_retries is None or resolved_retries < 0:
@@ -558,7 +518,6 @@ class RuntimeConfig:
         else:
             resolved_serve_port = int(serve_port)
         return cls(
-            trace_engine=resolved_engine,
             trace_cache_dir=normalize_cache_dir(trace_cache_dir),
             result_cache_dir=normalize_cache_dir(result_cache_dir),
             parallel=resolved_parallel,
@@ -581,29 +540,12 @@ class RuntimeConfig:
         """A copy with some fields changed (re-validated on construction)."""
         return dataclasses.replace(self, **changes)
 
-    def semantic(self) -> Dict[str, Any]:
-        """The fields folded into content-addressed result keys.
-
-        Only knobs that could conceivably change stored numbers belong
-        here; execution details (parallelism, worker counts, cache
-        locations, executor choice, retry/timeout policy, fault plans,
-        the results-service host/port) are deliberately absent because
-        serial and supervised parallel sweeps -- and both engines --
-        produce bit-identical results.
-        The engine is still keyed as defence in depth: if a regression
-        ever broke engine equivalence, the two engines' *result-store*
-        entries at least stay separate.  (The trace cache underneath is
-        engine-agnostic -- it trusts the asserted equivalence -- so
-        this is a containment measure, not an isolation guarantee.)
-        """
-        return {"trace_engine": self.trace_engine}
-
     def describe(self) -> Dict[str, Any]:
         """Plain-dict form of every field (for logs and manifests)."""
         return dataclasses.asdict(self)
 
 
-#: The activated config, or ``None`` when the environment rules.  A
+#: The activated config, or ``None`` outside any activation.  A
 #: :class:`~contextvars.ContextVar` so concurrent sessions in separate
 #: threads (or async tasks) cannot cross-contaminate; forked sweep
 #: workers inherit the forking thread's value, which is exactly the
@@ -612,31 +554,48 @@ _ACTIVE: "contextvars.ContextVar[Optional[RuntimeConfig]]" = contextvars.Context
     "repro_active_runtime_config", default=None
 )
 
+#: The process snapshot (see :func:`process_snapshot`), once resolved.
+_PROCESS: Optional[Tuple[RuntimeConfig, bool]] = None
+_PROCESS_LOCK = threading.Lock()
 
-def active_config() -> Optional[RuntimeConfig]:
-    """The currently activated config, or ``None`` in legacy mode."""
-    return _ACTIVE.get()
+
+def process_snapshot() -> Tuple[RuntimeConfig, bool]:
+    """What a ``Session()`` built now would resolve, captured once.
+
+    Returns ``(config, trace_cache_unset)``: the config resolved from
+    ``REPRO_*`` on first use, and whether ``REPRO_TRACE_CACHE_DIR`` was
+    unset at that moment.  :func:`current_config` answers with this
+    config outside any activation, and the default session is built
+    from both, so the two always agree.  Later changes to the
+    environment never reach the snapshot.
+    """
+    global _PROCESS
+    snapshot = _PROCESS
+    if snapshot is None:
+        with _PROCESS_LOCK:
+            if _PROCESS is None:
+                _PROCESS = (
+                    RuntimeConfig.from_environment(),
+                    read_environment(TRACE_CACHE_DIR_VARIABLE) is None,
+                )
+            snapshot = _PROCESS
+    return snapshot
 
 
 def current_config() -> RuntimeConfig:
-    """The activated config, or a fresh environment snapshot.
-
-    In legacy mode this re-reads the environment on every call, so
-    module-level entry points keep their historical late-binding
-    behaviour (tests monkeypatching ``REPRO_*`` variables included).
-    """
+    """The activated config, else the process snapshot."""
     active = _ACTIVE.get()
     if active is not None:
         return active
-    return RuntimeConfig.from_environment()
+    return process_snapshot()[0]
 
 
 @contextlib.contextmanager
 def activated(config: RuntimeConfig) -> Iterator[RuntimeConfig]:
     """Make ``config`` the active config for a scope (this context only).
 
-    Scopes nest; the previous active config (usually ``None``, i.e.
-    legacy environment mode) is restored on exit.
+    Scopes nest; the previous active config (usually none, i.e. the
+    process snapshot) is restored on exit.
     """
     token = _ACTIVE.set(config)
     try:
@@ -645,45 +604,30 @@ def activated(config: RuntimeConfig) -> Iterator[RuntimeConfig]:
         _ACTIVE.reset(token)
 
 
-#: Serializes every window that mutates the ``REPRO_*`` environment
-#: (:func:`worker_environment` and the legacy shared-cache export
-#: around a parallel pool): ``os.environ`` is process-global, so two
-#: threads saving/restoring it concurrently could leave one session's
-#: values behind.  Re-entrant in case a nested scope ever runs in the
-#: same thread.
+#: Serializes every :func:`worker_environment` window: ``os.environ``
+#: is process-global, so two threads saving/restoring it concurrently
+#: could leave one session's values behind.  Re-entrant in case a
+#: nested scope ever runs in the same thread.
 _WORKER_ENVIRONMENT_LOCK = threading.RLock()
 
 
 @contextlib.contextmanager
-def locked_environment() -> Iterator[None]:
-    """Hold the process-environment lock for a scope.
-
-    Taken by any code path that reads-then-exports ``REPRO_*``
-    variables around a worker pool, so it cannot interleave with a
-    concurrent :func:`worker_environment` window.
-    """
-    with _WORKER_ENVIRONMENT_LOCK:
-        yield
-
-
-@contextlib.contextmanager
 def worker_environment(config: RuntimeConfig) -> Iterator[None]:
-    """Temporarily export a config's trace knobs to the environment.
+    """Temporarily export a config's trace-cache directory.
 
-    Parallel sweeps of an explicit session wrap their worker pool in
-    this so the workers -- which resolve knobs from the inherited
-    environment (spawn platforms) or the forked activation (fork
-    platforms) -- see the session's engine and trace-cache directory.
-    The parent's environment is restored on exit, so a session never
-    leaks its configuration into later legacy-mode calls.  Windows are
-    serialized under a process-wide lock: the environment is global
-    state, and interleaved save/restore from two threads would leak
-    one session's values permanently.
+    Parallel sweeps wrap their worker pool in this so the workers --
+    which resolve their process snapshot from the inherited environment
+    (spawn platforms) or inherit the activation (fork platforms) -- see
+    the session's trace-cache directory.  The parent's environment is
+    restored on exit, so a session never leaks its configuration into
+    configs resolved later.  Windows are serialized under a
+    process-wide lock: the environment is global state, and interleaved
+    save/restore from two threads would leak one session's values
+    permanently.
     """
     with _WORKER_ENVIRONMENT_LOCK:
         trace_cache_dir = _namespaced(config.trace_cache_dir, config.cache_namespace)
         values = {
-            TRACE_ENGINE_VARIABLE: config.trace_engine,
             TRACE_CACHE_DIR_VARIABLE: (
                 trace_cache_dir if trace_cache_dir is not None else "none"
             ),
@@ -704,65 +648,23 @@ def worker_environment(config: RuntimeConfig) -> Iterator[None]:
                     os.environ[name] = value
 
 
-def current_trace_engine() -> str:
-    """Engine the workload layer should generate traces with."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return active.trace_engine
-    return _resolve_engine(read_environment(TRACE_ENGINE_VARIABLE) or "")
-
-
 def current_cache_namespace() -> Optional[str]:
-    """Active cache namespace, or ``None`` when unset."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return active.cache_namespace
-    return normalize_cache_namespace(read_environment(CACHE_NAMESPACE_VARIABLE))
+    """Current cache namespace, or ``None`` when unset."""
+    return current_config().cache_namespace
 
 
 def current_trace_cache_dir() -> Optional[str]:
-    """Active trace-cache directory (namespaced), or ``None`` when disabled."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return _namespaced(active.trace_cache_dir, active.cache_namespace)
-    return _namespaced(
-        normalize_cache_dir(read_environment(TRACE_CACHE_DIR_VARIABLE)),
-        current_cache_namespace(),
-    )
+    """Current trace-cache directory (namespaced), or ``None`` when disabled."""
+    config = current_config()
+    return _namespaced(config.trace_cache_dir, config.cache_namespace)
 
 
 def current_result_cache_dir() -> Optional[str]:
-    """Active result-store directory (namespaced), or ``None`` when disabled."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return _namespaced(active.result_cache_dir, active.cache_namespace)
-    return _namespaced(
-        normalize_cache_dir(read_environment(RESULT_CACHE_DIR_VARIABLE)),
-        current_cache_namespace(),
-    )
+    """Current result-store directory (namespaced), or ``None`` when disabled."""
+    config = current_config()
+    return _namespaced(config.result_cache_dir, config.cache_namespace)
 
 
 def current_queue_dir() -> Optional[str]:
-    """Active work-queue directory, or ``None`` (ephemeral campaigns)."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return active.queue_dir
-    return normalize_cache_dir(read_environment(QUEUE_DIR_VARIABLE))
-
-
-def semantic_runtime() -> Dict[str, Any]:
-    """Key material of the current runtime (see :meth:`RuntimeConfig.semantic`)."""
-    return current_config().semantic()
-
-
-def runtime_material(runtime: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
-    """Normalize the runtime component of a result key.
-
-    ``None`` means "whatever is current"; an explicit mapping (e.g.
-    from a stored :class:`RuntimeConfig`) is passed through, so the
-    orchestrator can key results off a session's config instead of
-    process-global state.
-    """
-    if runtime is None:
-        return semantic_runtime()
-    return dict(runtime)
+    """Current work-queue directory, or ``None`` (ephemeral campaigns)."""
+    return current_config().queue_dir

@@ -23,13 +23,14 @@ failure reports -- and the shared disk trace cache primed first exactly
 like the historical module-level sweep.  While a session executes, its
 config is *activated*
 (see :func:`repro.api.runtime_config.activated`) so every layer below
--- trace engine selection, cache directories, the result store -- sees
-one consistent snapshot instead of re-reading the environment.
+-- cache directories, the result store, the executor -- sees one
+consistent snapshot instead of re-reading the environment.
 
-The **default session** (:func:`default_session`) is special: it
-follows the process environment on every access instead of freezing a
-snapshot, which is exactly the historical behaviour of the module-level
-entry points (now removed) that used to delegate to it.
+Code that runs outside any session (a driver called directly, say)
+uses the **default session** (:func:`default_session`): a session
+built on first use from the process snapshot that
+:func:`repro.api.runtime_config.current_config` answers with, so both
+agree and neither re-reads the environment afterwards.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import contextlib
 import contextvars
 import multiprocessing
 import os
+import threading
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.api import runtime_config as rc
@@ -60,11 +62,7 @@ from repro.trace.instruction import CodeSection
 from repro.workloads.catalog import get_workload
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import Suite
-from repro.workloads.trace_cache import (
-    enable_shared_cache,
-    trace_on_disk,
-    workload_trace,
-)
+from repro.workloads.trace_cache import trace_on_disk, workload_trace
 
 #: What a workload argument may be: a catalog name or a spec.
 WorkloadLike = Union[str, WorkloadSpec]
@@ -153,78 +151,42 @@ class Session:
     here).  A provided config object is taken verbatim -- in
     particular, its ``trace_cache_dir=None`` counts as an explicit
     disable, so such a session never auto-defaults the shared trace
-    cache under parallel overrides (keyword construction does).  With
-    ``follow_environment=True`` the session re-reads the environment on
-    every access instead -- that mode exists for the process-wide
-    default session backing the legacy entry points and is not normally
-    constructed by hand.
+    cache under parallel overrides (keyword construction does).
     """
 
     def __init__(
-        self,
-        config: Optional[rc.RuntimeConfig] = None,
-        *,
-        follow_environment: bool = False,
-        **overrides: Any,
+        self, config: Optional[rc.RuntimeConfig] = None, **overrides: Any
     ) -> None:
-        if follow_environment and (config is not None or overrides):
-            raise ValueError(
-                "an environment-following session takes no explicit config"
-            )
-        self._follow_environment = follow_environment
         # Whether a later parallel override may auto-default the shared
         # trace-cache directory (the legacy run_sweep behaviour): only
         # when neither the caller nor the environment said anything
         # about the trace cache, so an explicit disable always wins.
         self._trace_cache_defaultable = (
-            not follow_environment
-            and config is None
+            config is None
             and "trace_cache_dir" not in overrides
             and rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) is None
         )
-        if follow_environment:
-            self._config: Optional[rc.RuntimeConfig] = None
-        elif config is None:
-            self._config = rc.RuntimeConfig.from_environment(**overrides)
+        if config is None:
+            config = rc.RuntimeConfig.from_environment(**overrides)
         elif overrides:
-            self._config = config.replace(**overrides)
-        else:
-            self._config = config
+            config = config.replace(**overrides)
+        self._config = config
 
     # -- configuration -----------------------------------------------
 
     @property
-    def follows_environment(self) -> bool:
-        """Whether this session re-reads ``REPRO_*`` on every access."""
-        return self._follow_environment
-
-    @property
     def config(self) -> rc.RuntimeConfig:
-        """The session's runtime config (frozen unless env-following)."""
-        if self._config is not None:
-            return self._config
-        return rc.RuntimeConfig.from_environment()
+        """The session's frozen runtime config."""
+        return self._config
 
-    @contextlib.contextmanager
-    def activate(self) -> Iterator["Session"]:
+    def activate(self) -> "contextlib.AbstractContextManager[Session]":
         """Make this session's config the active one for a scope.
 
         Also makes the session :func:`current_session` for the scope,
         so code below (the experiment drivers) routes its sweeps
-        through it.  The environment-following default session
-        activates only itself, not a config snapshot -- the layers
-        below keep reading the live environment, which is the legacy
-        contract.
+        through it.
         """
-        token = _CURRENT.set(self)
-        try:
-            if self._follow_environment:
-                yield self
-            else:
-                with rc.activated(self.config):
-                    yield self
-        finally:
-            _CURRENT.reset(token)
+        return self._activated_as(self._config)
 
     @contextlib.contextmanager
     def _activated_as(self, config: rc.RuntimeConfig) -> Iterator["Session"]:
@@ -234,10 +196,6 @@ class Session:
         shared-cache default: the session stays ``current_session`` for
         the scope while the lower layers see the effective config.
         """
-        if self._follow_environment:
-            with self.activate():
-                yield self
-            return
         token = _CURRENT.set(self)
         try:
             with rc.activated(config):
@@ -281,8 +239,8 @@ class Session:
         """Build (or reuse) a workload's dynamic trace.
 
         Routed through the shared trace cache under this session's
-        config, so the engine choice and disk layer follow the session
-        rather than the ambient environment.
+        config, so the disk layer and cache namespace follow the
+        session.
         """
         spec = self.workload(workload)
         if instructions is None:
@@ -481,11 +439,10 @@ class Session:
         (``"auto"``: the supervised process pool when parallel, serial
         in-process otherwise), with per-item retries, timeouts, and
         fault injection from the config.  Before a process executor
-        spawns workers, the shared disk trace cache is primed -- under
-        the session's ``trace_cache_dir`` for explicit sessions, or
-        (for the environment-following default session) under the
-        legacy auto-enabled per-user directory, exported to the
-        environment so worker processes inherit it.
+        spawns workers, the shared disk trace cache is primed under the
+        session's ``trace_cache_dir`` -- which a parallel run of a
+        session built without any trace-cache setting defaults to the
+        per-user directory.
 
         ``prime`` names the traces to pre-generate as ``(spec,
         instructions, seed)`` triples; when omitted they are inferred
@@ -507,7 +464,6 @@ class Session:
             executor_name = "processes" if use_parallel else "serial"
         if (
             use_parallel
-            and not self._follow_environment
             and config.trace_cache_dir is None
             and self._trace_cache_defaultable
         ):
@@ -540,23 +496,9 @@ class Session:
                 )
             if prime is None:
                 prime = _default_prime_keys(arguments)
-            if self._follow_environment:
-                # Legacy contract: default the shared directory into the
-                # environment (a durable export) and leave engine
-                # resolution to the live environment.  Runs under the
-                # environment lock so a concurrent explicit session's
-                # temporary export cannot be observed mid-swap.
-                with rc.locked_environment():
-                    shared_dir = enable_shared_cache()
-                    if shared_dir is not None:
-                        _prime_shared_traces(prime, worker_count)
-                    return exec_executors.execute_items(
-                        worker, arguments, settings, executor, journal
-                    )
-            # Explicit session: export its trace knobs around the pool
-            # only, so spawn-platform workers resolve the session's
-            # engine and cache directory (fork platforms also inherit
-            # the activation), and nothing leaks afterwards.
+            # Export the trace-cache directory around the pool only, so
+            # spawn-platform workers resolve it (fork platforms also
+            # inherit the activation), and nothing leaks afterwards.
             with rc.worker_environment(config):
                 if config.trace_cache_dir is not None:
                     _prime_shared_traces(prime, worker_count)
@@ -611,8 +553,9 @@ class Session:
         return results
 
 
-#: The session legacy entry points delegate to (environment-following).
+#: The default session, once built (see :func:`default_session`).
 _DEFAULT: Optional[Session] = None
+_DEFAULT_LOCK = threading.Lock()
 
 #: The innermost session activated via :meth:`Session.activate` -- a
 #: :class:`~contextvars.ContextVar` so threads cannot cross-contaminate.
@@ -622,17 +565,23 @@ _CURRENT: "contextvars.ContextVar[Optional[Session]]" = contextvars.ContextVar(
 
 
 def default_session() -> Session:
-    """The process-wide environment-following session.
+    """The process-wide session behind code run outside any session.
 
-    Backs every environment-following entry point (``workload_trace``
-    used as a plain function, the CLI fallbacks): it resolves its
-    config from the live environment on each access, which is exactly
-    the pre-Session behaviour.
+    Built on first use from :func:`repro.api.runtime_config.
+    process_snapshot`: its config is the snapshot
+    :func:`~repro.api.runtime_config.current_config` answers with
+    outside any activation, and -- like a ``Session()`` built in the
+    same environment -- a parallel :meth:`Session.map` on it defaults
+    the shared trace cache when ``REPRO_TRACE_CACHE_DIR`` was unset.
     """
     global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Session(follow_environment=True)
-    return _DEFAULT
+    with _DEFAULT_LOCK:
+        if _DEFAULT is None:
+            config, trace_cache_unset = rc.process_snapshot()
+            session = Session(config)
+            session._trace_cache_defaultable = trace_cache_unset
+            _DEFAULT = session
+        return _DEFAULT
 
 
 def current_session() -> Session:
@@ -640,8 +589,8 @@ def current_session() -> Session:
 
     The experiment drivers call this so that work initiated through an
     explicit session (``session.experiment("fig5").execute()``) runs
-    under that session's config, while direct driver calls keep the
-    legacy environment-following behaviour.
+    under that session's config, while direct driver calls run under
+    the default session.
     """
     current = _CURRENT.get()
     if current is not None:

@@ -20,9 +20,9 @@ a session plan and the orchestrator
 (:mod:`repro.results.orchestrator`): results are looked up in the
 content-addressed result store before anything is computed, freshly
 computed results are stored for the next invocation, and ``--out``
-emits the run as a CSV+JSON manifest directory.  Set
-``REPRO_RESULT_CACHE_DIR`` to relocate the store or to ``none`` to
-disable the disk layer.
+emits the run as a CSV+JSON manifest directory.  The store defaults to
+the per-user directory; set ``REPRO_RESULT_CACHE_DIR`` to relocate it
+or to ``none`` to disable the disk layer.
 """
 
 from __future__ import annotations
@@ -31,18 +31,26 @@ import argparse
 import sys
 from typing import Dict, Optional
 
+from repro.api import runtime_config as rc
 from repro.experiments import DEFAULT_EXPERIMENT_INSTRUCTIONS
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_type(minimum: int, maximum: Optional[int] = None, what: str = "an integer"):
+    """argparse type of an integer within ``[minimum, maximum]``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum or (maximum is not None and value > maximum):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_type(1, what="a positive integer")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,24 +96,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--processes",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker process count for --parallel (default: CPU count)",
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_int_type(0, what="a non-negative integer"),
         default=None,
         help="per-item retries for transient sweep failures (default: "
         "the REPRO_RETRIES environment variable, else 2)",
     )
     parser.add_argument(
         "--executor",
-        type=str,
+        choices=rc.EXECUTORS,
         default=None,
-        help="sweep executor: 'auto' (default), 'serial', 'processes', "
-        "'queue' (durable work queue), or a 'module:attribute' entry "
-        "point (REPRO_EXECUTOR)",
+        help="sweep executor: 'auto' (default), 'serial', 'processes', or "
+        "'queue' (durable work queue) (REPRO_EXECUTOR)",
     )
     parser.add_argument(
         "--queue-dir",
@@ -132,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--port",
-        type=int,
+        type=_int_type(0, 65535, what="a TCP port in [0, 65535]"),
         default=None,
         help="'serve' only: TCP port, 0 for an ephemeral one (default "
         "REPRO_SERVE_PORT, else 8757)",
@@ -202,8 +209,6 @@ def main(argv: Optional[list] = None) -> int:
         unconsumed_flags,
         write_manifest,
     )
-    from repro.results.store import enable_shared_result_store
-    from repro.workloads.trace_cache import enable_shared_cache
 
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -234,15 +239,14 @@ def main(argv: Optional[list] = None) -> int:
         # the queue directory until the queue stays idle.  Any number
         # may run, on any machine that mounts the directory; a worker
         # started after a crash resumes exactly where the queue stands.
-        from repro.api import runtime_config
         from repro.exec.queue import serve_queue
 
-        queue_dir = args.queue_dir or runtime_config.current_queue_dir()
+        session = Session(**_session_overrides(args, shared_traces=True))
+        queue_dir = session.config.queue_dir
         if queue_dir is None:
             parser.error("'worker' requires --queue-dir (or REPRO_QUEUE_DIR)")
-        enable_shared_result_store()
-        enable_shared_cache()
-        counters = serve_queue(queue_dir, max_idle=args.max_idle)
+        with session.activate():
+            counters = serve_queue(queue_dir, max_idle=args.max_idle)
         print(
             f"worker idle, exiting: {counters['completed']} completed, "
             f"{counters['reclaims']} lease reclaims, "
@@ -257,21 +261,17 @@ def main(argv: Optional[list] = None) -> int:
         # The always-on results service: warm requests are served from
         # the shared store; misses become interactive-priority queue
         # items for external 'worker' processes to drain.
-        from repro.api import runtime_config
-        from repro.api.runtime_config import RuntimeConfig
         from repro.serve import ResultsServer, run_server
 
-        queue_dir = args.queue_dir or runtime_config.current_queue_dir()
-        if queue_dir is None:
-            parser.error("'serve' requires --queue-dir (or REPRO_QUEUE_DIR)")
-        enable_shared_result_store()
         overrides = _session_overrides(args)
         if args.host is not None:
             overrides["serve_host"] = args.host
         if args.port is not None:
             overrides["serve_port"] = args.port
-        config = RuntimeConfig.from_environment(**overrides)
-        return run_server(ResultsServer(config=config, queue_dir=queue_dir))
+        config = rc.RuntimeConfig.from_environment(**overrides)
+        if config.queue_dir is None:
+            parser.error("'serve' requires --queue-dir (or REPRO_QUEUE_DIR)")
+        return run_server(ResultsServer(config=config, queue_dir=config.queue_dir))
 
     if args.experiment == "explore":
         return _run_explore(args, parser)
@@ -309,17 +309,9 @@ def main(argv: Optional[list] = None) -> int:
         )
         return 2
 
-    overrides = _session_overrides(args)
-    # Default the shared result store into the environment first (so
-    # worker and later processes inherit it, the historical contract),
-    # then freeze the run's one Session, resolved exactly once.  A
-    # parallel run also exports the shared trace directory; the session
-    # already resolved the same directory for itself (parallel
-    # auto-defaults it), so the export is purely for later processes.
-    enable_shared_result_store()
-    session = Session(**overrides)
-    if session.config.parallel:
-        enable_shared_cache()
+    # The run's one Session, resolved exactly once (a parallel run
+    # defaults the shared trace directory by itself).
+    session = Session(**_session_overrides(args))
     instructions = session.config.instructions
 
     # Experiments run one plan at a time so output streams
@@ -363,15 +355,23 @@ def main(argv: Optional[list] = None) -> int:
     return 0
 
 
-def _session_overrides(args: argparse.Namespace) -> Dict[str, object]:
+def _session_overrides(
+    args: argparse.Namespace, shared_traces: bool = False
+) -> Dict[str, object]:
     """Explicit RuntimeConfig overrides from the flags actually passed.
 
     Only flags the user actually passed become explicit overrides, so
     the flags > environment > defaults precedence holds: an omitted
     ``--parallel`` still honours ``REPRO_PARALLEL``, an omitted budget
-    flag still honours ``REPRO_INSTRUCTIONS``.
+    flag still honours ``REPRO_INSTRUCTIONS``.  The CLI keeps results
+    in the per-user store (and, with ``shared_traces``, traces in the
+    per-user trace cache) unless the environment names a setting.
     """
     overrides: Dict[str, object] = {}
+    if rc.read_environment(rc.RESULT_CACHE_DIR_VARIABLE) is None:
+        overrides["result_cache_dir"] = rc.default_result_cache_dir()
+    if shared_traces and rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) is None:
+        overrides["trace_cache_dir"] = rc.default_trace_cache_dir()
     if args.parallel is not None:
         overrides["parallel"] = args.parallel
     if args.processes is not None:
@@ -401,8 +401,6 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     from repro.experiments.common import render_blocks
     from repro.explore.grid import GRID_PRESETS, get_grid
     from repro.results.orchestrator import ExperimentOutcome, RunReport, write_manifest
-    from repro.results.store import enable_shared_result_store
-    from repro.workloads.trace_cache import enable_shared_cache
 
     if args.scenarios:
         print(
@@ -423,10 +421,7 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         )
     grid = get_grid(preset)
 
-    enable_shared_result_store()
     session = Session(**_session_overrides(args))
-    if session.config.parallel:
-        enable_shared_cache()
     plan = session.explore(grid)
     try:
         result = plan.result()

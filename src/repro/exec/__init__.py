@@ -6,8 +6,8 @@ its weakest worker" into supervised, resumable, testable execution:
 :class:`SerialExecutor` / :class:`SupervisedProcessExecutor`
     Per-item dispatch with typed outcomes, retries with backoff,
     worker replacement, per-item timeouts, and graceful serial
-    degradation.  Selected by ``RuntimeConfig.executor`` (``"serial"``,
-    ``"processes"``, or a ``"module:attribute"`` entry point).
+    degradation.  Selected by ``RuntimeConfig.executor`` (``"serial"``
+    or ``"processes"``; ``"auto"`` picks by parallelism).
 :class:`ItemResult` / :class:`SweepReport` / :class:`SweepError`
     Every item finishes as a typed outcome; failed sweeps raise a
     structured failure report carrying the partial results.
@@ -34,8 +34,6 @@ from repro.exec.executors import (
     SerialExecutor,
     SupervisedProcessExecutor,
     execute_items,
-    executor_names,
-    register_executor,
     resolve_executor,
 )
 from repro.exec.faults import (
@@ -88,7 +86,6 @@ __all__ = [
     "active_journal_scope",
     "enqueue_campaign",
     "execute_items",
-    "executor_names",
     "item_key",
     "journal_for_scope",
     "journal_info",
@@ -96,7 +93,6 @@ __all__ = [
     "open_campaign",
     "quarantine_entry",
     "queue_info",
-    "register_executor",
     "resolve_executor",
     "serve_queue",
 ]

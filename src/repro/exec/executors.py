@@ -16,9 +16,8 @@ sweep with executors that treat each item as its own unit of work:
   run degrades to serial in-process execution instead of failing.
 
 Executors are looked up by name through :func:`resolve_executor` --
-``"serial"``, ``"processes"``, or an entry-point style
-``"module:attribute"`` string -- which is the seam a distributed
-work-queue executor plugs into without touching any call site.
+``"serial"``, ``"processes"``, or ``"queue"`` (the durable work queue
+of :mod:`repro.exec.queue`).
 
 Every item ends as an :class:`~repro.exec.results.ItemResult`;
 :func:`execute_items` is the one entry point that combines journal
@@ -28,8 +27,6 @@ results into a :class:`~repro.exec.results.SweepReport`.
 
 from __future__ import annotations
 
-import importlib
-import inspect
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -155,9 +152,7 @@ class Executor:
         :class:`ItemResult` *the moment it is resolved* -- this is the
         checkpointing hook: the journal records successes incrementally
         through it, so a sweep killed mid-run keeps every item that had
-        already finished.  Executors that never call it still work; the
-        caller then journals from the returned results, protecting
-        completed-run resumes only.
+        already finished.
         """
         raise NotImplementedError
 
@@ -544,74 +539,19 @@ class _Supervisor:
         self.workers.clear()
 
 
-#: Executor registry: name -> zero-argument factory.
-_REGISTRY: Dict[str, Callable[[], Executor]] = {
-    "serial": SerialExecutor,
-    "processes": SupervisedProcessExecutor,
-}
-
-
-def register_executor(name: str, factory: Callable[[], Executor]) -> None:
-    """Register (or replace) a named executor factory.
-
-    This is the plug-in seam: a distributed work-queue backend
-    registers itself here (or is addressed as ``"module:attribute"``
-    without registration) and every sweep can select it through
-    ``RuntimeConfig.executor`` / ``REPRO_EXECUTOR``.
-    """
-    _REGISTRY[name] = factory
-
-
-def executor_names() -> List[str]:
-    """The registered executor names, sorted."""
-    return sorted(_REGISTRY)
-
-
 def resolve_executor(name: str) -> Executor:
-    """Instantiate an executor by registry name or entry point.
+    """Instantiate the executor named ``serial``, ``processes`` or ``queue``."""
+    if name == "serial":
+        return SerialExecutor()
+    if name == "processes":
+        return SupervisedProcessExecutor()
+    if name == "queue":
+        from repro.exec.queue import QueueExecutor
 
-    ``"module:attribute"`` imports ``module`` and calls ``attribute``
-    (a zero-argument factory -- typically the executor class itself).
-    """
-    factory = _REGISTRY.get(name)
-    if factory is None and ":" in name:
-        module_name, _, attribute = name.partition(":")
-        try:
-            factory = getattr(importlib.import_module(module_name), attribute)
-        except (ImportError, AttributeError) as error:
-            raise ValueError(
-                f"cannot load executor entry point {name!r}: {error}"
-            ) from error
-    if factory is None:
-        known = ", ".join(executor_names())
-        raise ValueError(
-            f"unknown executor {name!r}; expected one of {known} "
-            "or a 'module:attribute' entry point"
-        )
-    executor = factory()
-    runner = getattr(executor, "run", None)
-    if not callable(runner):
-        raise TypeError(f"executor {name!r} has no callable run() method")
-    return executor
-
-
-def _accepts_on_result(run: Callable) -> bool:
-    """Whether an executor's ``run`` takes the checkpoint hook.
-
-    Entry-point executors written against the original three-argument
-    interface keep working: they just skip incremental checkpointing
-    and are journaled from their returned results instead.
-    """
-    try:
-        signature = inspect.signature(run)
-    except (TypeError, ValueError):
-        return True
-    if any(
-        parameter.kind == inspect.Parameter.VAR_POSITIONAL
-        for parameter in signature.parameters.values()
-    ):
-        return True
-    return "on_result" in signature.parameters
+        return QueueExecutor()
+    raise ValueError(
+        f"unknown executor {name!r}; expected one of serial, processes, queue"
+    )
 
 
 def execute_items(
@@ -634,7 +574,6 @@ def execute_items(
     order = list(range(len(arguments)))
     replayed: Dict[int, ItemResult] = {}
     keys: Dict[int, str] = {}
-    journaled: set = set()
     if journal is not None:
         stored = journal.load()
         for index in order:
@@ -647,26 +586,15 @@ def execute_items(
         journal_module.count_replays(len(replayed))
 
     def checkpoint(result: ItemResult) -> None:
-        if result.status == STATUS_OK and result.index not in journaled:
-            journaled.add(result.index)
+        if result.status == STATUS_OK:
             journal.record(keys[result.index], result.value)
 
     remaining = [(index, arguments[index]) for index in order if index not in replayed]
     if remaining:
         hook = checkpoint if journal is not None else None
-        if hook is not None and not _accepts_on_result(executor.run):
-            hook = None  # A pre-hook custom executor; see safety net below.
-        if hook is not None:
-            outcome = executor.run(worker, remaining, settings, hook)
-        else:
-            outcome = executor.run(worker, remaining, settings)
+        outcome = executor.run(worker, remaining, settings, hook)
     else:
         outcome = RunOutcome([], False)
-    if journal is not None:
-        # Safety net for executors that never call the hook (a custom
-        # entry point): journal whatever only surfaced in the results.
-        for result in outcome.results:
-            checkpoint(result)
     merged: Dict[int, ItemResult] = dict(replayed)
     for result in outcome.results:
         merged[result.index] = result

@@ -62,7 +62,6 @@ from repro.exec.executors import (
     Executor,
     RunOutcome,
     _notify,
-    register_executor,
 )
 from repro.exec.faults import (
     QUEUE_FAULT_KINDS,
@@ -928,7 +927,7 @@ def _spawned_worker_main(worker, root: str, parent_pid: int) -> None:
 
 
 class QueueExecutor(Executor):
-    """Durable work-queue execution behind the standard executor seam.
+    """Durable work-queue execution behind the standard executor interface.
 
     The supervisor enqueues the campaign, spawns local queue workers
     (any external ``repro-frontend worker`` processes pointed at the
@@ -1159,7 +1158,6 @@ def _register() -> None:
     from repro.workloads.trace_cache import register_stats_provider
 
     register_stats_provider("queue", queue_info)
-    register_executor("queue", QueueExecutor)
 
 
 _register()

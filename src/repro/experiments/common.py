@@ -47,7 +47,6 @@ from repro.workloads.trace_cache import (
     all_cache_stats,
     clear_trace_cache,
     default_shared_cache_dir,
-    enable_shared_cache,
     register_stats_provider,
     resolved_cache_dir,
     trace_cache_info,
@@ -92,7 +91,6 @@ __all__ = [
     "all_cache_stats",
     "clear_trace_cache",
     "default_shared_cache_dir",
-    "enable_shared_cache",
     "register_stats_provider",
     "resolved_cache_dir",
     "trace_cache_info",

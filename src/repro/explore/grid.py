@@ -20,11 +20,9 @@ applied before configuration building::
         constraints=(lambda p: p["btb_entries"] >= 512 or p["predictor_budget"] == "small",),
     )
 
-The ``cmp`` kind reproduces the semantics of the historical
-:func:`repro.uarch.sweep.cmp_grid` exactly: the axis nesting is
-``l2_kb x cores x mix``, mixes that do not exist at a core count are
-skipped, and identical chips reachable through two mixes are emitted
-once.
+For the ``cmp`` kind the axis nesting is ``l2_kb x cores x mix``,
+mixes that do not exist at a core count are skipped, and identical
+chips reachable through two mixes are emitted once.
 """
 
 from __future__ import annotations
@@ -63,8 +61,7 @@ FRONTEND_AXIS_DEFAULTS: "Dict[str, Any]" = {
     "icache_associativity": 4,
 }
 
-#: CMP axes in canonical (nesting) order; matches the historical
-#: ``cmp_grid`` iteration ``l2 x count x mix``.
+#: CMP axes in canonical (nesting) order: ``l2 x count x mix``.
 CMP_AXIS_ORDER = ("l2_kb", "cores", "mix")
 
 
@@ -179,9 +176,7 @@ class GridSpec:
     ) -> "GridSpec":
         """A CMP grid over core counts, core mixes, and L2 slice sizes.
 
-        The axis nesting is fixed to the historical ``l2 x count x
-        mix`` order, so a spec-compiled grid is bit-identical to the
-        legacy :func:`repro.uarch.sweep.cmp_grid` product.
+        The axis nesting is fixed to the ``l2 x count x mix`` order.
         """
         return cls(
             kind="cmp",
@@ -223,8 +218,7 @@ class GridSpec:
         Points a constraint rejects are dropped; ``cmp`` points whose
         mix does not exist at the core count are skipped and identical
         chips reachable through two mixes are emitted once (first
-        occurrence wins, keeping its axis values), exactly like the
-        historical ``cmp_grid``.
+        occurrence wins, keeping its axis values).
         """
         build = _frontend_point if self.kind == "frontend" else _cmp_point
         points = []

@@ -14,10 +14,10 @@ chunk) pair is one unit of work:
 
 * A chunk's result is content-addressed in the result store
   (:func:`repro.results.store.result_key` over the chunk's full
-  configuration dicts, the workload, the seed, and the session's
-  semantic runtime), so an interrupted exploration resumes by replaying
-  stored chunks and computing only the missing grid points -- across
-  processes and machines sharing the store.
+  configuration dicts, the workload, and the seed), so an interrupted
+  exploration resumes by replaying stored chunks and computing only the
+  missing grid points -- across processes and machines sharing the
+  store.
 * Missing chunks run through :meth:`repro.api.session.Session.map`
   under a plan-scoped checkpoint journal, so they inherit the
   supervised executors (``--parallel`` pools, the durable ``queue``
@@ -312,7 +312,6 @@ class ExplorePlan(Plan):
             },
             [spec.name],
             seed=self.seed,
-            runtime=self.session.config.semantic(),
         )
 
     def journal_scope(self) -> str:
@@ -329,7 +328,6 @@ class ExplorePlan(Plan):
             },
             [spec.name for spec in self.workloads],
             seed=self.seed,
-            runtime=self.session.config.semantic(),
         )
 
     # -- execution ---------------------------------------------------

@@ -30,7 +30,6 @@ from repro.results.store import (
     RESULT_STORE_VERSION,
     clear_result_store,
     default_result_store_dir,
-    enable_shared_result_store,
     load_result,
     resolved_result_dir,
     result_key,
@@ -49,7 +48,6 @@ __all__ = [
     "RESULT_STORE_VERSION",
     "clear_result_store",
     "default_result_store_dir",
-    "enable_shared_result_store",
     "load_result",
     "resolved_result_dir",
     "result_key",

@@ -10,10 +10,10 @@ therefore derive the same key, and any change that could alter the
 numbers derives a different one.
 
 The store mirrors :mod:`repro.workloads.trace_cache`: an in-process
-dictionary layer is always on, and an optional XDG-style disk layer is
-controlled by the ``REPRO_RESULT_CACHE_DIR`` environment variable
-(unset means "no disk layer" for library use; the CLI enables the
-per-user default via :func:`enable_shared_result_store`; ``none``/
+dictionary layer is always on, and an optional XDG-style disk layer
+lives in the current config's ``result_cache_dir``
+(``REPRO_RESULT_CACHE_DIR``: unset means "no disk layer" for library
+use, while the CLI defaults it to the per-user directory; ``none``/
 ``off``/``0``/empty disables it everywhere).  Disk entries are written
 atomically (write-then-rename); corrupt or truncated entries are
 quarantined as ``*.corrupt`` evidence and treated as misses, so a
@@ -78,25 +78,10 @@ def default_result_store_dir() -> str:
 def resolved_result_dir() -> Optional[str]:
     """The active disk-store directory, or ``None`` when disabled.
 
-    Resolution goes through :mod:`repro.api.runtime_config`: an
-    activated session config wins over the environment variable.
+    The current config's ``result_cache_dir`` joined with its cache
+    namespace (see :func:`repro.api.runtime_config.current_config`).
     """
     return runtime_config.current_result_cache_dir()
-
-
-def enable_shared_result_store() -> Optional[str]:
-    """Turn the disk layer on, defaulting to the per-user directory.
-
-    Called by the CLI before orchestrated runs: when the directory
-    variable is unset it is exported (so ``--parallel`` workers and
-    later processes inherit it); an explicit path or disable value is
-    left untouched.  Returns the active directory, or ``None`` when
-    explicitly disabled.
-    """
-    runtime_config.export_environment_default(
-        RESULT_CACHE_DIR_VARIABLE, default_result_store_dir()
-    )
-    return resolved_result_dir()
 
 
 def code_fingerprint() -> str:
@@ -132,7 +117,6 @@ def result_key(
     config: Mapping[str, Any],
     workloads: Sequence[str],
     seed: int = 0,
-    runtime: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """Content-address of one experiment result.
 
@@ -140,21 +124,14 @@ def result_key(
     whitespace), so the digest is stable across processes, platforms,
     and dictionary insertion orders.  The package source fingerprint is
     part of the material, so results computed by different code never
-    share a key.
-
-    ``runtime`` is the semantic slice of the governing
-    :class:`~repro.api.runtime_config.RuntimeConfig` (see its
-    ``semantic()`` method); when omitted it is taken from the currently
-    active config -- the session the orchestrator runs under -- so
-    content addressing keys off :class:`RuntimeConfig` rather than raw
-    environment reads.
+    share a key.  No runtime knob is part of it: execution details
+    (parallelism, executors, cache locations) never change the numbers.
     """
     material = {
         "experiment": experiment,
         "config": config,
         "workloads": list(workloads),
         "seed": int(seed),
-        "runtime": runtime_config.runtime_material(runtime),
         "versions": {
             "artifact_schema": ARTIFACT_SCHEMA_VERSION,
             "code": code_fingerprint(),

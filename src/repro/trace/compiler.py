@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
-from repro.api import runtime_config
 from repro.trace.columns import NO_TARGET, program_columns
 from repro.trace.events import Trace
 from repro.trace.execution import ExecutionSchedule, Phase
@@ -71,25 +70,6 @@ from repro.trace.program import (
 #: code is intentionally uncapped: its total is bounded by the static
 #: program size.
 MAX_TEMPLATE_EVENTS = 4096
-
-#: Environment variable selecting the trace engine used by the
-#: workload layer: ``compiled`` (default) or ``reference``.  Owned by
-#: :mod:`repro.api.runtime_config`; re-exported here for compatibility.
-TRACE_ENGINE_VARIABLE = runtime_config.TRACE_ENGINE_VARIABLE
-
-
-def compiled_engine_enabled() -> bool:
-    """Whether the workload layer should generate via the compiled path.
-
-    Defaults to on; set ``REPRO_TRACE_ENGINE=reference`` (or build a
-    :class:`repro.api.Session` with ``trace_engine="reference"``) to
-    force the tree-walk reference generator (the compiled engine is
-    bit-identical, so this is a debugging/benchmarking aid, not a
-    correctness knob).  Resolution goes through
-    :mod:`repro.api.runtime_config`: an activated session config wins
-    over the environment.
-    """
-    return runtime_config.current_trace_engine() != "reference"
 
 
 class _NotStatic(Exception):

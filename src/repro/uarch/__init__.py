@@ -34,7 +34,6 @@ from repro.uarch.simulator import (
 )
 from repro.uarch.sweep import (
     SweepScenario,
-    cmp_grid,
     core_scaling_scenario,
     get_scenario,
     l2_scaling_scenario,
@@ -63,7 +62,6 @@ __all__ = [
     "clear_profile_cache",
     "profile_cache_info",
     "SweepScenario",
-    "cmp_grid",
     "mix_config",
     "paper_scenario",
     "core_scaling_scenario",

@@ -9,9 +9,8 @@ command ``repro-frontend cmpsweep``) evaluates every point against the
 workload profiles and reports time/power/energy normalized to the
 scenario's first configuration.
 
-Grid *construction* now lives in :class:`repro.explore.grid.GridSpec`
-(``GridSpec.cmp(...)``); the scenarios here compile through it, and the
-historical :func:`cmp_grid` survives only as a deprecated wrapper.
+Grid *construction* lives in :class:`repro.explore.grid.GridSpec`
+(``GridSpec.cmp(...)``); the scenarios here compile through it.
 :mod:`repro.explore` imports :func:`mix_config` from this module, so
 this module must import :mod:`repro.explore` lazily (inside functions)
 to keep the import graph acyclic.
@@ -28,7 +27,7 @@ from repro.uarch.cmp import STANDARD_CMP_CONFIGS, CmpConfig
 MIN_SWEEP_CORES = 1
 MAX_SWEEP_CORES = 64
 
-#: Core-mix labels understood by :func:`cmp_grid`.
+#: Core-mix labels understood by :func:`mix_config`.
 CMP_MIXES = ("baseline", "tailored", "asymmetric", "asymmetric++")
 
 
@@ -95,33 +94,6 @@ def mix_config(
         tailored_cores=tailored,
         l2_kb_per_core=l2_kb_per_core,
     )
-
-
-def cmp_grid(
-    core_counts: Sequence[int],
-    mixes: Sequence[str] = ("baseline", "tailored", "asymmetric"),
-    l2_sizes_kb: Sequence[int] = (256,),
-) -> List[CmpConfig]:
-    """Deprecated: build grids through :class:`repro.explore.GridSpec`.
-
-    Thin compatibility wrapper over ``GridSpec.cmp(core_counts, mixes,
-    l2_sizes_kb).configs()``, which reproduces the historical product
-    bit-identically: iteration order ``l2 x count x mix``, nonexistent
-    points (asymmetric single-core chips) skipped, and identical chips
-    reachable through two mixes (an ``asymmetric++`` N-core point is
-    the ``asymmetric`` point at N+1 cores) emitted once.
-    """
-    import warnings
-
-    from repro.explore.grid import GridSpec
-
-    warnings.warn(
-        "cmp_grid() is deprecated; use "
-        "repro.explore.GridSpec.cmp(...).configs() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return list(GridSpec.cmp(core_counts, mixes, l2_sizes_kb).configs())
 
 
 def paper_scenario() -> SweepScenario:

@@ -28,7 +28,6 @@ from repro.workloads.catalog import (
 from repro.workloads.trace_cache import (
     clear_trace_cache,
     default_shared_cache_dir,
-    enable_shared_cache,
     resolved_cache_dir,
     trace_cache_info,
     workload_trace,
@@ -50,6 +49,5 @@ __all__ = [
     "clear_trace_cache",
     "trace_cache_info",
     "default_shared_cache_dir",
-    "enable_shared_cache",
     "resolved_cache_dir",
 ]

@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.trace.compiler import CompiledSchedule, compile_schedule, compiled_engine_enabled
+from repro.trace.compiler import CompiledSchedule, compile_schedule
 from repro.trace.events import Trace
-from repro.trace.execution import ExecutionContext, ExecutionSchedule, Phase, TraceGenerator
+from repro.trace.execution import ExecutionContext, ExecutionSchedule, Phase
 from repro.trace.instruction import CodeSection
 from repro.trace.layout import layout_program
 from repro.trace.program import (
@@ -526,22 +526,18 @@ class SyntheticWorkload:
         """Generate (or return the cached) dynamic trace of the workload.
 
         Generation runs through the compiled segment engine, which is
-        bit-identical to the reference tree walk (set
-        ``REPRO_TRACE_ENGINE=reference`` to force the tree walk).
+        bit-identical to the reference tree walk
+        (:class:`~repro.trace.execution.TraceGenerator` over the same
+        program, schedule and run seed).
         """
         if instructions is None:
             instructions = DEFAULT_TRACE_INSTRUCTIONS
         key = (int(instructions), int(seed))
         if key not in self._traces:
             run_seed = self.spec.seed ^ (seed * 0x9E3779B1)
-            if compiled_engine_enabled():
-                trace = self.compiled.run(
-                    int(instructions), seed=run_seed, name=self.spec.name
-                )
-            else:
-                generator = TraceGenerator(self.program, self.schedule, seed=run_seed)
-                trace = generator.run(int(instructions), name=self.spec.name)
-            self._traces[key] = trace
+            self._traces[key] = self.compiled.run(
+                int(instructions), seed=run_seed, name=self.spec.name
+            )
         return self._traces[key]
 
     def static_code_bytes(self) -> int:

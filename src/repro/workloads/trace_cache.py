@@ -10,15 +10,15 @@ The cache lives in the workloads layer -- below both ``experiments``
 and ``uarch`` -- precisely so the micro-architecture simulator can use
 it without a layering cycle.
 
-Set the ``REPRO_TRACE_CACHE_DIR`` environment variable to also persist
-trace columns on disk as ``.npz`` files, so separate driver *processes*
-(each CLI invocation is one, as is every ``--parallel`` worker) share
-traces too.  Parallel sweeps (:meth:`repro.api.session.Session.map`
-under a parallel config) enable the disk layer automatically under a
-per-user cache directory (``$XDG_CACHE_HOME/repro-frontend/traces``,
-falling back to ``~/.cache``); set the variable to an explicit path to
-relocate it, or to one of ``""``/``none``/``off``/``0`` to disable the
-disk layer entirely.
+A config's ``trace_cache_dir`` (``REPRO_TRACE_CACHE_DIR``) also
+persists trace columns on disk as ``.npz`` files, so separate driver
+*processes* (each CLI invocation is one, as is every ``--parallel``
+worker) share traces too.  A parallel run of a session built without
+any trace-cache setting (:meth:`repro.api.session.Session.map`)
+defaults the trace-cache directory to a per-user one
+(``$XDG_CACHE_HOME/repro-frontend/traces``, falling back to
+``~/.cache``); name an explicit path to relocate it, or one of
+``""``/``none``/``off``/``0`` to disable the disk layer entirely.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ DEFAULT_PROFILE_INSTRUCTIONS = runtime_config.DEFAULT_INSTRUCTIONS
 def default_profile_instructions() -> int:
     """The instruction budget an omitted ``instructions`` resolves to.
 
-    The activated session's budget when one is active, else
-    ``REPRO_INSTRUCTIONS``, else :data:`DEFAULT_PROFILE_INSTRUCTIONS`
-    -- the same explicit > environment > default chain every other
-    runtime knob follows.
+    The current config's budget (see
+    :func:`repro.api.runtime_config.current_config`): the activated
+    session's, else the process snapshot's (``REPRO_INSTRUCTIONS``, else
+    :data:`DEFAULT_PROFILE_INSTRUCTIONS`).
     """
     return runtime_config.current_config().instructions
 
@@ -137,27 +137,10 @@ def default_shared_cache_dir() -> str:
 def resolved_cache_dir() -> Optional[str]:
     """The active disk-cache directory, or ``None`` when disabled.
 
-    Resolution goes through :mod:`repro.api.runtime_config`: an
-    activated session config wins; otherwise the environment variable
-    rules, where unset means "no disk layer" for plain calls (parallel
-    sweeps opt in via :func:`enable_shared_cache`) and an explicit
-    disable value turns the disk layer off everywhere.
+    The current config's ``trace_cache_dir`` joined with its cache
+    namespace (see :func:`repro.api.runtime_config.current_config`).
     """
     return runtime_config.current_trace_cache_dir()
-
-
-def enable_shared_cache() -> Optional[str]:
-    """Turn the disk layer on, defaulting to the per-user directory.
-
-    Called by parallel sweeps before forking workers: when the cache
-    directory variable is unset it is exported (so worker processes
-    inherit it); an explicit path or disable value is left untouched.
-    Returns the active directory, or ``None`` when explicitly disabled.
-    """
-    runtime_config.export_environment_default(
-        TRACE_CACHE_DIR_VARIABLE, default_shared_cache_dir()
-    )
-    return resolved_cache_dir()
 
 
 def trace_on_disk(spec: WorkloadSpec, instructions: int, seed: int = 0) -> bool:
@@ -203,9 +186,9 @@ def workload_trace(
     one trace per workload instead of each regenerating all of them.
     Repeated calls with the same key return the *same* object; sessions
     with distinct ``cache_namespace`` settings get distinct entries,
-    exactly as they get distinct disk directories.  Set the
-    ``REPRO_TRACE_CACHE_DIR`` environment variable to also persist
-    trace columns on disk and share them across driver processes.
+    exactly as they get distinct disk directories.  A config with a
+    ``trace_cache_dir`` also persists trace columns on disk and shares
+    them across driver processes.
     """
     if instructions is None:
         instructions = default_profile_instructions()

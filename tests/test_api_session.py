@@ -129,7 +129,6 @@ class TestSessionConfig:
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "111")
         session = Session(instructions=222)
         assert session.config.instructions == 222
-        assert not session.follows_environment
 
     def test_config_object_plus_overrides(self):
         base = RuntimeConfig(instructions=10, parallel=True)
@@ -137,13 +136,18 @@ class TestSessionConfig:
         assert session.config.instructions == 20
         assert session.config.parallel is True
 
-    def test_default_session_follows_environment(self, monkeypatch):
-        session = default_session()
-        assert session.follows_environment
+    def test_default_session_is_the_process_snapshot(self, monkeypatch):
+        """current_config() and the default session resolve REPRO_*
+        once; only a new Session() sees a later environment change."""
+        from repro.api import runtime_config as rc
+
+        snapshot = rc.current_config()
+        assert default_session().config is snapshot
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "777")
-        assert session.config.instructions == 777
-        monkeypatch.delenv("REPRO_INSTRUCTIONS")
-        assert session.config.instructions != 777
+        assert rc.current_config() is snapshot
+        assert default_session().config is snapshot
+        assert snapshot.instructions != 777
+        assert Session().config.instructions == 777
 
     def test_non_positive_budget_is_rejected_at_construction(self, monkeypatch):
         # A typed error here, not a SweepError from every sweep item later.
@@ -152,10 +156,6 @@ class TestSessionConfig:
                 Session(instructions=budget)
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "0")
         assert Session().config.instructions == RuntimeConfig().instructions
-
-    def test_follow_environment_rejects_explicit_config(self):
-        with pytest.raises(ValueError):
-            Session(RuntimeConfig(), follow_environment=True)
 
     def test_current_session_tracks_activation(self):
         session = Session(instructions=INSTRUCTIONS)
@@ -213,17 +213,6 @@ class TestSessionPipeline:
         assert trace.instruction_count() < 2 * INSTRUCTIONS
         clear_trace_cache()
 
-    def test_result_key_accepts_explicit_runtime_material(self):
-        from repro.results.store import result_key
-
-        compiled = result_key("x", {}, (), runtime={"trace_engine": "compiled"})
-        reference = result_key("x", {}, (), runtime={"trace_engine": "reference"})
-        ambient = result_key("x", {}, ())
-        assert compiled != reference
-        assert ambient == compiled  # default runtime is the compiled engine
-        with Session(trace_engine="reference").activate():
-            assert result_key("x", {}, ()) == reference
-
     def test_trace_matches_legacy_entry_point(self):
         session = Session(instructions=INSTRUCTIONS)
         trace = session.trace("FT")
@@ -231,14 +220,17 @@ class TestSessionPipeline:
         assert np.array_equal(trace.block_ids, legacy.block_ids)
         assert np.array_equal(trace.taken_column, legacy.taken_column)
 
-    def test_reference_engine_session_is_bit_identical(self):
+    def test_session_trace_matches_the_reference_generator(self):
+        from repro.trace import TraceGenerator
+        from repro.workloads import build_workload
+
         clear_trace_cache()
         compiled = Session(instructions=INSTRUCTIONS).trace("CoMD")
         clear_trace_cache()
-        reference = Session(
-            instructions=INSTRUCTIONS, trace_engine="reference"
-        ).trace("CoMD")
-        clear_trace_cache()
+        workload = build_workload(get_workload("CoMD"))
+        reference = TraceGenerator(
+            workload.program, workload.schedule, seed=workload.spec.seed
+        ).run(INSTRUCTIONS, name="CoMD")
         assert np.array_equal(compiled.block_ids, reference.block_ids)
         assert np.array_equal(compiled.taken_column, reference.taken_column)
         assert np.array_equal(compiled.target_column, reference.target_column)
@@ -296,7 +288,7 @@ class TestSessionPipeline:
         assert description["kind"] == "frontend-sweep"
         assert description["workloads"] == ["FT"]
         assert description["instructions"] == INSTRUCTIONS
-        assert description["runtime"]["trace_engine"] == "compiled"
+        assert description["runtime"]["instructions"] == INSTRUCTIONS
 
     def test_experiment_plan_matches_direct_driver(self):
         session = Session(instructions=INSTRUCTIONS)
@@ -381,7 +373,6 @@ class TestSessionPipeline:
         import os
 
         monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_TRACE_ENGINE", raising=False)
         session = Session(
             instructions=INSTRUCTIONS,
             parallel=True,
@@ -390,7 +381,6 @@ class TestSessionPipeline:
         )
         session.sweep(workloads=["FT", "LU"]).execute()
         assert os.environ.get("REPRO_TRACE_CACHE_DIR") is None
-        assert os.environ.get("REPRO_TRACE_ENGINE") is None
 
     def test_session_parallel_matches_serial(self):
         serial = Session(instructions=INSTRUCTIONS).sweep(
@@ -457,9 +447,8 @@ class TestLegacyShimsRemoved:
         assert "run_sweep" not in common.__all__
         assert "workload_trace" not in common.__all__
 
-    def test_session_map_covers_the_old_run_sweep_contract(self, monkeypatch, tmp_path):
+    def test_session_map_covers_the_old_run_sweep_contract(self):
         """Session.map is the replacement: serial == parallel rows."""
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
         specs = [get_workload("FT"), get_workload("LU")]
         arguments = [(spec, INSTRUCTIONS) for spec in specs]
         serial = default_session().map(_shim_worker, arguments)

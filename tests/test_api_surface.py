@@ -46,7 +46,6 @@ class TestPublicSurface:
 
     def test_environment_variables_are_pinned(self):
         assert ENVIRONMENT_VARIABLES == (
-            "REPRO_TRACE_ENGINE",
             "REPRO_TRACE_CACHE_DIR",
             "REPRO_RESULT_CACHE_DIR",
             "REPRO_PARALLEL",
@@ -70,7 +69,6 @@ class TestPublicSurface:
             (field.name, field.default)
             for field in RuntimeConfig.__dataclass_fields__.values()
         ] == [
-            ("trace_engine", "compiled"),
             ("trace_cache_dir", None),
             ("result_cache_dir", None),
             ("parallel", False),
@@ -89,16 +87,23 @@ class TestPublicSurface:
             ("serve_port", 8757),
         ]
 
+    def test_executors_and_result_key_are_pinned(self):
+        from repro.api.runtime_config import EXECUTORS
+        from repro.results.store import result_key
+
+        assert EXECUTORS == ("auto", "serial", "processes", "queue")
+        assert list(inspect.signature(result_key).parameters) == [
+            "experiment",
+            "config",
+            "workloads",
+            "seed",
+        ]
+
     def test_session_method_signatures(self):
         def parameters(callable_):
             return list(inspect.signature(callable_).parameters)
 
-        assert parameters(Session.__init__) == [
-            "self",
-            "config",
-            "follow_environment",
-            "overrides",
-        ]
+        assert parameters(Session.__init__) == ["self", "config", "overrides"]
         assert parameters(Session.sweep) == [
             "self",
             "workloads",

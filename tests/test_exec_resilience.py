@@ -243,8 +243,7 @@ class TestJournal:
             if name.endswith(".tmp") or name.endswith(".corrupt")
         ]
 
-    def test_discard_drops_scope_and_empty_parent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+    def test_discard_drops_scope_and_empty_parent(self, result_store_dir):
         journal = journal_for_scope("a" * 64)
         journal.record("key", 1)
         assert os.path.isdir(journal.directory)
@@ -341,35 +340,7 @@ class TestKillAndResume:
         assert not [item for item in other.items if item.status == STATUS_REPLAYED]
 
 
-class LegacyListExecutor:
-    """An entry-point executor written against the pre-hook interface."""
-
-    name = "legacy-list"
-
-    def run(self, worker, items, settings):
-        from repro.exec.executors import RunOutcome
-        from repro.exec.results import ItemResult
-
-        results = [
-            ItemResult(index, STATUS_OK, value=worker(args)) for index, args in items
-        ]
-        return RunOutcome(results, False)
-
-
 class TestExecutorResolution:
-    def test_entry_point_executor_resolves_by_module_attribute(self):
-        executor = resolve_executor("test_exec_resilience:LegacyListExecutor")
-        assert executor.name == "legacy-list"
-
-    def test_pre_hook_executor_is_journaled_from_results(self, tmp_path):
-        # A custom executor that never calls on_result still checkpoints:
-        # execute_items journals its returned successes as a safety net.
-        executor = resolve_executor("test_exec_resilience:LegacyListExecutor")
-        journal = SweepJournal(str(tmp_path / "scope"))
-        report = execute_items(_square, ITEMS, serial_settings(), executor, journal)
-        assert report.values() == [0, 1, 4, 9]
-        assert len(journal.load()) == len(ITEMS)
-
     def test_unknown_executor_is_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("warp-drive")
@@ -400,9 +371,8 @@ class TestFaultPlans:
         with pytest.raises(ValueError):
             Fault(kind="truncate", index=0, store="the-moon")
 
-    def test_truncate_fault_quarantines_trace_cache_entry(
-        self, tmp_path, monkeypatch
-    ):
+    def test_truncate_fault_quarantines_trace_cache_entry(self, tmp_path):
+        from repro.api.runtime_config import RuntimeConfig, activated
         from repro.workloads import get_workload
         from repro.workloads.trace_cache import (
             clear_trace_cache,
@@ -410,15 +380,15 @@ class TestFaultPlans:
             workload_trace,
         )
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
         spec = get_workload("FT")
-        reference = workload_trace(spec, 2_000)
-        assert [name for name in os.listdir(tmp_path) if name.endswith(".npz")]
-        FaultPlan.of(
-            Fault(kind="truncate", index=0, target="*.npz", store="trace-cache")
-        ).fire(0, 1, allow_exit=False)
-        clear_trace_cache()  # Drop the memory layer; force a disk read.
-        recovered = workload_trace(spec, 2_000)
+        with activated(RuntimeConfig(trace_cache_dir=str(tmp_path))):
+            reference = workload_trace(spec, 2_000)
+            assert [name for name in os.listdir(tmp_path) if name.endswith(".npz")]
+            FaultPlan.of(
+                Fault(kind="truncate", index=0, target="*.npz", store="trace-cache")
+            ).fire(0, 1, allow_exit=False)
+            clear_trace_cache()  # Drop the memory layer; force a disk read.
+            recovered = workload_trace(spec, 2_000)
         info = trace_cache_info()
         assert info["quarantined"] == 1
         corrupt = [

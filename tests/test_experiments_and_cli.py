@@ -147,3 +147,22 @@ class TestCli:
             cli_main(["fig1", "--instructions", budget])
         assert raised.value.code == 2
         assert "--instructions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["fig5", "--executor", "warp-drive"], "--executor"),
+            (["explore", "--smoke", "--executor", "bogus"], "--executor"),
+            (["fig5", "--retries", "-1"], "--retries"),
+            (["serve", "--port", "70000"], "--port"),
+            (["fig5", "--parallel", "--processes", "0"], "--processes"),
+        ],
+    )
+    def test_out_of_range_flags_are_usage_errors(self, argv, flag, tmp_path, capsys):
+        """Rejected by the parser (exit 2) before anything runs, not a
+        traceback from deep inside the run or a silent clamp."""
+        argv = argv + ["--instructions", "2000", "--queue-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as raised:
+            cli_main(argv)
+        assert raised.value.code == 2
+        assert flag in capsys.readouterr().err

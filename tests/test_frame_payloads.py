@@ -31,11 +31,7 @@ from repro.results.orchestrator import (
     run_experiments,
     write_manifest,
 )
-from repro.results.store import (
-    RESULT_CACHE_DIR_VARIABLE,
-    clear_result_store,
-    load_result,
-)
+from repro.results.store import clear_result_store, load_result
 
 #: Must match the budget the golden manifests were recorded at.
 TINY = 6_000
@@ -111,10 +107,7 @@ class TestStoredFrameContract:
 
 
 class TestDiskRoundTrip:
-    def test_frames_round_trip_through_the_disk_store(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_frames_round_trip_through_the_disk_store(self, result_store_dir):
         clear_result_store()
         clear_trace_cache()
         report = run_experiments(["table2"], instructions=TINY)
@@ -132,16 +125,15 @@ class TestDiskRoundTrip:
         clear_trace_cache()
 
     def test_corrupt_frame_payload_is_rejected_and_recomputed(
-        self, tmp_path, monkeypatch
+        self, result_store_dir
     ):
         """A stored entry whose frame payload no longer validates is a
         miss (not a crash), and the orchestrator recomputes it."""
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
         clear_result_store()
         clear_trace_cache()
         run_experiments(["table2"], instructions=TINY)
         key = experiment_key(get_spec("table2"), TINY)
-        (entry_path,) = list(tmp_path.iterdir())
+        (entry_path,) = list(result_store_dir.iterdir())
         entry = json.loads(entry_path.read_text())
         primary = entry["artifact"]["primary"]
         # Mangle the frame: a row narrower than the declared columns.

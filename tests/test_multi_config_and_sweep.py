@@ -53,7 +53,6 @@ from repro.uarch import (
     BASELINE_CORE,
     STANDARD_CMP_CONFIGS,
     TAILORED_CORE,
-    cmp_grid,
     get_scenario,
     mix_config,
     profile_workload_frontend,
@@ -361,39 +360,29 @@ class TestSweepScenarios:
             mix_config("quantum", 8)
 
     def test_cmp_grid_cross_product(self):
-        with pytest.warns(DeprecationWarning, match="GridSpec"):
-            grid = cmp_grid(
-                (1, 8), mixes=("baseline", "asymmetric"), l2_sizes_kb=(256, 512)
-            )
-        # asymmetric does not exist at one core: (2 mixes * 2 counts - 1) * 2 L2s.
-        assert len(grid) == 6
-        assert len({cmp.name for cmp in grid}) == 6
-        assert any(cmp.l2_kb_per_core == 512 for cmp in grid)
-
-    def test_cmp_grid_matches_grid_spec(self):
-        # The deprecated wrapper and the declarative spec are the same grid.
         from repro.explore import GridSpec
 
-        with pytest.warns(DeprecationWarning):
-            legacy = cmp_grid(
-                (1, 2, 8, 64),
-                mixes=("baseline", "tailored", "asymmetric", "asymmetric++"),
-                l2_sizes_kb=(128, 256),
-            )
-        spec = GridSpec.cmp(
-            (1, 2, 8, 64),
-            mixes=("baseline", "tailored", "asymmetric", "asymmetric++"),
-            l2_kb=(128, 256),
-        )
-        assert tuple(legacy) == spec.configs()
+        grid = GridSpec.cmp(
+            (1, 8), mixes=("baseline", "asymmetric"), l2_kb=(256, 512)
+        ).configs()
+        # Nesting l2 x cores x mix; asymmetric does not exist at one core.
+        assert [cmp.name for cmp in grid] == [
+            "1B+0T",
+            "8B+0T",
+            "1B+7T",
+            "1B+0T 512KB-L2",
+            "8B+0T 512KB-L2",
+            "1B+7T 512KB-L2",
+        ]
+        assert [cmp.l2_kb_per_core for cmp in grid] == [256] * 3 + [512] * 3
 
     def test_cmp_grid_deduplicates_overlapping_mixes(self):
         # asymmetric++ at N cores is the same chip as asymmetric at N+1;
         # the grid must emit it once so SweepScenario accepts the result.
-        with pytest.warns(DeprecationWarning):
-            grid = cmp_grid((2, 3), mixes=("asymmetric", "asymmetric++"))
-        names = [cmp.name for cmp in grid]
-        assert len(names) == len(set(names))
+        from repro.explore import GridSpec
+
+        grid = GridSpec.cmp((2, 3), mixes=("asymmetric", "asymmetric++")).configs()
+        assert [cmp.name for cmp in grid] == ["1B+1T", "1B+2T", "1B+3T"]
         SweepScenario(name="dedup", description="", cmps=tuple(grid))
 
     def test_standard_scenarios_are_well_formed(self):

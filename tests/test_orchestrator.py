@@ -111,8 +111,7 @@ class TestOrchestratedRuns:
         assert [o.name for o in report.outcomes] == ["fig11"]
         assert report.outcome("fig11").status == "computed"
 
-    def test_interrupted_run_resumes_from_the_store(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_interrupted_run_resumes_from_the_store(self, result_store_dir):
         run_experiments(["fig6", "fig9"], instructions=TINY)
         # Simulate the process dying and restarting.
         clear_result_store()
@@ -182,14 +181,12 @@ class TestFullSuiteManifest:
             for entry in warm_manifest["experiments"].values()
         )
 
-    def test_corrupted_store_entry_triggers_recompute(self, tmp_path, monkeypatch):
-        store_dir = tmp_path / "store"
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(store_dir))
+    def test_corrupted_store_entry_triggers_recompute(self, result_store_dir):
         run_experiments(["fig6"], instructions=TINY)
         key = experiment_key(get_spec("fig6"), TINY)
         clear_result_store()
         clear_trace_cache()
-        (entry,) = list(store_dir.iterdir())
+        (entry,) = list(result_store_dir.iterdir())
         entry.write_text("{ truncated")
         assert load_result(key, "fig6") is None
         clear_result_store()

@@ -9,6 +9,7 @@ shared with the trace cache.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import subprocess
@@ -17,9 +18,9 @@ import threading
 
 import pytest
 
+from repro.api.runtime_config import RuntimeConfig, activated
 from repro.results.artifacts import block, build_artifact
 from repro.results.store import (
-    RESULT_CACHE_DIR_VARIABLE,
     clear_result_store,
     load_result,
     resolved_result_dir,
@@ -94,38 +95,35 @@ class TestResultKey:
 
 
 class TestStoreLayers:
-    def test_memory_roundtrip_without_disk(self, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, "none")
-        assert resolved_result_dir() is None
+    def test_memory_roundtrip_without_disk(self):
         key = result_key("fig7", CONFIG, WORKLOADS)
-        assert load_result(key, "fig7") is None
-        store_result(key, _artifact())
-        assert load_result(key, "fig7") == _artifact()
+        with activated(RuntimeConfig(result_cache_dir=None)):
+            assert resolved_result_dir() is None
+            assert load_result(key, "fig7") is None
+            store_result(key, _artifact())
+            assert load_result(key, "fig7") == _artifact()
         info = result_store_info()
         assert info["hits"] == 1 and info["stores"] == 1
         assert info["disk_stores"] == 0
 
-    def test_disk_roundtrip_survives_memory_clear(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_disk_roundtrip_survives_memory_clear(self, result_store_dir):
         key = result_key("fig7", CONFIG, WORKLOADS)
         store_result(key, _artifact())
         clear_result_store()  # Simulate a fresh process.
         assert load_result(key, "fig7") == _artifact()
         assert result_store_info()["disk_hits"] == 1
 
-    def test_experiment_mismatch_is_a_miss(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_experiment_mismatch_is_a_miss(self, result_store_dir):
         key = result_key("fig7", CONFIG, WORKLOADS)
         store_result(key, _artifact(experiment="fig7"))
         clear_result_store()
         assert load_result(key, "fig8") is None
 
-    def test_corrupted_disk_entry_falls_back_to_miss(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_corrupted_disk_entry_falls_back_to_miss(self, result_store_dir):
         key = result_key("fig7", CONFIG, WORKLOADS)
         store_result(key, _artifact())
         clear_result_store()
-        (entry,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
+        (entry,) = [p for p in result_store_dir.iterdir() if p.suffix == ".json"]
         content = entry.read_bytes()
         entry.write_bytes(content[: len(content) // 2])  # Truncate.
         assert load_result(key, "fig7") is None
@@ -134,28 +132,26 @@ class TestStoreLayers:
         clear_result_store()
         assert load_result(key, "fig7") == _artifact()
 
-    def test_garbage_disk_entry_falls_back_to_miss(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_garbage_disk_entry_falls_back_to_miss(self, result_store_dir):
         key = result_key("fig7", CONFIG, WORKLOADS)
         store_result(key, _artifact())
         clear_result_store()
-        (entry,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
+        (entry,) = [p for p in result_store_dir.iterdir() if p.suffix == ".json"]
         entry.write_text(json.dumps({"key": key, "artifact": {"schema": 999}}))
         assert load_result(key, "fig7") is None
 
-    def test_unwritable_disk_layer_is_best_effort(self, tmp_path, monkeypatch):
+    def test_unwritable_disk_layer_is_best_effort(self, tmp_path):
         target = tmp_path / "not-a-directory"
         target.write_text("occupied")
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(target / "store"))
         key = result_key("fig7", CONFIG, WORKLOADS)
-        store_result(key, _artifact())  # Must not raise.
-        assert load_result(key, "fig7") == _artifact()  # Memory layer still works.
+        with activated(RuntimeConfig(result_cache_dir=str(target / "store"))):
+            store_result(key, _artifact())  # Must not raise.
+            assert load_result(key, "fig7") == _artifact()  # Memory layer works.
         assert result_store_info()["disk_stores"] == 0
 
 
 class TestConcurrentWriters:
-    def test_racing_writers_never_corrupt_an_entry(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_racing_writers_never_corrupt_an_entry(self, result_store_dir):
         key = result_key("fig7", CONFIG, WORKLOADS)
         barrier = threading.Barrier(8)
 
@@ -164,7 +160,12 @@ class TestConcurrentWriters:
             for _ in range(10):
                 store_result(key, _artifact())
 
-        threads = [threading.Thread(target=writer) for _ in range(8)]
+        # Each thread runs in a copy of this context, so it sees the
+        # activated config.
+        threads = [
+            threading.Thread(target=contextvars.copy_context().run, args=(writer,))
+            for _ in range(8)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -172,11 +173,12 @@ class TestConcurrentWriters:
         clear_result_store()
         assert load_result(key, "fig7") == _artifact()
         # No temporary files may survive the renames.
-        leftovers = [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        leftovers = [
+            p.name for p in result_store_dir.iterdir() if p.name.endswith(".tmp")
+        ]
         assert leftovers == []
 
-    def test_racing_writers_on_distinct_keys(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_racing_writers_on_distinct_keys(self, result_store_dir):
         keys = [
             result_key("fig7", {**CONFIG, "instructions": n}, WORKLOADS)
             for n in range(1000, 1016)
@@ -188,7 +190,10 @@ class TestConcurrentWriters:
             store_result(key, _artifact(value=value))
 
         threads = [
-            threading.Thread(target=writer, args=(key, f"{index}.00"))
+            threading.Thread(
+                target=contextvars.copy_context().run,
+                args=(writer, key, f"{index}.00"),
+            )
             for index, key in enumerate(keys)
         ]
         for thread in threads:
@@ -203,8 +208,7 @@ class TestConcurrentWriters:
 class TestCompareAndSwap:
     """store_result_cas: first writer wins, conflicts quarantined."""
 
-    def test_first_writer_wins_on_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_first_writer_wins_on_disk(self, result_store_dir):
         key = result_key("fig7", CONFIG, WORKLOADS)
         status, winner = store_result_cas(key, _artifact(value="1.00"), "fig7")
         assert status == "stored"
@@ -219,14 +223,13 @@ class TestCompareAndSwap:
         assert winner == _artifact(value="1.00")
         clear_result_store()
         assert load_result(key, "fig7") == _artifact(value="1.00")
-        evidence = [p.name for p in tmp_path.iterdir() if ".conflict" in p.name]
+        evidence = [p.name for p in result_store_dir.iterdir() if ".conflict" in p.name]
         assert len(evidence) == 1
-        with open(tmp_path / evidence[0], "r", encoding="utf-8") as stream:
+        with open(result_store_dir / evidence[0], "r", encoding="utf-8") as stream:
             losing = json.load(stream)
         assert losing["artifact"] == _artifact(value="9.99")
 
-    def test_cas_counters(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
+    def test_cas_counters(self, result_store_dir):
         key = result_key("fig7", CONFIG, WORKLOADS)
         store_result_cas(key, _artifact(value="1.00"), "fig7")
         store_result_cas(key, _artifact(value="1.00"), "fig7")
@@ -236,15 +239,16 @@ class TestCompareAndSwap:
         assert info["cas_identical"] == 1
         assert info["cas_conflicts"] == 1
 
-    def test_memory_only_cas(self, monkeypatch):
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, "none")
+    def test_memory_only_cas(self):
         key = result_key("fig7", CONFIG, WORKLOADS)
-        assert store_result_cas(key, _artifact(value="1.00"), "fig7")[0] == "stored"
-        assert store_result_cas(key, _artifact(value="1.00"), "fig7")[0] == "identical"
-        status, winner = store_result_cas(key, _artifact(value="2.00"), "fig7")
-        assert status == "conflict"
-        assert winner == _artifact(value="1.00")
-        assert load_result(key, "fig7") == _artifact(value="1.00")
+        with activated(RuntimeConfig(result_cache_dir=None)):
+            assert resolved_result_dir() is None
+            first = store_result_cas(key, _artifact(value="1.00"), "fig7")
+            again = store_result_cas(key, _artifact(value="1.00"), "fig7")
+            status, winner = store_result_cas(key, _artifact(value="2.00"), "fig7")
+            assert (first[0], again[0], status) == ("stored", "identical", "conflict")
+            assert winner == _artifact(value="1.00")
+            assert load_result(key, "fig7") == _artifact(value="1.00")
 
     def test_etag_is_order_insensitive(self):
         from repro.results.store import artifact_etag
@@ -254,10 +258,9 @@ class TestCompareAndSwap:
         assert artifact_etag(artifact) == artifact_etag(reordered)
         assert artifact_etag(artifact) != artifact_etag(_artifact(value="9.99"))
 
-    def test_cas_round_trips_artifact_verbatim(self, tmp_path, monkeypatch):
+    def test_cas_round_trips_artifact_verbatim(self, result_store_dir):
         # Key order of the stored artifact is preserved (the frame
         # payload tests depend on a verbatim round trip).
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
         key = result_key("fig7", CONFIG, WORKLOADS)
         store_result_cas(key, _artifact(), "fig7")
         clear_result_store()
@@ -284,10 +287,9 @@ class TestMultiProcessWriters:
     keys -- no torn entries, no lost entries, one deterministic winner
     per contested key."""
 
-    def test_eight_processes_race_store_and_cas(self, tmp_path, monkeypatch):
+    def test_eight_processes_race_store_and_cas(self, result_store_dir):
         import multiprocessing
 
-        monkeypatch.setenv(RESULT_CACHE_DIR_VARIABLE, str(tmp_path))
         shared_keys = [
             result_key("fig7", {**CONFIG, "instructions": n}, WORKLOADS)
             for n in range(2000, 2006)
@@ -320,7 +322,7 @@ class TestMultiProcessWriters:
         stored = load_result(contested_key, "fig7")
         assert stored["payload"]["mpki"]["NPB"] == values.pop()
         # No torn entries: every surviving file parses, no temporaries.
-        for entry in tmp_path.iterdir():
+        for entry in result_store_dir.iterdir():
             if entry.name.endswith(".tmp"):
                 raise AssertionError(f"leaked temporary {entry.name}")
             if entry.suffix == ".json" or ".conflict" in entry.name:

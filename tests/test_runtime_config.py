@@ -20,35 +20,11 @@ class TestPrecedence:
         for name in rc.ENVIRONMENT_VARIABLES:
             monkeypatch.delenv(name, raising=False)
         config = rc.RuntimeConfig.from_environment()
-        assert config.trace_engine == "compiled"
         assert config.trace_cache_dir is None
         assert config.result_cache_dir is None
         assert config.parallel is False
         assert config.processes is None
         assert config.instructions == rc.DEFAULT_INSTRUCTIONS
-
-    def test_trace_engine(self, monkeypatch):
-        monkeypatch.delenv(rc.TRACE_ENGINE_VARIABLE, raising=False)
-        assert rc.RuntimeConfig.from_environment().trace_engine == "compiled"
-        monkeypatch.setenv(rc.TRACE_ENGINE_VARIABLE, "reference")
-        assert rc.RuntimeConfig.from_environment().trace_engine == "reference"
-        # Explicit beats the environment.
-        assert (
-            rc.RuntimeConfig.from_environment(trace_engine="compiled").trace_engine
-            == "compiled"
-        )
-        # Unknown *environment* spellings resolve to the default engine
-        # (lenient, the historical env-var contract) ...
-        monkeypatch.setenv(rc.TRACE_ENGINE_VARIABLE, "warp-drive")
-        assert rc.RuntimeConfig.from_environment().trace_engine == "compiled"
-        # ... but an unknown *explicit* engine raises: the typed API
-        # must not swallow typos.
-        with pytest.raises(ValueError):
-            rc.RuntimeConfig.from_environment(trace_engine="referense")
-        with pytest.raises(ValueError):
-            rc.RuntimeConfig(trace_engine="bogus")
-        with pytest.raises(ValueError):
-            rc.RuntimeConfig().replace(trace_engine="bogus")
 
     @pytest.mark.parametrize(
         "field,variable",
@@ -125,9 +101,14 @@ class TestPrecedence:
         assert rc.RuntimeConfig.from_environment().processes == 4
         assert rc.RuntimeConfig.from_environment(processes=2).processes == 2
         assert rc.RuntimeConfig.from_environment(processes=None).processes is None
-        # Garbage in the environment falls back to the default.
-        monkeypatch.setenv(rc.PROCESSES_VARIABLE, "many")
-        assert rc.RuntimeConfig.from_environment().processes is None
+        # Garbage or non-positive environment values fall back to the
+        # default; explicit non-positive counts raise.
+        for value in ("many", "0", "-2"):
+            monkeypatch.setenv(rc.PROCESSES_VARIABLE, value)
+            assert rc.RuntimeConfig.from_environment().processes is None, value
+        for count in (0, -2):
+            with pytest.raises(ValueError, match="processes"):
+                rc.RuntimeConfig(processes=count)
 
     def test_instructions(self, monkeypatch):
         monkeypatch.delenv(rc.INSTRUCTIONS_VARIABLE, raising=False)
@@ -160,11 +141,20 @@ class TestPrecedence:
         assert rc.RuntimeConfig.from_environment().executor == "auto"
         monkeypatch.setenv(rc.EXECUTOR_VARIABLE, "processes")
         assert rc.RuntimeConfig.from_environment().executor == "processes"
-        # Explicit beats the environment; names pass through unresolved
-        # (entry points are validated at sweep time, not here).
+        # Explicit beats the environment.
         config = rc.RuntimeConfig.from_environment(executor="serial")
         assert config.executor == "serial"
         assert rc.RuntimeConfig(executor="  ").executor == "auto"
+        assert rc.EXECUTORS == ("auto", "serial", "processes", "queue")
+        for name in rc.EXECUTORS:
+            assert rc.RuntimeConfig(executor=name).executor == name
+        # An unknown environment executor falls back to auto; an
+        # unknown explicit one raises.
+        monkeypatch.setenv(rc.EXECUTOR_VARIABLE, "module:attribute")
+        assert rc.RuntimeConfig.from_environment().executor == "auto"
+        for name in ("warp-drive", "module:attribute"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                rc.RuntimeConfig(executor=name)
 
     def test_retries(self, monkeypatch):
         monkeypatch.delenv(rc.RETRIES_VARIABLE, raising=False)
@@ -269,44 +259,25 @@ class TestPrecedence:
         assert rc.RuntimeConfig.from_environment().fault_plan == document
         assert rc.RuntimeConfig.from_environment(fault_plan=None).fault_plan is None
 
-    def test_execution_knobs_stay_out_of_semantic(self):
-        config = rc.RuntimeConfig(
-            executor="processes",
-            retries=7,
-            item_timeout=3.0,
-            retry_delay=0.2,
-            fault_plan='{"faults": []}',
-        )
-        # Execution policy can never change the numbers, so it can
-        # never change a result key either.
-        assert config.semantic() == rc.RuntimeConfig().semantic()
-
 
 class TestConfigBehaviour:
-    def test_replace_normalizes_cache_dirs_and_engine(self):
+    def test_replace_normalizes_cache_dirs(self):
         config = rc.RuntimeConfig()
         assert config.replace(trace_cache_dir="none").trace_cache_dir is None
         assert config.replace(result_cache_dir="off").result_cache_dir is None
-        assert config.replace(trace_engine="REFERENCE").trace_engine == "reference"
+        with pytest.raises(ValueError, match="unknown executor"):
+            config.replace(executor="bogus")
         kept = config.replace(trace_cache_dir="/tmp/somewhere")
         assert kept.trace_cache_dir == "/tmp/somewhere"
 
     def test_direct_construction_normalizes_too(self):
-        config = rc.RuntimeConfig(
-            trace_engine="Reference", trace_cache_dir="NONE", result_cache_dir=""
-        )
-        assert config.trace_engine == "reference"
+        config = rc.RuntimeConfig(trace_cache_dir="NONE", result_cache_dir="")
         assert config.trace_cache_dir is None
         assert config.result_cache_dir is None
-
-    def test_semantic_excludes_execution_details(self):
-        config = rc.RuntimeConfig(parallel=True, processes=8, instructions=1)
-        assert config.semantic() == {"trace_engine": "compiled"}
 
     def test_describe_covers_every_field(self):
         described = rc.RuntimeConfig().describe()
         assert set(described) == {
-            "trace_engine",
             "trace_cache_dir",
             "result_cache_dir",
             "parallel",
@@ -355,12 +326,6 @@ class TestCacheNamespace:
         monkeypatch.setenv(rc.CACHE_NAMESPACE_VARIABLE, "../escape")
         assert rc.RuntimeConfig.from_environment().cache_namespace is None
 
-    def test_namespace_stays_out_of_semantic(self):
-        # The namespace relocates cache files; it cannot change numbers,
-        # so it must not invalidate content-addressed results.
-        config = rc.RuntimeConfig(cache_namespace="elsewhere")
-        assert config.semantic() == rc.RuntimeConfig().semantic()
-
     def test_accessors_join_the_namespace(self, monkeypatch, tmp_path):
         import os
 
@@ -376,19 +341,21 @@ class TestCacheNamespace:
             assert rc.current_result_cache_dir() == os.path.join(
                 str(tmp_path / "results"), "ns"
             )
-        # Legacy mode joins the environment namespace the same way.
+        # A config resolved from the environment joins its namespace the
+        # same way.
         monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, str(tmp_path / "traces"))
         monkeypatch.setenv(rc.RESULT_CACHE_DIR_VARIABLE, str(tmp_path / "results"))
         monkeypatch.setenv(rc.CACHE_NAMESPACE_VARIABLE, "env-ns")
-        assert rc.current_trace_cache_dir() == os.path.join(
-            str(tmp_path / "traces"), "env-ns"
-        )
-        assert rc.current_result_cache_dir() == os.path.join(
-            str(tmp_path / "results"), "env-ns"
-        )
+        with rc.activated(rc.RuntimeConfig.from_environment()):
+            assert rc.current_trace_cache_dir() == os.path.join(
+                str(tmp_path / "traces"), "env-ns"
+            )
+            assert rc.current_result_cache_dir() == os.path.join(
+                str(tmp_path / "results"), "env-ns"
+            )
         # A namespace without an enabled disk layer stays disabled.
-        monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, "none")
-        assert rc.current_trace_cache_dir() is None
+        with rc.activated(config.replace(trace_cache_dir="none")):
+            assert rc.current_trace_cache_dir() is None
 
     def test_two_namespaces_resolve_to_distinct_paths(self, tmp_path):
         shared = str(tmp_path / "shared")
@@ -412,78 +379,66 @@ class TestCacheNamespace:
         )
         with rc.worker_environment(config):
             # The exported directory is already namespaced, and the
-            # namespace variable is blanked so workers (which resolve it
-            # in legacy mode) cannot join it a second time.
+            # namespace variable is blanked so spawned workers (which
+            # resolve their snapshot from it) cannot join it a second
+            # time.
             assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == os.path.join(
                 str(tmp_path / "traces"), "ns"
             )
             assert rc.read_environment(rc.CACHE_NAMESPACE_VARIABLE) == ""
-            assert rc.current_trace_cache_dir() == os.path.join(
-                str(tmp_path / "traces"), "ns"
-            )
+            spawned = rc.RuntimeConfig.from_environment()
+            with rc.activated(spawned):
+                assert rc.current_trace_cache_dir() == os.path.join(
+                    str(tmp_path / "traces"), "ns"
+                )
         # The parent's own namespace setting is restored afterwards.
         assert rc.read_environment(rc.CACHE_NAMESPACE_VARIABLE) == "parent-ns"
 
 
 class TestActivation:
-    """An activated config wins over the environment, scoped."""
+    """An activated config wins over the process snapshot, scoped."""
 
-    def test_activated_config_overrides_environment(self, monkeypatch, tmp_path):
+    def test_activated_config_overrides_the_snapshot(self, monkeypatch, tmp_path):
+        snapshot, _ = rc.process_snapshot()
+        # The environment is read once: changing it later moves neither
+        # the snapshot nor the accessors.
         monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, str(tmp_path / "env"))
-        monkeypatch.setenv(rc.TRACE_ENGINE_VARIABLE, "reference")
-        config = rc.RuntimeConfig(
-            trace_engine="compiled", trace_cache_dir=str(tmp_path / "mine")
-        )
-        assert rc.current_trace_cache_dir() == str(tmp_path / "env")
-        assert rc.current_trace_engine() == "reference"
+        monkeypatch.setenv(rc.INSTRUCTIONS_VARIABLE, "777")
+        assert rc.current_config() is snapshot
+        assert rc.current_trace_cache_dir() == snapshot.trace_cache_dir
+        config = rc.RuntimeConfig(trace_cache_dir=str(tmp_path / "mine"))
         with rc.activated(config):
-            assert rc.active_config() is config
-            assert rc.current_trace_cache_dir() == str(tmp_path / "mine")
-            assert rc.current_trace_engine() == "compiled"
             assert rc.current_config() is config
-        assert rc.active_config() is None
-        assert rc.current_trace_cache_dir() == str(tmp_path / "env")
-        assert rc.current_trace_engine() == "reference"
+            assert rc.current_trace_cache_dir() == str(tmp_path / "mine")
+        assert rc.current_config() is snapshot
+        assert rc.current_trace_cache_dir() == snapshot.trace_cache_dir
+        assert rc.current_config().instructions == snapshot.instructions
 
     def test_activation_nests_and_restores_on_error(self):
-        outer = rc.RuntimeConfig(trace_engine="reference")
-        inner = rc.RuntimeConfig(trace_engine="compiled")
+        outer = rc.RuntimeConfig(instructions=1_000)
+        inner = rc.RuntimeConfig(instructions=2_000)
         with rc.activated(outer):
             with rc.activated(inner):
-                assert rc.current_trace_engine() == "compiled"
-            assert rc.current_trace_engine() == "reference"
+                assert rc.current_config().instructions == 2_000
+            assert rc.current_config().instructions == 1_000
             with pytest.raises(RuntimeError):
                 with rc.activated(inner):
                     raise RuntimeError("boom")
-            assert rc.active_config() is outer
-        assert rc.active_config() is None
+            assert rc.current_config() is outer
+        assert rc.current_config() is rc.process_snapshot()[0]
 
     def test_worker_environment_exports_and_restores(self, monkeypatch, tmp_path):
         monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, str(tmp_path / "env"))
-        monkeypatch.delenv(rc.TRACE_ENGINE_VARIABLE, raising=False)
-        config = rc.RuntimeConfig(
-            trace_engine="reference", trace_cache_dir=str(tmp_path / "mine")
-        )
+        config = rc.RuntimeConfig(trace_cache_dir=str(tmp_path / "mine"))
         with rc.worker_environment(config):
             assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == str(
                 tmp_path / "mine"
             )
-            assert rc.read_environment(rc.TRACE_ENGINE_VARIABLE) == "reference"
-        # Fully restored: no leak into later legacy-mode resolution.
+        # Fully restored: no leak into configs resolved later.
         assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == str(
             tmp_path / "env"
         )
-        assert rc.read_environment(rc.TRACE_ENGINE_VARIABLE) is None
         # A disabled cache dir is exported as an explicit disable, so
         # workers cannot fall back to an inherited directory.
         with rc.worker_environment(rc.RuntimeConfig()):
             assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == "none"
-
-    def test_export_environment_default(self, monkeypatch):
-        monkeypatch.delenv(rc.PROCESSES_VARIABLE, raising=False)
-        rc.export_environment_default(rc.PROCESSES_VARIABLE, "3")
-        assert rc.read_environment(rc.PROCESSES_VARIABLE) == "3"
-        # An already-set variable is left untouched.
-        rc.export_environment_default(rc.PROCESSES_VARIABLE, "9")
-        assert rc.read_environment(rc.PROCESSES_VARIABLE) == "3"
-        monkeypatch.delenv(rc.PROCESSES_VARIABLE, raising=False)

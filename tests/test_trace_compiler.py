@@ -46,10 +46,9 @@ from repro.trace import (
     compile_schedule,
     layout_program,
 )
-from repro.trace.compiler import TRACE_ENGINE_VARIABLE
+from repro.api.runtime_config import RuntimeConfig, activated
 from repro.workloads import build_workload, get_workload
 from repro.workloads.trace_cache import (
-    TRACE_CACHE_DIR_VARIABLE,
     clear_trace_cache,
     trace_cache_info,
     workload_trace,
@@ -246,36 +245,25 @@ class TestCompiledDeterminism:
         ).run(40_000)
         assert_traces_identical(first, fresh)
 
-    def test_engine_env_variable_selects_reference(self, monkeypatch):
-        spec = get_workload("MG")
-        monkeypatch.setenv(TRACE_ENGINE_VARIABLE, "reference")
-        clear_trace_cache()
-        reference = workload_trace(spec, 30_000)
-        monkeypatch.setenv(TRACE_ENGINE_VARIABLE, "compiled")
-        clear_trace_cache()
-        compiled = workload_trace(spec, 30_000)
-        assert_traces_identical(reference, compiled)
-        clear_trace_cache()
-
-    def test_identical_across_cache_layers(self, tmp_path, monkeypatch):
+    def test_identical_across_cache_layers(self, tmp_path):
         """In-process vs .npz reload vs freshly compiled agree exactly."""
         spec = get_workload("SP")
-        monkeypatch.setenv(TRACE_CACHE_DIR_VARIABLE, str(tmp_path))
         clear_trace_cache()
-        generated = workload_trace(spec, 25_000)
-        assert trace_cache_info()["disk_stores"] == 1
+        with activated(RuntimeConfig(trace_cache_dir=str(tmp_path))):
+            generated = workload_trace(spec, 25_000)
+            assert trace_cache_info()["disk_stores"] == 1
 
-        in_process = workload_trace(spec, 25_000)
-        assert in_process is generated  # memory layer returns the object
+            in_process = workload_trace(spec, 25_000)
+            assert in_process is generated  # memory layer returns the object
+
+            clear_trace_cache()
+            reloaded = workload_trace(spec, 25_000)  # comes back from .npz
+            assert trace_cache_info()["disk_hits"] == 1
+            assert_traces_identical(generated, reloaded)
 
         clear_trace_cache()
-        reloaded = workload_trace(spec, 25_000)  # comes back from .npz
-        assert trace_cache_info()["disk_hits"] == 1
-        assert_traces_identical(generated, reloaded)
-
-        monkeypatch.setenv(TRACE_CACHE_DIR_VARIABLE, "none")
-        clear_trace_cache()
-        recompiled = workload_trace(spec, 25_000)  # freshly compiled
+        with activated(RuntimeConfig(trace_cache_dir=None)):
+            recompiled = workload_trace(spec, 25_000)  # freshly compiled
         assert trace_cache_info()["disk_hits"] == 0
         assert_traces_identical(generated, recompiled)
         clear_trace_cache()
