@@ -436,6 +436,77 @@ class TestCliSession:
         assert cli.main(["fig6", "--instructions", "20000"]) == 0
         assert captured["config"].instructions == 20000
 
+    def test_cli_run_defaults_the_per_user_result_store(self, monkeypatch, tmp_path):
+        """An unset REPRO_RESULT_CACHE_DIR becomes the per-user store in
+        the CLI's one session; the trace cache keeps its own setting."""
+        import repro.cli as cli
+        from repro.api import runtime_config as rc
+        from repro.api import session as session_module
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.delenv(rc.RESULT_CACHE_DIR_VARIABLE, raising=False)
+        monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, "none")
+        captured = {}
+        original = session_module.Session
+
+        class Probe(original):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                captured.setdefault("config", self.config)
+
+        monkeypatch.setattr(session_module, "Session", Probe)
+        assert cli.main(["table3", "--instructions", "6000"]) == 0
+        assert captured["config"].result_cache_dir == rc.default_result_cache_dir()
+        assert captured["config"].trace_cache_dir is None
+
+    @staticmethod
+    def _run_worker(monkeypatch, tmp_path):
+        """Run ``repro-frontend worker`` with ``serve_queue`` replaced by
+        a probe; return what the probe saw."""
+        import repro.cli as cli
+        from repro.api import runtime_config as rc
+        from repro.exec import queue as queue_module
+
+        seen = {}
+
+        def probe(queue_dir, max_idle=30.0, poll=0.2):
+            seen["queue_dir"] = queue_dir
+            seen["config"] = rc.current_config()
+            seen["session"] = current_session()
+            counters = ("completed", "reclaims", "duplicates", "conflicts", "poisoned")
+            return dict.fromkeys(counters, 0)
+
+        monkeypatch.setattr(queue_module, "serve_queue", probe)
+        queue_dir = str(tmp_path / "queue")
+        assert cli.main(["worker", "--queue-dir", queue_dir, "--max-idle", "0"]) == 0
+        assert seen["queue_dir"] == queue_dir == seen["config"].queue_dir
+        assert seen["session"].config is seen["config"]
+        return seen["config"]
+
+    def test_worker_serves_under_both_shared_cache_defaults(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.api import runtime_config as rc
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.delenv(rc.TRACE_CACHE_DIR_VARIABLE, raising=False)
+        monkeypatch.delenv(rc.RESULT_CACHE_DIR_VARIABLE, raising=False)
+        config = self._run_worker(monkeypatch, tmp_path)
+        assert config.trace_cache_dir == rc.default_trace_cache_dir()
+        assert config.result_cache_dir == rc.default_result_cache_dir()
+
+    def test_worker_keeps_cache_settings_the_environment_names(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.api import runtime_config as rc
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, "none")
+        monkeypatch.setenv(rc.RESULT_CACHE_DIR_VARIABLE, str(tmp_path / "results"))
+        config = self._run_worker(monkeypatch, tmp_path)
+        assert config.trace_cache_dir is None
+        assert config.result_cache_dir == str(tmp_path / "results")
+
 
 class TestLegacyShimsRemoved:
     def test_common_no_longer_exports_sweep_shims(self):

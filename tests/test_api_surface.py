@@ -99,6 +99,20 @@ class TestPublicSurface:
             "seed",
         ]
 
+    def test_only_runtime_config_reads_the_environment(self):
+        # REPRO_* is resolved once per Session or per process; no other
+        # module may consult the process environment behind its back.
+        package = pathlib.Path(repro.api.__file__).resolve().parent.parent
+        readers = sorted(
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            if any(
+                needle in path.read_text(encoding="utf-8")
+                for needle in ("os.environ", "getenv(")
+            )
+        )
+        assert readers == ["api/runtime_config.py"]
+
     def test_session_method_signatures(self):
         def parameters(callable_):
             return list(inspect.signature(callable_).parameters)

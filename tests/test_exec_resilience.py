@@ -345,6 +345,19 @@ class TestExecutorResolution:
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("warp-drive")
 
+    @pytest.mark.parametrize("name", ["serial", "processes", "queue"])
+    def test_builtin_executors_resolve_by_name(self, name):
+        assert resolve_executor(name).name == name
+
+    @pytest.mark.parametrize(
+        "name", ["auto", "repro.exec.executors:SerialExecutor"]
+    )
+    def test_only_concrete_builtin_names_resolve(self, name):
+        # "auto" is resolved by the session before lookup, and an
+        # importable module:attribute reference is not an executor name.
+        with pytest.raises(ValueError, match="unknown executor"):
+            resolve_executor(name)
+
 
 class TestFaultPlans:
     def test_plan_round_trips_through_json(self):

@@ -90,6 +90,28 @@ class TestOrchestratedRuns:
         report = run_experiments(["fig6"], instructions=TINY * 2)
         assert report.counts()["computed"] == 1
 
+    def test_execution_knobs_never_change_a_key(self):
+        """Parallelism, executors, retries, fault plans and the cache
+        namespace cannot change the numbers, so a run under any of them
+        is served the same store entries."""
+        from repro.api.runtime_config import RuntimeConfig, activated
+
+        spec = get_spec("fig6")
+        plain = experiment_key(spec, TINY)
+        busy = RuntimeConfig(
+            parallel=True,
+            processes=3,
+            executor="processes",
+            retries=7,
+            item_timeout=3.0,
+            retry_delay=0.2,
+            fault_plan='{"faults": []}',
+            cache_namespace="elsewhere",
+        )
+        with activated(busy):
+            assert experiment_key(spec, TINY) == plain
+        assert experiment_key(spec, TINY * 2) != plain
+
     def test_fig11_derives_from_fig10_bit_identically(self):
         report = run_experiments(["fig10", "fig11"], instructions=TINY)
         assert report.outcome("fig10").status == "computed"
