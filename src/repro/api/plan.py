@@ -26,7 +26,7 @@ tooling) can hold any of them behind one interface:
     plans that compute directly alias :meth:`execute`.
 ``outcome() -> PlanOutcome``
     Run the plan and return the frame together with its provenance:
-    the plan kind, the content-addressed store/journal key, and
+    the plan kind, the plan's content-addressed key, and
     whether the result was served from the store (``"cached"``) or
     computed this run.
 
@@ -107,8 +107,8 @@ class PlanOutcome:
         The plan flavour (``"frontend-sweep"``, ``"experiments"``,
         ``"explore"``).
     ``key``
-        The plan's content-addressed store/journal key -- the identity
-        a rerun would resolve against.
+        The plan's content-addressed key -- the identity a rerun would
+        resolve against.
     ``status``
         ``"cached"`` when the result was served entirely from the
         store, ``"computed"`` otherwise (orchestrator statuses such as
@@ -212,14 +212,12 @@ class FrontendSweepPlan(Plan):
             "runtime": self.session.config.describe(),
         }
 
-    def journal_scope(self) -> str:
-        """Content-addressed checkpoint scope of this sweep.
+    def key(self) -> str:
+        """Content address of this sweep (the :class:`PlanOutcome` key).
 
         A digest of the plan's full provenance via
-        :func:`repro.results.store.result_key` -- which also folds in
-        the package source fingerprint -- so an interrupted
-        ``execute()`` resumes per-item checkpoints only when the code
-        and the plan are both unchanged.
+        :func:`repro.results.store.result_key`, which also folds in the
+        package source fingerprint.
         """
         import dataclasses
 
@@ -242,9 +240,7 @@ class FrontendSweepPlan(Plan):
             for spec in self.workloads
         ]
         prime = [(spec, self.instructions, self.seed) for spec in self.workloads]
-        results = self.session.map(
-            _sweep_worker, arguments, prime=prime, journal_scope=self.journal_scope()
-        )
+        results = self.session.map(_sweep_worker, arguments, prime=prime)
         rows: List[List[Any]] = []
         for spec, by_key in zip(self.workloads, results):
             for section in self.sections:
@@ -259,14 +255,14 @@ class FrontendSweepPlan(Plan):
         )
 
     def outcome(self) -> PlanOutcome:
-        """Execute and return the sweep frame with its journal key.
+        """Execute and return the sweep frame with its key.
 
-        Sweep plans checkpoint per-workload rather than store whole
-        results, so the status is always ``"computed"``.
+        Sweep plans are not stored as whole results, so the status is
+        always ``"computed"``.
         """
         return PlanOutcome(
             kind="frontend-sweep",
-            key=self.journal_scope(),
+            key=self.key(),
             status="computed",
             frame=self.execute(),
             details={

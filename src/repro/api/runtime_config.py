@@ -57,10 +57,6 @@ EXECUTOR_VARIABLE = "REPRO_EXECUTOR"
 #: sweeps (transient failures and worker deaths).
 RETRIES_VARIABLE = "REPRO_RETRIES"
 
-#: Environment variable fixing the per-item timeout (seconds) of
-#: supervised sweeps (unset or non-positive: unlimited).
-ITEM_TIMEOUT_VARIABLE = "REPRO_ITEM_TIMEOUT"
-
 #: Environment variable fixing the base retry backoff delay (seconds).
 RETRY_DELAY_VARIABLE = "REPRO_RETRY_DELAY"
 
@@ -75,9 +71,9 @@ FAULT_PLAN_VARIABLE = "REPRO_FAULT_PLAN"
 CACHE_NAMESPACE_VARIABLE = "REPRO_CACHE_NAMESPACE"
 
 #: Environment variable naming the durable work-queue directory used by
-#: the ``queue`` executor (unset/``none``: a private per-campaign
-#: temporary directory; a shared path is what lets external workers
-#: cooperate on the same campaign).
+#: the ``queue`` executor (unset/``none``: ``<result store>/queue``, or
+#: a private per-campaign temporary directory without a result store; a
+#: shared path is what lets external workers cooperate on a campaign).
 QUEUE_DIR_VARIABLE = "REPRO_QUEUE_DIR"
 
 #: Environment variable fixing the queue lease time-to-live in seconds:
@@ -109,7 +105,6 @@ ENVIRONMENT_VARIABLES: Tuple[str, ...] = (
     INSTRUCTIONS_VARIABLE,
     EXECUTOR_VARIABLE,
     RETRIES_VARIABLE,
-    ITEM_TIMEOUT_VARIABLE,
     RETRY_DELAY_VARIABLE,
     FAULT_PLAN_VARIABLE,
     CACHE_NAMESPACE_VARIABLE,
@@ -126,12 +121,12 @@ ENVIRONMENT_VARIABLES: Tuple[str, ...] = (
 #: accepts an ``instructions`` override.
 DEFAULT_INSTRUCTIONS = 150_000
 
-#: The default sweep executor: ``auto`` resolves to ``processes`` for
+#: The default sweep executor: ``auto`` resolves to ``queue`` for
 #: parallel sweeps and ``serial`` otherwise (see :mod:`repro.exec`).
 DEFAULT_EXECUTOR = "auto"
 
 #: The sweep executors a config may name (see :mod:`repro.exec`).
-EXECUTORS = ("auto", "serial", "processes", "queue")
+EXECUTORS = ("auto", "serial", "queue")
 
 #: Default per-item retry count of supervised sweeps.
 DEFAULT_RETRIES = 2
@@ -300,13 +295,10 @@ class RuntimeConfig:
     processes: Optional[int] = None
     #: Default dynamic trace length per workload.
     instructions: int = DEFAULT_INSTRUCTIONS
-    #: Sweep executor: ``"auto"``, ``"serial"``, ``"processes"`` or
-    #: ``"queue"``.
+    #: Sweep executor: ``"auto"``, ``"serial"`` or ``"queue"``.
     executor: str = DEFAULT_EXECUTOR
     #: Per-item retries of supervised sweeps (0 disables retrying).
     retries: int = DEFAULT_RETRIES
-    #: Per-item timeout in seconds (``None``/non-positive: unlimited).
-    item_timeout: Optional[float] = None
     #: Base backoff delay between retries, in seconds.
     retry_delay: float = DEFAULT_RETRY_DELAY
     #: Deterministic fault-injection plan: inline JSON or a file path
@@ -316,7 +308,7 @@ class RuntimeConfig:
     #: directories, isolating concurrent sessions (``None``: none).
     cache_namespace: Optional[str] = None
     #: Durable work-queue directory for the ``queue`` executor
-    #: (``None``: a private per-campaign temporary directory).
+    #: (``None``: see :func:`current_queue_dir`).
     queue_dir: Optional[str] = None
     #: Queue lease time-to-live in seconds: heartbeat silence beyond
     #: this and the reaper reclaims the item.
@@ -347,15 +339,6 @@ class RuntimeConfig:
             raise ValueError(f"instructions must be >= 1, got {self.instructions}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        timeout = self.item_timeout
-        if timeout is not None:
-            timeout = float(timeout)
-            if timeout <= 0:
-                raise ValueError(
-                    f"item_timeout must be positive (or None for unlimited), "
-                    f"got {self.item_timeout!r}"
-                )
-        object.__setattr__(self, "item_timeout", timeout)
         retry_delay = float(self.retry_delay)
         if retry_delay <= 0:
             raise ValueError(
@@ -411,7 +394,6 @@ class RuntimeConfig:
         instructions: Union[int, Any] = _UNSET,
         executor: Union[str, Any] = _UNSET,
         retries: Union[int, Any] = _UNSET,
-        item_timeout: Union[float, None, Any] = _UNSET,
         retry_delay: Union[float, Any] = _UNSET,
         fault_plan: Union[str, None, Any] = _UNSET,
         cache_namespace: Union[str, None, Any] = _UNSET,
@@ -469,12 +451,6 @@ class RuntimeConfig:
                 resolved_retries = DEFAULT_RETRIES
         else:
             resolved_retries = int(retries)
-        if item_timeout is _UNSET:
-            # Environment values stay lenient (the historical env-var
-            # contract): a non-positive timeout means "unlimited".
-            item_timeout = _env_float(ITEM_TIMEOUT_VARIABLE, None)
-            if item_timeout is not None and item_timeout <= 0:
-                item_timeout = None
         if retry_delay is _UNSET:
             resolved_retry_delay = _env_float(RETRY_DELAY_VARIABLE, None)
             if resolved_retry_delay is None or resolved_retry_delay <= 0:
@@ -525,7 +501,6 @@ class RuntimeConfig:
             instructions=int(resolved_instructions),
             executor=str(executor),
             retries=resolved_retries,
-            item_timeout=item_timeout,
             retry_delay=resolved_retry_delay,
             fault_plan=fault_plan,
             cache_namespace=cache_namespace,
@@ -666,5 +641,14 @@ def current_result_cache_dir() -> Optional[str]:
 
 
 def current_queue_dir() -> Optional[str]:
-    """Current work-queue directory, or ``None`` (ephemeral campaigns)."""
-    return current_config().queue_dir
+    """Current work-queue directory, or ``None`` (ephemeral campaigns).
+
+    The config's ``queue_dir``, else ``queue`` under the result store,
+    so a killed parallel sweep resumes item by item wherever results
+    persist.
+    """
+    config = current_config()
+    if config.queue_dir is not None:
+        return config.queue_dir
+    store = current_result_cache_dir()
+    return os.path.join(store, "queue") if store is not None else None

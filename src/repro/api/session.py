@@ -16,12 +16,12 @@ default) -- and exposes the pipeline behind typed methods::
 Execution primitives
 --------------------
 :meth:`Session.map` is the sweep engine every experiment driver routes
-through: serial by default, fanned out over the supervised executors of
+through: serial by default, fanned out over the durable work queue of
 :mod:`repro.exec` when the session's config (or the caller) says so --
-with per-item retries, timeouts, checkpoint journaling, and structured
-failure reports -- and the shared disk trace cache primed first exactly
-like the historical module-level sweep.  While a session executes, its
-config is *activated*
+with per-item retries, worker replacement, resume of killed campaigns,
+and structured failure reports -- and the shared disk trace cache
+primed first exactly like the historical module-level sweep.  While a
+session executes, its config is *activated*
 (see :func:`repro.api.runtime_config.activated`) so every layer below
 -- cache directories, the result store, the executor -- sees one
 consistent snapshot instead of re-reading the environment.
@@ -404,7 +404,6 @@ class Session:
         parallel: Optional[bool] = None,
         processes: Optional[int] = None,
         prime: Optional[Sequence] = None,
-        journal_scope: Optional[str] = None,
     ) -> List:
         """Run a per-workload sweep worker over its argument tuples.
 
@@ -420,7 +419,6 @@ class Session:
             parallel=parallel,
             processes=processes,
             prime=prime,
-            journal_scope=journal_scope,
         ).values()
 
     def map_report(
@@ -430,30 +428,27 @@ class Session:
         parallel: Optional[bool] = None,
         processes: Optional[int] = None,
         prime: Optional[Sequence] = None,
-        journal_scope: Optional[str] = None,
     ):
         """Run a sweep under supervision; return the full SweepReport.
 
         The execution policy comes from the session's config unless the
         caller overrides it: the ``executor`` knob selects the engine
-        (``"auto"``: the supervised process pool when parallel, serial
-        in-process otherwise), with per-item retries, timeouts, and
-        fault injection from the config.  Before a process executor
-        spawns workers, the shared disk trace cache is primed under the
-        session's ``trace_cache_dir`` -- which a parallel run of a
-        session built without any trace-cache setting defaults to the
-        per-user directory.
+        (``"auto"``: the work queue when parallel, serial in-process
+        otherwise), with per-item retries and fault injection from the
+        config.  Before the queue spawns workers, the shared disk trace
+        cache is primed under the session's ``trace_cache_dir`` -- which
+        a parallel run of a session built without any trace-cache
+        setting defaults to the per-user directory.  Queue campaigns
+        live under the config's ``queue_dir``, else under the result
+        store, so a killed sweep rerun with the same store replays the
+        items already published and computes only the rest.
 
         ``prime`` names the traces to pre-generate as ``(spec,
         instructions, seed)`` triples; when omitted they are inferred
         from conventionally shaped ``(spec, instructions, [seed,] ...)``
-        argument tuples.  ``journal_scope`` (or the ambient scope the
-        orchestrator activates) enables per-item checkpointing: a
-        killed sweep rerun under the same scope replays completed items
-        from disk and computes only the missing ones.
+        argument tuples.
         """
         from repro.exec import executors as exec_executors
-        from repro.exec import journal as exec_journal
         from repro.exec.faults import FaultPlan
 
         config = self.config
@@ -461,7 +456,7 @@ class Session:
         worker_count = config.processes if processes is None else processes
         executor_name = config.executor
         if executor_name == "auto":
-            executor_name = "processes" if use_parallel else "serial"
+            executor_name = "queue" if use_parallel else "serial"
         if (
             use_parallel
             and config.trace_cache_dir is None
@@ -475,7 +470,6 @@ class Session:
         settings = exec_executors.ExecutionSettings(
             processes=worker_count,
             retries=config.retries,
-            item_timeout=config.item_timeout,
             retry_delay=config.retry_delay,
             fault_plan=FaultPlan.from_spec(config.fault_plan),
             queue_dir=config.queue_dir,
@@ -484,15 +478,9 @@ class Session:
         )
         executor = exec_executors.resolve_executor(executor_name)
         with self._activated_as(config):
-            scope = (
-                journal_scope
-                if journal_scope is not None
-                else exec_journal.active_journal_scope()
-            )
-            journal = exec_journal.journal_for_scope(scope)
             if executor.name == "serial":
                 return exec_executors.execute_items(
-                    worker, arguments, settings, executor, journal
+                    worker, arguments, settings, executor
                 )
             if prime is None:
                 prime = _default_prime_keys(arguments)
@@ -503,7 +491,7 @@ class Session:
                 if config.trace_cache_dir is not None:
                     _prime_shared_traces(prime, worker_count)
                 return exec_executors.execute_items(
-                    worker, arguments, settings, executor, journal
+                    worker, arguments, settings, executor
                 )
 
     def workload_sweep(

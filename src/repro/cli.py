@@ -111,8 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=rc.EXECUTORS,
         default=None,
-        help="sweep executor: 'auto' (default), 'serial', 'processes', or "
-        "'queue' (durable work queue) (REPRO_EXECUTOR)",
+        help="sweep executor: 'auto' (default: 'queue' with --parallel, "
+        "else 'serial'), 'serial', or 'queue' (durable work queue) "
+        "(REPRO_EXECUTOR)",
     )
     parser.add_argument(
         "--queue-dir",
@@ -452,7 +453,7 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             ExperimentOutcome(
                 name="explore",
                 title=artifact["title"],
-                key=plan.journal_scope(),
+                key=plan.key(),
                 status=status,
                 artifact=artifact,
             )
@@ -516,18 +517,11 @@ def _report_experiment(outcome, before: Dict[str, Dict[str, int]]) -> None:
         f"{profiles.get('misses', 0)} misses",
         file=sys.stderr,
     )
-    # Execution-layer activity (sweep journal, queue leases, CAS):
-    # silent on a plain serial run, one extra line when anything moved.
-    journal = deltas.get("journal", {})
+    # Execution-layer activity (queue leases, CAS): silent on a plain
+    # serial run, one extra line when anything moved.
     lease_counts = deltas.get("leases", {})
     queue = deltas.get("queue", {})
     extras = []
-    if any(journal.values()):
-        extras.append(
-            f"journal: {journal.get('records', 0)} records, "
-            f"{journal.get('replays', 0)} replays, "
-            f"{journal.get('quarantined', 0)} quarantined"
-        )
     if any(lease_counts.values()):
         extras.append(
             f"leases: {lease_counts.get('acquired', 0)} acquired, "

@@ -2,13 +2,13 @@
 
 A :class:`FaultPlan` is a list of :class:`Fault` entries, each pinned
 to an exact ``(item index, attempt)`` site, so a test (or a chaos run)
-states *precisely* which item dies, raises, hangs, or has a cache file
+states *precisely* which item dies, raises, or has a cache file
 truncated underneath it -- no probabilities, no flakiness.  Plans are
 activated through :class:`~repro.api.runtime_config.RuntimeConfig`
 (``fault_plan=...`` / ``REPRO_FAULT_PLAN``) as either an inline JSON
-document or a path to one, and the supervised executors hand the
-serialized plan to every worker process at spawn, so injection works
-identically on fork and spawn platforms.
+document or a path to one, and travel with the queue campaign's
+settings to every worker that serves it, so injection works
+identically on fork and spawn platforms and in external workers.
 
 Fault kinds:
 
@@ -19,8 +19,6 @@ Fault kinds:
     taken down by its own fault plan.
 ``raise``
     A transient exception (:class:`InjectedFault`) -- the retry path.
-``hang``
-    The worker sleeps ``seconds`` -- the per-item timeout path.
 ``truncate``
     The first (sorted) file matching ``target`` under the active trace
     cache or result store directory is cut in half -- the
@@ -50,7 +48,6 @@ from __future__ import annotations
 import fnmatch
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -58,7 +55,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 FAULT_KINDS = (
     "kill",
     "raise",
-    "hang",
     "truncate",
     "stale-lease",
     "double-claim",
@@ -98,7 +94,7 @@ class Fault:
     kind: str
     index: int
     attempt: int = 1
-    #: ``hang``: how long the worker sleeps.
+    #: ``double-claim`` / ``slow-heartbeat``: how long the worker stalls.
     seconds: float = 60.0
     #: ``raise``: the exception message.
     message: str = "injected transient fault"
@@ -125,7 +121,7 @@ class Fault:
             "index": self.index,
             "attempt": self.attempt,
         }
-        if self.kind in ("hang", "double-claim", "slow-heartbeat"):
+        if self.kind in ("double-claim", "slow-heartbeat"):
             entry["seconds"] = self.seconds
         if self.kind == "raise":
             entry["message"] = self.message
@@ -203,8 +199,6 @@ class FaultPlan:
         for fault in self.at(index, attempt):
             if fault.kind == "truncate":
                 _truncate_target(fault)
-            elif fault.kind == "hang":
-                time.sleep(fault.seconds)
             elif fault.kind == "kill":
                 if allow_exit:
                     os._exit(KILL_EXIT_CODE)

@@ -33,7 +33,8 @@ import time
 import uuid
 from typing import Any, Dict, Optional
 
-from repro.exec.journal import quarantine_entry
+#: Suffix appended to quarantined (unreadable) entries.
+CORRUPT_SUFFIX = ".corrupt"
 
 _STATS = {
     "acquired": 0,
@@ -62,6 +63,28 @@ def reset_lease_info() -> None:
     with _STATS_LOCK:
         for counter in _STATS:
             _STATS[counter] = 0
+
+
+def quarantine_entry(path: str, suffix: str = CORRUPT_SUFFIX) -> Optional[str]:
+    """Rename a file to ``<path><suffix>`` (``*.corrupt`` by default).
+
+    Shared by the leases, the queue, the disk trace cache, and the
+    result store: damaged bytes (or a failed item's outcome) are
+    preserved as evidence -- with a numeric suffix when a previous
+    quarantine already claimed the name -- and the caller counts and
+    recomputes.  Returns the quarantine path, or ``None`` when the
+    rename itself failed (the entry is then left in place).
+    """
+    destination = path + suffix
+    attempt = 0
+    while os.path.exists(destination):
+        attempt += 1
+        destination = f"{path}{suffix}.{attempt}"
+    try:
+        os.replace(path, destination)
+    except OSError:
+        return None
+    return destination
 
 
 def new_owner_id() -> str:

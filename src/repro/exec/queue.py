@@ -35,10 +35,11 @@ Robustness properties, each deterministically testable through the
 * An item whose worker dies more often than the retry budget is moved
   to ``poison/`` with a typed report and published as a ``poison``
   result, so one bad item can never wedge a campaign.
-* The campaign directory is content-addressed from the item keys, so a
-  killed supervisor resumed from *any* process re-derives the same
-  campaign, replays the published results, and re-runs only what is
-  missing.
+* The campaign directory is content-addressed from the package source
+  and the item keys, so a killed supervisor resumed from *any* process
+  running the same code re-derives the same campaign, replays the
+  published successes, and re-runs only the rest -- failed items
+  included, whose outcomes are set aside as ``*.failed`` evidence.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import hashlib
 import importlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import shutil
@@ -61,7 +63,7 @@ from repro.exec.executors import (
     ExecutionSettings,
     Executor,
     RunOutcome,
-    _notify,
+    _worker_main,
 )
 from repro.exec.faults import (
     QUEUE_FAULT_KINDS,
@@ -69,7 +71,7 @@ from repro.exec.faults import (
     KILL_EXIT_CODE,
     SimulatedWorkerDeath,
 )
-from repro.exec.journal import item_key, quarantine_entry
+from repro.exec.leases import quarantine_entry
 from repro.exec.results import (
     STATUS_ERROR,
     STATUS_OK,
@@ -79,7 +81,8 @@ from repro.exec.results import (
     describe_exception,
 )
 
-#: How often the supervisor and idle workers rescan the queue.
+#: How often idle workers rescan the queue, and how long the supervisor
+#: waits for a publication before it rescans ``done/`` and reaps.
 QUEUE_POLL = 0.05
 
 #: Campaign directory name prefix (content-addressed suffix).
@@ -95,6 +98,10 @@ POISON_DIR = "poison"
 ITEM_SUFFIX = ".item"
 LEASE_SUFFIX = ".lease"
 RESULT_SUFFIX = ".result"
+
+#: Suffix of a failed outcome (and its failure ledger) set aside when a
+#: rerun enqueues the item again.
+FAILED_SUFFIX = ".failed"
 
 _STATS = {
     "enqueued": 0,
@@ -125,6 +132,19 @@ def reset_queue_info() -> None:
     with _STATS_LOCK:
         for counter in _STATS:
             _STATS[counter] = 0
+
+
+def item_key(worker: Callable, index: int, args: Any) -> str:
+    """Content address of one sweep item.
+
+    Digests the worker's qualified name, the item's position, and the
+    ``repr`` of its argument tuple -- all deterministic across
+    processes (the arguments are frozen dataclasses, enums, and
+    scalars) -- so a resumed run derives the same key for the same
+    item and a changed argument derives a different one.
+    """
+    material = f"{worker.__module__}.{worker.__qualname__}|{index}|{args!r}"
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 def worker_reference(worker: Callable) -> Optional[str]:
@@ -256,14 +276,19 @@ class Campaign:
 
 
 def campaign_digest(keys: Sequence[str]) -> str:
-    """Content address of a campaign: a digest of its item keys.
+    """Content address of a campaign: the package source and its item keys.
 
-    The item keys already fold in the worker's qualified name and every
+    The item keys fold in the worker's qualified name and every
     argument, so the same sweep re-enqueued from any process (a resumed
     supervisor included) derives the same campaign directory, and a
-    different sweep can never collide with it.
+    different sweep can never collide with it.  The source fingerprint
+    (:func:`repro.results.store.code_fingerprint`) keeps a campaign
+    killed under one version of the code from replaying its values
+    into a run of another.
     """
-    material = "\n".join(keys)
+    from repro.results.store import code_fingerprint
+
+    material = "\n".join([code_fingerprint(), *keys])
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
@@ -354,6 +379,20 @@ def enqueue_campaign(
         worker=worker,
         settings=settings,
     )
+    _create_layout(campaign)
+    enqueued = 0
+    for (index, args), name in zip(items, campaign.names):
+        if os.path.exists(campaign.result_path(name)):
+            continue
+        if not os.path.exists(campaign.item_path(name)):
+            _write_item(campaign, name, index, args)
+            enqueued += 1
+    _count("enqueued", enqueued)
+    return campaign
+
+
+def _create_layout(campaign: Campaign) -> None:
+    """Create a campaign's directories and manifest (idempotent)."""
     for directory in (
         campaign.items_dir,
         campaign.leases_dir,
@@ -362,30 +401,25 @@ def enqueue_campaign(
         campaign.poison_dir,
     ):
         os.makedirs(directory, exist_ok=True)
-    manifest_path = os.path.join(root, CAMPAIGN_FILE)
+    manifest_path = os.path.join(campaign.root, CAMPAIGN_FILE)
     if not os.path.exists(manifest_path):
         manifest = {
             "version": 1,
-            "worker": worker_reference(worker),
+            "worker": worker_reference(campaign.worker),
             "total": len(campaign.names),
-            "settings": _settings_wire(settings),
+            "settings": _settings_wire(campaign.settings),
         }
         _atomic_write(
             manifest_path, json.dumps(manifest, sort_keys=True).encode("utf-8")
         )
-    enqueued = 0
-    for (index, args), name in zip(items, campaign.names):
-        if os.path.exists(campaign.result_path(name)):
-            continue
-        item_path = campaign.item_path(name)
-        if not os.path.exists(item_path):
-            _atomic_write(
-                item_path,
-                pickle.dumps((index, args), protocol=pickle.HIGHEST_PROTOCOL),
-            )
-            enqueued += 1
-    _count("enqueued", enqueued)
-    return campaign
+
+
+def _write_item(campaign: Campaign, name: str, index: int, args: Any) -> None:
+    """Materialize one pending work unit as ``items/<name>.item``."""
+    _atomic_write(
+        campaign.item_path(name),
+        pickle.dumps((index, args), protocol=pickle.HIGHEST_PROTOCOL),
+    )
 
 
 def enqueue_item(
@@ -650,6 +684,8 @@ class QueueWorker:
     worker exit when its supervisor dies, so a SIGKILLed run never
     leaves orphans silently draining the queue; external CLI workers
     pass no parent and keep serving across supervisor restarts.
+    ``announce`` (supervisor-spawned workers) is a connection on which
+    the name of every item this worker publishes is sent.
     """
 
     def __init__(
@@ -659,20 +695,30 @@ class QueueWorker:
         allow_exit: bool = False,
         parent_pid: Optional[int] = None,
         poll: float = QUEUE_POLL,
+        announce: Optional[multiprocessing.connection.Connection] = None,
     ) -> None:
         self.campaign = campaign
         self.owner = owner or leases.new_owner_id()
         self.allow_exit = allow_exit
         self.parent_pid = parent_pid
         self.poll = poll
+        self.announce = announce
         self.reaper = leases.Reaper(campaign.settings.lease_ttl)
+        # A SIGKILLed supervisor that its own parent has not reaped yet
+        # is a zombie, which still answers kill(pid, 0); the worker is
+        # reparented the moment it dies, though.  (Under forkserver the
+        # parent is the fork server, not the supervisor, so the two pids
+        # are never compared.)
+        self._start_ppid = os.getppid()
 
     # -- lifecycle ----------------------------------------------------
 
     def parent_alive(self) -> bool:
         if self.parent_pid is None:
             return True
-        return leases._pid_alive(self.parent_pid)
+        return os.getppid() == self._start_ppid and leases._pid_alive(
+            self.parent_pid
+        )
 
     def drain(self) -> int:
         """Serve the campaign until it is fully resolved.
@@ -811,6 +857,16 @@ class QueueWorker:
             pass
         leases.release(self.campaign.lease_path(name), self.owner)
         self.reaper.forget(self.campaign.lease_path(name))
+        self._announce(name)
+
+    def _announce(self, name: str) -> None:
+        """Tell the supervisor that ``name`` has a published outcome."""
+        if self.announce is None:
+            return
+        try:
+            self.announce.send(name)
+        except (OSError, ValueError):
+            self.announce = None  # The supervisor is gone; it rescans anyway.
 
     def _apply_queue_faults(
         self, plan: FaultPlan, name: str, index: int, attempt: int, heartbeat: _Heartbeat
@@ -864,6 +920,7 @@ class QueueWorker:
         counts = _ledger_counts(ledger)
         if counts["reclaim"] + counts["death"] > self.campaign.settings.retries:
             poison_item(self.campaign, name, ledger, self.owner)
+            self._announce(name)
             return True
         return False
 
@@ -917,28 +974,22 @@ class QueueWorker:
         return reclaimed
 
 
-def _spawned_worker_main(worker, root: str, parent_pid: int) -> None:
-    """Entry point of a supervisor-spawned local queue worker."""
-    try:
-        campaign = open_campaign(root, worker=worker)
-    except (OSError, ValueError):
-        return
-    QueueWorker(campaign, allow_exit=True, parent_pid=parent_pid).drain()
-
-
 class QueueExecutor(Executor):
-    """Durable work-queue execution behind the standard executor interface.
+    """Durable work-queue execution: the one parallel executor.
 
     The supervisor enqueues the campaign, spawns local queue workers
     (any external ``repro-frontend worker`` processes pointed at the
-    same queue directory simply join in), collects published results,
-    reaps stale leases, and -- like the process executor -- degrades to
-    in-process draining when no worker can be spawned at all.
+    same queue directory simply join in), and loads each result the
+    moment its worker announces the publication.  When it hears nothing
+    for :data:`QUEUE_POLL`, or a worker exits, it also rescans ``done/``
+    (external workers only publish there), reaps stale leases, and
+    replaces a dead pool -- or, when no worker can be spawned at all,
+    drains the rest in-process (``degraded``).
     """
 
     name = "queue"
 
-    def run(self, worker, items, settings, on_result=None):
+    def run(self, worker, items, settings):
         items = list(items)
         if not items:
             return RunOutcome([], False)
@@ -950,27 +1001,33 @@ class QueueExecutor(Executor):
             queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
         campaign = enqueue_campaign(worker, items, settings, queue_dir)
         try:
-            return self._supervise(campaign, items, settings, on_result)
+            return self._supervise(campaign, items, settings)
         finally:
             if ephemeral:
                 shutil.rmtree(queue_dir, ignore_errors=True)
 
-    def _supervise(self, campaign, items, settings, on_result):
+    def _supervise(self, campaign, items, settings):
         order = [index for index, _ in items]
         args_of = dict(items)
         name_of = dict(zip(order, campaign.names))
         results: Dict[int, ItemResult] = {}
-        # Resume: everything already published replays without running.
+        # Resume: published successes replay without running.  A
+        # published failure is set aside as evidence and runs again, so
+        # a fault that has cleared is not replayed forever.
         for index in order:
-            payload = load_published(campaign, name_of[index])
+            name = name_of[index]
+            payload = load_published(campaign, name)
             if payload is None:
                 continue
-            status = payload.get("status", STATUS_OK)
+            if payload.get("status", STATUS_OK) != STATUS_OK:
+                quarantine_entry(campaign.result_path(name), suffix=FAILED_SUFFIX)
+                quarantine_entry(campaign.deaths_path(name), suffix=FAILED_SUFFIX)
+                _write_item(campaign, name, index, args_of[index])
+                continue
             results[index] = ItemResult(
                 index,
-                STATUS_REPLAYED if status == STATUS_OK else status,
+                STATUS_REPLAYED,
                 value=payload.get("value"),
-                error=payload.get("error"),
                 attempts=int(payload.get("attempts", 0)),
             )
         _count("replayed", len(results))
@@ -978,7 +1035,7 @@ class QueueExecutor(Executor):
         degraded = False
         if unresolved:
             degraded = self._drive(
-                campaign, unresolved, args_of, name_of, results, settings, on_result
+                campaign, unresolved, args_of, name_of, results, settings
             )
         if all(results[index].ok for index in order):
             # A fully successful campaign leaves nothing to resume:
@@ -986,21 +1043,21 @@ class QueueExecutor(Executor):
             shutil.rmtree(campaign.root, ignore_errors=True)
         return RunOutcome([results[index] for index in order], degraded)
 
-    def _drive(
-        self, campaign, unresolved, args_of, name_of, results, settings, on_result
-    ) -> bool:
+    def _drive(self, campaign, unresolved, args_of, name_of, results, settings) -> bool:
         count = settings.processes
         if count is None:
             count = os.cpu_count() or 1
         count = max(1, min(int(count), len(unresolved)))
         ctx = multiprocessing.get_context()
+        index_of = {name_of[index]: index for index in unresolved}
+        announcements, announce = ctx.Pipe(duplex=False)
         workers: List[Any] = []
 
         def spawn() -> bool:
             try:
                 process = ctx.Process(
-                    target=_spawned_worker_main,
-                    args=(campaign.worker, campaign.root, os.getpid()),
+                    target=_worker_main,
+                    args=(campaign.worker, campaign.root, os.getpid(), announce),
                     daemon=True,
                 )
                 process.start()
@@ -1009,16 +1066,29 @@ class QueueExecutor(Executor):
             workers.append(process)
             return True
 
+        def pending() -> bool:
+            return any(index not in results for index in unresolved)
+
         supervisor = QueueWorker(campaign, allow_exit=False)
         degraded = False
         for _ in range(count):
             spawn()
         try:
-            while True:
-                fresh = self._collect(campaign, unresolved, name_of, results)
-                for result in fresh:
-                    _notify(on_result, result)
-                if not any(index not in results for index in unresolved):
+            while pending():
+                ready = multiprocessing.connection.wait(
+                    [announcements] + [process.sentinel for process in workers],
+                    timeout=QUEUE_POLL,
+                )
+                while announcements in ready and announcements.poll():
+                    name = announcements.recv()
+                    if name in index_of and index_of[name] not in results:
+                        _load_result(campaign, index_of[name], name, results)
+                if ready == [announcements] or not pending():
+                    continue
+                # Quiet for a poll interval, or a worker exited: pick up
+                # what no announcement covers.
+                self._collect(campaign, unresolved, name_of, results)
+                if not pending():
                     break
                 supervisor.reap()
                 self._heal_missing_items(
@@ -1030,62 +1100,68 @@ class QueueExecutor(Executor):
                     # left in-process so the sweep still completes.
                     degraded = True
                     supervisor.drain()
+                    self._collect(campaign, unresolved, name_of, results)
             return degraded
         finally:
-            deadline = time.monotonic() + 5.0
+            # The campaign has resolved (or the supervisor is failing):
+            # nothing is left for a worker to do, so stop them now.
             for process in workers:
-                process.join(timeout=max(0.1, deadline - time.monotonic()))
+                process.terminate()
+            for process in workers:
+                process.join(timeout=1.0)
                 if process.is_alive():
-                    process.terminate()
+                    process.kill()
                     process.join(timeout=1.0)
+            announcements.close()
+            announce.close()
 
-    def _collect(self, campaign, unresolved, name_of, results) -> List[ItemResult]:
-        fresh = []
+    def _collect(self, campaign, unresolved, name_of, results) -> None:
         for index in unresolved:
-            if index in results:
-                continue
-            payload = load_published(campaign, name_of[index])
-            if payload is None:
-                continue
-            result = ItemResult(
-                index,
-                payload.get("status", STATUS_OK),
-                value=payload.get("value"),
-                error=payload.get("error"),
-                attempts=int(payload.get("attempts", 1)),
-            )
-            results[index] = result
-            fresh.append(result)
-        if not fresh:
-            time.sleep(QUEUE_POLL)
-        return fresh
+            if index not in results:
+                _load_result(campaign, index, name_of[index], results)
 
     def _heal_missing_items(
         self, campaign, unresolved, args_of, name_of, results
     ) -> None:
         """Re-materialize items that lost both their file and result.
 
-        Can only happen through outside interference or a quarantined
-        (corrupt) file -- but an invariant violation must heal, not
-        hang the campaign.
+        Happens when another supervisor of the same sweep (one sharing
+        the queue directory) finished first and retired the whole
+        campaign, or through a quarantined (corrupt) file -- either way
+        the campaign must heal, not hang: its layout and manifest come
+        back too, so that the workers spawned next can open it.
         """
-        for index in unresolved:
-            if index in results:
-                continue
-            name = name_of[index]
-            if os.path.exists(campaign.item_path(name)) or os.path.exists(
-                campaign.result_path(name)
-            ):
-                continue
-            try:
-                _atomic_write(
-                    campaign.item_path(name),
-                    pickle.dumps(
-                        (index, args_of[index]), protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                )
-            except OSError:
-                pass
+        missing = [
+            index
+            for index in unresolved
+            if index not in results
+            and not os.path.exists(campaign.item_path(name_of[index]))
+            and not os.path.exists(campaign.result_path(name_of[index]))
+        ]
+        if not missing:
+            return
+        try:
+            _create_layout(campaign)
+            for index in missing:
+                _write_item(campaign, name_of[index], index, args_of[index])
+        except OSError:
+            pass
+
+
+def _load_result(
+    campaign: Campaign, index: int, name: str, results: Dict[int, ItemResult]
+) -> None:
+    """Record item ``index``'s published outcome in ``results``, if any."""
+    payload = load_published(campaign, name)
+    if payload is None:
+        return
+    results[index] = ItemResult(
+        index,
+        payload.get("status", STATUS_OK),
+        value=payload.get("value"),
+        error=payload.get("error"),
+        attempts=int(payload.get("attempts", 1)),
+    )
 
 
 def _most_urgent_item(queue_dir: str, entry: str) -> str:

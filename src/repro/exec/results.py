@@ -2,7 +2,7 @@
 
 A supervised sweep never lets one bad item discard the others: every
 item finishes as an :class:`ItemResult` -- a value, a captured
-exception, a timeout, or a worker death -- and the whole run is
+exception, a worker death, or a poison quarantine -- and the whole run is
 summarised by a :class:`SweepReport`.  Callers that want the historical
 "list of values" contract go through :meth:`SweepReport.values`, which
 raises a :class:`SweepError` carrying the full structured failure
@@ -18,12 +18,10 @@ from typing import Any, Dict, List, Optional
 
 #: Item completed normally; ``value`` holds the worker's return value.
 STATUS_OK = "ok"
-#: Item was replayed from a sweep journal (checkpoint/resume).
+#: Item was replayed from a resumed queue campaign's published result.
 STATUS_REPLAYED = "replayed"
 #: Worker raised; ``error`` holds the rendered exception.
 STATUS_ERROR = "error"
-#: Item exceeded the per-item timeout and its worker was killed.
-STATUS_TIMEOUT = "timeout"
 #: The worker process died (crash, ``os._exit``, external kill).
 STATUS_WORKER_DEATH = "worker-death"
 #: The item killed its worker (or leaked its lease) too many times and
@@ -35,7 +33,6 @@ ITEM_STATUSES = (
     STATUS_OK,
     STATUS_REPLAYED,
     STATUS_ERROR,
-    STATUS_TIMEOUT,
     STATUS_WORKER_DEATH,
     STATUS_POISON,
 )
@@ -96,9 +93,8 @@ class SweepReport:
     """Outcome of one supervised sweep, item by item.
 
     ``items`` are in argument order.  ``degraded`` is set when the
-    process pool itself broke (e.g. fork unavailable or every worker
-    unspawnable) and the remaining items were finished serially
-    in-process.
+    queue could not spawn any worker process (e.g. fork unavailable)
+    and the remaining items were finished serially in-process.
     """
 
     items: List[ItemResult] = field(default_factory=list)

@@ -53,7 +53,7 @@ def run_explore_preset(
     """Run one preset exploration over the default workload mix.
 
     Executes through the current session's :meth:`~repro.api.session.
-    Session.explore` plan (chunked, store-backed, journaled), deriving
+    Session.explore` plan (chunked, store-backed, resumable), deriving
     a parallel session when the orchestrator asks for ``run_parallel``.
     """
     instructions = experiment_instructions(instructions)

@@ -18,10 +18,10 @@ chunk) pair is one unit of work:
   exploration resumes by replaying stored chunks and computing only the
   missing grid points -- across processes and machines sharing the
   store.
-* Missing chunks run through :meth:`repro.api.session.Session.map`
-  under a plan-scoped checkpoint journal, so they inherit the
-  supervised executors (``--parallel`` pools, the durable ``queue``
-  executor for fleet-scale grids) and mid-sweep kill/resume.
+* Missing chunks run through :meth:`repro.api.session.Session.map`,
+  so they inherit its executors (``--parallel`` runs them on the
+  durable work queue, which external workers can join for
+  fleet-scale grids) and mid-sweep kill/resume.
 * Front-end chunks run through the batched
   :func:`repro.frontend.simulation.simulate_frontend_many` engine,
   whose work is shared per trace, not per chunk: every chunk of a
@@ -314,8 +314,8 @@ class ExplorePlan(Plan):
             seed=self.seed,
         )
 
-    def journal_scope(self) -> str:
-        """Checkpoint scope of the whole exploration (mid-sweep resume)."""
+    def key(self) -> str:
+        """Content address of the whole exploration (the outcome key)."""
         from repro.results.store import result_key
 
         return result_key(
@@ -382,12 +382,7 @@ class ExplorePlan(Plan):
                     for spec in self.workloads
                     if spec.name in needed
                 ]
-                results = self.session.map(
-                    worker,
-                    arguments,
-                    prime=prime,
-                    journal_scope=self.journal_scope(),
-                )
+                results = self.session.map(worker, arguments, prime=prime)
                 for (name, index, key), rows in zip(missing, results):
                     rows = [list(row) for row in rows]
                     if self.use_store:
@@ -500,7 +495,7 @@ class ExplorePlan(Plan):
         status = "cached" if result.chunks_computed == 0 else "computed"
         return PlanOutcome(
             kind="explore",
-            key=self.journal_scope(),
+            key=self.key(),
             status=status,
             frame=result.frames["grid"],
             details={

@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.exec.journal import journal_for_scope, journal_scope
 from repro.results.artifacts import (
     build_frame_artifact,
     ensure_directory,
@@ -288,14 +287,9 @@ def run_experiments(
                 if result is not None:
                     status = "derived"
         if result is None:
-            # Every Session.map the driver performs checkpoints its
-            # items under this experiment's own result key (which folds
-            # in the code fingerprint), so a killed run replays only
-            # the missing items on the next invocation.
-            with journal_scope(key):
-                result = spec.runner(
-                    **_runner_kwargs(spec, config, run_parallel, processes)
-                )
+            result = spec.runner(
+                **_runner_kwargs(spec, config, run_parallel, processes)
+            )
         artifact = build_frame_artifact(
             spec.name, spec.title, spec.tables(result), result
         )
@@ -305,11 +299,6 @@ def run_experiments(
             # racing a zombie), every process converges on the first
             # published artifact instead of last-writer clobbering.
             _, artifact = store_result_cas(key, artifact, spec.name)
-            journal = journal_for_scope(key)
-            if journal is not None:
-                # The artifact is durable now; the item-level
-                # checkpoints behind it have served their purpose.
-                journal.discard()
         report.outcomes.append(
             ExperimentOutcome(name, spec.title, key, status, artifact)
         )

@@ -368,7 +368,7 @@ def _load_from_disk(key: str, experiment: Optional[str]) -> Optional[Dict[str, A
         # as ``*.corrupt`` evidence and recompute.  Entries below that
         # merely mismatch (key prefix collision, schema change) are
         # valid files from other provenance and stay untouched.
-        from repro.exec.journal import quarantine_entry
+        from repro.exec.leases import quarantine_entry
 
         if quarantine_entry(path) is not None:
             with _LOCK:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.api.runtime_config import RuntimeConfig
+from repro.exec.executors import ExecutionSettings
+from repro.exec.queue import INTERACTIVE_PRIORITY, enqueue_item
 from repro.serve.resolve import ResolvedRequest
 
 #: Length of the job id (a result-key prefix: collision-safe in
@@ -88,12 +90,8 @@ class JobRegistry:
             existing = self._jobs.get(job_id)
             if existing is not None:
                 return existing
-        from repro.exec.executors import ExecutionSettings
-        from repro.exec.queue import INTERACTIVE_PRIORITY, enqueue_item
-
         settings = ExecutionSettings(
             retries=resolved.config.retries,
-            item_timeout=resolved.config.item_timeout,
             retry_delay=resolved.config.retry_delay,
             queue_dir=self._queue_dir,
             lease_ttl=resolved.config.lease_ttl,

@@ -317,13 +317,13 @@ def _load_trace_from_disk(
 def _quarantine_trace_entry(path: str) -> None:
     """Rename an unreadable ``.npz`` to ``*.corrupt`` and count it.
 
-    The rename itself is shared with the sweep journal and the result
-    store (:func:`repro.exec.journal.quarantine_entry`, imported lazily
+    The rename itself is shared with the work queue and the result
+    store (:func:`repro.exec.leases.quarantine_entry`, imported lazily
     to keep this layer importable on its own); the counter lives in
     this cache's stats so ``--verbose`` reporting attributes the damage
     to the right store.
     """
-    from repro.exec.journal import quarantine_entry
+    from repro.exec.leases import quarantine_entry
 
     if quarantine_entry(path) is not None:
         with _TRACE_CACHE_LOCK:

@@ -53,7 +53,6 @@ class TestPublicSurface:
             "REPRO_INSTRUCTIONS",
             "REPRO_EXECUTOR",
             "REPRO_RETRIES",
-            "REPRO_ITEM_TIMEOUT",
             "REPRO_RETRY_DELAY",
             "REPRO_FAULT_PLAN",
             "REPRO_CACHE_NAMESPACE",
@@ -76,7 +75,6 @@ class TestPublicSurface:
             ("instructions", 150_000),
             ("executor", "auto"),
             ("retries", 2),
-            ("item_timeout", None),
             ("retry_delay", 0.05),
             ("fault_plan", None),
             ("cache_namespace", None),
@@ -91,7 +89,7 @@ class TestPublicSurface:
         from repro.api.runtime_config import EXECUTORS
         from repro.results.store import result_key
 
-        assert EXECUTORS == ("auto", "serial", "processes", "queue")
+        assert EXECUTORS == ("auto", "serial", "queue")
         assert list(inspect.signature(result_key).parameters) == [
             "experiment",
             "config",
@@ -141,7 +139,6 @@ class TestPublicSurface:
             "parallel",
             "processes",
             "prime",
-            "journal_scope",
         ]
         assert parameters(Session.map_report) == parameters(Session.map)
         assert parameters(Session.trace) == [

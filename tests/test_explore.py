@@ -252,7 +252,7 @@ class TestExplorePlan:
         assert isinstance(outcome, PlanOutcome)
         assert outcome.kind == "explore"
         assert outcome.status == "computed"
-        assert outcome.key == plan.journal_scope()
+        assert outcome.key == plan.key()
         assert outcome.details["points"] == 8
         assert outcome.frame == plan.frame()
 

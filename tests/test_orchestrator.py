@@ -101,9 +101,8 @@ class TestOrchestratedRuns:
         busy = RuntimeConfig(
             parallel=True,
             processes=3,
-            executor="processes",
+            executor="queue",
             retries=7,
-            item_timeout=3.0,
             retry_delay=0.2,
             fault_plan='{"faults": []}',
             cache_namespace="elsewhere",

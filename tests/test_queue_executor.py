@@ -3,14 +3,17 @@
 Covers the lease primitives (exclusive claims, heartbeat renewal,
 reclaim races, corrupt-lease quarantine), the queue-specific fault
 kinds (``stale-lease``, ``double-claim``, ``slow-heartbeat``), poison
-item quarantine, campaign resume after a SIGKILLed supervisor, and the
-external ``repro-frontend worker`` CLI -- every robustness claim as a
-deterministic assertion.
+item quarantine, campaign resume after a SIGKILLed supervisor (only
+successes replay; the campaign is keyed by the code), a supervisor
+that wakes on publication, workers that stop when their supervisor
+dies, and the external ``repro-frontend worker`` CLI -- every
+robustness claim as a deterministic assertion.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -23,14 +26,18 @@ import time
 import pytest
 
 from repro.exec import leases
+from repro.exec import queue as queue_module
 from repro.exec.executors import (
     ExecutionSettings,
     ExecutionSettingsError,
+    _worker_main,
     resolve_executor,
 )
 from repro.exec.faults import Fault, FaultPlan
 from repro.exec.queue import (
     CAMPAIGN_PREFIX,
+    FAILED_SUFFIX,
+    RESULT_SUFFIX,
     QueueWorker,
     enqueue_campaign,
     load_published,
@@ -40,6 +47,7 @@ from repro.exec.queue import (
     worker_reference,
 )
 from repro.exec.results import (
+    STATUS_ERROR,
     STATUS_OK,
     STATUS_POISON,
     STATUS_REPLAYED,
@@ -63,6 +71,33 @@ def explode_on_three(args):
     return args
 
 
+def fail_two_while_marked(args):
+    index, marker = args
+    if index == 2 and os.path.exists(marker):
+        raise RuntimeError("item two fails while its marker exists")
+    return index * 2
+
+
+def slow_double(args):
+    time.sleep(0.02)
+    return args * 2
+
+
+def _published(campaign) -> int:
+    return len(
+        [name for name in os.listdir(campaign.done_dir) if name.endswith(RESULT_SUFFIX)]
+    )
+
+
+def _supervise_one_worker(root) -> None:
+    """A stand-in supervisor: one spawned queue worker, then wait."""
+    worker = multiprocessing.get_context("fork").Process(
+        target=_worker_main, args=(slow_double, root, os.getpid(), None)
+    )
+    worker.start()
+    worker.join()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_counters():
     reset_queue_info()
@@ -73,8 +108,6 @@ def _fresh_counters():
 class TestExecutionSettingsValidation:
     def test_rejects_out_of_range_knobs(self):
         for bad in (
-            dict(item_timeout=0),
-            dict(item_timeout=-3),
             dict(retry_delay=0),
             dict(retry_delay=-0.5),
             dict(retries=-1),
@@ -94,7 +127,7 @@ class TestExecutionSettingsValidation:
             ExecutionSettings(retry_delay=0)
 
     def test_valid_knobs_pass(self):
-        built = settings(item_timeout=5.0)
+        built = settings()
         assert built.lease_ttl == 1.0
         assert built.heartbeat_interval == 0.1
 
@@ -246,6 +279,64 @@ class TestQueueExecutor:
         assert by_index[1].value == 991
         assert all(by_index[i].status == STATUS_OK for i in range(2, 6))
         assert [by_index[i].value for i in range(2, 6)] == [4, 6, 8, 10]
+
+    def test_rerun_runs_failed_items_again(self, tmp_path):
+        marker = tmp_path / "marker"
+        marker.write_text("fail")
+        items = [(index, (index, str(marker))) for index in range(4)]
+        config = settings(processes=1, retries=0, queue_dir=str(tmp_path / "queue"))
+        executor = resolve_executor("queue")
+        first = executor.run(fail_two_while_marked, items, config)
+        assert [r.status for r in first.results] == [STATUS_OK] * 2 + [
+            STATUS_ERROR,
+            STATUS_OK,
+        ]
+        # A rerun replays the successes but runs the failure again; the
+        # old outcome and its failure ledger are kept as evidence.
+        second = executor.run(fail_two_while_marked, items, config)
+        assert [r.status for r in second.results] == [STATUS_REPLAYED] * 2 + [
+            STATUS_ERROR,
+            STATUS_REPLAYED,
+        ]
+        assert second.results[2].attempts == 1
+        campaign = enqueue_campaign(fail_two_while_marked, items, config, config.queue_dir)
+        failed = campaign.names[2]
+        assert os.path.exists(campaign.result_path(failed) + FAILED_SUFFIX)
+        assert os.path.exists(campaign.deaths_path(failed) + FAILED_SUFFIX)
+        # Once the fault clears, the item succeeds instead of replaying
+        # its old error, and the finished campaign retires.
+        marker.unlink()
+        third = executor.run(fail_two_while_marked, items, config)
+        assert [r.status for r in third.results] == [STATUS_REPLAYED] * 2 + [
+            STATUS_OK,
+            STATUS_REPLAYED,
+        ]
+        assert [r.value for r in third.results] == [0, 2, 4, 6]
+        assert not os.listdir(config.queue_dir)
+
+    def test_campaign_directory_follows_the_code(self, tmp_path, monkeypatch):
+        from repro.results import store
+
+        items = [(index, index) for index in range(3)]
+        before = enqueue_campaign(double, items, settings(), str(tmp_path))
+        monkeypatch.setattr(store, "_CODE_FINGERPRINT", "0" * 64)
+        after = enqueue_campaign(double, items, settings(), str(tmp_path))
+        # Other code, other campaign: nothing published under the old
+        # source can replay into a run of the new one.
+        assert after.root != before.root
+
+    def test_supervisor_wakes_on_publication(self, tmp_path, monkeypatch):
+        # With the rescan interval far beyond the test's budget, only
+        # the workers' announcements can finish the campaign in time.
+        monkeypatch.setattr(queue_module, "QUEUE_POLL", 30.0)
+        started = time.monotonic()
+        out = resolve_executor("queue").run(
+            double,
+            [(index, index) for index in range(6)],
+            settings(processes=2, queue_dir=str(tmp_path)),
+        )
+        assert time.monotonic() - started < 10.0
+        assert [r.value for r in out.results] == [0, 2, 4, 6, 8, 10]
 
     def test_kill_fault_is_reclaimed_and_retried(self, tmp_path):
         plan = FaultPlan.of(Fault("kill", index=3))
@@ -465,6 +556,89 @@ class TestKillSupervisorAndResume:
         assert not [
             name for name in os.listdir(queue_dir) if name.startswith(CAMPAIGN_PREFIX)
         ]
+
+
+class TestRetiredCampaign:
+    """A campaign retired under a running supervisor heals, not livelocks:
+    another supervisor of the same sweep, sharing the queue directory,
+    deletes the campaign when it finishes first."""
+
+    CHILD = textwrap.dedent(
+        """
+        import json, os, shutil, sys
+
+        from repro.exec import ExecutionSettings, resolve_executor
+
+        queue_dir, marker = sys.argv[1], sys.argv[2]
+
+        def worker(args):
+            if args == 0 and os.path.exists(marker):
+                # What the other supervisor does once it has finished.
+                os.unlink(marker)
+                for name in os.listdir(queue_dir):
+                    shutil.rmtree(os.path.join(queue_dir, name))
+            return args * 2
+
+        settings = ExecutionSettings(
+            processes=1, retry_delay=0.001, queue_dir=queue_dir
+        )
+        out = resolve_executor("queue").run(
+            worker, [(i, i) for i in range(4)], settings
+        )
+        json.dump([r.value for r in out.results], sys.stdout)
+        """
+    )
+
+    def test_supervisor_heals_a_campaign_retired_under_it(self, tmp_path):
+        queue_dir = tmp_path / "queue"
+        queue_dir.mkdir()
+        marker = tmp_path / "marker"
+        marker.write_text("retire once")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(queue_dir), str(marker)],
+            env=env,
+            timeout=60,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0, 2, 4, 6]
+        assert not marker.exists()
+        assert not os.listdir(queue_dir)
+
+
+class TestOrphanedWorker:
+    def test_worker_stops_when_its_supervisor_is_a_zombie(self, tmp_path):
+        campaign = enqueue_campaign(
+            slow_double, [(index, index) for index in range(200)], settings(), str(tmp_path)
+        )
+        supervisor = multiprocessing.get_context("fork").Process(
+            target=_supervise_one_worker, args=(campaign.root,)
+        )
+        supervisor.start()
+        try:
+            deadline = time.monotonic() + 60
+            while _published(campaign) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _published(campaign) >= 3
+            # SIGKILL the supervisor and leave it unreaped: a zombie,
+            # which still answers kill(pid, 0) as if it were alive.
+            os.kill(supervisor.pid, signal.SIGKILL)
+            # The in-flight item may still publish; after that, nothing
+            # (an undetected orphan drains all 200 items in about 4 s).
+            settled = _published(campaign)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                time.sleep(1.0)
+                if _published(campaign) == settled:
+                    break
+                settled = _published(campaign)
+            assert _published(campaign) == settled < 200
+        finally:
+            supervisor.join(timeout=30)
 
 
 class TestExternalCliWorker:

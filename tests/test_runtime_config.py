@@ -8,6 +8,8 @@ scoping the Session layer builds on.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.api import runtime_config as rc
@@ -139,20 +141,21 @@ class TestPrecedence:
     def test_executor(self, monkeypatch):
         monkeypatch.delenv(rc.EXECUTOR_VARIABLE, raising=False)
         assert rc.RuntimeConfig.from_environment().executor == "auto"
-        monkeypatch.setenv(rc.EXECUTOR_VARIABLE, "processes")
-        assert rc.RuntimeConfig.from_environment().executor == "processes"
+        monkeypatch.setenv(rc.EXECUTOR_VARIABLE, "queue")
+        assert rc.RuntimeConfig.from_environment().executor == "queue"
         # Explicit beats the environment.
         config = rc.RuntimeConfig.from_environment(executor="serial")
         assert config.executor == "serial"
         assert rc.RuntimeConfig(executor="  ").executor == "auto"
-        assert rc.EXECUTORS == ("auto", "serial", "processes", "queue")
+        assert rc.EXECUTORS == ("auto", "serial", "queue")
         for name in rc.EXECUTORS:
             assert rc.RuntimeConfig(executor=name).executor == name
-        # An unknown environment executor falls back to auto; an
-        # unknown explicit one raises.
-        monkeypatch.setenv(rc.EXECUTOR_VARIABLE, "module:attribute")
-        assert rc.RuntimeConfig.from_environment().executor == "auto"
-        for name in ("warp-drive", "module:attribute"):
+        # An unknown environment executor -- the removed process pool
+        # included -- falls back to auto; an unknown explicit one raises.
+        for name in ("module:attribute", "processes"):
+            monkeypatch.setenv(rc.EXECUTOR_VARIABLE, name)
+            assert rc.RuntimeConfig.from_environment().executor == "auto"
+        for name in ("warp-drive", "module:attribute", "processes"):
             with pytest.raises(ValueError, match="unknown executor"):
                 rc.RuntimeConfig(executor=name)
 
@@ -170,23 +173,6 @@ class TestPrecedence:
         assert rc.RuntimeConfig.from_environment().retries == rc.DEFAULT_RETRIES
         with pytest.raises(ValueError):
             rc.RuntimeConfig(retries=-1)
-
-    def test_item_timeout(self, monkeypatch):
-        monkeypatch.delenv(rc.ITEM_TIMEOUT_VARIABLE, raising=False)
-        assert rc.RuntimeConfig.from_environment().item_timeout is None
-        monkeypatch.setenv(rc.ITEM_TIMEOUT_VARIABLE, "2.5")
-        assert rc.RuntimeConfig.from_environment().item_timeout == 2.5
-        assert rc.RuntimeConfig.from_environment(item_timeout=1).item_timeout == 1.0
-        # A zero/negative *environment* timeout stays lenient ("no
-        # timeout", matching the unset state); explicit ones raise.
-        monkeypatch.setenv(rc.ITEM_TIMEOUT_VARIABLE, "0")
-        assert rc.RuntimeConfig.from_environment().item_timeout is None
-        monkeypatch.setenv(rc.ITEM_TIMEOUT_VARIABLE, "-3")
-        assert rc.RuntimeConfig.from_environment().item_timeout is None
-        with pytest.raises(ValueError):
-            rc.RuntimeConfig(item_timeout=0)
-        with pytest.raises(ValueError):
-            rc.RuntimeConfig(item_timeout=-3)
 
     def test_retry_delay(self, monkeypatch):
         monkeypatch.delenv(rc.RETRY_DELAY_VARIABLE, raising=False)
@@ -215,6 +201,21 @@ class TestPrecedence:
         monkeypatch.setenv(rc.QUEUE_DIR_VARIABLE, "none")
         assert rc.RuntimeConfig.from_environment().queue_dir is None
         assert rc.RuntimeConfig(queue_dir="off").queue_dir is None
+
+    def test_queue_dir_defaults_under_the_result_store(self, tmp_path):
+        # Campaigns persist wherever results do, so every parallel sweep
+        # with a result store resumes item by item; without one they
+        # stay ephemeral.
+        store = str(tmp_path / "store")
+        with rc.activated(rc.RuntimeConfig(result_cache_dir=store)):
+            assert rc.current_queue_dir() == os.path.join(store, "queue")
+        named = rc.RuntimeConfig(result_cache_dir=store, queue_dir="/srv/queue")
+        with rc.activated(named):
+            assert rc.current_queue_dir() == "/srv/queue"
+        with rc.activated(rc.RuntimeConfig(cache_namespace="ns", result_cache_dir=store)):
+            assert rc.current_queue_dir() == os.path.join(store, "ns", "queue")
+        with rc.activated(rc.RuntimeConfig()):
+            assert rc.current_queue_dir() is None
 
     def test_lease_ttl_and_heartbeat(self, monkeypatch):
         monkeypatch.delenv(rc.LEASE_TTL_VARIABLE, raising=False)
@@ -285,7 +286,6 @@ class TestConfigBehaviour:
             "instructions",
             "executor",
             "retries",
-            "item_timeout",
             "retry_delay",
             "fault_plan",
             "cache_namespace",
