@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace.columns import program_columns
 from repro.trace.events import Trace
 from repro.trace.instruction import CodeSection
 
@@ -48,7 +47,7 @@ def analyze_basic_blocks(
     event.  That turns the event walk into two ``cumsum`` lookups.
     """
     block_ids, taken, _, _ = trace.event_columns(section)
-    static = program_columns(trace.program)
+    static = trace.static
 
     sizes = static.size_bytes[block_ids]
     is_branch = static.is_branch[block_ids]

@@ -56,14 +56,15 @@ def analyze_footprint(
     if not 0.0 < coverage <= 1.0:
         raise ValueError("coverage must be in (0, 1]")
 
-    blocks = trace.program.blocks
+    static = trace.static
+    sizes = static.size_bytes.tolist()
     execution_counts = trace.block_execution_counts(section)
 
     executed_static_bytes = 0
     weighted: list = []
     total_dynamic_bytes = 0
     for block_id, count in execution_counts.items():
-        size = blocks[block_id].size_bytes
+        size = sizes[block_id]
         executed_static_bytes += size
         dynamic_bytes = size * count
         total_dynamic_bytes += dynamic_bytes
@@ -84,7 +85,7 @@ def analyze_footprint(
 
     return FootprintResult(
         section=section,
-        static_bytes=trace.program.static_code_bytes(),
+        static_bytes=int(static.size_bytes.sum()),
         executed_static_bytes=executed_static_bytes,
         dynamic_footprint_bytes=footprint_bytes,
         coverage=coverage,

@@ -14,7 +14,6 @@ from typing import Dict, Set
 
 import numpy as np
 
-from repro.trace.columns import program_columns
 from repro.trace.events import Trace
 from repro.trace.instruction import CodeSection
 
@@ -54,19 +53,18 @@ def analyze_line_usefulness(
     # they are computed once per distinct block; the fetch count (one
     # per line a dynamic block touches) is a vectorized reduction.
     block_ids, _, _, _ = trace.event_columns(section)
-    static = program_columns(trace.program)
+    static = trace.static
     start_addresses = static.addresses[block_ids]
     end_addresses = start_addresses + static.size_bytes[block_ids]
     first_lines = start_addresses // line_bytes
     last_lines = (end_addresses - 1) // line_bytes
     fetches = int((last_lines - first_lines + 1).sum())
 
-    blocks = trace.program.blocks
+    executed = np.unique(block_ids)
     touched: Dict[int, Set[int]] = {}
-    for block_id in np.unique(block_ids).tolist():
-        block = blocks[block_id]
-        start = block.address
-        end = block.end_address
+    for start, end in zip(
+        static.addresses[executed].tolist(), static.end_addresses[executed].tolist()
+    ):
         first_line = start // line_bytes
         last_line = (end - 1) // line_bytes
         for line_index in range(first_line, last_line + 1):

@@ -32,7 +32,6 @@ from repro.frontend.configs import (
 from repro.frontend.icache import InstructionCache, line_stack_histogram
 from repro.frontend.predictors import BranchPredictor, LoopPredictor
 from repro.frontend.stack_distance import MIN_STACK_DEPTH, StackHistogram
-from repro.trace.columns import program_columns
 from repro.trace.events import Trace
 from repro.trace.instruction import BranchKind, CodeSection
 
@@ -163,7 +162,7 @@ def _btb_stream(
 def _fetched_ranges(trace: Trace, section: CodeSection) -> Tuple[np.ndarray, np.ndarray]:
     """Start addresses and byte sizes of a section's fetched blocks."""
     block_ids, _, _, _ = trace.event_columns(section)
-    static = program_columns(trace.program)
+    static = trace.static
     return static.addresses[block_ids], static.size_bytes[block_ids]
 
 

@@ -33,6 +33,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 from repro.api import runtime_config
 from repro.api.frame import FRAME_SCHEMA_VERSION
 from repro.results.artifacts import ARTIFACT_SCHEMA_VERSION, valid_artifact
+from repro.source_digest import source_digest
 from repro.workloads.trace_cache import TRACE_CACHE_VERSION, register_stats_provider
 
 #: Environment variable selecting the on-disk result-store directory.
@@ -95,20 +96,7 @@ def code_fingerprint() -> str:
     """
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
-        import repro
-
-        package_dir = os.path.dirname(os.path.abspath(repro.__file__))
-        digest = hashlib.sha256()
-        for root, directories, files in sorted(os.walk(package_dir)):
-            directories.sort()
-            for name in sorted(files):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(root, name)
-                digest.update(os.path.relpath(path, package_dir).encode("utf-8"))
-                with open(path, "rb") as stream:
-                    digest.update(stream.read())
-        _CODE_FINGERPRINT = digest.hexdigest()
+        _CODE_FINGERPRINT = source_digest()
     return _CODE_FINGERPRINT
 
 

@@ -18,12 +18,21 @@ outcomes, targets, and the serial/parallel section tag.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
 from repro.trace.basic_block import BasicBlock
-from repro.trace.columns import NO_TARGET, program_columns
+from repro.trace.columns import NO_TARGET, ProgramColumns, program_columns
 from repro.trace.instruction import BranchKind, CodeSection
 from repro.trace.program import Program
 
@@ -108,18 +117,34 @@ class Trace(object):
     the analysis tools and the hardware-structure simulators need.
     Filtering by :class:`CodeSection` reproduces the paper's total /
     serial / parallel split.
+
+    Every column query reads the static per-block arrays in
+    :attr:`static`.  A generated trace takes them from its program; a
+    trace loaded from the disk cache is given them (``static=``) and is
+    handed a zero-argument callable instead of a program, which
+    :attr:`program` calls on first access -- only block-object views
+    (:meth:`blocks_for`) ask for it.  Such a trace must be given its
+    ``name``.
     """
 
     def __init__(
         self,
-        program: Program,
+        program: Union[Program, Callable[[], Program]],
         events: Optional[Sequence[BlockEvent]] = None,
         name: str = "",
         *,
         columns: Optional[tuple] = None,
+        static: Optional[ProgramColumns] = None,
     ) -> None:
-        self.program = program
-        self.name = name or program.name
+        if callable(program):
+            self._program: Optional[Program] = None
+            self._load_program: Optional[Callable[[], Program]] = program
+        else:
+            self._program = program
+            self._load_program = None
+            name = name or program.name
+        self.name = name
+        self._static = static
         if columns is not None:
             block_ids, taken, targets, sections = columns
             self._block_ids = np.asarray(block_ids, dtype=np.int64)
@@ -152,15 +177,37 @@ class Trace(object):
     @classmethod
     def from_columns(
         cls,
-        program: Program,
+        program: Union[Program, Callable[[], Program]],
         block_ids,
         taken,
         targets,
         sections,
         name: str = "",
+        *,
+        static: Optional[ProgramColumns] = None,
     ) -> "Trace":
         """Build a trace directly from event columns (the fast path)."""
-        return cls(program, name=name, columns=(block_ids, taken, targets, sections))
+        return cls(
+            program,
+            name=name,
+            columns=(block_ids, taken, targets, sections),
+            static=static,
+        )
+
+    @property
+    def program(self) -> Program:
+        """The static program the trace executed (resolved on first access)."""
+        if self._program is None:
+            self._program = self._load_program()
+            self._load_program = None
+        return self._program
+
+    @property
+    def static(self) -> ProgramColumns:
+        """Static per-block arrays of the program, indexed by block id."""
+        if self._static is None:
+            self._static = program_columns(self.program)
+        return self._static
 
     # ------------------------------------------------------------------
     # Columnar access
@@ -226,7 +273,7 @@ class Trace(object):
                     CodeSection.PARALLEL: 0,
                 }
                 return self._instruction_counts
-            per_event = program_columns(self.program).num_instructions[self._block_ids]
+            per_event = self.static.num_instructions[self._block_ids]
             total = int(per_event.sum())
             serial = int(
                 per_event[self._section_codes == int(CodeSection.SERIAL)].sum()
@@ -290,7 +337,7 @@ class Trace(object):
         """Columnar view of the dynamic branches of a section, in order."""
         if section not in self._branch_columns:
             block_ids, taken, targets, sections = self.event_columns(section)
-            static = program_columns(self.program)
+            static = self.static
             mask = static.is_branch[block_ids]
             branch_ids = block_ids[mask]
             dynamic_targets = targets[mask]

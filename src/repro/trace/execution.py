@@ -74,10 +74,7 @@ class ExecutionContext:
         self.max_instructions = max_instructions
         self.max_call_depth = max_call_depth
         self.instructions_emitted = 0
-        # Events land in preallocated NumPy columns; an average block
-        # carries several instructions, so the instruction budget over 8
-        # is a conservative initial event capacity.
-        self._buffer = ColumnBuffer(capacity_hint=max_instructions // 8)
+        self._buffer = self._event_buffer(max_instructions)
         self._call_depth = 0
         # Pattern state keyed by the owning region object itself.  The
         # dictionary holds a strong reference to each owner, so owners
@@ -86,6 +83,13 @@ class ExecutionContext:
         self._pattern_positions: dict = {}
         self._section = CodeSection.SERIAL
         self._section_code = int(CodeSection.SERIAL)
+
+    @staticmethod
+    def _event_buffer(max_instructions: int) -> Optional[ColumnBuffer]:
+        # Events land in preallocated NumPy columns; an average block
+        # carries several instructions, so the instruction budget over 8
+        # is a conservative initial event capacity.
+        return ColumnBuffer(capacity_hint=max_instructions // 8)
 
     @property
     def section(self) -> CodeSection:
@@ -146,6 +150,25 @@ class ExecutionContext:
     def build_trace(self, program: Program, name: str = "") -> Trace:
         """Wrap the emitted columns into a :class:`Trace`."""
         return Trace.from_columns(program, *self._buffer.columns(), name=name)
+
+
+class CountingContext(ExecutionContext):
+    """An execution context that counts instructions and records nothing.
+
+    Regions drive it exactly as they drive :class:`ExecutionContext` --
+    the same RNG draws, pattern positions and call-depth limit -- so
+    ``instructions_emitted`` is the same, but no event buffer is
+    allocated and :meth:`emit` only adds the block's instruction count.
+    Synthesis sizes its schedule with it.
+    """
+
+    @staticmethod
+    def _event_buffer(max_instructions: int) -> None:
+        return None
+
+    def emit(self, block: BasicBlock, taken: bool, target: Optional[int] = None) -> None:
+        """Count one dynamic execution of a block."""
+        self.instructions_emitted += block.num_instructions
 
 
 class TraceGenerator:

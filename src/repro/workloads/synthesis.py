@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.trace.compiler import CompiledSchedule, compile_schedule
 from repro.trace.events import Trace
-from repro.trace.execution import ExecutionContext, ExecutionSchedule, Phase
+from repro.trace.execution import CountingContext, ExecutionSchedule, Phase
 from repro.trace.instruction import CodeSection
 from repro.trace.layout import layout_program
 from repro.trace.program import (
@@ -550,7 +550,7 @@ class SyntheticWorkload:
 
 def _measure_pass_instructions(function: Function, seed: int) -> int:
     """Instructions executed by one invocation of a section function."""
-    ctx = ExecutionContext(np.random.default_rng(seed), max_instructions=10**12)
+    ctx = CountingContext(np.random.default_rng(seed), max_instructions=10**12)
     function.body.execute(ctx)
     ctx.emit(function.return_block, taken=True)
     return max(1, ctx.instructions_emitted)

@@ -19,11 +19,28 @@ defaults the trace-cache directory to a per-user one
 (``$XDG_CACHE_HOME/repro-frontend/traces``, falling back to
 ``~/.cache``); name an explicit path to relocate it, or one of
 ``""``/``none``/``off``/``0`` to disable the disk layer entirely.
+
+A disk entry ``{name}-{instructions}-{seed}.npz`` holds the four event
+columns, the five static per-block arrays the trace's consumers read
+(:data:`~repro.trace.columns.STATIC_ARRAYS`), and a fingerprint of
+everything the bytes depend on: :data:`TRACE_CACHE_VERSION`, the NumPy
+version, the workload spec, and the source of ``repro.trace`` and
+``repro.workloads``.  The fingerprint is computed without building
+anything, so checking or loading an entry never synthesizes the
+workload: a loaded :class:`~repro.trace.events.Trace` answers every
+column query from the stored arrays and builds its program only if
+something asks for block objects.  A readable entry whose fingerprint
+differs (or that lacks the static arrays) is stale and is regenerated
+and overwritten; only an unreadable one is quarantined as
+``*.corrupt``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
+import json
 import os
 import tempfile
 import threading
@@ -32,10 +49,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.api import runtime_config
-from repro.trace.columns import program_columns
+from repro.source_digest import source_digest
+from repro.trace.columns import STATIC_ARRAYS, ProgramColumns
 from repro.trace.events import Trace
+from repro.trace.program import Program
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.synthesis import SyntheticWorkload, build_workload
+from repro.workloads.synthesis import build_workload
 
 #: Default dynamic trace length used by the profiling layers (owned by
 #: :mod:`repro.api.runtime_config`, aliased here so both layers agree
@@ -63,9 +82,13 @@ def default_profile_instructions() -> int:
 TRACE_CACHE_DIR_VARIABLE = runtime_config.TRACE_CACHE_DIR_VARIABLE
 
 #: Version salt folded into the disk-cache fingerprint.  Bump when the
-#: trace *generation* semantics change in a way the static-layout
-#: fingerprint cannot see (e.g. executor or schedule behaviour).
-TRACE_CACHE_VERSION = 1
+#: entry layout changes; code changes are already covered by the
+#: source digest in :func:`trace_fingerprint`.
+TRACE_CACHE_VERSION = 2
+
+#: The subpackages whose source the trace bytes depend on (the same
+#: scope as CI's trace-cache key), digested into every fingerprint.
+_TRACE_SOURCE_PACKAGES = ("trace", "workloads")
 
 #: Process-wide trace cache: (cache namespace, workload name,
 #: instructions, seed) -> Trace.  The namespace component scopes
@@ -146,20 +169,19 @@ def resolved_cache_dir() -> Optional[str]:
 def trace_on_disk(spec: WorkloadSpec, instructions: int, seed: int = 0) -> bool:
     """Whether the disk layer holds a *loadable* trace for this key.
 
-    Checks the stored fingerprint against the current program layout
-    (a stale or corrupt entry would be rejected at load time anyway),
-    so sweep priming regenerates exactly the traces that need it.
+    Compares the stored fingerprint with :func:`trace_fingerprint`
+    without building the workload, so sweep priming regenerates exactly
+    the traces that need it.
     """
     path = _disk_cache_path((spec.name, int(instructions), int(seed)))
     if path is None or not os.path.exists(path):
         return False
     try:
         with np.load(path) as archive:
-            fingerprint = str(archive["fingerprint"])
+            return _is_current(archive, spec)
     except Exception:
         _quarantine_trace_entry(path)  # Unreadable archive: preserve it.
         return False
-    return fingerprint == _program_fingerprint(build_workload(spec).program)
 
 
 def register_cache_clearer(callback: Callable[[], None]) -> None:
@@ -208,9 +230,8 @@ def workload_trace(
         if disk_enabled:
             with _TRACE_CACHE_LOCK:
                 _TRACE_CACHE_STATS["disk_misses"] += 1
-        workload: SyntheticWorkload = build_workload(spec)
-        trace = workload.trace(int(instructions), seed=seed)
-        if _store_trace_to_disk(trace, disk_key):
+        trace = build_workload(spec).trace(int(instructions), seed=seed)
+        if _store_trace_to_disk(spec, trace, disk_key):
             with _TRACE_CACHE_LOCK:
                 _TRACE_CACHE_STATS["disk_stores"] += 1
     else:
@@ -263,27 +284,39 @@ def _disk_cache_path(key: Tuple[str, int, int]) -> Optional[str]:
     return os.path.join(directory, f"{name}-{instructions}-{seed}.npz")
 
 
-def _program_fingerprint(program) -> str:
-    """Digest of the laid-out static program a cached trace refers to.
+def trace_fingerprint(spec: WorkloadSpec) -> str:
+    """Digest of everything a cached trace of ``spec`` depends on.
 
-    Guards the disk cache against synthesis or layout changes: any
-    difference in block addresses, sizes, instruction counts,
-    terminators, or static targets invalidates the entry.  Generation
-    changes invisible to the static layout (branch probabilities,
-    executor behaviour) are covered by bumping
-    :data:`TRACE_CACHE_VERSION`.
+    :data:`TRACE_CACHE_VERSION`, the NumPy version, every field of the
+    spec (serialized stably), and the source of the trace and workloads
+    subpackages.  Computed without building the workload.
     """
-    columns = program_columns(program)
-    digest = hashlib.sha1(f"v{TRACE_CACHE_VERSION}:".encode())
-    for array in (
-        columns.addresses,
-        columns.size_bytes,
-        columns.num_instructions,
-        columns.terminators,
-        columns.taken_targets,
-    ):
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
+    material = {
+        "version": TRACE_CACHE_VERSION,
+        "numpy": np.__version__,
+        "spec": dataclasses.asdict(spec),
+        "source": source_digest(*_TRACE_SOURCE_PACKAGES),
+    }
+    # ``str`` renders the spec's only non-JSON fields, its enums.
+    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _is_current(archive, spec: WorkloadSpec) -> bool:
+    """Whether an open archive is a complete entry for today's ``spec``.
+
+    Reads only the fingerprint, before any column: an archive from
+    older code is stale (regenerated and overwritten), not corrupt.
+    """
+    names = set(archive.files)
+    if "fingerprint" not in names or not names.issuperset(STATIC_ARRAYS):
+        return False
+    return str(archive["fingerprint"]) == trace_fingerprint(spec)
+
+
+def _build_program(spec: WorkloadSpec) -> Program:
+    """The program of a loaded trace, built when something asks for it."""
+    return build_workload(spec).program
 
 
 def _load_trace_from_disk(
@@ -294,24 +327,30 @@ def _load_trace_from_disk(
         return None
     try:
         with np.load(path) as archive:
+            if not _is_current(archive, spec):
+                return None  # Stale: regenerated and overwritten.
             columns = (
                 archive["block_ids"],
                 archive["taken"],
                 archive["targets"],
                 archive["sections"],
             )
-            fingerprint = str(archive["fingerprint"])
+            static = ProgramColumns.from_arrays(
+                *(archive[name] for name in STATIC_ARRAYS)
+            )
     except Exception:
         # An unreadable archive (torn write, truncation, disk damage)
         # is evidence of a fault: quarantine it as ``*.corrupt`` and
-        # regenerate.  A *stale* entry below is not quarantined -- it
+        # regenerate.  A *stale* entry above is not quarantined -- it
         # is a valid archive from older code, simply superseded.
         _quarantine_trace_entry(path)
         return None
-    program = build_workload(spec).program
-    if fingerprint != _program_fingerprint(program):
-        return None  # Synthesis/layout changed; the cached columns are stale.
-    return Trace.from_columns(program, *columns, name=spec.name)
+    return Trace.from_columns(
+        functools.partial(_build_program, spec),
+        *columns,
+        name=spec.name,
+        static=static,
+    )
 
 
 def _quarantine_trace_entry(path: str) -> None:
@@ -330,7 +369,9 @@ def _quarantine_trace_entry(path: str) -> None:
             _TRACE_CACHE_STATS["quarantined"] += 1
 
 
-def _store_trace_to_disk(trace: Trace, key: Tuple[str, int, int]) -> bool:
+def _store_trace_to_disk(
+    spec: WorkloadSpec, trace: Trace, key: Tuple[str, int, int]
+) -> bool:
     path = _disk_cache_path(key)
     if path is None:
         return False
@@ -342,6 +383,7 @@ def _store_trace_to_disk(trace: Trace, key: Tuple[str, int, int]) -> bool:
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         handle, temporary = tempfile.mkstemp(suffix=".npz.tmp", dir=directory)
+        static = trace.static
         with os.fdopen(handle, "wb") as stream:
             np.savez_compressed(
                 stream,
@@ -349,7 +391,8 @@ def _store_trace_to_disk(trace: Trace, key: Tuple[str, int, int]) -> bool:
                 taken=trace.taken_column,
                 targets=trace.target_column,
                 sections=trace.section_column,
-                fingerprint=np.str_(_program_fingerprint(trace.program)),
+                fingerprint=np.str_(trace_fingerprint(spec)),
+                **{name: getattr(static, name) for name in STATIC_ARRAYS},
             )
         os.replace(temporary, path)
     except OSError:
