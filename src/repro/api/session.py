@@ -387,7 +387,7 @@ class Session:
             chunk_points=(
                 DEFAULT_CHUNK_POINTS if chunk_points is None else int(chunk_points)
             ),
-            objectives=tuple(objectives) if objectives is not None else (),
+            objectives=() if objectives is None else objectives,
             use_store=use_store,
         )
 

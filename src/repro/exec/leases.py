@@ -4,8 +4,10 @@ A lease is one small JSON file next to the item it protects.  The
 primitives here make three guarantees on any POSIX filesystem (local or
 shared) without assuming comparable clocks across machines:
 
-* **Exclusive claims** -- :func:`acquire` creates the lease file with
-  ``O_CREAT | O_EXCL``, so exactly one worker wins a contested item.
+* **Exclusive claims** -- :func:`acquire` writes the whole lease
+  document to a temporary file and hardlinks it into place; the link
+  fails when the lease exists, so exactly one worker wins a contested
+  item, and no reader ever sees a claim without its document.
 * **Liveness** -- the owner renews the lease on a heartbeat interval
   (:func:`renew`), bumping a monotonic sequence number and a wall-clock
   timestamp.  Renewal re-reads the file first and refuses to clobber a
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import tempfile
 import threading
 import time
 import uuid
@@ -122,18 +125,27 @@ def _lease_document(owner: str, seq: int, ttl: float) -> bytes:
 
 
 def acquire(path: str, owner: str, ttl: float) -> bool:
-    """Claim a lease: atomic ``O_EXCL`` create.  False when contested."""
+    """Claim a lease by hardlinking a whole document.  False when contested.
+
+    The document is written to a temporary file first and linked into
+    place, so the lease never exists half-written: a sibling's reaper
+    can never read an empty claim as a torn write and reclaim it.
+    """
     try:
-        descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-    except FileExistsError:
-        return False
+        handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
     except OSError:
         return False
     try:
-        with os.fdopen(descriptor, "wb") as stream:
+        with os.fdopen(handle, "wb") as stream:
             stream.write(_lease_document(owner, 0, ttl))
-    except OSError:
+        os.link(temporary, path)
+    except OSError:  # FileExistsError: contested.
         return False
+    finally:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
     _count("acquired")
     return True
 

@@ -6,24 +6,25 @@ non-dominated points.  All objectives are minimized -- area, power,
 MPKI, and execution time all read "smaller is better"; negate a column
 first to maximize it.
 
-The extraction is vectorized: :func:`pareto_mask` broadcasts the full
-pairwise dominance comparison through NumPy in candidate blocks (bounded
-memory on large grids) instead of the O(n^2) pure-Python double loop,
-which the test suite keeps as the reference implementation.
+:func:`pareto_mask` is a presorted sweep (Kung, Luccio & Preparata,
+"On finding the maxima of a set of vectors", JACM 1975; Chomicki et
+al., "Skyline with Presorting", ICDE 2003).  Sorted lexicographically,
+a dominator always precedes every point it dominates, so the first
+remaining point is always on the frontier; one vectorized step then
+drops every remaining point it covers.  The loop runs once per distinct
+frontier point, not once per pair.  The test suite keeps the O(n^2)
+pure-Python double loop as the reference implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.frame import ResultFrame
-
-#: Cap on pairwise comparisons materialized per block; bounds the
-#: broadcast buffer at roughly ``_PAIR_BUDGET x objectives`` bytes.
-_PAIR_BUDGET = 4_000_000
 
 
 def pareto_mask(values: Any) -> np.ndarray:
@@ -31,27 +32,35 @@ def pareto_mask(values: Any) -> np.ndarray:
 
     ``values`` is an ``(n, objectives)`` array-like; every objective is
     minimized.  Duplicate points do not dominate each other, so every
-    copy of a frontier point stays on the frontier (matching the
-    brute-force reference asserted in the tests).
+    copy of a frontier point stays on the frontier, and a row holding a
+    NaN neither dominates nor is dominated (both match the brute-force
+    reference asserted in the tests).
     """
     points = np.asarray(values, dtype=float)
     if points.ndim != 2:
         raise ValueError(
             f"expected an (n, objectives) matrix, got shape {points.shape}"
         )
-    count = points.shape[0]
-    mask = np.ones(count, dtype=bool)
-    if count == 0:
-        return mask
-    block = max(1, _PAIR_BUDGET // count)
-    for start in range(0, count, block):
-        candidates = points[start : start + block]
-        # dominated[j] = any point <= candidate j on all objectives and
-        # < on at least one.
-        no_worse = (points[:, None, :] <= candidates[None, :, :]).all(axis=2)
-        better = (points[:, None, :] < candidates[None, :, :]).any(axis=2)
-        mask[start : start + block] = ~((no_worse & better).any(axis=0))
+    if points.shape[1] == 0:
+        return np.ones(len(points), dtype=bool)  # No objective to lose on.
+    # NaN compares false both ways, so its rows stay and drop nothing.
+    mask = np.isnan(points).any(axis=1)
+    rows = np.flatnonzero(~mask)
+    # Lexicographic order: a dominator sorts before every row it
+    # dominates, so the first remaining row is never dominated.
+    rows = rows[np.lexsort(points[rows].T[::-1])]
+    remaining = points[rows]
+    while rows.size:
+        head = remaining[0]
+        covered = (remaining >= head).all(axis=1)
+        mask[rows[(remaining == head).all(axis=1)]] = True
+        left = ~covered
+        rows, remaining = rows[left], remaining[left]
     return mask
+
+
+def _one_group(row: Tuple[Any, ...]) -> Tuple[()]:
+    return ()
 
 
 @dataclass(frozen=True)
@@ -81,26 +90,23 @@ class ParetoFrontier:
         group_by = tuple(group_by)
         if not objectives:
             raise ValueError("pareto extraction needs at least one objective")
-        objective_positions = [frame._position(name) for name in objectives]
+        objective_of = itemgetter(*(frame._position(name) for name in objectives))
         group_positions = [frame._position(name) for name in group_by]
+        group_of = itemgetter(*group_positions) if group_positions else _one_group
+        cells = [objective_of(row) for row in frame.data]
+        values = np.array(cells, dtype=float).reshape(len(cells), len(objectives))
         groups: Dict[Tuple[Any, ...], List[int]] = {}
         for index, row in enumerate(frame.data):
-            key = tuple(row[position] for position in group_positions)
-            groups.setdefault(key, []).append(index)
-        mask = [False] * len(frame.data)
+            groups.setdefault(group_of(row), []).append(index)
+        mask = np.zeros(len(frame.data), dtype=bool)
         for indices in groups.values():
-            values = [
-                [frame.data[index][position] for position in objective_positions]
-                for index in indices
-            ]
-            for index, keep in zip(indices, pareto_mask(values)):
-                mask[index] = bool(keep)
+            mask[indices] = pareto_mask(values[indices])
         kept = tuple(row for row, keep in zip(frame.data, mask) if keep)
         return cls(
             objectives=objectives,
             group_by=group_by,
             frame=ResultFrame(columns=frame.columns, data=kept, title=frame.title),
-            mask=tuple(mask),
+            mask=tuple(mask.tolist()),
         )
 
     def __len__(self) -> int:

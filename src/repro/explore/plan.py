@@ -163,6 +163,13 @@ def _chunk_rows(artifact: Dict) -> List[List[Any]]:
     return [list(row) for row in frame.data]
 
 
+def _reject_duplicates(kind: str, names: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming every value listed more than once."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"duplicate {kind}(s): {', '.join(repeated)}")
+
+
 def _cell(value: Any) -> str:
     """Table-cell formatter shared by the exploration views."""
     if isinstance(value, float):
@@ -248,10 +255,28 @@ class ExplorePlan(Plan):
     use_store: bool = True
 
     def __post_init__(self) -> None:
+        if isinstance(self.objectives, str):
+            raise TypeError(
+                f"objectives must be a sequence of column names, not the string "
+                f"{self.objectives!r}"
+            )
+        object.__setattr__(self, "objectives", tuple(self.objectives))
         if not self.workloads:
             raise ValueError("an exploration needs at least one workload")
+        if not self.sections:
+            raise ValueError("an exploration needs at least one section")
+        for section in self.sections:
+            if not isinstance(section, CodeSection):
+                raise TypeError(f"expected a CodeSection, got {section!r}")
+        if self.instructions < 1:
+            raise ValueError(f"instructions must be >= 1, got {self.instructions}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.chunk_points < 1:
             raise ValueError("chunk_points must be positive")
+        _reject_duplicates("workload", [spec.name for spec in self.workloads])
+        _reject_duplicates("section", [section.name for section in self.sections])
+        _reject_duplicates("objective", self.objectives)
         metrics = FRONTEND_METRICS if self.grid.kind == "frontend" else CMP_METRICS
         for objective in self.objectives:
             if objective not in metrics:
@@ -293,6 +318,22 @@ class ExplorePlan(Plan):
             return [CodeSection.TOTAL.name]
         return [section.name for section in self.sections]
 
+    def _chunk_material(self, chunk: Sequence[GridPoint]) -> Dict[str, Any]:
+        """The key material of one chunk, shared by every workload."""
+        return {
+            "grid_kind": self.grid.kind,
+            "points": [dataclasses.asdict(point.config) for point in chunk],
+            "sections": self._section_names(),
+            "instructions": self.instructions,
+        }
+
+    def _material_key(self, spec: WorkloadSpec, material: Dict[str, Any]) -> str:
+        from repro.results.store import result_key
+
+        return result_key(
+            EXPLORE_CHUNK_EXPERIMENT, material, [spec.name], seed=self.seed
+        )
+
     def chunk_key(self, spec: WorkloadSpec, chunk: Sequence[GridPoint]) -> str:
         """Content-address of one (workload, chunk) result.
 
@@ -300,19 +341,7 @@ class ExplorePlan(Plan):
         axis values), so a change to how a point compiles -- defaults,
         naming, geometry derivation -- can never reuse a stale entry.
         """
-        from repro.results.store import result_key
-
-        return result_key(
-            EXPLORE_CHUNK_EXPERIMENT,
-            {
-                "grid_kind": self.grid.kind,
-                "points": [dataclasses.asdict(point.config) for point in chunk],
-                "sections": self._section_names(),
-                "instructions": self.instructions,
-            },
-            [spec.name],
-            seed=self.seed,
-        )
+        return self._material_key(spec, self._chunk_material(chunk))
 
     def key(self) -> str:
         """Content address of the whole exploration (the outcome key)."""
@@ -358,23 +387,25 @@ class ExplorePlan(Plan):
             if self.grid.kind == "frontend"
             else _cmp_chunk_worker
         )
+        # Keys only address the store: without one, no chunk is keyed.
+        materials = (
+            [self._chunk_material(chunk) for chunk in chunks] if self.use_store else []
+        )
         chunk_rows: Dict[Tuple[str, int], List[List[Any]]] = {}
         with self.session.activate():
-            missing: List[Tuple[str, int, str]] = []
+            missing: List[Tuple[str, int, Optional[str]]] = []
             arguments = []
             for spec in self.workloads:
                 for index, chunk in enumerate(chunks):
-                    key = self.chunk_key(spec, chunk)
-                    artifact = (
-                        load_result(key, EXPLORE_CHUNK_EXPERIMENT)
-                        if self.use_store
-                        else None
-                    )
-                    if artifact is not None:
-                        chunk_rows[(spec.name, index)] = _chunk_rows(artifact)
-                    else:
-                        missing.append((spec.name, index, key))
-                        arguments.append(self._worker_arguments(spec, chunk))
+                    key = None
+                    if self.use_store:
+                        key = self._material_key(spec, materials[index])
+                        artifact = load_result(key, EXPLORE_CHUNK_EXPERIMENT)
+                        if artifact is not None:
+                            chunk_rows[(spec.name, index)] = _chunk_rows(artifact)
+                            continue
+                    missing.append((spec.name, index, key))
+                    arguments.append(self._worker_arguments(spec, chunk))
             if arguments:
                 needed = {name for name, _, _ in missing}
                 prime = [

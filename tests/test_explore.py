@@ -10,11 +10,13 @@ through the batched engine), chunk-level store resume, and the CLI
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ExplorePlan, GridSpec, ParetoFrontier, PlanOutcome, Session
 from repro.api.frame import ResultFrame
@@ -31,10 +33,9 @@ from repro.explore import (
     sensitivity_summary,
     smoke_grid,
 )
-from repro.explore import pareto as pareto_module
-from repro.frontend.configs import BASELINE_FRONTEND
+from repro.explore.plan import EXPLORE_CHUNK_EXPERIMENT
 from repro.frontend.predictors import GsharePredictor, TournamentPredictor
-from repro.results.store import clear_result_store
+from repro.results.store import clear_result_store, load_result, result_key
 from repro.trace.instruction import CodeSection
 
 SMALL = 20_000
@@ -115,6 +116,24 @@ class TestGridSpec:
             get_grid("galaxy")
 
 
+@st.composite
+def point_matrices(draw, max_rows=60, max_objectives=4):
+    """(n, objectives) matrices drawn from a few values, so ties,
+    duplicates, NaN and +/-inf all occur."""
+    rows = draw(st.integers(min_value=0, max_value=max_rows))
+    objectives = draw(st.integers(min_value=1, max_value=max_objectives))
+    size = rows * objectives
+    cells = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    points = np.array(cells, dtype=float).reshape(rows, objectives)
+    if size:
+        specials = st.sampled_from((np.nan, np.inf, -np.inf))
+        for cell, value in draw(
+            st.lists(st.tuples(st.integers(0, size - 1), specials), max_size=4)
+        ):
+            points.flat[cell] = value
+    return points
+
+
 def brute_force_pareto(points) -> list:
     """O(n^2) reference: the definition, straight from the paper text."""
     keep = []
@@ -143,13 +162,37 @@ class TestParetoMask:
         mask = pareto_mask([[1.0, 2.0], [1.0, 2.0], [3.0, 3.0]])
         assert mask.tolist() == [True, True, False]
 
-    def test_blocked_path_matches_unblocked(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        points = rng.integers(0, 6, size=(50, 3)).astype(float)
-        expected = pareto_mask(points).tolist()
-        # A tiny pair budget forces many candidate blocks.
-        monkeypatch.setattr(pareto_module, "_PAIR_BUDGET", 7)
-        assert pareto_mask(points).tolist() == expected
+    @settings(max_examples=200, deadline=None)
+    @given(point_matrices())
+    def test_property_matches_brute_force(self, points):
+        assert pareto_mask(points).tolist() == brute_force_pareto(points.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_matrices(max_objectives=3), st.data())
+    def test_property_grouped_frontier_matches_brute_force(self, points, data):
+        groups = data.draw(
+            st.lists(
+                st.sampled_from(("a", "b", "c")),
+                min_size=len(points),
+                max_size=len(points),
+            )
+        )
+        objectives = [f"m{column}" for column in range(points.shape[1])]
+        frame = ResultFrame.from_rows(
+            ["group"] + objectives,
+            [[group] + list(row) for group, row in zip(groups, points.tolist())],
+        )
+        frontier = ParetoFrontier.from_frame(frame, objectives, group_by=["group"])
+        expected = [False] * len(points)
+        for name in set(groups):
+            indices = [i for i, group in enumerate(groups) if group == name]
+            verdicts = brute_force_pareto([points[i].tolist() for i in indices])
+            for index, keep in zip(indices, verdicts):
+                expected[index] = keep
+        assert list(frontier.mask) == expected
+        assert frontier.frame.data == tuple(
+            row for row, keep in zip(frame.data, expected) if keep
+        )
 
     def test_shape_validation(self):
         assert pareto_mask(np.empty((0, 2))).tolist() == []
@@ -219,6 +262,32 @@ class TestExplorePlan:
             session.explore(42)
         with pytest.raises(KeyError):
             session.explore("galaxy")
+        # Bad values fail at declaration, before any chunk is queued.
+        with pytest.raises(ValueError, match="instructions"):
+            session.explore("smoke", workloads=["FT"], instructions=0)
+        with pytest.raises(ValueError, match="seed"):
+            session.explore("smoke", workloads=["FT"], seed=-1)
+        with pytest.raises(ValueError, match="section"):
+            session.explore("smoke", workloads=["FT"], sections=())
+        with pytest.raises(TypeError, match="CodeSection"):
+            session.explore("smoke", workloads=["FT"], sections=["TOTAL"])
+        with pytest.raises(ValueError, match="duplicate workload"):
+            session.explore("smoke", workloads=["FT", "FT"])
+        with pytest.raises(ValueError, match="duplicate section"):
+            session.explore(
+                "smoke",
+                workloads=["FT"],
+                sections=(CodeSection.TOTAL, CodeSection.TOTAL),
+            )
+        with pytest.raises(ValueError, match="duplicate objective"):
+            session.explore(
+                "smoke", workloads=["FT"], objectives=["power_w", "power_w"]
+            )
+        with pytest.raises(TypeError, match="string"):
+            session.explore("smoke", workloads=["FT"], objectives="total_mpki")
+        assert session.explore(
+            "smoke", workloads=["FT"], objectives=["total_mpki"]
+        ).objectives == ("total_mpki",)
 
     def test_frontend_exploration_matches_direct_simulation(self, session):
         grid = smoke_grid()
@@ -457,15 +526,44 @@ class TestExploreResume:
         assert resumed.chunks_computed == 2
         assert resumed.frames["grid"] == cold.frames["grid"]
 
-    def test_store_disabled_always_computes(self, tmp_path):
+    def test_chunks_are_stored_under_their_chunk_key(self, tmp_path):
+        clear_result_store()  # hermetic: drop entries leaked by other tests
+        session = self._session(tmp_path)
+        plan = session.explore("smoke", workloads=["FT", "gobmk"], chunk_points=3)
+        plan.result()
+        points = plan.grid.points()
+        for spec in plan.workloads:
+            for start in range(0, len(points), 3):
+                chunk = points[start : start + 3]
+                # The key is the chunk's full configuration material.
+                key = result_key(
+                    EXPLORE_CHUNK_EXPERIMENT,
+                    {
+                        "grid_kind": "frontend",
+                        "points": [dataclasses.asdict(p.config) for p in chunk],
+                        "sections": ["TOTAL"],
+                        "instructions": SMALL,
+                    },
+                    [spec.name],
+                    seed=0,
+                )
+                assert plan.chunk_key(spec, chunk) == key
+                assert load_result(key, EXPLORE_CHUNK_EXPERIMENT) is not None
+
+    def test_store_disabled_always_computes(self, tmp_path, monkeypatch):
         session = self._session(tmp_path)
         plan = session.explore(
             "smoke", workloads=["FT"], chunk_points=4, use_store=False
+        )
+        keyed = []
+        monkeypatch.setattr(
+            "repro.results.store.result_key", lambda *args, **kw: keyed.append(args)
         )
         first = plan.result()
         second = plan.result()
         assert first.chunks_computed == second.chunks_computed == 2
         assert not list((tmp_path / "results").rglob("*.json"))
+        assert keyed == []  # Without a store no chunk is keyed.
 
 
 class TestExploreCli:

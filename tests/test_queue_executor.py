@@ -360,6 +360,38 @@ class TestQueueWorkerInProcess:
             double, [(index, index) for index in range(count)], config, str(tmp_path)
         )
 
+    def test_sibling_reap_during_acquire_sees_a_whole_claim(
+        self, tmp_path, monkeypatch
+    ):
+        # A sibling's reaper that runs while the claimant is inside
+        # acquire() must find either no lease or the whole document:
+        # an empty claim file would read as a torn write, be
+        # quarantined, and leave the item free for a second claimant
+        # running the same attempt.
+        campaign = self._campaign(tmp_path, count=1)
+        claimant = QueueWorker(campaign)
+        sibling = QueueWorker(campaign)
+        document = leases._lease_document
+
+        def reap_while_acquiring(*args):
+            sibling.reap()
+            return document(*args)
+
+        monkeypatch.setattr(leases, "_lease_document", reap_while_acquiring)
+        path = campaign.lease_path(campaign.names[0])
+        assert leases.acquire(path, claimant.owner, campaign.settings.lease_ttl)
+        lease = leases.read_lease(path)
+        assert lease is not None and lease["owner"] == claimant.owner
+        evidence = [
+            name
+            for _, _, names in os.walk(campaign.root)
+            for name in names
+            if name.endswith(leases.CORRUPT_SUFFIX)
+        ]
+        assert evidence == []
+        assert sorted(os.listdir(campaign.leases_dir)) == [os.path.basename(path)]
+        assert queue_info()["reclaims"] == 0
+
     def test_stale_lease_fault_exercises_foreign_reclaim(self, tmp_path):
         plan = FaultPlan.of(Fault("stale-lease", index=0))
         campaign = self._campaign(tmp_path, fault_plan=plan)
