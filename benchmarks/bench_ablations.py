@@ -18,6 +18,7 @@ from repro.frontend.predictors import (
 from repro.frontend.simulation import simulate_branch_predictor, simulate_icache
 from repro.uarch import ASYMMETRIC_PLUS_CMP, BASELINE_CMP, profile_workload_frontend, run_on_cmp
 from repro.workloads import build_workload, get_workload
+from repro.workloads.trace_cache import workload_trace
 
 from bench_common import BENCH_INSTRUCTIONS, run_once, show
 
@@ -26,7 +27,7 @@ DESKTOP_SAMPLE = ("gobmk", "astar")
 
 
 def _trace(name):
-    return build_workload(get_workload(name)).trace(BENCH_INSTRUCTIONS)
+    return workload_trace(get_workload(name), BENCH_INSTRUCTIONS)
 
 
 def _loop_predictor_sweep():

@@ -23,9 +23,10 @@ import tempfile
 
 import pytest
 
-from repro.experiments.common import TRACE_CACHE_DIR_VARIABLE, clear_trace_cache
+from repro.api.runtime_config import TRACE_CACHE_DIR_VARIABLE
 from repro.experiments.fig05_branch_mpki import run_fig05
 from repro.workloads.suites import Suite
+from repro.workloads.trace_cache import clear_trace_cache
 
 #: Dynamic trace length per workload of the cold sweep.  Small enough
 #: for a few benchmark rounds, long enough that generation dominates.

@@ -56,8 +56,6 @@ def test_trace_generation(benchmark, instructions):
     """
     workload = _workload()
     compile_schedule(workload.program, workload.schedule)  # warm the memo
-    # Drive the generator directly: workload.trace() would retain every
-    # round's trace in the workload-level cache for the whole process.
     seeds = iter(range(1_000, 100_000))
 
     def generate():

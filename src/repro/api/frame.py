@@ -11,7 +11,7 @@ layering without pulling in the session machinery.
 
 Frames round-trip through the stored artifact form
 (:func:`ResultFrame.from_artifact` / the ``tables`` blocks built by
-:func:`repro.results.artifacts.build_artifact`), and the CSV emission
+:func:`repro.results.artifacts.build_frame_artifact`), and the CSV emission
 is bit-identical to the historical ``write_artifact_csv`` output --
 asserted in the test suite.
 """

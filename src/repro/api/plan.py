@@ -34,8 +34,8 @@ tooling) can hold any of them behind one interface:
 logging and content addressing.
 
 The module-level sweep worker is deliberately a plain picklable
-function, so plans fan out through the same ``parallel_map`` pool the
-experiment drivers use.
+function, so plans fan out through :meth:`Session.map
+<repro.api.session.Session.map>` like the experiment drivers.
 """
 
 from __future__ import annotations

@@ -623,11 +623,6 @@ def worker_environment(config: RuntimeConfig) -> Iterator[None]:
                     os.environ[name] = value
 
 
-def current_cache_namespace() -> Optional[str]:
-    """Current cache namespace, or ``None`` when unset."""
-    return current_config().cache_namespace
-
-
 def current_trace_cache_dir() -> Optional[str]:
     """Current trace-cache directory (namespaced), or ``None`` when disabled."""
     config = current_config()

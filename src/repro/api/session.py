@@ -76,9 +76,10 @@ def parallel_map(
     """Map ``function`` over ``items`` across worker processes, in order.
 
     ``function`` must be picklable (a module-level function).  With one
-    item, one worker, or no multiprocessing support, falls back to a
-    plain in-process map.  This is the pool behind every parallel
-    sweep; :func:`repro.experiments.common.parallel_map` re-exports it.
+    item or one worker, falls back to a plain in-process map.  This is
+    the pool that primes the disk trace cache before a parallel sweep
+    (:func:`_prime_shared_traces`); the sweep itself runs on the work
+    queue.
     """
     items = list(items)
     if processes is None:
@@ -117,11 +118,11 @@ def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
             and isinstance(args[1], int)
         ):
             seed = args[2] if len(args) >= 3 and type(args[2]) is int else 0
-            key = (args[0].name, args[1], seed)
+            key = (args[0], args[1], seed)
             if key in seen:
                 continue
             seen.add(key)
-            keys.append((args[0], args[1], seed))
+            keys.append(key)
     return keys
 
 

@@ -31,7 +31,9 @@ import argparse
 import sys
 from typing import Dict, Optional
 
+from repro import counters
 from repro.api import runtime_config as rc
+from repro.exec import SweepError
 from repro.experiments import DEFAULT_EXPERIMENT_INSTRUCTIONS
 
 
@@ -247,13 +249,13 @@ def main(argv: Optional[list] = None) -> int:
         if queue_dir is None:
             parser.error("'worker' requires --queue-dir (or REPRO_QUEUE_DIR)")
         with session.activate():
-            counters = serve_queue(queue_dir, max_idle=args.max_idle)
+            queue = serve_queue(queue_dir, max_idle=args.max_idle)
         print(
-            f"worker idle, exiting: {counters['completed']} completed, "
-            f"{counters['reclaims']} lease reclaims, "
-            f"{counters['duplicates']} duplicates, "
-            f"{counters['conflicts']} conflicts, "
-            f"{counters['poisoned']} poisoned",
+            f"worker idle, exiting: {queue['completed']} completed, "
+            f"{queue['reclaims']} lease reclaims, "
+            f"{queue['duplicates']} duplicates, "
+            f"{queue['conflicts']} conflicts, "
+            f"{queue['poisoned']} poisoned",
             file=sys.stderr,
         )
         return 0
@@ -320,11 +322,9 @@ def main(argv: Optional[list] = None) -> int:
     # (fig10) before their dependents (fig11), and every completed
     # experiment lands in the result store immediately, so an
     # interrupted `all` run resumes where it died.
-    from repro.exec import SweepError
-
     combined = RunReport(instructions=instructions)
     for name in names:
-        before = _cache_counters() if args.verbose else None
+        before = counters.snapshot() if args.verbose else None
         plan = session.experiment(name, scenario_names=scenario_names)
         try:
             report = plan.report()
@@ -398,7 +398,6 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     experiment runs emit.
     """
     from repro.api.session import Session
-    from repro.exec import SweepError
     from repro.experiments.common import render_blocks
     from repro.explore.grid import GRID_PRESETS, get_grid
     from repro.results.orchestrator import ExperimentOutcome, RunReport, write_manifest
@@ -471,29 +470,22 @@ def _render_artifact(artifact: dict) -> str:
     return render_blocks(artifact_blocks(artifact))
 
 
-def _cache_counters() -> Dict[str, Dict[str, int]]:
-    """Snapshot of every registered cache's counters."""
-    from repro.workloads.trace_cache import all_cache_stats
-
-    return all_cache_stats()
-
-
 def _report_experiment(outcome, before: Dict[str, Dict[str, int]]) -> None:
     """Print one experiment's store status and cache activity.
 
     The caches are process-wide and cumulative, so the report shows the
     delta against the snapshot taken before the experiment ran.
     """
-    from repro.experiments.common import resolved_cache_dir
     from repro.results.store import resolved_result_dir
+    from repro.workloads.trace_cache import resolved_cache_dir
 
-    after = _cache_counters()
+    after = counters.snapshot()
     deltas: Dict[str, Dict[str, int]] = {}
-    for cache, counters in after.items():
-        previous = before.get(cache, {})
-        deltas[cache] = {
+    for group, values in after.items():
+        previous = before.get(group, {})
+        deltas[group] = {
             key: value - previous.get(key, 0)
-            for key, value in counters.items()
+            for key, value in values.items()
             if key != "entries"
         }
     traces = deltas.get("traces", {})

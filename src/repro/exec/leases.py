@@ -31,41 +31,28 @@ import json
 import os
 import socket
 import tempfile
-import threading
 import time
 import uuid
 from typing import Any, Dict, Optional
 
+from repro.counters import Counters
+
 #: Suffix appended to quarantined (unreadable) entries.
 CORRUPT_SUFFIX = ".corrupt"
 
-_STATS = {
-    "acquired": 0,
-    "renewed": 0,
-    "released": 0,
-    "reclaimed": 0,
-    "lost": 0,
-    "corrupt": 0,
-}
-_STATS_LOCK = threading.Lock()
-
-
-def _count(counter: str, amount: int = 1) -> None:
-    with _STATS_LOCK:
-        _STATS[counter] += amount
+_COUNTERS = Counters(
+    "leases", ("acquired", "renewed", "released", "reclaimed", "lost", "corrupt")
+)
 
 
 def lease_info() -> Dict[str, int]:
     """Process-wide lease counters (acquired/renewed/reclaimed/...)."""
-    with _STATS_LOCK:
-        return dict(_STATS)
+    return _COUNTERS.snapshot()
 
 
 def reset_lease_info() -> None:
     """Zero the counters (tests)."""
-    with _STATS_LOCK:
-        for counter in _STATS:
-            _STATS[counter] = 0
+    _COUNTERS.reset()
 
 
 def quarantine_entry(path: str, suffix: str = CORRUPT_SUFFIX) -> Optional[str]:
@@ -146,7 +133,7 @@ def acquire(path: str, owner: str, ttl: float) -> bool:
             os.unlink(temporary)
         except OSError:
             pass
-    _count("acquired")
+    _COUNTERS.add("acquired")
     return True
 
 
@@ -171,7 +158,7 @@ def read_lease(path: str) -> Optional[Dict[str, Any]]:
             raise ValueError("not a lease document")
     except ValueError:
         if quarantine_entry(path) is not None:
-            _count("corrupt")
+            _COUNTERS.add("corrupt")
         return {"owner": "", "seq": 0, "ts": 0.0, "ttl": 0.0, "corrupt": True}
     return document
 
@@ -185,7 +172,7 @@ def renew(path: str, owner: str, seq: int, ttl: float) -> bool:
     """
     current = read_lease(path)
     if current is None or current.get("owner") != owner:
-        _count("lost")
+        _COUNTERS.add("lost")
         return False
     temporary = f"{path}.{owner.rsplit(':', 1)[-1]}.hb"
     try:
@@ -198,7 +185,7 @@ def renew(path: str, owner: str, seq: int, ttl: float) -> bool:
         except OSError:
             pass
         return False
-    _count("renewed")
+    _COUNTERS.add("renewed")
     return True
 
 
@@ -211,7 +198,7 @@ def release(path: str, owner: str) -> bool:
         os.unlink(path)
     except OSError:
         return False
-    _count("released")
+    _COUNTERS.add("released")
     return True
 
 
@@ -234,7 +221,7 @@ def reclaim(path: str, reclaimer: str) -> Optional[Dict[str, Any]]:
         os.unlink(tombstone)
     except OSError:
         pass
-    _count("reclaimed")
+    _COUNTERS.add("reclaimed")
     return document if document is not None else {"owner": "", "seq": 0}
 
 
@@ -293,13 +280,3 @@ class Reaper:
             self._observations[path] = (seq, now)
             return not timestamp  # A ts of 0 is stale on sight.
         return now - seen[1] > self.ttl
-
-
-def _register_stats_provider() -> None:
-    """Expose the lease counters through the shared stats registry."""
-    from repro.workloads.trace_cache import register_stats_provider
-
-    register_stats_provider("leases", lease_info)
-
-
-_register_stats_provider()

@@ -58,6 +58,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.counters import Counters
 from repro.exec import leases
 from repro.exec.executors import (
     ExecutionSettings,
@@ -103,35 +104,29 @@ RESULT_SUFFIX = ".result"
 #: rerun enqueues the item again.
 FAILED_SUFFIX = ".failed"
 
-_STATS = {
-    "enqueued": 0,
-    "replayed": 0,
-    "completed": 0,
-    "duplicates": 0,
-    "conflicts": 0,
-    "reclaims": 0,
-    "errors": 0,
-    "poisoned": 0,
-}
-_STATS_LOCK = threading.Lock()
-
-
-def _count(counter: str, amount: int = 1) -> None:
-    with _STATS_LOCK:
-        _STATS[counter] += amount
+_COUNTERS = Counters(
+    "queue",
+    (
+        "enqueued",
+        "replayed",
+        "completed",
+        "duplicates",
+        "conflicts",
+        "reclaims",
+        "errors",
+        "poisoned",
+    ),
+)
 
 
 def queue_info() -> Dict[str, int]:
     """Process-wide queue counters (claims, reclaims, conflicts, ...)."""
-    with _STATS_LOCK:
-        return dict(_STATS)
+    return _COUNTERS.snapshot()
 
 
 def reset_queue_info() -> None:
     """Zero the counters (tests)."""
-    with _STATS_LOCK:
-        for counter in _STATS:
-            _STATS[counter] = 0
+    _COUNTERS.reset()
 
 
 def item_key(worker: Callable, index: int, args: Any) -> str:
@@ -387,7 +382,7 @@ def enqueue_campaign(
         if not os.path.exists(campaign.item_path(name)):
             _write_item(campaign, name, index, args)
             enqueued += 1
-    _count("enqueued", enqueued)
+    _COUNTERS.add("enqueued", enqueued)
     return campaign
 
 
@@ -513,7 +508,7 @@ def publish_result(campaign: Campaign, name: str, payload: Dict[str, Any]) -> st
             except OSError:
                 existing = b""
             if existing == data:
-                _count("duplicates")
+                _COUNTERS.add("duplicates")
                 return "duplicate"
             evidence = path + ".conflict"
             attempt = 0
@@ -524,9 +519,9 @@ def publish_result(campaign: Campaign, name: str, payload: Dict[str, Any]) -> st
                 os.link(temporary, evidence)
             except OSError:
                 pass
-            _count("conflicts")
+            _COUNTERS.add("conflicts")
             return "conflict"
-        _count("completed")
+        _COUNTERS.add("completed")
         return "stored"
     finally:
         try:
@@ -629,7 +624,7 @@ def poison_item(
         "attempts": attempts,
     }
     if publish_result(campaign, name, payload) == "stored":
-        _count("poisoned")
+        _COUNTERS.add("poisoned")
 
 
 #: Owner id planted by the ``stale-lease`` fault: a foreign host (so the
@@ -841,7 +836,7 @@ class QueueWorker:
                     "attempts": attempt,
                 }
                 self._resolve(name, payload)
-                _count("errors")
+                _COUNTERS.add("errors")
                 return True
             leases.release(lease_path, self.owner)
             return False
@@ -962,7 +957,7 @@ class QueueWorker:
                 continue  # Lost the reclaim race; someone else owns it.
             self.reaper.forget(path)
             reclaimed += 1
-            _count("reclaims")
+            _COUNTERS.add("reclaims")
             _record_death(
                 campaign,
                 name,
@@ -1030,7 +1025,7 @@ class QueueExecutor(Executor):
                 value=payload.get("value"),
                 attempts=int(payload.get("attempts", 0)),
             )
-        _count("replayed", len(results))
+        _COUNTERS.add("replayed", len(results))
         unresolved = [index for index in order if index not in results]
         degraded = False
         if unresolved:
@@ -1228,12 +1223,3 @@ def serve_queue(
             return queue_info()
         else:
             time.sleep(poll)
-
-
-def _register() -> None:
-    from repro.workloads.trace_cache import register_stats_provider
-
-    register_stats_provider("queue", queue_info)
-
-
-_register()

@@ -13,13 +13,10 @@ so the mapping from paper artefact to code is one-to-one.
 
 from repro.experiments.common import (
     DEFAULT_EXPERIMENT_INSTRUCTIONS,
-    clear_trace_cache,
     default_workload_names,
     normalize_to_reference,
-    parallel_map,
     render_blocks,
     suite_workloads,
-    trace_cache_info,
 )
 from repro.experiments.fig01_branch_mix import run_fig01, tables_fig01, format_fig01
 from repro.experiments.fig02_branch_bias import run_fig02, tables_fig02, format_fig02
@@ -61,10 +58,7 @@ __all__ = [
     "DEFAULT_EXPERIMENT_INSTRUCTIONS",
     "default_workload_names",
     "suite_workloads",
-    "clear_trace_cache",
-    "trace_cache_info",
     "normalize_to_reference",
-    "parallel_map",
     "render_blocks",
     "run_fig01",
     "tables_fig01",

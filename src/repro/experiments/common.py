@@ -1,9 +1,9 @@
 """Shared plumbing for the experiment drivers.
 
-The workload-trace cache itself lives in
-:mod:`repro.workloads.trace_cache` (so the uarch layer can share it
-without a layering cycle); this module re-exports it together with the
-workload selection helpers and small formatting utilities.
+The drivers take their traces from :mod:`repro.workloads.trace_cache`
+and their sweeps from :meth:`repro.api.session.Session.map`; this
+module holds the workload selection helpers and small formatting
+utilities they share.
 
 It also owns the frame-native result layer shared by all 15 drivers:
 :class:`FrameResult` (a result base class whose payload is a set of
@@ -32,26 +32,11 @@ from typing import (
 from repro.api.frame import ResultFrame
 from repro.results.artifacts import TableBlock, block, nest_rows
 from repro.trace.instruction import CodeSection
-from repro.workloads.catalog import (
-    WORKLOADS,
-    get_workload,
-    select_workloads,
-    workloads_in_suite,
-)
+from repro.workloads.catalog import select_workloads
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import SUITE_ORDER, Suite
-from repro.workloads.trace_cache import (
-    DEFAULT_PROFILE_INSTRUCTIONS,
-    TRACE_CACHE_DIR_VARIABLE,
-    TRACE_CACHE_VERSION,
-    all_cache_stats,
-    clear_trace_cache,
-    default_shared_cache_dir,
-    register_stats_provider,
-    resolved_cache_dir,
-    trace_cache_info,
-    trace_on_disk,
-)
+from repro.workloads.trace_cache import DEFAULT_PROFILE_INSTRUCTIONS
+
 __all__ = [
     # Sweep and selection helpers owned by this module.
     "DEFAULT_EXPERIMENT_INSTRUCTIONS",
@@ -61,7 +46,6 @@ __all__ = [
     "format_table",
     "mean",
     "normalize_to_reference",
-    "parallel_map",
     "render_blocks",
     "sections_for",
     "suite_label_map",
@@ -76,25 +60,6 @@ __all__ = [
     "percent",
     "suite_cell",
     "section_cell",
-    # Re-exported workload/trace-cache API (backward compatibility --
-    # the cache itself lives in repro.workloads.trace_cache).
-    "CodeSection",
-    "Suite",
-    "SUITE_ORDER",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "get_workload",
-    "workloads_in_suite",
-    "DEFAULT_PROFILE_INSTRUCTIONS",
-    "TRACE_CACHE_DIR_VARIABLE",
-    "TRACE_CACHE_VERSION",
-    "all_cache_stats",
-    "clear_trace_cache",
-    "default_shared_cache_dir",
-    "register_stats_provider",
-    "resolved_cache_dir",
-    "trace_cache_info",
-    "trace_on_disk",
 ]
 
 #: Default dynamic trace length used by the experiment drivers (alias
@@ -121,22 +86,6 @@ def experiment_instructions(instructions: Optional[int]) -> int:
 
 #: The sections reported by the per-suite figures, in bar order.
 SECTION_ORDER = (CodeSection.TOTAL, CodeSection.SERIAL, CodeSection.PARALLEL)
-
-
-def parallel_map(
-    function: Callable,
-    items: Sequence,
-    processes: Optional[int] = None,
-) -> List:
-    """Map ``function`` over worker processes.
-
-    The pool lives in :mod:`repro.api.session`
-    (:func:`repro.api.session.parallel_map`); this thin wrapper keeps
-    the import path the experiment drivers share.
-    """
-    from repro.api.session import parallel_map as session_parallel_map
-
-    return session_parallel_map(function, items, processes)
 
 
 def suite_workloads(

@@ -18,18 +18,11 @@ and the orchestrator imports the experiment modules -- keeping this
 ``from repro.results.orchestrator import run_experiments``.
 """
 
-from repro.results.artifacts import (
-    TableBlock,
-    block,
-    build_artifact,
-    to_jsonable,
-)
+from repro.results.artifacts import TableBlock, block, to_jsonable
 from repro.results.spec import ExperimentSpec
 from repro.results.store import (
-    RESULT_CACHE_DIR_VARIABLE,
     RESULT_STORE_VERSION,
     clear_result_store,
-    default_result_store_dir,
     load_result,
     resolved_result_dir,
     result_key,
@@ -41,13 +34,10 @@ from repro.results.store import (
 __all__ = [
     "TableBlock",
     "block",
-    "build_artifact",
     "to_jsonable",
     "ExperimentSpec",
-    "RESULT_CACHE_DIR_VARIABLE",
     "RESULT_STORE_VERSION",
     "clear_result_store",
-    "default_result_store_dir",
     "load_result",
     "resolved_result_dir",
     "result_key",

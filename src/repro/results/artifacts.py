@@ -167,26 +167,6 @@ def _table_entries(blocks: Sequence[TableBlock]) -> List[Dict[str, Any]]:
     ]
 
 
-def build_artifact(
-    experiment: str,
-    title: str,
-    blocks: Sequence[TableBlock],
-    payload: Any,
-) -> Dict[str, Any]:
-    """Assemble a legacy (v1) artifact from rendered blocks + payload.
-
-    Kept for direct callers and tests; the orchestrator stores
-    frame-native artifacts via :func:`build_frame_artifact`.
-    """
-    return {
-        "schema": RENDERED_SCHEMA_VERSION,
-        "experiment": experiment,
-        "title": title,
-        "tables": _table_entries(blocks),
-        "payload": to_jsonable(payload),
-    }
-
-
 def build_frame_artifact(
     experiment: str,
     title: str,

@@ -10,7 +10,8 @@ therefore derive the same key, and any change that could alter the
 numbers derives a different one.
 
 The store mirrors :mod:`repro.workloads.trace_cache`: an in-process
-dictionary layer is always on, and an optional XDG-style disk layer
+dictionary layer is always on (its counters are the ``results`` group
+of :mod:`repro.counters`), and an optional XDG-style disk layer
 lives in the current config's ``result_cache_dir``
 (``REPRO_RESULT_CACHE_DIR``: unset means "no disk layer" for library
 use, while the CLI defaults it to the per-user directory; ``none``/
@@ -32,48 +33,44 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.api import runtime_config
 from repro.api.frame import FRAME_SCHEMA_VERSION
+from repro.counters import Counters
 from repro.results.artifacts import ARTIFACT_SCHEMA_VERSION, valid_artifact
 from repro.source_digest import source_digest
-from repro.workloads.trace_cache import TRACE_CACHE_VERSION, register_stats_provider
-
-#: Environment variable selecting the on-disk result-store directory.
-#: Owned by :mod:`repro.api.runtime_config`; re-exported here.
-RESULT_CACHE_DIR_VARIABLE = runtime_config.RESULT_CACHE_DIR_VARIABLE
+from repro.workloads.trace_cache import TRACE_CACHE_VERSION
 
 #: Version salt folded into every result key.  Bump when experiment
 #: semantics change in a way the configuration cannot see.
 RESULT_STORE_VERSION = 1
 
-#: Memoized digest of the package source (see :func:`code_fingerprint`).
-_CODE_FINGERPRINT: Optional[str] = None
-
 #: In-process layer: key digest -> artifact.
 _MEMORY: Dict[str, Dict[str, Any]] = {}
+#: Guards the compare-and-swap of :func:`store_result_cas` on ``_MEMORY``.
 _LOCK = threading.Lock()
-_STATS = {
-    "hits": 0,
-    "misses": 0,
-    "stores": 0,
-    "disk_hits": 0,
-    "disk_misses": 0,
-    "disk_stores": 0,
-    "quarantined": 0,
-    "cas_stores": 0,
-    "cas_identical": 0,
-    "cas_conflicts": 0,
-    # Read-path accounting (the results service reads these): every
-    # load_result call, how many resolved to an artifact from either
-    # layer, and the cumulative wall time spent loading -- so a serving
-    # layer can report store-read latency without wrapping every call.
-    "loads": 0,
-    "load_hits": 0,
-    "load_ns": 0,
-}
 
-
-def default_result_store_dir() -> str:
-    """Per-user shared result-store directory (platformdirs-style)."""
-    return runtime_config.default_result_cache_dir()
+_COUNTERS = Counters(
+    "results",
+    (
+        "hits",
+        "misses",
+        "stores",
+        "disk_hits",
+        "disk_misses",
+        "disk_stores",
+        "quarantined",
+        "cas_stores",
+        "cas_identical",
+        "cas_conflicts",
+        # Read-path accounting (the results service reads these): every
+        # load_result call, how many resolved to an artifact from either
+        # layer, and the cumulative wall time spent loading -- so a
+        # serving layer can report store-read latency without wrapping
+        # every call.
+        "loads",
+        "load_hits",
+        "load_ns",
+    ),
+    {"entries": lambda: len(_MEMORY)},
+)
 
 
 def resolved_result_dir() -> Optional[str]:
@@ -86,18 +83,16 @@ def resolved_result_dir() -> Optional[str]:
 
 
 def code_fingerprint() -> str:
-    """Digest of the installed ``repro`` package source (memoized).
+    """Digest of the installed ``repro`` package source.
 
     Folded into every result key so *any* code change invalidates
     stored results instead of silently serving pre-change numbers --
     the store never has to trust a manual version bump.  Conservative
     on purpose: a docstring edit costs a recompute, a semantics edit
-    can never reuse a stale entry.
+    can never reuse a stale entry.  :func:`repro.source_digest.
+    source_digest` memoizes it.
     """
-    global _CODE_FINGERPRINT
-    if _CODE_FINGERPRINT is None:
-        _CODE_FINGERPRINT = source_digest()
-    return _CODE_FINGERPRINT
+    return source_digest()
 
 
 def result_key(
@@ -150,40 +145,31 @@ def load_result(key: str, experiment: Optional[str] = None) -> Optional[Dict[str
     a miss (including corrupt, truncated, or mismatched disk entries).
     """
     started = time.perf_counter_ns()
-    with _LOCK:
-        _STATS["loads"] += 1
-        cached = _MEMORY.get(key)
-        if cached is not None:
-            _STATS["hits"] += 1
-            _STATS["load_hits"] += 1
-            _STATS["load_ns"] += time.perf_counter_ns() - started
-            return cached
-        _STATS["misses"] += 1
-
-    if resolved_result_dir() is None:
-        with _LOCK:
-            _STATS["load_ns"] += time.perf_counter_ns() - started
-        return None
-    artifact = _load_from_disk(key, experiment)
-    with _LOCK:
-        _STATS["load_ns"] += time.perf_counter_ns() - started
-        if artifact is None:
-            _STATS["disk_misses"] += 1
-            return None
-        _STATS["disk_hits"] += 1
-        _STATS["load_hits"] += 1
-        _MEMORY[key] = artifact
+    _COUNTERS.add("loads")
+    artifact = _MEMORY.get(key)
+    if artifact is not None:
+        _COUNTERS.add("hits")
+    else:
+        _COUNTERS.add("misses")
+        if resolved_result_dir() is not None:
+            artifact = _load_from_disk(key, experiment)
+            if artifact is None:
+                _COUNTERS.add("disk_misses")
+            else:
+                _COUNTERS.add("disk_hits")
+                _MEMORY[key] = artifact
+    if artifact is not None:
+        _COUNTERS.add("load_hits")
+    _COUNTERS.add("load_ns", time.perf_counter_ns() - started)
     return artifact
 
 
 def store_result(key: str, artifact: Dict[str, Any]) -> None:
     """Insert an artifact under its key (memory, then best-effort disk)."""
-    with _LOCK:
-        _MEMORY[key] = artifact
-        _STATS["stores"] += 1
+    _MEMORY[key] = artifact
+    _COUNTERS.add("stores")
     if _store_to_disk(key, artifact):
-        with _LOCK:
-            _STATS["disk_stores"] += 1
+        _COUNTERS.add("disk_stores")
 
 
 def artifact_etag(artifact: Dict[str, Any]) -> str:
@@ -238,15 +224,15 @@ def store_result_cas(
             else:
                 status, winner = "conflict", existing
         _MEMORY[key] = winner
-        if status == "stored":
-            _STATS["stores"] += 1
-            _STATS["cas_stores"] += 1
-            if path is not None:
-                _STATS["disk_stores"] += 1
-        elif status == "identical":
-            _STATS["cas_identical"] += 1
-        else:
-            _STATS["cas_conflicts"] += 1
+    if status == "stored":
+        _COUNTERS.add("stores")
+        _COUNTERS.add("cas_stores")
+        if path is not None:
+            _COUNTERS.add("disk_stores")
+    elif status == "identical":
+        _COUNTERS.add("cas_identical")
+    else:
+        _COUNTERS.add("cas_conflicts")
     return status, winner
 
 
@@ -321,18 +307,13 @@ def clear_result_store() -> None:
     The disk layer is left untouched -- it is the cross-process layer a
     resumed run replays from.
     """
-    with _LOCK:
-        _MEMORY.clear()
-        for counter in _STATS:
-            _STATS[counter] = 0
+    _MEMORY.clear()
+    _COUNTERS.reset()
 
 
 def result_store_info() -> Dict[str, int]:
     """Hit/miss/store counters of the result store (both layers)."""
-    with _LOCK:
-        info = dict(_STATS)
-        info["entries"] = len(_MEMORY)
-        return info
+    return _COUNTERS.snapshot()
 
 
 def _entry_path(key: str) -> Optional[str]:
@@ -359,8 +340,7 @@ def _load_from_disk(key: str, experiment: Optional[str]) -> Optional[Dict[str, A
         from repro.exec.leases import quarantine_entry
 
         if quarantine_entry(path) is not None:
-            with _LOCK:
-                _STATS["quarantined"] += 1
+            _COUNTERS.add("quarantined")
         return None
     if not isinstance(entry, dict) or entry.get("key") != key:
         return None
@@ -394,6 +374,3 @@ def _store_to_disk(key: str, artifact: Dict[str, Any]) -> bool:
                 pass
         return False  # Disk store is best-effort.
     return True
-
-
-register_stats_provider("results", result_store_info)

@@ -18,8 +18,8 @@ fronts the content-addressed result store and the durable work queue:
     store the response is byte-identical to the warm
     ``/experiment/...`` response for the same parameters.
 ``GET /healthz`` and ``GET /stats``
-    Liveness, the registered cache/store/queue counters, and per-route
-    request/hit/miss/error/latency counters.
+    Liveness, the process counters (:func:`repro.counters.snapshot`),
+    and per-route request/hit/miss/error/latency counters.
 
 One :class:`~repro.api.runtime_config.RuntimeConfig` snapshot is
 pinned at startup; every request derives (and activates) its own
@@ -39,6 +39,7 @@ import time
 from collections import deque
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
+from repro import counters
 from repro.api import runtime_config as rc
 from repro.serve.jobs import JobRegistry
 from repro.serve.resolve import ResolvedRequest, resolve_experiment, resolve_explore
@@ -165,9 +166,7 @@ class ResultsServer:
             return self._stats[route]
 
     def stats(self) -> Dict[str, Any]:
-        """Per-route serve counters plus every registered cache's."""
-        from repro.workloads.trace_cache import all_cache_stats
-
+        """Per-route serve counters plus :func:`repro.counters.snapshot`."""
         with self._stats_lock:
             routes = {name: stats.describe() for name, stats in self._stats.items()}
         return {
@@ -176,7 +175,7 @@ class ResultsServer:
                 "jobs": len(self._jobs) if self._jobs is not None else 0,
                 "routes": routes,
             },
-            "caches": all_cache_stats(),
+            "caches": counters.snapshot(),
         }
 
     # -- the HTTP layer ----------------------------------------------

@@ -2,9 +2,9 @@
 
 ``profile_workload_frontend`` measures, once per core flavour and code
 section, the front-end miss rates of a workload's trace (pulled from
-the shared :mod:`repro.workloads.trace_cache` and simulated with the
-batched multi-configuration engine -- see the function docstring for
-the cache-routing contract);
+the shared :mod:`repro.workloads.trace_cache`, simulated with the
+batched multi-configuration engine, and memoized weakly per trace --
+see the function docstring for the cache-routing contract);
 ``run_on_cmp`` then schedules the workload on a CMP configuration: the
 serial sections run on the master core, the parallel sections are
 divided evenly over all cores (static scheduling with one thread per
@@ -14,24 +14,20 @@ parallel share.
 
 from __future__ import annotations
 
-import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.api import runtime_config
+from repro.counters import Counters
 from repro.frontend.simulation import FrontEndResult, simulate_frontend_many
+from repro.trace.events import Trace
 from repro.trace.instruction import CodeSection
 from repro.uarch.cmp import CmpConfig
 from repro.uarch.core import BASELINE_CORE, TAILORED_CORE, CoreModel
 from repro.uarch.cpi import CpiStack, cpi_for_section
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthesis import SyntheticWorkload
-from repro.workloads.trace_cache import (
-    default_profile_instructions,
-    register_cache_clearer,
-    register_stats_provider,
-    workload_trace,
-)
+from repro.workloads.trace_cache import default_profile_instructions, workload_trace
 
 #: Nominal dynamic instruction count used to convert per-instruction
 #: times into seconds.  All Figure 10/11 results are normalized to the
@@ -88,39 +84,30 @@ class CmpRunResult:
         return self.serial_seconds + self.parallel_seconds
 
 
-#: Process-wide front-end profile cache: (cache namespace, workload
-#: name, instructions, cores) -> WorkloadFrontendProfile.  Namespaced
-#: like the trace cache beneath it, so concurrent sessions with
-#: distinct ``cache_namespace`` settings never share in-memory
-#: profiles.
-_PROFILE_CACHE: Dict[tuple, WorkloadFrontendProfile] = {}
-_PROFILE_CACHE_LOCK = threading.Lock()
-_PROFILE_CACHE_STATS = {"hits": 0, "misses": 0}
+#: trace -> cores -> its :class:`WorkloadFrontendProfile`.  Weakly keyed
+#: by the trace, like the section streams the profiles are built from
+#: (:data:`repro.frontend.simulation._STREAMS`), so a profile lives
+#: exactly as long as its trace.
+_PROFILES: "weakref.WeakKeyDictionary[Trace, Dict[tuple, WorkloadFrontendProfile]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+_COUNTERS = Counters(
+    "profiles",
+    ("hits", "misses"),
+    {"entries": lambda: sum(map(len, list(_PROFILES.values())))},
+)
 
 
 def clear_profile_cache() -> None:
-    """Drop every cached front-end profile (tests and memory pressure)."""
-    with _PROFILE_CACHE_LOCK:
-        _PROFILE_CACHE.clear()
-        _PROFILE_CACHE_STATS["hits"] = 0
-        _PROFILE_CACHE_STATS["misses"] = 0
+    """Drop every memoized front-end profile (tests and memory pressure)."""
+    _PROFILES.clear()
+    _COUNTERS.reset()
 
 
 def profile_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the process-wide profile cache."""
-    with _PROFILE_CACHE_LOCK:
-        return {
-            "hits": _PROFILE_CACHE_STATS["hits"],
-            "misses": _PROFILE_CACHE_STATS["misses"],
-            "entries": len(_PROFILE_CACHE),
-        }
-
-
-# Profiles are derived from cached traces, so dropping the trace cache
-# must drop them too (otherwise a cleared-and-regenerated trace could
-# coexist with profiles of its predecessor).
-register_cache_clearer(clear_profile_cache)
-register_stats_provider("profiles", profile_cache_info)
+    """Hit/miss/size counters of the front-end profile memo."""
+    return _COUNTERS.snapshot()
 
 
 def profile_workload_frontend(
@@ -143,10 +130,10 @@ def profile_workload_frontend(
     :func:`repro.workloads.trace_cache.default_profile_instructions`
     (active session budget > ``REPRO_INSTRUCTIONS`` > the
     150k default).  The resulting
-    profile is itself memoized process-wide, keyed by ``(workload
-    name, instructions, cores)``; repeated calls return the *same*
-    object, which callers must treat as read-only.  Clearing the trace
-    cache clears the profile cache with it.
+    profile is itself memoized per ``(trace, cores)``, weakly keyed by
+    the trace; repeated calls return the *same* object, which callers
+    must treat as read-only.  A profile lives as long as its trace, so
+    clearing the trace cache drops it too.
 
     ``workload`` may be a built :class:`SyntheticWorkload` or a bare
     :class:`WorkloadSpec`; only the spec is used.
@@ -159,23 +146,18 @@ def profile_workload_frontend(
     spec = workload.spec if isinstance(workload, SyntheticWorkload) else workload
     if instructions is None:
         instructions = default_profile_instructions()
-    # Resolve the trace before consulting the profile cache: on a warm
-    # run this is a dictionary lookup, and it keeps the shared trace
-    # cache the single source of truth (its hit counters account every
-    # profiling pass, cached or not).
+    # The trace is the memo's key: on a warm run this is a dictionary
+    # lookup, and it keeps the shared trace cache the single source of
+    # truth (its hit counters account every profiling pass, cached or
+    # not).
     trace = workload_trace(spec, instructions)
-    key = (
-        runtime_config.current_cache_namespace(),
-        spec.name,
-        int(instructions),
-        tuple(cores),
-    )
-    with _PROFILE_CACHE_LOCK:
-        cached = _PROFILE_CACHE.get(key)
-        if cached is not None:
-            _PROFILE_CACHE_STATS["hits"] += 1
-            return cached
-        _PROFILE_CACHE_STATS["misses"] += 1
+    cores = tuple(cores)
+    profiles = _PROFILES.setdefault(trace, {})
+    cached = profiles.get(cores)
+    if cached is not None:
+        _COUNTERS.add("hits")
+        return cached
+    _COUNTERS.add("misses")
     profile = WorkloadFrontendProfile(
         workload_name=spec.name,
         serial_fraction=spec.serial_fraction,
@@ -194,8 +176,7 @@ def profile_workload_frontend(
             profile.results[(core.frontend.name, section)] = batched[
                 (core.frontend.name, section)
             ]
-    with _PROFILE_CACHE_LOCK:
-        _PROFILE_CACHE[key] = profile
+    profiles[cores] = profile
     return profile
 
 

@@ -27,7 +27,6 @@ from repro.workloads.catalog import (
 )
 from repro.workloads.trace_cache import (
     clear_trace_cache,
-    default_shared_cache_dir,
     resolved_cache_dir,
     trace_cache_info,
     workload_trace,
@@ -48,6 +47,5 @@ __all__ = [
     "workload_trace",
     "clear_trace_cache",
     "trace_cache_info",
-    "default_shared_cache_dir",
     "resolved_cache_dir",
 ]

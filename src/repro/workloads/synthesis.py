@@ -21,7 +21,7 @@ looking artificial.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -494,13 +494,12 @@ class _SectionBuilder:
         return UniformTripCount(low, high)
 
 class SyntheticWorkload:
-    """A fully built workload: spec, program, schedule, cached traces."""
+    """A fully built workload: spec, program and schedule."""
 
     def __init__(self, spec: WorkloadSpec, program: Program, schedule: ExecutionSchedule) -> None:
         self.spec = spec
         self.program = program
         self.schedule = schedule
-        self._traces: Dict[Tuple[int, int], Trace] = {}
 
     @property
     def name(self) -> str:
@@ -523,22 +522,19 @@ class SyntheticWorkload:
         return compile_schedule(self.program, self.schedule)
 
     def trace(self, instructions: Optional[int] = None, seed: int = 0) -> Trace:
-        """Generate (or return the cached) dynamic trace of the workload.
+        """Generate a dynamic trace of the workload.
 
-        Generation runs through the compiled segment engine, which is
-        bit-identical to the reference tree walk
+        Every call generates anew; the one in-memory trace cache is
+        :func:`repro.workloads.trace_cache.workload_trace`.  Generation
+        runs through the compiled segment engine, which is bit-identical
+        to the reference tree walk
         (:class:`~repro.trace.execution.TraceGenerator` over the same
         program, schedule and run seed).
         """
         if instructions is None:
             instructions = DEFAULT_TRACE_INSTRUCTIONS
-        key = (int(instructions), int(seed))
-        if key not in self._traces:
-            run_seed = self.spec.seed ^ (seed * 0x9E3779B1)
-            self._traces[key] = self.compiled.run(
-                int(instructions), seed=run_seed, name=self.spec.name
-            )
-        return self._traces[key]
+        run_seed = self.spec.seed ^ (seed * 0x9E3779B1)
+        return self.compiled.run(int(instructions), seed=run_seed, name=self.spec.name)
 
     def static_code_bytes(self) -> int:
         """Static footprint of the synthetic binary."""
@@ -579,8 +575,8 @@ def build_workload(
 ) -> SyntheticWorkload:
     """Build the synthetic program and execution schedule for a workload.
 
-    The result is cached so repeated experiments share one program (and
-    its cached traces) per workload.
+    The result is cached so repeated experiments share one program per
+    workload.
     """
     rng = np.random.default_rng(spec.seed)
     hot_functions: List[Function] = []

@@ -3,18 +3,22 @@
 This is the single place a dynamic trace of a catalogued workload is
 supposed to come from: every profiling layer (the experiment drivers,
 the Section V CMP simulator, benchmarks, examples) routes through
-:func:`workload_trace` so one trace per ``(workload, instructions,
-seed)`` exists per process, regardless of which driver asked first.
+:func:`workload_trace` so one trace per ``(spec, instructions, seed)``
+exists per process, regardless of which driver asked first.  It is the
+only in-memory trace layer: :meth:`SyntheticWorkload.trace
+<repro.workloads.synthesis.SyntheticWorkload.trace>` just generates.
 
 The cache lives in the workloads layer -- below both ``experiments``
 and ``uarch`` -- precisely so the micro-architecture simulator can use
 it without a layering cycle.
 
-A config's ``trace_cache_dir`` (``REPRO_TRACE_CACHE_DIR``) also
-persists trace columns on disk as ``.npz`` files, so separate driver
-*processes* (each CLI invocation is one, as is every ``--parallel``
-worker) share traces too.  A parallel run of a session built without
-any trace-cache setting (:meth:`repro.api.session.Session.map`)
+A config's ``trace_cache_dir`` (``REPRO_TRACE_CACHE_DIR``, joined with
+its ``cache_namespace``) also persists trace columns on disk as
+``.npz`` files, so separate driver *processes* (each CLI invocation is
+one, as is every ``--parallel`` worker) share traces too.  The
+namespace scopes only these directories; in memory, every session of
+a process shares one trace per key.  A parallel run of a session built
+without any trace-cache setting (:meth:`repro.api.session.Session.map`)
 defaults the trace-cache directory to a per-user one
 (``$XDG_CACHE_HOME/repro-frontend/traces``, falling back to
 ``~/.cache``); name an explicit path to relocate it, or one of
@@ -43,12 +47,12 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.api import runtime_config
+from repro.counters import Counters
 from repro.source_digest import source_digest
 from repro.trace.columns import STATIC_ARRAYS, ProgramColumns
 from repro.trace.events import Trace
@@ -75,11 +79,6 @@ def default_profile_instructions() -> int:
     """
     return runtime_config.current_config().instructions
 
-#: Directory for the optional on-disk trace cache.  When set, generated
-#: trace columns are persisted as ``.npz`` files so separate driver
-#: *processes* (each CLI invocation is one) share traces too.  Owned by
-#: :mod:`repro.api.runtime_config`; re-exported here for compatibility.
-TRACE_CACHE_DIR_VARIABLE = runtime_config.TRACE_CACHE_DIR_VARIABLE
 
 #: Version salt folded into the disk-cache fingerprint.  Bump when the
 #: entry layout changes; code changes are already covered by the
@@ -90,71 +89,16 @@ TRACE_CACHE_VERSION = 2
 #: scope as CI's trace-cache key), digested into every fingerprint.
 _TRACE_SOURCE_PACKAGES = ("trace", "workloads")
 
-#: Process-wide trace cache: (cache namespace, workload name,
-#: instructions, seed) -> Trace.  The namespace component scopes
-#: entries to the active session's ``cache_namespace`` (``None`` when
-#: unset) so concurrent namespaced sessions in one process never
-#: observe each other's in-memory traces -- mirroring the disk-layer
-#: isolation that landed with the namespaced cache directories.
-_TRACE_CACHE: Dict[Tuple[Optional[str], str, int, int], Trace] = {}
-_TRACE_CACHE_LOCK = threading.Lock()
-_TRACE_CACHE_STATS = {
-    "hits": 0,
-    "misses": 0,
-    "disk_hits": 0,
-    "disk_misses": 0,
-    "disk_stores": 0,
-    "quarantined": 0,
-}
+#: Process-wide trace cache: (spec, instructions, seed) -> Trace.  The
+#: key is everything the trace bytes depend on, so a modified spec that
+#: keeps its catalog name gets its own entry.
+_TRACES: Dict[Tuple[WorkloadSpec, int, int], Trace] = {}
 
-#: Callbacks run by :func:`clear_trace_cache` so higher layers with
-#: derived caches (e.g. the uarch profile cache) stay consistent
-#: without this module importing them.
-_CLEAR_CALLBACKS: List[Callable[[], None]] = []
-
-#: Named cache-statistics providers (trace cache, profile cache, result
-#: store, ...).  Each layer registers its own counter snapshot here so
-#: the CLI's ``--verbose`` reporting does not hard-code the cache
-#: inventory; this module hosts the registry because it sits below
-#: every cache-owning layer.
-_STATS_PROVIDERS: Dict[str, Callable[[], Dict[str, int]]] = {}
-
-
-def register_stats_provider(
-    name: str, provider: Callable[[], Dict[str, int]]
-) -> Optional[Callable[[], Dict[str, int]]]:
-    """Register a named cache-counter snapshot provider.
-
-    Re-registering an already-used name **replaces** the previous
-    provider rather than accumulating a duplicate: each cache owns
-    exactly one snapshot per name, so a module re-import (or a test
-    installing an instrumented provider) never double-counts in
-    :func:`all_cache_stats`.  Returns the replaced provider, or
-    ``None`` for a first registration, so callers that wrap an
-    existing provider can restore it.
-    """
-    previous = _STATS_PROVIDERS.get(name)
-    _STATS_PROVIDERS[name] = provider
-    return previous
-
-
-def all_cache_stats() -> Dict[str, Dict[str, int]]:
-    """Snapshot every registered cache's counters, keyed by cache name.
-
-    Only caches whose owning module has been imported appear -- the
-    registry is populated at import time by each layer.
-    """
-    return {name: provider() for name, provider in _STATS_PROVIDERS.items()}
-
-
-def default_shared_cache_dir() -> str:
-    """Per-user shared trace-cache directory (platformdirs-style).
-
-    Honours ``$XDG_CACHE_HOME`` and falls back to ``~/.cache``, the
-    conventional per-user cache root on every platform this project
-    targets.
-    """
-    return runtime_config.default_trace_cache_dir()
+_COUNTERS = Counters(
+    "traces",
+    ("hits", "misses", "disk_hits", "disk_misses", "disk_stores", "quarantined"),
+    {"entries": lambda: len(_TRACES)},
+)
 
 
 def resolved_cache_dir() -> Optional[str]:
@@ -173,7 +117,7 @@ def trace_on_disk(spec: WorkloadSpec, instructions: int, seed: int = 0) -> bool:
     without building the workload, so sweep priming regenerates exactly
     the traces that need it.
     """
-    path = _disk_cache_path((spec.name, int(instructions), int(seed)))
+    path = _disk_cache_path(spec, int(instructions), int(seed))
     if path is None or not os.path.exists(path):
         return False
     try:
@@ -184,18 +128,6 @@ def trace_on_disk(spec: WorkloadSpec, instructions: int, seed: int = 0) -> bool:
         return False
 
 
-def register_cache_clearer(callback: Callable[[], None]) -> None:
-    """Register a callback invoked whenever the trace cache is cleared.
-
-    Higher layers that memoize results *derived* from cached traces
-    (the process-wide front-end profile cache in
-    :mod:`repro.uarch.simulator`) register their own clearers here so
-    :func:`clear_trace_cache` drops the whole dependent chain at once.
-    """
-    if callback not in _CLEAR_CALLBACKS:
-        _CLEAR_CALLBACKS.append(callback)
-
-
 def workload_trace(
     spec: WorkloadSpec,
     instructions: Optional[int] = None,
@@ -203,42 +135,32 @@ def workload_trace(
 ) -> Trace:
     """Build (or reuse) the synthetic workload and return its trace.
 
-    Traces are cached process-wide, keyed by ``(cache namespace,
-    spec.name, instructions, seed)``, so the experiment drivers share
-    one trace per workload instead of each regenerating all of them.
-    Repeated calls with the same key return the *same* object; sessions
-    with distinct ``cache_namespace`` settings get distinct entries,
-    exactly as they get distinct disk directories.  A config with a
+    Traces are cached process-wide, keyed by ``(spec, instructions,
+    seed)``, so the experiment drivers share one trace per workload
+    instead of each regenerating all of them.  Repeated calls with the
+    same key return the *same* object.  A config with a
     ``trace_cache_dir`` also persists trace columns on disk and shares
     them across driver processes.
     """
     if instructions is None:
         instructions = default_profile_instructions()
-    namespace = runtime_config.current_cache_namespace()
-    key = (namespace, spec.name, int(instructions), int(seed))
-    disk_key = (spec.name, int(instructions), int(seed))
-    with _TRACE_CACHE_LOCK:
-        cached = _TRACE_CACHE.get(key)
-        if cached is not None:
-            _TRACE_CACHE_STATS["hits"] += 1
-            return cached
-        _TRACE_CACHE_STATS["misses"] += 1
+    key = (spec, int(instructions), int(seed))
+    cached = _TRACES.get(key)
+    if cached is not None:
+        _COUNTERS.add("hits")
+        return cached
+    _COUNTERS.add("misses")
 
-    disk_enabled = resolved_cache_dir() is not None
-    trace = _load_trace_from_disk(spec, disk_key)
-    if trace is None:
-        if disk_enabled:
-            with _TRACE_CACHE_LOCK:
-                _TRACE_CACHE_STATS["disk_misses"] += 1
-        trace = build_workload(spec).trace(int(instructions), seed=seed)
-        if _store_trace_to_disk(spec, trace, disk_key):
-            with _TRACE_CACHE_LOCK:
-                _TRACE_CACHE_STATS["disk_stores"] += 1
+    trace = _load_trace_from_disk(*key)
+    if trace is not None:
+        _COUNTERS.add("disk_hits")
     else:
-        with _TRACE_CACHE_LOCK:
-            _TRACE_CACHE_STATS["disk_hits"] += 1
-    with _TRACE_CACHE_LOCK:
-        _TRACE_CACHE[key] = trace
+        if resolved_cache_dir() is not None:
+            _COUNTERS.add("disk_misses")
+        trace = build_workload(spec).trace(int(instructions), seed=seed)
+        if _store_trace_to_disk(trace, *key):
+            _COUNTERS.add("disk_stores")
+    _TRACES[key] = trace
     return trace
 
 
@@ -246,19 +168,13 @@ def clear_trace_cache() -> None:
     """Drop every cached trace (mainly for tests and memory pressure).
 
     Also clears the workload-builder cache underneath, which holds the
-    built programs and their per-workload trace dictionaries; without
-    that, the traces would stay strongly referenced and the next
-    "miss" would silently return the same objects.  Registered
-    dependent caches (see :func:`register_cache_clearer`) are cleared
-    last.
+    built programs.  Results memoized per trace (the section streams,
+    the Section V profiles) are weakly keyed by the trace and go with
+    it.
     """
-    with _TRACE_CACHE_LOCK:
-        _TRACE_CACHE.clear()
-        for counter in _TRACE_CACHE_STATS:
-            _TRACE_CACHE_STATS[counter] = 0
+    _TRACES.clear()
+    _COUNTERS.reset()
     build_workload.cache_clear()
-    for callback in _CLEAR_CALLBACKS:
-        callback()
 
 
 def trace_cache_info() -> Dict[str, int]:
@@ -267,21 +183,14 @@ def trace_cache_info() -> Dict[str, int]:
     ``disk_hits``/``disk_misses``/``disk_stores`` count the optional
     ``.npz`` layer; they stay zero while it is disabled.
     """
-    with _TRACE_CACHE_LOCK:
-        info = dict(_TRACE_CACHE_STATS)
-        info["entries"] = len(_TRACE_CACHE)
-        return info
+    return _COUNTERS.snapshot()
 
 
-register_stats_provider("traces", trace_cache_info)
-
-
-def _disk_cache_path(key: Tuple[str, int, int]) -> Optional[str]:
+def _disk_cache_path(spec: WorkloadSpec, instructions: int, seed: int) -> Optional[str]:
     directory = resolved_cache_dir()
     if directory is None:
         return None
-    name, instructions, seed = key
-    return os.path.join(directory, f"{name}-{instructions}-{seed}.npz")
+    return os.path.join(directory, f"{spec.name}-{instructions}-{seed}.npz")
 
 
 def trace_fingerprint(spec: WorkloadSpec) -> str:
@@ -320,9 +229,9 @@ def _build_program(spec: WorkloadSpec) -> Program:
 
 
 def _load_trace_from_disk(
-    spec: WorkloadSpec, key: Tuple[str, int, int]
+    spec: WorkloadSpec, instructions: int, seed: int
 ) -> Optional[Trace]:
-    path = _disk_cache_path(key)
+    path = _disk_cache_path(spec, instructions, seed)
     if path is None or not os.path.exists(path):
         return None
     try:
@@ -359,20 +268,19 @@ def _quarantine_trace_entry(path: str) -> None:
     The rename itself is shared with the work queue and the result
     store (:func:`repro.exec.leases.quarantine_entry`, imported lazily
     to keep this layer importable on its own); the counter lives in
-    this cache's stats so ``--verbose`` reporting attributes the damage
-    to the right store.
+    this cache's counters so ``--verbose`` reporting attributes the
+    damage to the right store.
     """
     from repro.exec.leases import quarantine_entry
 
     if quarantine_entry(path) is not None:
-        with _TRACE_CACHE_LOCK:
-            _TRACE_CACHE_STATS["quarantined"] += 1
+        _COUNTERS.add("quarantined")
 
 
 def _store_trace_to_disk(
-    spec: WorkloadSpec, trace: Trace, key: Tuple[str, int, int]
+    trace: Trace, spec: WorkloadSpec, instructions: int, seed: int
 ) -> bool:
-    path = _disk_cache_path(key)
+    path = _disk_cache_path(spec, instructions, seed)
     if path is None:
         return False
     # Write-then-rename keeps the store atomic: the shared directory is

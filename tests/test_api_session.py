@@ -2,25 +2,34 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import counters
 from repro.api import ResultFrame, RuntimeConfig, Session, current_session, default_session
 from repro.api.frame import artifact_frames, write_frames_csv
 from repro.experiments import run_fig06, tables_fig06
-from repro.workloads.trace_cache import workload_trace
 from repro.frontend.configs import BASELINE_FRONTEND, TAILORED_FRONTEND
-from repro.frontend.simulation import simulate_frontend
-from repro.results.artifacts import build_artifact, block, write_artifact_csv
+from repro.frontend.simulation import simulate_frontend, simulate_frontend_many
+from repro.results.artifacts import write_artifact_csv
 from repro.trace.instruction import CodeSection
-from repro.workloads import get_workload
-from repro.workloads.trace_cache import (
-    all_cache_stats,
-    clear_trace_cache,
-    register_stats_provider,
-)
+from repro.uarch.core import BASELINE_CORE, TAILORED_CORE
+from repro.uarch.simulator import profile_workload_frontend
+from repro.workloads import build_workload, get_workload
+from repro.workloads.trace_cache import clear_trace_cache, workload_trace
 
 INSTRUCTIONS = 30_000
+
+
+def _v1_artifact(*tables):
+    """A literal v1 (rendered) artifact holding ``tables``."""
+    return {"schema": 1, "experiment": "t", "title": "T", "tables": list(tables), "payload": {}}
+
+
+def _table(headers, rows, name=None):
+    return {"title": None, "name": name, "headers": headers, "rows": rows}
 
 
 class TestResultFrame:
@@ -68,26 +77,13 @@ class TestResultFrame:
 
     def test_artifact_csv_bytes_match_legacy_writer(self, tmp_path):
         """write_artifact_csv (now frame-backed) emits the historical bytes."""
-        single = build_artifact(
-            "t", "T", [block(["h1", "h2"], [["a", "b"], ["c", "d"]])], {}
+        single = _v1_artifact(_table(["h1", "h2"], [["a", "b"], ["c", "d"]]))
+        multi_shared = _v1_artifact(
+            _table(["h"], [["1"]], name="one"), _table(["h"], [["2"]], name="two")
         )
-        multi_shared = build_artifact(
-            "t",
-            "T",
-            [
-                block(["h"], [["1"]], name="one"),
-                block(["h"], [["2"]], name="two"),
-            ],
-            {},
-        )
-        multi_mixed = build_artifact(
-            "t",
-            "T",
-            [
-                block(["h"], [["1"]], name="one"),
-                block(["g", "gg"], [["2", "3"]], name="two"),
-            ],
-            {},
+        multi_mixed = _v1_artifact(
+            _table(["h"], [["1"]], name="one"),
+            _table(["g", "gg"], [["2", "3"]], name="two"),
         )
         for index, artifact in enumerate((single, multi_shared, multi_mixed)):
             path = tmp_path / f"a{index}.csv"
@@ -110,14 +106,8 @@ class TestResultFrame:
         ).read_bytes() == b"table,h\r\none,1\r\ntable,g,gg\r\ntwo,2,3\r\n"
 
     def test_from_artifact_combines_shared_headers(self):
-        artifact = build_artifact(
-            "t",
-            "T",
-            [
-                block(["h"], [["1"]], name="one"),
-                block(["h"], [["2"]], name="two"),
-            ],
-            {},
+        artifact = _v1_artifact(
+            _table(["h"], [["1"]], name="one"), _table(["h"], [["2"]], name="two")
         )
         frame = ResultFrame.from_artifact(artifact)
         assert frame.columns == ("table", "h")
@@ -530,32 +520,54 @@ class TestLegacyShimsRemoved:
         assert serial == parallel
 
 
-class TestStatsProviderRegistry:
-    def test_reregistration_replaces_not_duplicates(self):
-        calls = []
-
-        def first():
-            calls.append("first")
-            return {"value": 1}
-
-        def second():
-            calls.append("second")
-            return {"value": 2}
-
-        previous = register_stats_provider("api-test-cache", first)
-        assert previous is None
-        replaced = register_stats_provider("api-test-cache", second)
-        assert replaced is first
+class TestCounterRegistry:
+    def test_redeclaring_a_group_replaces_it(self):
+        first = counters.Counters("api-test-group", ("value",))
+        first.add("value")
+        second = counters.Counters("api-test-group", ("value",))
+        second.add("value", 2)
         try:
-            stats = all_cache_stats()
-            assert stats["api-test-cache"] == {"value": 2}
-            # The replaced provider never ran: one name, one snapshot.
-            assert calls == ["second"]
-            assert sum(1 for name in stats if name == "api-test-cache") == 1
+            # One name, one snapshot: the second declaration's.
+            assert counters.snapshot()["api-test-group"] == {"value": 2}
         finally:
-            from repro.workloads import trace_cache
+            counters._GROUPS.pop("api-test-group", None)
 
-            trace_cache._STATS_PROVIDERS.pop("api-test-cache", None)
+
+def _changed_ft():
+    """FT at half its parallel branch fraction, still named ``FT``."""
+    ft = get_workload("FT")
+    return dataclasses.replace(
+        ft,
+        parallel=dataclasses.replace(
+            ft.parallel, branch_fraction=ft.parallel.branch_fraction * 0.5
+        ),
+    )
+
+
+class TestSpecKeyedCaches:
+    """A changed spec under a catalog name never gets the catalog entry."""
+
+    def test_session_trace_of_a_changed_spec(self):
+        session = Session(instructions=20_000, trace_cache_dir=None)
+        session.trace("FT")
+        changed = _changed_ft()
+        trace = session.trace(changed)
+        fresh = build_workload(changed).trace(20_000)
+        for column in ("block_ids", "taken_column", "target_column", "section_column"):
+            assert np.array_equal(getattr(trace, column), getattr(fresh, column)), column
+
+    def test_profile_of_a_changed_spec(self):
+        original = profile_workload_frontend(get_workload("FT"), 20_000)
+        changed = _changed_ft()
+        profile = profile_workload_frontend(changed, 20_000)
+        assert profile is not original
+        assert profile.results != original.results
+        expected = simulate_frontend_many(
+            build_workload(changed).trace(20_000),
+            [core.frontend for core in (BASELINE_CORE, TAILORED_CORE)],
+            [CodeSection.SERIAL, CodeSection.PARALLEL],
+        )
+        assert profile.results == expected
 
 
 def _shim_worker(args):

@@ -22,7 +22,6 @@ import pathlib
 import pytest
 
 from repro.api.frame import ResultFrame
-from repro.experiments import clear_trace_cache
 from repro.results.artifacts import ARTIFACT_SCHEMA_VERSION
 from repro.results.orchestrator import (
     experiment_key,
@@ -32,6 +31,7 @@ from repro.results.orchestrator import (
     write_manifest,
 )
 from repro.results.store import clear_result_store, load_result
+from repro.workloads.trace_cache import clear_trace_cache
 
 #: Must match the budget the golden manifests were recorded at.
 TINY = 6_000

@@ -18,7 +18,7 @@ from repro.api import Session
 from repro.cli import main as cli_main
 from repro.experiments.common import default_workload_names
 from repro.experiments.explore_presets import run_explore_frontend
-from repro.experiments import clear_trace_cache, normalize_to_reference, trace_cache_info
+from repro.experiments import normalize_to_reference
 from repro.frontend.configs import (
     BASELINE_FRONTEND,
     TAILORED_FRONTEND,
@@ -66,6 +66,7 @@ from repro.uarch.simulator import (
 )
 from repro.uarch.sweep import SweepScenario
 from repro.workloads import Suite, build_workload, get_workload
+from repro.workloads.trace_cache import clear_trace_cache, trace_cache_info
 
 SMALL = 60_000
 

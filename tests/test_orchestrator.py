@@ -15,7 +15,8 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments import clear_trace_cache, run_fig11, tables_fig11
+from repro.api.runtime_config import RESULT_CACHE_DIR_VARIABLE
+from repro.experiments import run_fig11, tables_fig11
 from repro.experiments.fig11_per_benchmark_time import SPEC as FIG11_SPEC
 from repro.results.artifacts import build_frame_artifact, rendered_artifact
 from repro.results.orchestrator import (
@@ -26,11 +27,8 @@ from repro.results.orchestrator import (
     unconsumed_flags,
     write_manifest,
 )
-from repro.results.store import (
-    RESULT_CACHE_DIR_VARIABLE,
-    clear_result_store,
-    load_result,
-)
+from repro.results.store import clear_result_store, load_result
+from repro.workloads.trace_cache import clear_trace_cache
 
 #: Short enough that the full 18-experiment suite stays test-friendly.
 TINY = 6_000
@@ -190,6 +188,12 @@ class TestFullSuiteManifest:
         # Zero recomputes on the warm run, reported via --verbose.
         assert "0 computed, 0 derived, 18 served from store" in warm.err
         assert "18 served from store" not in cold.err
+        # ... and no trace or profile lookup: the --verbose line of
+        # every experiment reads zero of each.
+        lines = [line for line in warm.err.splitlines() if "(key " in line]
+        assert len(lines) == 18
+        for line in lines:
+            assert "traces: 0 hits, 0 misses; profiles: 0 hits, 0 misses" in line, line
 
         # Every emitted CSV/JSON is bit-identical between the runs, and
         # so is the rendered text output.

@@ -319,7 +319,7 @@ class TestQueueExecutor:
 
         items = [(index, index) for index in range(3)]
         before = enqueue_campaign(double, items, settings(), str(tmp_path))
-        monkeypatch.setattr(store, "_CODE_FINGERPRINT", "0" * 64)
+        monkeypatch.setattr(store, "source_digest", lambda *packages: "0" * 64)
         after = enqueue_campaign(double, items, settings(), str(tmp_path))
         # Other code, other campaign: nothing published under the old
         # source can replay into a run of the new one.

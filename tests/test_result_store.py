@@ -19,7 +19,6 @@ import threading
 import pytest
 
 from repro.api.runtime_config import RuntimeConfig, activated
-from repro.results.artifacts import block, build_artifact
 from repro.results.store import (
     clear_result_store,
     load_result,
@@ -42,12 +41,16 @@ def _fresh_store():
 
 
 def _artifact(experiment: str = "fig7", value: str = "1.00") -> dict:
-    return build_artifact(
-        experiment,
-        "a title",
-        [block(["suite", "mpki"], [["NPB", value]])],
-        {"mpki": {"NPB": float(value)}},
-    )
+    """A literal v1 (rendered) artifact, the layout emitted manifests keep."""
+    return {
+        "schema": 1,
+        "experiment": experiment,
+        "title": "a title",
+        "tables": [
+            {"title": None, "name": None, "headers": ["suite", "mpki"], "rows": [["NPB", value]]}
+        ],
+        "payload": {"mpki": {"NPB": float(value)}},
+    }
 
 
 class TestResultKey:
@@ -71,8 +74,8 @@ class TestResultKey:
         from repro.results import store as store_module
 
         reference = result_key("fig7", CONFIG, WORKLOADS)
-        assert store_module.code_fingerprint()  # Memoized, non-empty.
-        monkeypatch.setattr(store_module, "_CODE_FINGERPRINT", "different-code")
+        assert store_module.code_fingerprint()  # Non-empty.
+        monkeypatch.setattr(store_module, "source_digest", lambda *packages: "different-code")
         assert result_key("fig7", CONFIG, WORKLOADS) != reference
 
     def test_key_is_stable_across_processes(self):

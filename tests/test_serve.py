@@ -25,6 +25,7 @@ from typing import List, Tuple
 
 import pytest
 
+from repro import counters
 from repro.api import runtime_config as rc
 from repro.exec.queue import (
     INTERACTIVE_PRIORITY,
@@ -35,13 +36,12 @@ from repro.exec.queue import (
     worker_reference,
 )
 from repro.exec.executors import ExecutionSettings
-from repro.experiments import clear_trace_cache
 from repro.results.orchestrator import experiment_key, get_spec, run_experiments
 from repro.results.store import clear_result_store
 from repro.serve import background_server
 from repro.serve.wire import dump_json
 from repro.workloads import get_workload
-from repro.workloads.trace_cache import all_cache_stats, workload_trace
+from repro.workloads.trace_cache import clear_trace_cache, trace_cache_info, workload_trace
 
 TINY = 6_000
 
@@ -178,11 +178,11 @@ class TestWarmServing:
         run_experiments(["fig5"], instructions=TINY)
         with background_server(config=config, queue_dir=queue) as server:
             get(server.url, "/experiment/fig5")  # prime any disk promotion
-            before = all_cache_stats()
+            before = counters.snapshot()
             for _ in range(20):
                 status, _, _ = get(server.url, "/experiment/fig5")
                 assert status == 200
-            after = all_cache_stats()
+            after = counters.snapshot()
             # Zero recomputes: nothing was enqueued, nothing was stored,
             # no trace or profile work ran -- every byte came from the
             # result store's read path.
@@ -196,6 +196,17 @@ class TestWarmServing:
             route = stats["serve"]["routes"]["experiment"]
             assert route["hits"] >= 21
             assert route["p50_ms"] < 5.0
+
+    def test_stats_caches_are_the_counter_snapshot(self, serve_env):
+        config, queue = serve_env
+        with background_server(config=config, queue_dir=queue) as server:
+            status, stats = get_json(server.url, "/stats")
+        assert status == 200
+        snapshot = counters.snapshot()
+        assert set(stats["caches"]) == set(snapshot)
+        assert {"traces", "profiles", "results", "queue", "leases"} <= set(snapshot)
+        for group, values in snapshot.items():
+            assert set(stats["caches"][group]) == set(values)
 
     def test_concurrent_mixed_budget_requests_stay_isolated(self, serve_env):
         config, queue = serve_env
@@ -396,39 +407,29 @@ class TestInteractivePriority:
         assert sorted(ORDER) == [0, 1, 2, 3, 99]
 
 
-class TestNamespacedInProcessCaches:
-    def test_trace_cache_is_namespace_scoped(self):
-        from repro.workloads.trace_cache import trace_cache_info
+class TestSharedInProcessCaches:
+    """A cache namespace scopes the two disk roots only: in memory, the
+    namespaces of one process share a trace and a profile per key (disk
+    isolation is covered in ``tests/test_api_session.py``)."""
 
+    def test_namespaces_share_one_in_memory_trace(self):
         spec = get_workload("FT")
         base = rc.RuntimeConfig.from_environment()
-
-        def misses() -> int:
-            return trace_cache_info()["misses"]
-
         with rc.activated(base.replace(cache_namespace="alpha")):
-            before = misses()
+            before = trace_cache_info()["misses"]
             first = workload_trace(spec, 20_000)
-            assert misses() == before + 1
-            assert workload_trace(spec, 20_000) is first
-            assert misses() == before + 1  # same-namespace repeat: a hit
         with rc.activated(base.replace(cache_namespace="beta")):
-            # A different namespace never reads alpha's in-process
-            # entry: the lookup is a miss (the trace content itself is
-            # deterministic, so the rebuilt value is equal).
-            workload_trace(spec, 20_000)
-            assert misses() == before + 2
-        with rc.activated(base.replace(cache_namespace="alpha")):
             assert workload_trace(spec, 20_000) is first
-            assert misses() == before + 2
+        assert trace_cache_info()["misses"] == before + 1
 
-    def test_profile_cache_is_namespace_scoped(self):
-        from repro.uarch.simulator import profile_workload_frontend
+    def test_namespaces_share_one_profile(self):
+        from repro.uarch.simulator import profile_cache_info, profile_workload_frontend
 
         spec = get_workload("FT")
         base = rc.RuntimeConfig.from_environment()
         with rc.activated(base.replace(cache_namespace="alpha")):
             first = profile_workload_frontend(spec, 20_000)
-            assert profile_workload_frontend(spec, 20_000) is first
+            hits = profile_cache_info()["hits"]
         with rc.activated(base.replace(cache_namespace="beta")):
-            assert profile_workload_frontend(spec, 20_000) is not first
+            assert profile_workload_frontend(spec, 20_000) is first
+        assert profile_cache_info()["hits"] == hits + 1

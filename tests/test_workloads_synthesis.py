@@ -5,6 +5,7 @@ import pytest
 from repro.trace import CodeSection
 from repro.workloads import SectionProfile, Suite, WorkloadSpec, build_workload, get_workload
 from repro.workloads.synthesis import _Diffuser, _SectionPlan
+from repro.workloads.trace_cache import workload_trace
 
 SMALL = 50_000
 
@@ -57,9 +58,9 @@ class TestBuildWorkload:
         assert build_workload(spec) is build_workload(spec)
 
     def test_trace_is_cached_per_length(self):
-        workload = build_workload(get_workload("IS"))
-        assert workload.trace(SMALL) is workload.trace(SMALL)
-        assert workload.trace(SMALL) is not workload.trace(SMALL // 2)
+        spec = get_workload("IS")
+        assert workload_trace(spec, SMALL) is workload_trace(spec, SMALL)
+        assert workload_trace(spec, SMALL) is not workload_trace(spec, SMALL // 2)
 
     def test_trace_is_deterministic_across_builds(self):
         spec = _toy_spec()
