@@ -163,8 +163,8 @@ def test_queue_item_cycle(benchmark, tmp_path):
     claim, heartbeat start/stop, first-writer-wins publication, item
     retirement -- for a 64-item campaign drained by one in-process
     ``QueueWorker``.  The worker body is an identity function, so this
-    is pure executor overhead: the price ``--executor queue`` adds per
-    item over the in-process supervised pool.
+    is pure executor overhead: the price ``--parallel`` adds per item
+    over a serial, in-process sweep.
     """
     items = [(index, float(index)) for index in range(64)]
     settings = ExecutionSettings()

@@ -307,13 +307,10 @@ class ExperimentPlan(Plan):
         """Run the plan and return the orchestrator's full RunReport."""
         from repro.results.orchestrator import run_experiments
 
-        config = self.session.config
         with self.session.activate():
             return run_experiments(
                 list(self.names),
                 instructions=self._instructions(),
-                run_parallel=config.parallel,
-                processes=config.processes,
                 scenario_names=(
                     list(self.scenario_names) if self.scenario_names else None
                 ),

@@ -3,9 +3,9 @@
 This module is the **only** place in the package that reads a
 ``REPRO_*`` environment variable.  Everything the environment used to
 configure at scattered call sites -- the two cache directories, sweep
-parallelism, the executor, and the default instruction budget -- is
-captured by one frozen :class:`RuntimeConfig` dataclass, resolved with
-*explicit argument > environment variable > default* precedence.
+parallelism, and the default instruction budget -- is captured by one
+frozen :class:`RuntimeConfig` dataclass, resolved with *explicit
+argument > environment variable > default* precedence.
 
 The environment is read once per :class:`repro.api.session.Session`
 (and by the CLI, which builds one) and once per process: code below a
@@ -13,7 +13,9 @@ session asks :func:`current_config`, which answers with the activated
 config (see :func:`activated`) or, outside any activation, with the
 process snapshot resolved from ``REPRO_*`` on first use.  Nothing
 re-reads the environment after that, so a later change to it reaches
-only configs and sessions built afterwards.
+only configs and sessions built afterwards.  Worker processes never
+read it either: a parallel sweep hands each worker the sweep's config
+as an object, and the worker runs under :func:`activated`.
 
 The module deliberately imports nothing from the rest of the package,
 so every layer -- down to :mod:`repro.workloads.trace_cache` -- can
@@ -49,10 +51,6 @@ PROCESSES_VARIABLE = "REPRO_PROCESSES"
 #: Environment variable overriding the default dynamic trace length.
 INSTRUCTIONS_VARIABLE = "REPRO_INSTRUCTIONS"
 
-#: Environment variable selecting the sweep executor (one of
-#: :data:`EXECUTORS`).
-EXECUTOR_VARIABLE = "REPRO_EXECUTOR"
-
 #: Environment variable fixing the per-item retry count of supervised
 #: sweeps (transient failures and worker deaths).
 RETRIES_VARIABLE = "REPRO_RETRIES"
@@ -71,7 +69,7 @@ FAULT_PLAN_VARIABLE = "REPRO_FAULT_PLAN"
 CACHE_NAMESPACE_VARIABLE = "REPRO_CACHE_NAMESPACE"
 
 #: Environment variable naming the durable work-queue directory used by
-#: the ``queue`` executor (unset/``none``: ``<result store>/queue``, or
+#: parallel sweeps (unset/``none``: ``<result store>/queue``, or
 #: a private per-campaign temporary directory without a result store; a
 #: shared path is what lets external workers cooperate on a campaign).
 QUEUE_DIR_VARIABLE = "REPRO_QUEUE_DIR"
@@ -103,7 +101,6 @@ ENVIRONMENT_VARIABLES: Tuple[str, ...] = (
     PARALLEL_VARIABLE,
     PROCESSES_VARIABLE,
     INSTRUCTIONS_VARIABLE,
-    EXECUTOR_VARIABLE,
     RETRIES_VARIABLE,
     RETRY_DELAY_VARIABLE,
     FAULT_PLAN_VARIABLE,
@@ -120,13 +117,6 @@ ENVIRONMENT_VARIABLES: Tuple[str, ...] = (
 #: 41-workload sweeps finish in minutes on a laptop; every caller
 #: accepts an ``instructions`` override.
 DEFAULT_INSTRUCTIONS = 150_000
-
-#: The default sweep executor: ``auto`` resolves to ``queue`` for
-#: parallel sweeps and ``serial`` otherwise (see :mod:`repro.exec`).
-DEFAULT_EXECUTOR = "auto"
-
-#: The sweep executors a config may name (see :mod:`repro.exec`).
-EXECUTORS = ("auto", "serial", "queue")
 
 #: Default per-item retry count of supervised sweeps.
 DEFAULT_RETRIES = 2
@@ -277,8 +267,8 @@ class RuntimeConfig:
 
     Construct via :meth:`from_environment` (explicit keyword beats
     environment variable beats default, field by field) or directly
-    with plain values.  Construction validates every knob (an unknown
-    executor or an out-of-range count raises) and normalizes both
+    with plain values.  Construction validates every knob (an
+    out-of-range count raises) and normalizes both
     cache-directory fields to their *resolved* setting: ``None`` means
     "no disk layer", anything else is the active directory -- the
     ``none``-disables spelling is applied here, so consumers never
@@ -289,14 +279,13 @@ class RuntimeConfig:
     trace_cache_dir: Optional[str] = None
     #: On-disk result-store directory, or ``None`` when disabled.
     result_cache_dir: Optional[str] = None
-    #: Whether sweeps fan out across worker processes by default.
+    #: Whether sweeps run on the work queue's worker processes
+    #: (otherwise serially, in-process).
     parallel: bool = False
     #: Worker-process count for parallel sweeps (``None``: CPU count).
     processes: Optional[int] = None
     #: Default dynamic trace length per workload.
     instructions: int = DEFAULT_INSTRUCTIONS
-    #: Sweep executor: ``"auto"``, ``"serial"`` or ``"queue"``.
-    executor: str = DEFAULT_EXECUTOR
     #: Per-item retries of supervised sweeps (0 disables retrying).
     retries: int = DEFAULT_RETRIES
     #: Base backoff delay between retries, in seconds.
@@ -307,8 +296,8 @@ class RuntimeConfig:
     #: Cache namespace: one path component appended to both disk-cache
     #: directories, isolating concurrent sessions (``None``: none).
     cache_namespace: Optional[str] = None
-    #: Durable work-queue directory for the ``queue`` executor
-    #: (``None``: see :func:`current_queue_dir`).
+    #: Durable work-queue directory of parallel sweeps (``None``: see
+    #: :func:`current_queue_dir`).
     queue_dir: Optional[str] = None
     #: Queue lease time-to-live in seconds: heartbeat silence beyond
     #: this and the reaper reclaims the item.
@@ -327,12 +316,6 @@ class RuntimeConfig:
         object.__setattr__(
             self, "result_cache_dir", normalize_cache_dir(self.result_cache_dir)
         )
-        executor = str(self.executor).strip() or DEFAULT_EXECUTOR
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
-            )
-        object.__setattr__(self, "executor", executor)
         if self.processes is not None and self.processes < 1:
             raise ValueError(f"processes must be >= 1, got {self.processes}")
         if self.instructions < 1:
@@ -392,7 +375,6 @@ class RuntimeConfig:
         parallel: Union[bool, Any] = _UNSET,
         processes: Union[int, None, Any] = _UNSET,
         instructions: Union[int, Any] = _UNSET,
-        executor: Union[str, Any] = _UNSET,
         retries: Union[int, Any] = _UNSET,
         retry_delay: Union[float, Any] = _UNSET,
         fault_plan: Union[str, None, Any] = _UNSET,
@@ -410,12 +392,11 @@ class RuntimeConfig:
         names a directory; an unset environment variable also means
         "disabled", matching the historical library default -- except
         under ``parallel``, where a fully unset trace-cache setting
-        defaults to the per-user shared directory, mirroring the legacy
-        ``run_sweep(run_parallel=True)`` auto-enable (an explicit
-        disable still wins).  Explicit arguments are validated at
-        construction and raise; an environment value that would not
-        validate (an unknown executor, a non-positive count) falls back
-        to the default instead.
+        defaults to the per-user shared directory, so parallel workers
+        share traces through the disk (an explicit disable still wins).
+        Explicit arguments are validated at construction and raise; an
+        environment value that would not validate (a non-positive
+        count) falls back to the default instead.
         """
         if parallel is _UNSET:
             resolved_parallel = _env_bool(PARALLEL_VARIABLE, False)
@@ -441,10 +422,6 @@ class RuntimeConfig:
                 resolved_instructions = DEFAULT_INSTRUCTIONS
         else:
             resolved_instructions = int(instructions)
-        if executor is _UNSET:
-            executor = (read_environment(EXECUTOR_VARIABLE) or "").strip()
-            if executor not in EXECUTORS:
-                executor = DEFAULT_EXECUTOR
         if retries is _UNSET:
             resolved_retries = _env_int(RETRIES_VARIABLE, DEFAULT_RETRIES)
             if resolved_retries is None or resolved_retries < 0:
@@ -499,7 +476,6 @@ class RuntimeConfig:
             parallel=resolved_parallel,
             processes=resolved_processes,
             instructions=int(resolved_instructions),
-            executor=str(executor),
             retries=resolved_retries,
             retry_delay=resolved_retry_delay,
             fault_plan=fault_plan,
@@ -522,37 +498,30 @@ class RuntimeConfig:
 
 #: The activated config, or ``None`` outside any activation.  A
 #: :class:`~contextvars.ContextVar` so concurrent sessions in separate
-#: threads (or async tasks) cannot cross-contaminate; forked sweep
-#: workers inherit the forking thread's value, which is exactly the
-#: activation they must run under.
+#: threads (or async tasks) cannot cross-contaminate.
 _ACTIVE: "contextvars.ContextVar[Optional[RuntimeConfig]]" = contextvars.ContextVar(
     "repro_active_runtime_config", default=None
 )
 
 #: The process snapshot (see :func:`process_snapshot`), once resolved.
-_PROCESS: Optional[Tuple[RuntimeConfig, bool]] = None
+_PROCESS: Optional[RuntimeConfig] = None
 _PROCESS_LOCK = threading.Lock()
 
 
-def process_snapshot() -> Tuple[RuntimeConfig, bool]:
+def process_snapshot() -> RuntimeConfig:
     """What a ``Session()`` built now would resolve, captured once.
 
-    Returns ``(config, trace_cache_unset)``: the config resolved from
-    ``REPRO_*`` on first use, and whether ``REPRO_TRACE_CACHE_DIR`` was
-    unset at that moment.  :func:`current_config` answers with this
-    config outside any activation, and the default session is built
-    from both, so the two always agree.  Later changes to the
-    environment never reach the snapshot.
+    The config resolved from ``REPRO_*`` on first use.
+    :func:`current_config` answers with it outside any activation, and
+    the default session is built from it, so the two always agree.
+    Later changes to the environment never reach the snapshot.
     """
     global _PROCESS
     snapshot = _PROCESS
     if snapshot is None:
         with _PROCESS_LOCK:
             if _PROCESS is None:
-                _PROCESS = (
-                    RuntimeConfig.from_environment(),
-                    read_environment(TRACE_CACHE_DIR_VARIABLE) is None,
-                )
+                _PROCESS = RuntimeConfig.from_environment()
             snapshot = _PROCESS
     return snapshot
 
@@ -562,7 +531,7 @@ def current_config() -> RuntimeConfig:
     active = _ACTIVE.get()
     if active is not None:
         return active
-    return process_snapshot()[0]
+    return process_snapshot()
 
 
 @contextlib.contextmanager
@@ -577,50 +546,6 @@ def activated(config: RuntimeConfig) -> Iterator[RuntimeConfig]:
         yield config
     finally:
         _ACTIVE.reset(token)
-
-
-#: Serializes every :func:`worker_environment` window: ``os.environ``
-#: is process-global, so two threads saving/restoring it concurrently
-#: could leave one session's values behind.  Re-entrant in case a
-#: nested scope ever runs in the same thread.
-_WORKER_ENVIRONMENT_LOCK = threading.RLock()
-
-
-@contextlib.contextmanager
-def worker_environment(config: RuntimeConfig) -> Iterator[None]:
-    """Temporarily export a config's trace-cache directory.
-
-    Parallel sweeps wrap their worker pool in this so the workers --
-    which resolve their process snapshot from the inherited environment
-    (spawn platforms) or inherit the activation (fork platforms) -- see
-    the session's trace-cache directory.  The parent's environment is
-    restored on exit, so a session never leaks its configuration into
-    configs resolved later.  Windows are serialized under a
-    process-wide lock: the environment is global state, and interleaved
-    save/restore from two threads would leak one session's values
-    permanently.
-    """
-    with _WORKER_ENVIRONMENT_LOCK:
-        trace_cache_dir = _namespaced(config.trace_cache_dir, config.cache_namespace)
-        values = {
-            TRACE_CACHE_DIR_VARIABLE: (
-                trace_cache_dir if trace_cache_dir is not None else "none"
-            ),
-            # The exported directory is already namespaced; blank out the
-            # namespace variable so spawn-platform workers do not join it
-            # a second time.
-            CACHE_NAMESPACE_VARIABLE: "",
-        }
-        previous = {name: os.environ.get(name) for name in values}
-        os.environ.update(values)
-        try:
-            yield
-        finally:
-            for name, value in previous.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
 
 
 def current_trace_cache_dir() -> Optional[str]:

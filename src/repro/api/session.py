@@ -17,13 +17,14 @@ Execution primitives
 --------------------
 :meth:`Session.map` is the sweep engine every experiment driver routes
 through: serial by default, fanned out over the durable work queue of
-:mod:`repro.exec` when the session's config (or the caller) says so --
-with per-item retries, worker replacement, resume of killed campaigns,
-and structured failure reports -- and the shared disk trace cache
-primed first exactly like the historical module-level sweep.  While a
-session executes, its config is *activated*
-(see :func:`repro.api.runtime_config.activated`) so every layer below
--- cache directories, the result store, the executor -- sees one
+:mod:`repro.exec` when the session's config says so -- with per-item
+retries, worker replacement, resume of killed campaigns, and
+structured failure reports -- and the shared disk trace cache primed
+first.  The config is the only source of that policy; the queue and
+priming workers receive it as an object and run under it.  While a
+session executes, its config is *activated* (see
+:func:`repro.api.runtime_config.activated`) so every layer below --
+cache directories, the result store, the executor -- sees one
 consistent snapshot instead of re-reading the environment.
 
 Code that runs outside any session (a driver called directly, say)
@@ -91,9 +92,15 @@ def parallel_map(
 
 
 def _prime_worker(args) -> None:
-    """Generate one trace into the shared disk cache (worker side)."""
-    spec, instructions, seed = args
-    workload_trace(spec, instructions, seed=seed)
+    """Generate one trace into the shared disk cache (worker side).
+
+    Runs under the sweep's config, handed over with the key, so the
+    trace lands in the session's cache directory whatever the start
+    method.
+    """
+    config, spec, instructions, seed = args
+    with rc.activated(config):
+        workload_trace(spec, instructions, seed=seed)
 
 
 def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
@@ -126,19 +133,19 @@ def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
     return keys
 
 
-def _prime_shared_traces(keys: Sequence, processes: Optional[int]) -> None:
+def _prime_shared_traces(keys: Sequence, config: rc.RuntimeConfig) -> None:
     """Populate the shared trace cache for a sweep before forking.
 
     ``keys`` are ``(spec, instructions, seed)`` triples.  Traces the
-    disk layer is missing are generated *in parallel* (each priming
-    worker stores its ``.npz`` atomically), then the parent loads
-    everything into its in-memory cache, so sweep workers find every
-    trace present -- inherited on fork platforms, disk-loaded otherwise
-    -- instead of each regenerating its own.
+    disk layer is missing are generated *in parallel* under ``config``
+    (each priming worker stores its ``.npz`` atomically), then the
+    parent loads everything into its in-memory cache, so sweep workers
+    find every trace present -- inherited on fork platforms,
+    disk-loaded otherwise -- instead of each regenerating its own.
     """
-    missing = [key for key in keys if not trace_on_disk(*key)]
+    missing = [(config, *key) for key in keys if not trace_on_disk(*key)]
     if len(missing) > 1:
-        parallel_map(_prime_worker, missing, processes)
+        parallel_map(_prime_worker, missing, config.processes)
     for spec, instructions, seed in keys:
         workload_trace(spec, instructions, seed=seed)
 
@@ -149,24 +156,12 @@ class Session:
     ``config`` may be a ready-made :class:`~repro.api.runtime_config.
     RuntimeConfig`; keyword overrides take precedence over environment
     variables, which take precedence over defaults (resolved once,
-    here).  A provided config object is taken verbatim -- in
-    particular, its ``trace_cache_dir=None`` counts as an explicit
-    disable, so such a session never auto-defaults the shared trace
-    cache under parallel overrides (keyword construction does).
+    here).  A provided config object is taken verbatim.
     """
 
     def __init__(
         self, config: Optional[rc.RuntimeConfig] = None, **overrides: Any
     ) -> None:
-        # Whether a later parallel override may auto-default the shared
-        # trace-cache directory (the legacy run_sweep behaviour): only
-        # when neither the caller nor the environment said anything
-        # about the trace cache, so an explicit disable always wins.
-        self._trace_cache_defaultable = (
-            config is None
-            and "trace_cache_dir" not in overrides
-            and rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) is None
-        )
         if config is None:
             config = rc.RuntimeConfig.from_environment(**overrides)
         elif overrides:
@@ -180,26 +175,17 @@ class Session:
         """The session's frozen runtime config."""
         return self._config
 
-    def activate(self) -> "contextlib.AbstractContextManager[Session]":
+    @contextlib.contextmanager
+    def activate(self) -> Iterator["Session"]:
         """Make this session's config the active one for a scope.
 
         Also makes the session :func:`current_session` for the scope,
         so code below (the experiment drivers) routes its sweeps
         through it.
         """
-        return self._activated_as(self._config)
-
-    @contextlib.contextmanager
-    def _activated_as(self, config: rc.RuntimeConfig) -> Iterator["Session"]:
-        """Like :meth:`activate`, but pinning a derived config.
-
-        Used by :meth:`map` when a parallel override re-applies the
-        shared-cache default: the session stays ``current_session`` for
-        the scope while the lower layers see the effective config.
-        """
         token = _CURRENT.set(self)
         try:
-            with rc.activated(config):
+            with rc.activated(self._config):
                 yield self
         finally:
             _CURRENT.reset(token)
@@ -219,8 +205,7 @@ class Session:
     ) -> List[WorkloadSpec]:
         """Select workloads: all 41 by default, or by suite/name.
 
-        Delegates to :func:`repro.workloads.catalog.select_workloads`,
-        the same helper behind the legacy ``suite_workloads``.
+        Delegates to :func:`repro.workloads.catalog.select_workloads`.
         """
         from repro.workloads.catalog import select_workloads
 
@@ -402,8 +387,6 @@ class Session:
         self,
         worker: Callable,
         arguments: Sequence,
-        parallel: Optional[bool] = None,
-        processes: Optional[int] = None,
         prime: Optional[Sequence] = None,
     ) -> List:
         """Run a per-workload sweep worker over its argument tuples.
@@ -414,35 +397,25 @@ class Session:
         report (and the partial results) when any item permanently
         failed.
         """
-        return self.map_report(
-            worker,
-            arguments,
-            parallel=parallel,
-            processes=processes,
-            prime=prime,
-        ).values()
+        return self.map_report(worker, arguments, prime=prime).values()
 
     def map_report(
         self,
         worker: Callable,
         arguments: Sequence,
-        parallel: Optional[bool] = None,
-        processes: Optional[int] = None,
         prime: Optional[Sequence] = None,
     ):
         """Run a sweep under supervision; return the full SweepReport.
 
-        The execution policy comes from the session's config unless the
-        caller overrides it: the ``executor`` knob selects the engine
-        (``"auto"``: the work queue when parallel, serial in-process
-        otherwise), with per-item retries and fault injection from the
-        config.  Before the queue spawns workers, the shared disk trace
-        cache is primed under the session's ``trace_cache_dir`` -- which
-        a parallel run of a session built without any trace-cache
-        setting defaults to the per-user directory.  Queue campaigns
-        live under the config's ``queue_dir``, else under the result
-        store, so a killed sweep rerun with the same store replays the
-        items already published and computes only the rest.
+        The session's config is the execution policy: ``parallel``
+        runs the sweep on the work queue with ``processes`` workers,
+        anything else runs it serially in-process, both with per-item
+        retries and fault injection from the config.  Before the queue
+        spawns workers, the shared disk trace cache is primed under the
+        session's ``trace_cache_dir``.  Queue campaigns live under the
+        config's ``queue_dir``, else under the result store, so a
+        killed sweep rerun with the same store replays the items
+        already published and computes only the rest.
 
         ``prime`` names the traces to pre-generate as ``(spec,
         instructions, seed)`` triples; when omitted they are inferred
@@ -451,25 +424,11 @@ class Session:
         """
         from repro.exec import executors as exec_executors
         from repro.exec.faults import FaultPlan
+        from repro.exec.queue import QueueExecutor
 
         config = self.config
-        use_parallel = config.parallel if parallel is None else bool(parallel)
-        worker_count = config.processes if processes is None else processes
-        executor_name = config.executor
-        if executor_name == "auto":
-            executor_name = "queue" if use_parallel else "serial"
-        if (
-            use_parallel
-            and config.trace_cache_dir is None
-            and self._trace_cache_defaultable
-        ):
-            # A parallel override on a session constructed without any
-            # trace-cache setting: apply the same per-user shared-cache
-            # default a parallel construction would have resolved, so
-            # the legacy run_sweep(run_parallel=True) behaviour holds.
-            config = config.replace(trace_cache_dir=rc.default_trace_cache_dir())
         settings = exec_executors.ExecutionSettings(
-            processes=worker_count,
+            processes=config.processes,
             retries=config.retries,
             retry_delay=config.retry_delay,
             fault_plan=FaultPlan.from_spec(config.fault_plan),
@@ -477,23 +436,15 @@ class Session:
             lease_ttl=config.lease_ttl,
             heartbeat_interval=config.heartbeat_interval,
         )
-        executor = exec_executors.resolve_executor(executor_name)
-        with self._activated_as(config):
-            if executor.name == "serial":
-                return exec_executors.execute_items(
-                    worker, arguments, settings, executor
-                )
-            if prime is None:
-                prime = _default_prime_keys(arguments)
-            # Export the trace-cache directory around the pool only, so
-            # spawn-platform workers resolve it (fork platforms also
-            # inherit the activation), and nothing leaks afterwards.
-            with rc.worker_environment(config):
-                if config.trace_cache_dir is not None:
-                    _prime_shared_traces(prime, worker_count)
-                return exec_executors.execute_items(
-                    worker, arguments, settings, executor
-                )
+        executor = (
+            QueueExecutor() if config.parallel else exec_executors.SerialExecutor()
+        )
+        with self.activate():
+            if config.parallel and config.trace_cache_dir is not None:
+                if prime is None:
+                    prime = _default_prime_keys(arguments)
+                _prime_shared_traces(prime, config)
+            return exec_executors.execute_items(worker, arguments, settings, executor)
 
     def workload_sweep(
         self,
@@ -501,8 +452,6 @@ class Session:
         extra_args: Sequence = (),
         names: Optional[Sequence[str]] = None,
         specs: Optional[Sequence[WorkloadSpec]] = None,
-        parallel: Optional[bool] = None,
-        processes: Optional[int] = None,
     ) -> "tuple[List[WorkloadSpec], List]":
         """Sweep a per-workload worker over one workload selection.
 
@@ -515,15 +464,13 @@ class Session:
             specs = self.workloads(names=names)
         specs = list(specs)
         arguments = [(spec, *extra_args) for spec in specs]
-        return specs, self.map(worker, arguments, parallel, processes)
+        return specs, self.map(worker, arguments)
 
     def suite_sweep(
         self,
         worker: Callable,
         extra_args: Sequence = (),
         suites: Optional[Sequence[Suite]] = None,
-        parallel: Optional[bool] = None,
-        processes: Optional[int] = None,
     ) -> "List[tuple]":
         """Sweep a per-workload worker suite by suite.
 
@@ -537,8 +484,7 @@ class Session:
         for suite in suites or SUITE_ORDER:
             specs = self.workloads(suites=[suite])
             arguments = [(spec, *extra_args) for spec in specs]
-            rows = self.map(worker, arguments, parallel, processes)
-            results.append((suite, specs, rows))
+            results.append((suite, specs, self.map(worker, arguments)))
         return results
 
 
@@ -559,17 +505,12 @@ def default_session() -> Session:
     Built on first use from :func:`repro.api.runtime_config.
     process_snapshot`: its config is the snapshot
     :func:`~repro.api.runtime_config.current_config` answers with
-    outside any activation, and -- like a ``Session()`` built in the
-    same environment -- a parallel :meth:`Session.map` on it defaults
-    the shared trace cache when ``REPRO_TRACE_CACHE_DIR`` was unset.
+    outside any activation, so the two always agree.
     """
     global _DEFAULT
     with _DEFAULT_LOCK:
         if _DEFAULT is None:
-            config, trace_cache_unset = rc.process_snapshot()
-            session = Session(config)
-            session._trace_cache_defaultable = trace_cache_unset
-            _DEFAULT = session
+            _DEFAULT = Session(rc.process_snapshot())
         return _DEFAULT
 
 

@@ -9,7 +9,7 @@ Usage::
     repro-frontend cmpsweep --scenarios core-scaling,l2-scaling
     repro-frontend explore --grid frontend --out results/
     repro-frontend all --smoke --parallel --out results/
-    repro-frontend all --executor queue --queue-dir /shared/queue
+    repro-frontend all --parallel --processes 4 --queue-dir /shared/queue
     repro-frontend worker --queue-dir /shared/queue   # on any machine
     repro-frontend serve --port 8757 --queue-dir /shared/queue
 
@@ -110,19 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "the REPRO_RETRIES environment variable, else 2)",
     )
     parser.add_argument(
-        "--executor",
-        choices=rc.EXECUTORS,
-        default=None,
-        help="sweep executor: 'auto' (default: 'queue' with --parallel, "
-        "else 'serial'), 'serial', or 'queue' (durable work queue) "
-        "(REPRO_EXECUTOR)",
-    )
-    parser.add_argument(
         "--queue-dir",
         type=str,
         default=None,
         metavar="DIR",
-        help="durable work-queue directory for the 'queue' executor and "
+        help="durable work-queue directory for --parallel sweeps and "
         "the 'worker' command (REPRO_QUEUE_DIR)",
     )
     parser.add_argument(
@@ -299,7 +291,7 @@ def main(argv: Optional[list] = None) -> int:
         budget_flag = "--full"
     else:
         budget_flag = None
-    ignored = unconsumed_flags(names, args.parallel, scenario_names, budget_flag)
+    ignored = unconsumed_flags(names, scenario_names, budget_flag)
     for flag in ignored:
         print(
             f"warning: {flag} ignored: not consumed by {', '.join(names)}",
@@ -379,8 +371,6 @@ def _session_overrides(
         overrides["processes"] = args.processes
     if args.retries is not None:
         overrides["retries"] = args.retries
-    if args.executor is not None:
-        overrides["executor"] = args.executor
     if args.queue_dir is not None:
         overrides["queue_dir"] = args.queue_dir
     explicit_instructions = _resolve_instructions(args)

@@ -4,17 +4,17 @@ Everything that turns a sweep from "a bare ``Pool.map`` that dies with
 its weakest worker" into supervised, resumable, testable execution:
 
 :class:`SerialExecutor` / :class:`QueueExecutor`
-    The two executors behind :func:`execute_items`, selected by
-    ``RuntimeConfig.executor`` (``"serial"`` or ``"queue"``; ``"auto"``
-    picks the queue for parallel sweeps).  Serial runs items
-    in-process with retries and backoff.  The queue is the one
-    parallel path: a durable filesystem work queue whose items are
-    claimed via heartbeat leases by any number of cooperating worker
-    processes -- spawned by the supervisor, or started on other
-    machines with ``repro-frontend worker`` -- with stale-lease
-    reclaim, first-writer-wins completion, poison-item quarantine,
-    graceful serial degradation, and resume from the published
-    results of a killed campaign.
+    The two executors behind :func:`execute_items`: a session runs its
+    sweeps on the queue when its config sets ``parallel``, serially
+    otherwise.  Serial runs items in-process with retries and backoff.
+    The queue is the one parallel path: a durable filesystem work
+    queue whose items are claimed via heartbeat leases by any number
+    of cooperating worker processes -- spawned by the supervisor
+    (each handed the session's config), or started on other machines
+    with ``repro-frontend worker`` -- with stale-lease reclaim,
+    first-writer-wins completion, poison-item quarantine, graceful
+    serial degradation, and resume from the published results of a
+    killed campaign.
 :class:`ItemResult` / :class:`SweepReport` / :class:`SweepError`
     Every item finishes as a typed outcome; failed sweeps raise a
     structured failure report carrying the partial results.
@@ -31,7 +31,6 @@ from repro.exec.executors import (
     Executor,
     SerialExecutor,
     execute_items,
-    resolve_executor,
 )
 from repro.exec.faults import (
     Fault,
@@ -77,6 +76,5 @@ __all__ = [
     "open_campaign",
     "quarantine_entry",
     "queue_info",
-    "resolve_executor",
     "serve_queue",
 ]

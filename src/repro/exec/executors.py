@@ -2,18 +2,20 @@
 
 Every sweep runs through one of two executors behind one interface:
 
-* :class:`SerialExecutor` runs items in-process, in order, with the
-  same retry and fault semantics as the queue, so the two stay
-  bit-identical on success.
+* :class:`SerialExecutor` (``"serial"``) runs items in-process, in
+  order, with the same retry and fault semantics as the queue, so the
+  two stay bit-identical on success.
 * :class:`~repro.exec.queue.QueueExecutor` (``"queue"``) is the one
   parallel path: it enqueues the sweep as a durable campaign and
   drains it with worker processes it spawns (entry point
-  :func:`_worker_main`), replacing dead ones, retrying failed items,
-  quarantining poison items, and degrading to in-process draining when
-  no worker can be spawned at all.
+  :func:`_worker_main`, which runs under the config it is handed),
+  replacing dead ones, retrying failed items, quarantining poison
+  items, and degrading to in-process draining when no worker can be
+  spawned at all.
 
-Executors are looked up by name through :func:`resolve_executor`, and
-:func:`execute_items` is the one entry point that runs a sweep into a
+:meth:`repro.api.session.Session.map_report` picks one from its
+session's ``parallel`` setting, and :func:`execute_items` is the one
+entry point that runs a sweep into a
 :class:`~repro.exec.results.SweepReport`.
 """
 
@@ -25,6 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
+from repro.api.runtime_config import activated
 from repro.exec.faults import FaultPlan, SimulatedWorkerDeath
 from repro.exec.results import (
     STATUS_ERROR,
@@ -108,9 +111,9 @@ def backoff_delay(settings: ExecutionSettings, index: int, attempt: int) -> floa
 
 
 class Executor:
-    """Interface every executor implements (see :func:`resolve_executor`)."""
+    """Interface every executor implements."""
 
-    #: Registry name, quoted in sweep reports.
+    #: Name quoted in sweep reports (``"serial"`` or ``"queue"``).
     name = "base"
 
     def run(
@@ -165,7 +168,7 @@ class SerialExecutor(Executor):
         return RunOutcome(results, False)
 
 
-def _worker_main(worker, root: str, parent_pid: int, announce) -> None:
+def _worker_main(worker, root: str, parent_pid: int, announce, config) -> None:
     """Entry point of a queue worker process spawned by the queue executor.
 
     Drains the campaign at ``root`` with ``worker`` and exits when it is
@@ -173,27 +176,22 @@ def _worker_main(worker, root: str, parent_pid: int, announce) -> None:
     the write end of the supervisor's pipe: the worker sends each item
     name on it after publishing the item's outcome, so the supervisor
     wakes on publication instead of polling the ``done/`` directory.
+    ``config`` is the supervisor's
+    :class:`~repro.api.runtime_config.RuntimeConfig`; the worker runs
+    under it, so its cache directories are the sweep's whatever the
+    start method (a fork server never sees the supervisor's later
+    state).
     """
     from repro.exec.queue import QueueWorker, open_campaign
 
-    try:
-        campaign = open_campaign(root, worker=worker)
-    except (OSError, ValueError):
-        return
-    QueueWorker(
-        campaign, allow_exit=True, parent_pid=parent_pid, announce=announce
-    ).drain()
-
-
-def resolve_executor(name: str) -> Executor:
-    """Instantiate the executor named ``serial`` or ``queue``."""
-    if name == "serial":
-        return SerialExecutor()
-    if name == "queue":
-        from repro.exec.queue import QueueExecutor
-
-        return QueueExecutor()
-    raise ValueError(f"unknown executor {name!r}; expected one of serial, queue")
+    with activated(config):
+        try:
+            campaign = open_campaign(root, worker=worker)
+        except (OSError, ValueError):
+            return
+        QueueWorker(
+            campaign, allow_exit=True, parent_pid=parent_pid, announce=announce
+        ).drain()
 
 
 def execute_items(

@@ -58,6 +58,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.api import runtime_config
 from repro.counters import Counters
 from repro.exec import leases
 from repro.exec.executors import (
@@ -988,8 +989,6 @@ class QueueExecutor(Executor):
         items = list(items)
         if not items:
             return RunOutcome([], False)
-        from repro.api import runtime_config
-
         queue_dir = settings.queue_dir or runtime_config.current_queue_dir()
         ephemeral = queue_dir is None
         if ephemeral:
@@ -1044,6 +1043,9 @@ class QueueExecutor(Executor):
             count = os.cpu_count() or 1
         count = max(1, min(int(count), len(unresolved)))
         ctx = multiprocessing.get_context()
+        # Workers run under the supervisor's config, handed over as an
+        # object: nothing they resolve depends on their environment.
+        config = runtime_config.current_config()
         index_of = {name_of[index]: index for index in unresolved}
         announcements, announce = ctx.Pipe(duplex=False)
         workers: List[Any] = []
@@ -1052,7 +1054,13 @@ class QueueExecutor(Executor):
             try:
                 process = ctx.Process(
                     target=_worker_main,
-                    args=(campaign.worker, campaign.root, os.getpid(), announce),
+                    args=(
+                        campaign.worker,
+                        campaign.root,
+                        os.getpid(),
+                        announce,
+                        config,
+                    ),
                     daemon=True,
                 )
                 process.start()

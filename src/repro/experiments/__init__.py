@@ -16,7 +16,6 @@ from repro.experiments.common import (
     default_workload_names,
     normalize_to_reference,
     render_blocks,
-    suite_workloads,
 )
 from repro.experiments.fig01_branch_mix import run_fig01, tables_fig01, format_fig01
 from repro.experiments.fig02_branch_bias import run_fig02, tables_fig02, format_fig02
@@ -57,7 +56,6 @@ from repro.experiments.explore_presets import (
 __all__ = [
     "DEFAULT_EXPERIMENT_INSTRUCTIONS",
     "default_workload_names",
-    "suite_workloads",
     "normalize_to_reference",
     "render_blocks",
     "run_fig01",

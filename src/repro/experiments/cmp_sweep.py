@@ -123,8 +123,6 @@ def run_cmpsweep(
     scenario_names: Optional[Sequence[str]] = None,
     workloads: Optional[Sequence[str]] = None,
     suites: Optional[Sequence[Suite]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> CmpSweepResult:
     """Evaluate CMP sweep scenarios over a workload selection.
 
@@ -134,7 +132,7 @@ def run_cmpsweep(
     through the process-wide trace/profile caches, so adding a scenario
     only adds the (cheap) scheduling and power arithmetic.  The
     per-workload evaluation runs through the current session's sweep
-    engine; ``run_parallel`` overrides the session's parallelism.
+    engine.
     """
     instructions = experiment_instructions(instructions)
     session = current_session()
@@ -156,8 +154,6 @@ def run_cmpsweep(
             _sweep_workload,
             (instructions, scenario.cmps),
             specs=specs,
-            parallel=run_parallel,
-            processes=processes,
         )
         per_workload: Dict[str, Dict[str, Dict[str, float]]] = {}
         for spec, normalized in zip(specs, rows):

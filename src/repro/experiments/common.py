@@ -49,7 +49,6 @@ __all__ = [
     "render_blocks",
     "sections_for",
     "suite_label_map",
-    "suite_workloads",
     # Frame-native result layer shared by the drivers.
     "FrameResult",
     "PayloadField",
@@ -71,12 +70,12 @@ DEFAULT_EXPERIMENT_INSTRUCTIONS = DEFAULT_PROFILE_INSTRUCTIONS
 def experiment_instructions(instructions: Optional[int]) -> int:
     """Resolve a driver's instruction budget.
 
-    ``None`` means "the current session decides" -- matching how the
-    drivers' ``run_parallel=None`` defers to the session -- so
-    ``run_fig01()`` under ``Session(instructions=N).activate()`` uses
-    ``N`` exactly like ``session.experiment("fig1")`` does.  With no
-    session active this resolves from ``REPRO_INSTRUCTIONS`` or the
-    default (:data:`DEFAULT_EXPERIMENT_INSTRUCTIONS`).
+    ``None`` means "the current session decides" -- as it always does
+    for a sweep's execution policy -- so ``run_fig01()`` under
+    ``Session(instructions=N).activate()`` uses ``N`` exactly like
+    ``session.experiment("fig1")`` does.  With no session active this
+    resolves from ``REPRO_INSTRUCTIONS`` or the default
+    (:data:`DEFAULT_EXPERIMENT_INSTRUCTIONS`).
     """
     if instructions is not None:
         return int(instructions)
@@ -86,24 +85,6 @@ def experiment_instructions(instructions: Optional[int]) -> int:
 
 #: The sections reported by the per-suite figures, in bar order.
 SECTION_ORDER = (CodeSection.TOTAL, CodeSection.SERIAL, CodeSection.PARALLEL)
-
-
-def suite_workloads(
-    suites: Optional[Sequence[Suite]] = None,
-    names: Optional[Sequence[str]] = None,
-) -> List[WorkloadSpec]:
-    """Select the workloads an experiment runs over.
-
-    With no arguments all 41 catalogued workloads are returned, in
-    suite order.  ``names`` restricts to specific benchmarks, ``suites``
-    to whole suites.  Thin wrapper over
-    :func:`repro.workloads.catalog.select_workloads`, the one selection
-    helper shared with :meth:`repro.api.Session.workloads`.
-    """
-    return select_workloads(
-        suites=list(suites) if suites is not None else None,
-        names=list(names) if names is not None else None,
-    )
 
 
 def sections_for(spec: WorkloadSpec) -> List[CodeSection]:
@@ -142,7 +123,7 @@ def default_workload_names() -> tuple:
     The default workload set of every whole-catalog experiment; the
     orchestrator folds it into the content-addressed result key.
     """
-    return tuple(spec.name for spec in suite_workloads())
+    return tuple(spec.name for spec in select_workloads())
 
 
 def render_blocks(blocks: Sequence[TableBlock]) -> str:

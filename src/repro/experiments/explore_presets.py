@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Optional
 
-from repro.api.session import Session, current_session
+from repro.api.session import current_session
 from repro.experiments.common import experiment_instructions, render_blocks
 from repro.explore.grid import GRID_PRESETS, get_grid
 from repro.explore.plan import (
@@ -45,52 +45,30 @@ def preset_experiment_name(preset: str) -> str:
 
 
 def run_explore_preset(
-    preset: str,
-    instructions: Optional[int] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
+    preset: str, instructions: Optional[int] = None
 ) -> ExploreResult:
     """Run one preset exploration over the default workload mix.
 
     Executes through the current session's :meth:`~repro.api.session.
-    Session.explore` plan (chunked, store-backed, resumable), deriving
-    a parallel session when the orchestrator asks for ``run_parallel``.
+    Session.explore` plan (chunked, store-backed, resumable).
     """
     instructions = experiment_instructions(instructions)
-    session = current_session()
-    if run_parallel is not None:
-        session = Session(
-            session.config, parallel=bool(run_parallel), processes=processes
-        )
-    plan = session.explore(preset, instructions=instructions)
-    return plan.result()
+    return current_session().explore(preset, instructions=instructions).result()
 
 
-def run_explore_frontend(
-    instructions: Optional[int] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
-) -> ExploreResult:
+def run_explore_frontend(instructions: Optional[int] = None) -> ExploreResult:
     """The 96-point front-end preset grid (Pareto + sensitivity)."""
-    return run_explore_preset("frontend", instructions, run_parallel, processes)
+    return run_explore_preset("frontend", instructions)
 
 
-def run_explore_smoke(
-    instructions: Optional[int] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
-) -> ExploreResult:
+def run_explore_smoke(instructions: Optional[int] = None) -> ExploreResult:
     """The 8-point smoke preset grid (CI-sized exploration)."""
-    return run_explore_preset("smoke", instructions, run_parallel, processes)
+    return run_explore_preset("smoke", instructions)
 
 
-def run_explore_cmp(
-    instructions: Optional[int] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
-) -> ExploreResult:
+def run_explore_cmp(instructions: Optional[int] = None) -> ExploreResult:
     """The chip-level preset grid (cores x mixes x L2 slices)."""
-    return run_explore_preset("cmp", instructions, run_parallel, processes)
+    return run_explore_preset("cmp", instructions)
 
 
 def tables_explore(result: ExploreResult) -> List[TableBlock]:

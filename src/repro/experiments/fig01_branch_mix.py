@@ -90,21 +90,16 @@ def _workload_mix(args) -> Dict[CodeSection, BranchMix]:
 def run_fig01(
     instructions: Optional[int] = None,
     suites: Optional[Sequence[Suite]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig01Result:
     """Regenerate the Figure 1 data.
 
     The per-workload analysis (trace generation plus the per-section
-    branch mixes) runs through the current session's sweep engine;
-    ``run_parallel`` overrides the session's parallelism setting.
+    branch mixes) runs through the current session's sweep engine.
     """
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
     workload_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(
-        _workload_mix, (instructions,), suites, run_parallel, processes
-    )
+    sweep = current_session().suite_sweep(_workload_mix, (instructions,), suites)
     for suite, specs, rows in sweep:
         per_section_mixes: Dict[CodeSection, List[BranchMix]] = {}
         for spec, mixes in zip(specs, rows):

@@ -86,19 +86,15 @@ def _workload_bias(args) -> Dict[CodeSection, BiasDistribution]:
 def run_fig02(
     instructions: Optional[int] = None,
     suites: Optional[Sequence[Suite]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig02Result:
     """Regenerate the Figure 2 data.
 
     The per-workload analysis runs through the current session's sweep
-    engine; ``run_parallel`` overrides the session's parallelism.
+    engine.
     """
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(
-        _workload_bias, (instructions,), suites, run_parallel, processes
-    )
+    sweep = current_session().suite_sweep(_workload_bias, (instructions,), suites)
     for suite, specs, rows in sweep:
         per_section: Dict[CodeSection, List[BiasDistribution]] = {}
         for spec, distributions in zip(specs, rows):

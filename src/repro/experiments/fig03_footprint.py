@@ -87,20 +87,16 @@ def _workload_footprints(args) -> Dict[CodeSection, FootprintResult]:
 def run_fig03(
     instructions: Optional[int] = None,
     suites: Optional[Sequence[Suite]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig03Result:
     """Regenerate the Figure 3 data.
 
     The per-workload analysis runs through the current session's sweep
-    engine; ``run_parallel`` overrides the session's parallelism.
+    engine.
     """
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
     workload_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(
-        _workload_footprints, (instructions,), suites, run_parallel, processes
-    )
+    sweep = current_session().suite_sweep(_workload_footprints, (instructions,), suites)
     for suite, specs, rows in sweep:
         static: Dict[CodeSection, List[float]] = {}
         dynamic: Dict[CodeSection, List[float]] = {}

@@ -89,20 +89,16 @@ def _workload_blocks(args) -> Dict[CodeSection, BasicBlockStats]:
 def run_fig04(
     instructions: Optional[int] = None,
     suites: Optional[Sequence[Suite]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig04Result:
     """Regenerate the Figure 4 data.
 
     The per-workload analysis runs through the current session's sweep
-    engine; ``run_parallel`` overrides the session's parallelism.
+    engine.
     """
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
     workload_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(
-        _workload_blocks, (instructions,), suites, run_parallel, processes
-    )
+    sweep = current_session().suite_sweep(_workload_blocks, (instructions,), suites)
     for suite, specs, rows in sweep:
         blocks: Dict[CodeSection, List[float]] = {}
         distances: Dict[CodeSection, List[float]] = {}

@@ -90,21 +90,18 @@ def run_fig05(
     instructions: Optional[int] = None,
     suites: Optional[Sequence[Suite]] = None,
     section: CodeSection = CodeSection.TOTAL,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig05Result:
     """Regenerate the Figure 5 data (all nine predictor configurations).
 
     The per-workload sweep (trace generation plus all predictor
-    simulations) runs through the current session's sweep engine;
-    ``run_parallel`` overrides the session's parallelism.
+    simulations) runs through the current session's sweep engine.
     """
     instructions = experiment_instructions(instructions)
     labels = list(FIGURE5_LABELS)
     suite_rows: List[tuple] = []
     workload_rows: List[tuple] = []
     sweep = current_session().suite_sweep(
-        _workload_mpki, (instructions, section), suites, run_parallel, processes
+        _workload_mpki, (instructions, section), suites
     )
     for suite, specs, rows in sweep:
         per_config: Dict[str, List[float]] = {label: [] for label in labels}

@@ -107,13 +107,11 @@ def _workload_breakdown(args) -> Dict[str, Dict[str, float]]:
 def run_fig06(
     instructions: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig06Result:
     """Regenerate the Figure 6 data.
 
     The per-workload simulation runs through the current session's
-    sweep engine; ``run_parallel`` overrides the session's parallelism.
+    sweep engine.
     """
     instructions = experiment_instructions(instructions)
     names = list(workloads or FIGURE6_WORKLOADS)
@@ -122,8 +120,6 @@ def run_fig06(
         _workload_breakdown,
         (instructions,),
         names=names,
-        parallel=run_parallel,
-        processes=processes,
     )
     for spec, breakdown in zip(specs, rows):
         for label, classes in breakdown.items():

@@ -92,8 +92,6 @@ def run_fig07(
     instructions: Optional[int] = None,
     suites: Optional[Sequence[Suite]] = None,
     geometries: Optional[Sequence[Tuple[int, int]]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig07Result:
     """Regenerate the Figure 7 data."""
     instructions = experiment_instructions(instructions)
@@ -101,7 +99,7 @@ def run_fig07(
     suite_rows: List[tuple] = []
     workload_rows: List[tuple] = []
     sweep = current_session().suite_sweep(
-        _workload_mpki, (instructions, geometries), suites, run_parallel, processes
+        _workload_mpki, (instructions, geometries), suites
     )
     for suite, specs, rows in sweep:
         per_geometry: Dict[Tuple[int, int], List[float]] = {g: [] for g in geometries}

@@ -98,8 +98,6 @@ def run_fig08(
     instructions: Optional[int] = None,
     suites: Optional[Sequence[Suite]] = None,
     geometries: Optional[Sequence[Tuple[int, int]]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig08Result:
     """Regenerate the Figure 8 data."""
     instructions = experiment_instructions(instructions)
@@ -107,7 +105,7 @@ def run_fig08(
     suite_rows: List[tuple] = []
     workload_rows: List[tuple] = []
     sweep = current_session().suite_sweep(
-        _workload_mpki, (instructions, geometries), suites, run_parallel, processes
+        _workload_mpki, (instructions, geometries), suites
     )
     for suite, specs, rows in sweep:
         per_geometry: Dict[Tuple[int, int], List[float]] = {g: [] for g in geometries}

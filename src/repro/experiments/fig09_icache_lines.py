@@ -101,13 +101,11 @@ def _workload_lines(args) -> Tuple[Dict[Tuple[int, int], float], float]:
 def run_fig09(
     instructions: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig09Result:
     """Regenerate the Figure 9 data.
 
     The per-workload simulation runs through the current session's
-    sweep engine; ``run_parallel`` overrides the session's parallelism.
+    sweep engine.
     """
     instructions = experiment_instructions(instructions)
     names = list(workloads or FIGURE9_WORKLOADS)
@@ -118,8 +116,6 @@ def run_fig09(
         _workload_lines,
         (instructions, tuple(geometries)),
         names=names,
-        parallel=run_parallel,
-        processes=processes,
     )
     for spec, (mpki, usefulness) in zip(specs, rows):
         for geometry, value in mpki.items():

@@ -93,14 +93,11 @@ def run_fig10(
     instructions: Optional[int] = None,
     suites: Optional[Sequence[Suite]] = None,
     cmps: Sequence[CmpConfig] = STANDARD_CMP_CONFIGS,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig10Result:
     """Regenerate the Figure 10 data.
 
     The per-workload evaluation (trace, front-end profile, all CMP
-    runs) goes through the current session's sweep engine;
-    ``run_parallel`` overrides the session's parallelism.
+    runs) goes through the current session's sweep engine.
     """
     instructions = experiment_instructions(instructions)
     cmps = tuple(cmps)
@@ -108,7 +105,7 @@ def run_fig10(
     suite_rows: List[tuple] = []
     workload_rows: List[tuple] = []
     sweep = current_session().suite_sweep(
-        _evaluate_workload, (instructions, cmps), suites, run_parallel, processes
+        _evaluate_workload, (instructions, cmps), suites
     )
     for suite, specs, rows in sweep:
         per_metric: Dict[str, Dict[str, List[float]]] = {

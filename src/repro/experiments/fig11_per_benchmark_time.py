@@ -75,13 +75,11 @@ def run_fig11(
     instructions: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
     cmps: Sequence[CmpConfig] = STANDARD_CMP_CONFIGS,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Fig11Result:
     """Regenerate the Figure 11 data.
 
     The per-workload evaluation runs through the current session's
-    sweep engine; ``run_parallel`` overrides the session's parallelism.
+    sweep engine.
     """
     instructions = experiment_instructions(instructions)
     cmps = tuple(cmps)
@@ -91,8 +89,6 @@ def run_fig11(
         _evaluate_workload_time,
         (instructions, cmps),
         names=names,
-        parallel=run_parallel,
-        processes=processes,
     )
     workload_rows = [
         (spec.name,) + tuple(normalized[name] for name in cmp_names)

@@ -85,20 +85,16 @@ def _workload_directions(args) -> Dict[CodeSection, float]:
 def run_table1(
     instructions: Optional[int] = None,
     suites: Optional[Sequence[Suite]] = None,
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
 ) -> Table1Result:
     """Regenerate the Table I data.
 
     The per-workload analysis runs through the current session's sweep
-    engine; ``run_parallel`` overrides the session's parallelism.
+    engine.
     """
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
     table_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(
-        _workload_directions, (instructions,), suites, run_parallel, processes
-    )
+    sweep = current_session().suite_sweep(_workload_directions, (instructions,), suites)
     for suite, specs, rows in sweep:
         per_section: Dict[CodeSection, List[float]] = {}
         for spec, fractions in zip(specs, rows):

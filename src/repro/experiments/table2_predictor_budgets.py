@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping
 
 from repro.api.frame import ResultFrame
-from repro.api.session import current_session
 from repro.experiments.common import (
     FrameResult,
     PayloadField,
@@ -66,38 +65,17 @@ class Table2Result(FrameResult):
         return self.storage_bits[(kind, budget)] / 8192.0
 
 
-def _predictor_cost(args) -> Tuple[Tuple[str, str], int, Dict[str, int]]:
-    """Per-configuration worker: storage bits and size parameters."""
-    kind, budget = args
-    predictor = make_predictor(kind, budget)
-    return (
-        (kind, budget),
-        predictor.storage_bits(),
-        dict(SIZE_PARAMETERS[(kind, budget)]),
-    )
-
-
-def run_table2(
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
-) -> Table2Result:
-    """Regenerate the Table II data from the predictor implementations.
-
-    The per-configuration sizing runs through the current session's
-    sweep engine (cheap, but it keeps the ``--parallel`` contract
-    uniform across every experiment).
-    """
-    arguments = [
-        (kind, budget) for kind in PREDICTOR_KINDS for budget in ("small", "big")
-    ]
+def run_table2() -> Table2Result:
+    """Regenerate the Table II data from the predictor implementations."""
     budget_rows: List[tuple] = []
     table_rows: List[tuple] = []
-    for (kind, budget), bits, parameters in current_session().map(
-        _predictor_cost, arguments, run_parallel, processes
-    ):
-        budget_rows.append((kind, budget, bits, parameters))
-        rendered = ", ".join(f"{key}={value}" for key, value in parameters.items())
-        table_rows.append((kind, budget, rendered, bits / 8192.0))
+    for kind in PREDICTOR_KINDS:
+        for budget in ("small", "big"):
+            bits = make_predictor(kind, budget).storage_bits()
+            parameters = dict(SIZE_PARAMETERS[(kind, budget)])
+            budget_rows.append((kind, budget, bits, parameters))
+            rendered = ", ".join(f"{key}={value}" for key, value in parameters.items())
+            table_rows.append((kind, budget, rendered, bits / 8192.0))
     loop_augmented = make_predictor("gshare", "small", with_loop=True)
     plain = make_predictor("gshare", "small")
     loop_predictor_bits = loop_augmented.storage_bits() - plain.storage_bits()

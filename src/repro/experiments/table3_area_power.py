@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.api.frame import ResultFrame
-from repro.api.session import current_session
 from repro.experiments.common import (
     FrameResult,
     PayloadField,
@@ -16,7 +15,7 @@ from repro.experiments.common import (
 from repro.power.core_power import CoreAreaPower, core_area_power
 from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
-from repro.uarch.core import BASELINE_CORE, TAILORED_CORE, CoreModel
+from repro.uarch.core import BASELINE_CORE, TAILORED_CORE
 
 #: The paper's Table III values (40nm, McPAT + CACTI) for comparison.
 PAPER_TABLE3 = {
@@ -84,11 +83,6 @@ class Table3Result(FrameResult):
             self.cores["tailored"].active_power_w
             / self.cores["baseline"].active_power_w
         )
-
-
-def _core_budget(core: CoreModel) -> Tuple[str, CoreAreaPower]:
-    """Per-core worker: evaluate one flavour's area/power budget."""
-    return core.name, core_area_power(core)
 
 
 def _result_frames(result: Table3Result) -> Dict[str, ResultFrame]:
@@ -176,21 +170,11 @@ def _result_frames(result: Table3Result) -> Dict[str, ResultFrame]:
     }
 
 
-def run_table3(
-    run_parallel: Optional[bool] = None,
-    processes: Optional[int] = None,
-) -> Table3Result:
-    """Regenerate Table III from the area/power models.
-
-    The per-core evaluation runs through the current session's sweep
-    engine (cheap, but it keeps the ``--parallel`` contract uniform
-    across every experiment).
-    """
+def run_table3() -> Table3Result:
+    """Regenerate Table III from the area/power models."""
     result = Table3Result()
-    for name, budget in current_session().map(
-        _core_budget, (BASELINE_CORE, TAILORED_CORE), run_parallel, processes
-    ):
-        result.cores[name] = budget
+    for core in (BASELINE_CORE, TAILORED_CORE):
+        result.cores[core.name] = core_area_power(core)
     result.frames.update(_result_frames(result))
     return result
 

@@ -20,7 +20,7 @@ import inspect
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.results.artifacts import (
     build_frame_artifact,
@@ -185,7 +185,7 @@ def spec_config(
     """Resolve a spec's *semantic* configuration (the key material).
 
     Only parameters that change the numbers are included; execution
-    details (``run_parallel``, ``processes``) are deliberately absent,
+    policy lives in the session's config and is deliberately absent,
     because serial and parallel sweeps produce bit-identical results.
     """
     config: Dict[str, Any] = dict(spec.constants())
@@ -241,18 +241,16 @@ def _topological(names: Sequence[str]) -> List[str]:
 def run_experiments(
     names: Optional[Sequence[str]] = None,
     instructions: int = SMOKE_INSTRUCTIONS,
-    run_parallel: bool = False,
-    processes: Optional[int] = None,
     scenario_names: Optional[Sequence[str]] = None,
     use_store: bool = True,
 ) -> RunReport:
     """Execute a selection of experiments (default: the whole paper).
 
     For each experiment, in dependency order: consult the result store,
-    then try deriving from dependency artifacts, then run the driver
-    (fanning its per-workload sweep across processes under
-    ``run_parallel``).  Freshly computed or derived artifacts are stored
-    immediately, making interrupted runs resumable.
+    then try deriving from dependency artifacts, then run the driver,
+    whose sweeps follow the current session's config.  Freshly computed
+    or derived artifacts are stored immediately, making interrupted runs
+    resumable.
     """
     registry = _registry()
     if names is None:
@@ -262,7 +260,7 @@ def run_experiments(
         raise KeyError(f"unknown experiment(s): {', '.join(sorted(unknown))}")
 
     report = RunReport(instructions=int(instructions))
-    report.ignored_flags.extend(unconsumed_flags(names, run_parallel, scenario_names))
+    report.ignored_flags.extend(unconsumed_flags(names, scenario_names))
 
     for name in _topological(names):
         spec = registry[name]
@@ -287,8 +285,13 @@ def run_experiments(
                 if result is not None:
                     status = "derived"
         if result is None:
+            constants = spec.constants()
             result = spec.runner(
-                **_runner_kwargs(spec, config, run_parallel, processes)
+                **{
+                    parameter: value
+                    for parameter, value in config.items()
+                    if parameter not in constants
+                }
             )
         artifact = build_frame_artifact(
             spec.name, spec.title, spec.tables(result), result
@@ -307,7 +310,6 @@ def run_experiments(
 
 def unconsumed_flags(
     names: Sequence[str],
-    run_parallel: bool,
     scenario_names: Optional[Sequence[str]],
     budget_flag: Optional[str] = None,
 ) -> List[str]:
@@ -324,10 +326,6 @@ def unconsumed_flags(
         _accepts(registry[name].runner, "instructions") for name in names
     ):
         ignored.append(budget_flag)
-    if run_parallel and not any(
-        _accepts(registry[name].runner, "run_parallel") for name in names
-    ):
-        ignored.append("--parallel")
     if scenario_names is not None and not any(
         _accepts(registry[name].runner, "scenario_names") for name in names
     ):
@@ -363,26 +361,6 @@ def _dependency_artifacts(
             return None
         artifacts[dependency] = artifact
     return artifacts
-
-
-def _runner_kwargs(
-    spec: ExperimentSpec,
-    config: Mapping[str, Any],
-    run_parallel: bool,
-    processes: Optional[int],
-) -> Dict[str, Any]:
-    """Call kwargs for a runner: semantic config minus baked-in constants,
-    plus the execution details the runner supports."""
-    constants = set(spec.constants())
-    kwargs = {
-        parameter: value
-        for parameter, value in config.items()
-        if parameter not in constants
-    }
-    if run_parallel and _accepts(spec.runner, "run_parallel"):
-        kwargs["run_parallel"] = True
-        kwargs["processes"] = processes
-    return kwargs
 
 
 def write_manifest(report: RunReport, directory: str) -> str:

@@ -537,9 +537,8 @@ def select_workloads(
 
     ``names`` beats ``suites``; with neither, all 41 catalogued
     workloads are returned in suite order.  The single selection helper
-    behind both :func:`repro.experiments.common.suite_workloads` and
-    :meth:`repro.api.Session.workloads`, so the two layers can never
-    diverge.
+    behind :meth:`repro.api.Session.workloads` and the experiments'
+    default workload sets.
     """
     if names is not None:
         return [get_workload(name) for name in names]

@@ -17,9 +17,9 @@ its ``cache_namespace``) also persists trace columns on disk as
 ``.npz`` files, so separate driver *processes* (each CLI invocation is
 one, as is every ``--parallel`` worker) share traces too.  The
 namespace scopes only these directories; in memory, every session of
-a process shares one trace per key.  A parallel run of a session built
-without any trace-cache setting (:meth:`repro.api.session.Session.map`)
-defaults the trace-cache directory to a per-user one
+a process shares one trace per key.  A parallel session built without
+any trace-cache setting (see :meth:`repro.api.runtime_config.
+RuntimeConfig.from_environment`) defaults the directory to a per-user one
 (``$XDG_CACHE_HOME/repro-frontend/traces``, falling back to
 ``~/.cache``); name an explicit path to relocate it, or one of
 ``""``/``none``/``off``/``0`` to disable the disk layer entirely.

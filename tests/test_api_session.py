@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -331,32 +336,31 @@ class TestSessionPipeline:
             direct = run_fig06()
         assert direct.instructions == INSTRUCTIONS
 
-    def test_parallel_override_defaults_the_shared_cache(self, monkeypatch, tmp_path):
-        """map(parallel=True) on a session with no trace-cache setting
-        auto-enables the shared directory, like legacy run_sweep."""
+    def test_disabled_trace_cache_keeps_parallel_sweeps_off_disk(
+        self, monkeypatch, tmp_path
+    ):
+        """A parallel session whose trace cache is disabled writes no
+        trace anywhere, the per-user directory included."""
+        import os
+
         import repro.api.runtime_config as rc_module
 
         monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         clear_trace_cache()
-        session = Session(instructions=INSTRUCTIONS)
-        assert session.config.trace_cache_dir is None
+        session = Session(
+            instructions=INSTRUCTIONS,
+            parallel=True,
+            processes=2,
+            trace_cache_dir=None,
+        )
         specs = [get_workload("FT"), get_workload("LU")]
         arguments = [(spec, INSTRUCTIONS) for spec in specs]
-        session.map(_shim_worker, arguments, parallel=True, processes=2)
-        import os
-
-        assert sorted(os.listdir(rc_module.default_trace_cache_dir())) == [
-            f"FT-{INSTRUCTIONS}-0.npz",
-            f"LU-{INSTRUCTIONS}-0.npz",
+        assert session.map(_shim_worker, arguments) == [
+            _shim_worker(args) for args in arguments
         ]
-        # An explicitly disabled session still skips the disk layer.
-        clear_trace_cache()
-        disabled = Session(instructions=INSTRUCTIONS, trace_cache_dir=None)
-        for name in os.listdir(rc_module.default_trace_cache_dir()):
-            os.unlink(os.path.join(rc_module.default_trace_cache_dir(), name))
-        disabled.map(_shim_worker, arguments, parallel=True, processes=2)
-        assert os.listdir(rc_module.default_trace_cache_dir()) == []
+        assert not os.path.exists(rc_module.default_trace_cache_dir())
+        assert os.listdir(tmp_path) == []
         clear_trace_cache()
 
     def test_parallel_session_does_not_leak_environment(self, monkeypatch, tmp_path):
@@ -383,6 +387,83 @@ class TestSessionPipeline:
             trace_cache_dir=None,
         ).sweep(workloads=["FT", "LU", "CoMD"]).execute()
         assert serial.rows() == parallel.rows()
+
+
+class TestWorkersRunUnderTheSessionConfig:
+    """Queue and priming workers receive the sweep's config as an object.
+
+    A fork server keeps the environment it started with, so a worker
+    that resolved its cache directories from the environment would
+    follow the first parallel session of its process forever.
+    """
+
+    CHILD = textwrap.dedent(
+        """
+        import multiprocessing, os, sys
+
+        from repro.api import Session
+
+        multiprocessing.set_start_method("forkserver")
+        root, case = sys.argv[1], sys.argv[2]
+
+        def sweep(names, **caches):
+            Session(
+                instructions=20_000,
+                parallel=True,
+                processes=2,
+                result_cache_dir=None,
+                **caches,
+            ).sweep(workloads=names).execute()
+
+        if case == "directories":
+            sweep(["FT", "LU"], trace_cache_dir=os.path.join(root, "a"))
+            sweep(["CG", "MG"], trace_cache_dir=os.path.join(root, "b"))
+        else:
+            shared = os.path.join(root, "shared")
+            sweep(["FT", "LU"], trace_cache_dir=shared, cache_namespace="alpha")
+            sweep(["CG", "MG"], trace_cache_dir=shared, cache_namespace="beta")
+        """
+    )
+
+    #: Per case, the trace directories of the first and second session.
+    DIRECTORIES = {
+        "directories": (("a",), ("b",)),
+        "namespaces": (("shared", "alpha"), ("shared", "beta")),
+    }
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs the forkserver start method",
+    )
+    @pytest.mark.parametrize("case", sorted(DIRECTORIES))
+    def test_forkserver_workers_follow_each_session(self, case, tmp_path):
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if not name.startswith("REPRO_")
+        }
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["XDG_CACHE_HOME"] = str(tmp_path / "xdg")
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(tmp_path), case],
+            env=env,
+            timeout=300,
+            capture_output=True,
+            text=True,
+        )
+        assert child.returncode == 0, child.stderr
+
+        def traces(parts):
+            names = os.listdir(tmp_path.joinpath(*parts))
+            return sorted(name for name in names if name.endswith(".npz"))
+
+        first, second = self.DIRECTORIES[case]
+        assert (traces(first), traces(second)) == (
+            ["FT-20000-0.npz", "LU-20000-0.npz"],
+            ["CG-20000-0.npz", "MG-20000-0.npz"],
+        )
+        assert not (tmp_path / "xdg").exists()
 
 
 class TestCliSession:
@@ -513,9 +594,8 @@ class TestLegacyShimsRemoved:
         specs = [get_workload("FT"), get_workload("LU")]
         arguments = [(spec, INSTRUCTIONS) for spec in specs]
         serial = default_session().map(_shim_worker, arguments)
-        parallel = default_session().map(
-            _shim_worker, arguments, parallel=True, processes=2
-        )
+        with Session(parallel=True, processes=2).activate() as parallel_session:
+            parallel = parallel_session.map(_shim_worker, arguments)
         assert serial == [_shim_worker(args) for args in arguments]
         assert serial == parallel
 

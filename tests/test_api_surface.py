@@ -51,7 +51,6 @@ class TestPublicSurface:
             "REPRO_PARALLEL",
             "REPRO_PROCESSES",
             "REPRO_INSTRUCTIONS",
-            "REPRO_EXECUTOR",
             "REPRO_RETRIES",
             "REPRO_RETRY_DELAY",
             "REPRO_FAULT_PLAN",
@@ -73,7 +72,6 @@ class TestPublicSurface:
             ("parallel", False),
             ("processes", None),
             ("instructions", 150_000),
-            ("executor", "auto"),
             ("retries", 2),
             ("retry_delay", 0.05),
             ("fault_plan", None),
@@ -86,10 +84,14 @@ class TestPublicSurface:
         ]
 
     def test_executors_and_result_key_are_pinned(self):
-        from repro.api.runtime_config import EXECUTORS
+        from repro.api import runtime_config
+        from repro.exec import QueueExecutor, SerialExecutor
         from repro.results.store import result_key
 
-        assert EXECUTORS == ("auto", "serial", "queue")
+        # The session's ``parallel`` setting picks the executor; there
+        # is no executor knob to name one.
+        assert not hasattr(runtime_config, "EXECUTORS")
+        assert (SerialExecutor.name, QueueExecutor.name) == ("serial", "queue")
         assert list(inspect.signature(result_key).parameters) == [
             "experiment",
             "config",
@@ -132,14 +134,7 @@ class TestPublicSurface:
             "instructions",
             "use_store",
         ]
-        assert parameters(Session.map) == [
-            "self",
-            "worker",
-            "arguments",
-            "parallel",
-            "processes",
-            "prime",
-        ]
+        assert parameters(Session.map) == ["self", "worker", "arguments", "prime"]
         assert parameters(Session.map_report) == parameters(Session.map)
         assert parameters(Session.trace) == [
             "self",

@@ -20,14 +20,16 @@ import textwrap
 
 import pytest
 
+from repro.api import Session
 from repro.exec import (
     ExecutionSettings,
     Fault,
     FaultPlan,
     InjectedFault,
+    QueueExecutor,
+    SerialExecutor,
     SweepError,
     execute_items,
-    resolve_executor,
 )
 from repro.exec.queue import CAMPAIGN_PREFIX, RESULT_SUFFIX
 from repro.exec.results import (
@@ -56,8 +58,12 @@ def serial_settings(**overrides):
     return ExecutionSettings(**merged)
 
 
+#: The two executors, by the name a sweep report quotes.
+EXECUTOR_CLASSES = {"serial": SerialExecutor, "queue": QueueExecutor}
+
+
 def run_with(executor_name, worker, items=ITEMS, **overrides):
-    executor = resolve_executor(executor_name)
+    executor = EXECUTOR_CLASSES[executor_name]()
     return execute_items(worker, items, serial_settings(**overrides), executor)
 
 
@@ -243,7 +249,7 @@ class TestKillAndResume:
             *[Fault(kind="raise", index=3, attempt=attempt) for attempt in (1, 2, 3)]
         )
         common = dict(processes=1, queue_dir=str(tmp_path))
-        executor = resolve_executor("queue")
+        executor = QueueExecutor()
         kept = execute_items(
             _square, ITEMS, serial_settings(fault_plan=plan, **common), executor
         )
@@ -260,24 +266,18 @@ class TestKillAndResume:
         assert shifted.values() == [_square(item + 1) for item in ITEMS]
 
 
-class TestExecutorResolution:
-    def test_unknown_executor_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("warp-drive")
-
-    @pytest.mark.parametrize("name", ["serial", "queue"])
-    def test_builtin_executors_resolve_by_name(self, name):
-        assert resolve_executor(name).name == name
-
-    @pytest.mark.parametrize(
-        "name", ["auto", "processes", "repro.exec.executors:SerialExecutor"]
-    )
-    def test_only_concrete_builtin_names_resolve(self, name):
-        # "auto" is resolved by the session before lookup, the process
-        # pool is gone, and an importable module:attribute reference is
-        # not an executor name.
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor(name)
+class TestExecutorSelection:
+    @pytest.mark.parametrize("parallel,name", [(False, "serial"), (True, "queue")])
+    def test_the_session_parallel_setting_picks_the_executor(self, parallel, name):
+        session = Session(
+            parallel=parallel,
+            processes=1,
+            trace_cache_dir=None,
+            result_cache_dir=None,
+        )
+        report = session.map_report(_square, ITEMS)
+        assert report.executor == name
+        assert report.values() == [0, 1, 4, 9]
 
 
 class TestFaultPlans:

@@ -151,8 +151,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv,flag",
         [
-            (["fig5", "--executor", "warp-drive"], "--executor"),
-            (["explore", "--smoke", "--executor", "bogus"], "--executor"),
             (["fig5", "--retries", "-1"], "--retries"),
             (["serve", "--port", "70000"], "--port"),
             (["fig5", "--parallel", "--processes", "0"], "--processes"),

@@ -429,22 +429,22 @@ class TestSweepScenarios:
 class TestParallelSweeps:
     def test_fig11_parallel_matches_serial(self):
         serial = experiments.run_fig11(instructions=20_000, workloads=["FT", "gobmk"])
-        parallel = experiments.run_fig11(
-            instructions=20_000,
-            workloads=["FT", "gobmk"],
-            run_parallel=True,
-            processes=2,
-        )
+        with Session(parallel=True, processes=2).activate():
+            parallel = experiments.run_fig11(
+                instructions=20_000, workloads=["FT", "gobmk"]
+            )
         assert parallel.normalized_time == serial.normalized_time
 
-    def test_table2_and_table3_accept_run_parallel(self):
-        serial2, parallel2 = experiments.run_table2(), experiments.run_table2(
-            run_parallel=True, processes=2
-        )
+    def test_table2_and_table3_compute_in_process(self):
+        from repro.exec.queue import queue_info
+
+        serial2, serial3 = experiments.run_table2(), experiments.run_table3()
+        enqueued = queue_info()["enqueued"]
+        with Session(parallel=True, processes=2).activate():
+            parallel2, parallel3 = experiments.run_table2(), experiments.run_table3()
+        # Pure arithmetic: a parallel session starts no queue campaign.
+        assert queue_info()["enqueued"] == enqueued
         assert parallel2.storage_bits == serial2.storage_bits
-        serial3, parallel3 = experiments.run_table3(), experiments.run_table3(
-            run_parallel=True, processes=2
-        )
         assert parallel3.cores == serial3.cores
 
 
@@ -455,8 +455,8 @@ class TestCliSweep:
         assert "scenario paper" in output and "Baseline CMP" in output
 
     def test_parallel_flag_now_supported_everywhere(self, capsys):
-        # Every registered experiment gained a run_parallel sweep, so
-        # --parallel is never silently ignored any more.
+        # --parallel is a session setting that every sweep follows, so
+        # it is never reported as ignored.
         assert cli_main(["fig6", "--instructions", "20000", "--parallel"]) == 0
         captured = capsys.readouterr()
         assert "--parallel ignored" not in captured.err

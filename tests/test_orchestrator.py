@@ -89,9 +89,9 @@ class TestOrchestratedRuns:
         assert report.counts()["computed"] == 1
 
     def test_execution_knobs_never_change_a_key(self):
-        """Parallelism, executors, retries, fault plans and the cache
-        namespace cannot change the numbers, so a run under any of them
-        is served the same store entries."""
+        """Parallelism, retries, fault plans and the cache namespace
+        cannot change the numbers, so a run under any of them is served
+        the same store entries."""
         from repro.api.runtime_config import RuntimeConfig, activated
 
         spec = get_spec("fig6")
@@ -99,7 +99,6 @@ class TestOrchestratedRuns:
         busy = RuntimeConfig(
             parallel=True,
             processes=3,
-            executor="queue",
             retries=7,
             retry_delay=0.2,
             fault_plan='{"faults": []}',
@@ -140,12 +139,12 @@ class TestOrchestratedRuns:
         assert statuses == {"fig6": "cached", "fig9": "cached", "table2": "computed"}
 
     def test_unconsumed_flags_detection(self):
-        assert unconsumed_flags(["fig1"], False, ["core-scaling"]) == ["--scenarios"]
-        assert unconsumed_flags(["cmpsweep"], True, ["core-scaling"]) == []
-        assert unconsumed_flags(registry_names(), True, None) == []
+        assert unconsumed_flags(["fig1"], ["core-scaling"]) == ["--scenarios"]
+        assert unconsumed_flags(["cmpsweep"], ["core-scaling"]) == []
+        assert unconsumed_flags(registry_names(), None) == []
         # Model-only experiments take no instruction budget.
-        assert unconsumed_flags(["table2"], False, None, "--smoke") == ["--smoke"]
-        assert unconsumed_flags(["table2", "fig1"], False, None, "--smoke") == []
+        assert unconsumed_flags(["table2"], None, "--smoke") == ["--smoke"]
+        assert unconsumed_flags(["table2", "fig1"], None, "--smoke") == []
 
 
 class TestFullSuiteManifest:

@@ -1,4 +1,4 @@
-"""Tests for the durable filesystem work queue (``executor = "queue"``).
+"""Tests for the durable filesystem work queue (the parallel executor).
 
 Covers the lease primitives (exclusive claims, heartbeat renewal,
 reclaim races, corrupt-lease quarantine), the queue-specific fault
@@ -25,19 +25,21 @@ import time
 
 import pytest
 
+from repro.api.runtime_config import RuntimeConfig
 from repro.exec import leases
 from repro.exec import queue as queue_module
 from repro.exec.executors import (
     ExecutionSettings,
     ExecutionSettingsError,
+    SerialExecutor,
     _worker_main,
-    resolve_executor,
 )
 from repro.exec.faults import Fault, FaultPlan
 from repro.exec.queue import (
     CAMPAIGN_PREFIX,
     FAILED_SUFFIX,
     RESULT_SUFFIX,
+    QueueExecutor,
     QueueWorker,
     enqueue_campaign,
     load_published,
@@ -92,7 +94,8 @@ def _published(campaign) -> int:
 def _supervise_one_worker(root) -> None:
     """A stand-in supervisor: one spawned queue worker, then wait."""
     worker = multiprocessing.get_context("fork").Process(
-        target=_worker_main, args=(slow_double, root, os.getpid(), None)
+        target=_worker_main,
+        args=(slow_double, root, os.getpid(), None, RuntimeConfig()),
     )
     worker.start()
     worker.join()
@@ -219,10 +222,10 @@ class TestLeases:
 class TestQueueExecutor:
     def test_matches_serial_execution_bit_for_bit(self, tmp_path):
         items = [(index, index) for index in range(25)]
-        queued = resolve_executor("queue").run(
+        queued = QueueExecutor().run(
             double, items, settings(processes=2, queue_dir=str(tmp_path))
         )
-        serial = resolve_executor("serial").run(
+        serial = SerialExecutor().run(
             double, items, ExecutionSettings(retries=2, retry_delay=0.001)
         )
         assert [r.value for r in queued.results] == [r.value for r in serial.results]
@@ -230,7 +233,7 @@ class TestQueueExecutor:
         assert not queued.degraded
 
     def test_successful_campaign_retires_its_directory(self, tmp_path):
-        resolve_executor("queue").run(
+        QueueExecutor().run(
             double,
             [(index, index) for index in range(4)],
             settings(processes=1, queue_dir=str(tmp_path)),
@@ -240,7 +243,7 @@ class TestQueueExecutor:
         ]
 
     def test_failed_campaign_keeps_its_directory_as_evidence(self, tmp_path):
-        out = resolve_executor("queue").run(
+        out = QueueExecutor().run(
             explode_on_three,
             [(index, index) for index in range(5)],
             settings(processes=1, retries=1, queue_dir=str(tmp_path)),
@@ -271,7 +274,7 @@ class TestQueueExecutor:
                     "attempts": 1,
                 },
             )
-        out = resolve_executor("queue").run(double, items, config)
+        out = QueueExecutor().run(double, items, config)
         by_index = {r.index: r for r in out.results}
         assert by_index[0].status == STATUS_REPLAYED
         assert by_index[0].value == 990
@@ -285,7 +288,7 @@ class TestQueueExecutor:
         marker.write_text("fail")
         items = [(index, (index, str(marker))) for index in range(4)]
         config = settings(processes=1, retries=0, queue_dir=str(tmp_path / "queue"))
-        executor = resolve_executor("queue")
+        executor = QueueExecutor()
         first = executor.run(fail_two_while_marked, items, config)
         assert [r.status for r in first.results] == [STATUS_OK] * 2 + [
             STATUS_ERROR,
@@ -330,7 +333,7 @@ class TestQueueExecutor:
         # the workers' announcements can finish the campaign in time.
         monkeypatch.setattr(queue_module, "QUEUE_POLL", 30.0)
         started = time.monotonic()
-        out = resolve_executor("queue").run(
+        out = QueueExecutor().run(
             double,
             [(index, index) for index in range(6)],
             settings(processes=2, queue_dir=str(tmp_path)),
@@ -340,7 +343,7 @@ class TestQueueExecutor:
 
     def test_kill_fault_is_reclaimed_and_retried(self, tmp_path):
         plan = FaultPlan.of(Fault("kill", index=3))
-        out = resolve_executor("queue").run(
+        out = QueueExecutor().run(
             double,
             [(index, index) for index in range(6)],
             settings(processes=2, queue_dir=str(tmp_path), fault_plan=plan),
@@ -432,7 +435,7 @@ class TestQueueWorkerInProcess:
         plan = FaultPlan.of(
             *[Fault("stale-lease", index=1, attempt=a) for a in (1, 2, 3, 4)]
         )
-        out = resolve_executor("queue").run(
+        out = QueueExecutor().run(
             double,
             [(index, index) for index in range(3)],
             settings(processes=1, retries=1, queue_dir=str(tmp_path), fault_plan=plan),
@@ -509,7 +512,7 @@ class TestKillSupervisorAndResume:
         """
         import json, os, signal, sys
 
-        from repro.exec import ExecutionSettings, resolve_executor
+        from repro.exec import ExecutionSettings, QueueExecutor
 
         def worker(args):
             if args == 37 and os.environ.get("CHAOS_KILL"):
@@ -527,7 +530,7 @@ class TestKillSupervisorAndResume:
             heartbeat_interval=0.1,
             queue_dir=os.environ["QUEUE_DIR"],
         )
-        out = resolve_executor("queue").run(
+        out = QueueExecutor().run(
             worker, [(i, i) for i in range(1000)], settings
         )
         json.dump(
@@ -599,7 +602,7 @@ class TestRetiredCampaign:
         """
         import json, os, shutil, sys
 
-        from repro.exec import ExecutionSettings, resolve_executor
+        from repro.exec import ExecutionSettings, QueueExecutor
 
         queue_dir, marker = sys.argv[1], sys.argv[2]
 
@@ -614,7 +617,7 @@ class TestRetiredCampaign:
         settings = ExecutionSettings(
             processes=1, retry_delay=0.001, queue_dir=queue_dir
         )
-        out = resolve_executor("queue").run(
+        out = QueueExecutor().run(
             worker, [(i, i) for i in range(4)], settings
         )
         json.dump([r.value for r in out.results], sys.stdout)

@@ -138,27 +138,6 @@ class TestPrecedence:
                 == rc.DEFAULT_INSTRUCTIONS
             )
 
-    def test_executor(self, monkeypatch):
-        monkeypatch.delenv(rc.EXECUTOR_VARIABLE, raising=False)
-        assert rc.RuntimeConfig.from_environment().executor == "auto"
-        monkeypatch.setenv(rc.EXECUTOR_VARIABLE, "queue")
-        assert rc.RuntimeConfig.from_environment().executor == "queue"
-        # Explicit beats the environment.
-        config = rc.RuntimeConfig.from_environment(executor="serial")
-        assert config.executor == "serial"
-        assert rc.RuntimeConfig(executor="  ").executor == "auto"
-        assert rc.EXECUTORS == ("auto", "serial", "queue")
-        for name in rc.EXECUTORS:
-            assert rc.RuntimeConfig(executor=name).executor == name
-        # An unknown environment executor -- the removed process pool
-        # included -- falls back to auto; an unknown explicit one raises.
-        for name in ("module:attribute", "processes"):
-            monkeypatch.setenv(rc.EXECUTOR_VARIABLE, name)
-            assert rc.RuntimeConfig.from_environment().executor == "auto"
-        for name in ("warp-drive", "module:attribute", "processes"):
-            with pytest.raises(ValueError, match="unknown executor"):
-                rc.RuntimeConfig(executor=name)
-
     def test_retries(self, monkeypatch):
         monkeypatch.delenv(rc.RETRIES_VARIABLE, raising=False)
         assert rc.RuntimeConfig.from_environment().retries == rc.DEFAULT_RETRIES
@@ -266,8 +245,8 @@ class TestConfigBehaviour:
         config = rc.RuntimeConfig()
         assert config.replace(trace_cache_dir="none").trace_cache_dir is None
         assert config.replace(result_cache_dir="off").result_cache_dir is None
-        with pytest.raises(ValueError, match="unknown executor"):
-            config.replace(executor="bogus")
+        with pytest.raises(ValueError, match="processes"):
+            config.replace(processes=0)
         kept = config.replace(trace_cache_dir="/tmp/somewhere")
         assert kept.trace_cache_dir == "/tmp/somewhere"
 
@@ -284,7 +263,6 @@ class TestConfigBehaviour:
             "parallel",
             "processes",
             "instructions",
-            "executor",
             "retries",
             "retry_delay",
             "fault_plan",
@@ -368,38 +346,12 @@ class TestCacheNamespace:
         assert dir_a != dir_b
         assert dir_a.startswith(shared) and dir_b.startswith(shared)
 
-    def test_worker_environment_exports_namespaced_dir_once(
-        self, monkeypatch, tmp_path
-    ):
-        import os
-
-        monkeypatch.setenv(rc.CACHE_NAMESPACE_VARIABLE, "parent-ns")
-        config = rc.RuntimeConfig(
-            trace_cache_dir=str(tmp_path / "traces"), cache_namespace="ns"
-        )
-        with rc.worker_environment(config):
-            # The exported directory is already namespaced, and the
-            # namespace variable is blanked so spawned workers (which
-            # resolve their snapshot from it) cannot join it a second
-            # time.
-            assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == os.path.join(
-                str(tmp_path / "traces"), "ns"
-            )
-            assert rc.read_environment(rc.CACHE_NAMESPACE_VARIABLE) == ""
-            spawned = rc.RuntimeConfig.from_environment()
-            with rc.activated(spawned):
-                assert rc.current_trace_cache_dir() == os.path.join(
-                    str(tmp_path / "traces"), "ns"
-                )
-        # The parent's own namespace setting is restored afterwards.
-        assert rc.read_environment(rc.CACHE_NAMESPACE_VARIABLE) == "parent-ns"
-
 
 class TestActivation:
     """An activated config wins over the process snapshot, scoped."""
 
     def test_activated_config_overrides_the_snapshot(self, monkeypatch, tmp_path):
-        snapshot, _ = rc.process_snapshot()
+        snapshot = rc.process_snapshot()
         # The environment is read once: changing it later moves neither
         # the snapshot nor the accessors.
         monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, str(tmp_path / "env"))
@@ -425,20 +377,4 @@ class TestActivation:
                 with rc.activated(inner):
                     raise RuntimeError("boom")
             assert rc.current_config() is outer
-        assert rc.current_config() is rc.process_snapshot()[0]
-
-    def test_worker_environment_exports_and_restores(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, str(tmp_path / "env"))
-        config = rc.RuntimeConfig(trace_cache_dir=str(tmp_path / "mine"))
-        with rc.worker_environment(config):
-            assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == str(
-                tmp_path / "mine"
-            )
-        # Fully restored: no leak into configs resolved later.
-        assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == str(
-            tmp_path / "env"
-        )
-        # A disabled cache dir is exported as an explicit disable, so
-        # workers cannot fall back to an inherited directory.
-        with rc.worker_environment(rc.RuntimeConfig()):
-            assert rc.read_environment(rc.TRACE_CACHE_DIR_VARIABLE) == "none"
+        assert rc.current_config() is rc.process_snapshot()
