@@ -389,6 +389,18 @@ class TestSessionPipeline:
         assert serial.rows() == parallel.rows()
 
 
+def _trace_dirs_seen(_args):
+    """Worker: the trace directory a queue worker resolves, and the
+    directory and namespace its environment holds."""
+    from repro.api.runtime_config import current_trace_cache_dir
+
+    return (
+        current_trace_cache_dir(),
+        os.environ.get("REPRO_TRACE_CACHE_DIR"),
+        os.environ.get("REPRO_CACHE_NAMESPACE"),
+    )
+
+
 class TestWorkersRunUnderTheSessionConfig:
     """Queue and priming workers receive the sweep's config as an object.
 
@@ -464,6 +476,36 @@ class TestWorkersRunUnderTheSessionConfig:
             ["CG-20000-0.npz", "MG-20000-0.npz"],
         )
         assert not (tmp_path / "xdg").exists()
+
+    def test_queue_workers_get_the_config_not_an_environment_export(self, tmp_path):
+        session = Session(
+            parallel=True,
+            processes=2,
+            trace_cache_dir=str(tmp_path / "traces"),
+            cache_namespace="ns",
+            result_cache_dir=None,
+        )
+        seen = session.map(_trace_dirs_seen, list(range(4)))
+        expected = os.path.join(str(tmp_path / "traces"), "ns")
+        assert [resolved for resolved, _, _ in seen] == [expected] * 4
+        # Nothing of this session reached the workers' environment.
+        for _, directory, namespace in seen:
+            assert str(tmp_path) not in (directory or "")
+            assert namespace != ""
+
+    def test_priming_worker_stores_under_the_config_it_is_handed(self, tmp_path):
+        from repro.api.runtime_config import activated
+        from repro.api.session import _prime_worker
+
+        handed = RuntimeConfig(trace_cache_dir=str(tmp_path), cache_namespace="ns")
+        clear_trace_cache()
+        # The caller's own config keeps traces off disk; the handed one
+        # decides where the primed trace goes.
+        with activated(RuntimeConfig(trace_cache_dir=None)):
+            _prime_worker((handed, get_workload("FT"), INSTRUCTIONS, 0))
+        assert os.listdir(tmp_path) == ["ns"]
+        assert os.listdir(tmp_path / "ns") == [f"FT-{INSTRUCTIONS}-0.npz"]
+        clear_trace_cache()
 
 
 class TestCliSession:

@@ -20,7 +20,7 @@ import textwrap
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, current_session
 from repro.exec import (
     ExecutionSettings,
     Fault,
@@ -47,6 +47,10 @@ FAST = dict(retries=2, retry_delay=0.001)
 
 def _square(args):
     return args * args
+
+
+def _pid(args):
+    return os.getpid()
 
 
 def _explode(args):
@@ -278,6 +282,45 @@ class TestExecutorSelection:
         report = session.map_report(_square, ITEMS)
         assert report.executor == name
         assert report.values() == [0, 1, 4, 9]
+
+    @pytest.mark.parametrize("outer,inner", [(True, False), (False, True)])
+    def test_the_innermost_active_session_decides(self, outer, inner):
+        # The experiment drivers sweep through current_session(), so a
+        # nested session's setting, not the outer one's, must win.
+        def session(parallel):
+            return Session(
+                parallel=parallel,
+                processes=1,
+                trace_cache_dir=None,
+                result_cache_dir=None,
+            )
+
+        with session(outer).activate(), session(inner).activate():
+            report = current_session().map_report(_square, ITEMS)
+        assert report.executor == ("queue" if inner else "serial")
+        assert report.values() == [0, 1, 4, 9]
+
+    def test_the_session_processes_setting_sizes_the_queue(self):
+        session = Session(
+            parallel=True,
+            processes=1,
+            trace_cache_dir=None,
+            result_cache_dir=None,
+        )
+        pids = set(session.map(_pid, ITEMS))
+        assert len(pids) == 1 and os.getpid() not in pids
+
+    def test_the_environment_switch_is_repro_parallel_alone(self, monkeypatch):
+        # A leftover REPRO_EXECUTOR (a retired knob) cannot pick an
+        # executor against REPRO_PARALLEL.
+        for parallel, stale, name in (
+            ("1", "serial", "queue"),
+            ("0", "queue", "serial"),
+        ):
+            monkeypatch.setenv("REPRO_PARALLEL", parallel)
+            monkeypatch.setenv("REPRO_EXECUTOR", stale)
+            session = Session(processes=1, trace_cache_dir=None, result_cache_dir=None)
+            assert session.map_report(_square, ITEMS).executor == name
 
 
 class TestFaultPlans:

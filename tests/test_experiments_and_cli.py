@@ -151,6 +151,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv,flag",
         [
+            (["serve", "--port", "-1"], "--port"),
+            (["explore", "--smoke", "--retries", "two"], "--retries"),
             (["fig5", "--retries", "-1"], "--retries"),
             (["serve", "--port", "70000"], "--port"),
             (["fig5", "--parallel", "--processes", "0"], "--processes"),

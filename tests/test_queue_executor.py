@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro.api.runtime_config import RuntimeConfig
+from repro.api.runtime_config import RuntimeConfig, current_trace_cache_dir
 from repro.exec import leases
 from repro.exec import queue as queue_module
 from repro.exec.executors import (
@@ -83,6 +83,10 @@ def fail_two_while_marked(args):
 def slow_double(args):
     time.sleep(0.02)
     return args * 2
+
+
+def trace_cache_dir_of(args):
+    return current_trace_cache_dir()
 
 
 def _published(campaign) -> int:
@@ -643,6 +647,27 @@ class TestRetiredCampaign:
         assert json.loads(done.stdout) == [0, 2, 4, 6]
         assert not marker.exists()
         assert not os.listdir(queue_dir)
+
+
+class TestWorkerConfig:
+    def test_worker_main_runs_under_the_config_it_is_handed(self, tmp_path):
+        campaign = enqueue_campaign(
+            trace_cache_dir_of,
+            [(index, index) for index in range(3)],
+            settings(),
+            str(tmp_path / "queue"),
+        )
+        config = RuntimeConfig(
+            trace_cache_dir=str(tmp_path / "traces"), cache_namespace="ns"
+        )
+        _worker_main(trace_cache_dir_of, campaign.root, os.getpid(), None, config)
+        expected = os.path.join(str(tmp_path / "traces"), "ns")
+        for name in campaign.names:
+            payload = load_published(campaign, name)
+            assert payload["status"] == STATUS_OK
+            assert payload["value"] == expected
+        # The handed config is scoped to the drain.
+        assert current_trace_cache_dir() != expected
 
 
 class TestOrphanedWorker:

@@ -346,6 +346,29 @@ class TestCacheNamespace:
         assert dir_a != dir_b
         assert dir_a.startswith(shared) and dir_b.startswith(shared)
 
+    def test_a_handed_over_config_joins_the_namespace_once(self, tmp_path):
+        import pickle
+
+        config = rc.RuntimeConfig(
+            parallel=True,
+            processes=2,
+            trace_cache_dir=str(tmp_path / "traces"),
+            result_cache_dir=str(tmp_path / "results"),
+            cache_namespace="ns",
+            fault_plan='{"faults": []}',
+        )
+        # Spawned and fork-server workers receive the config pickled
+        # and activate it as is: the namespace is joined there, once.
+        handed = pickle.loads(pickle.dumps(config))
+        assert handed == config
+        with rc.activated(handed):
+            assert rc.current_trace_cache_dir() == os.path.join(
+                str(tmp_path / "traces"), "ns"
+            )
+            assert rc.current_result_cache_dir() == os.path.join(
+                str(tmp_path / "results"), "ns"
+            )
+
 
 class TestActivation:
     """An activated config wins over the process snapshot, scoped."""
