@@ -18,10 +18,10 @@ import json
 
 import pytest
 
-from repro.api import Session
+from repro.api import RuntimeConfig, Session
 from repro.api.frame import ResultFrame
 from repro.explore import frontend_grid
-from repro.exec import ExecutionSettings, QueueWorker, enqueue_campaign
+from repro.exec import QueueWorker, enqueue_campaign
 from repro.frontend.configs import BASELINE_FRONTEND
 from repro.frontend.simulation import simulate_frontend
 from repro.power import evaluate_cmp_energy
@@ -167,12 +167,12 @@ def test_queue_item_cycle(benchmark, tmp_path):
     over a serial, in-process sweep.
     """
     items = [(index, float(index)) for index in range(64)]
-    settings = ExecutionSettings()
+    config = RuntimeConfig()
     rounds = iter(range(1_000))
 
     def cycle():
         queue_dir = str(tmp_path / f"queue-{next(rounds)}")
-        campaign = enqueue_campaign(_queue_identity, items, settings, queue_dir)
+        campaign = enqueue_campaign(_queue_identity, items, config, queue_dir)
         return QueueWorker(campaign).drain()
 
     resolved = benchmark.pedantic(cycle, rounds=3, iterations=1)
@@ -231,10 +231,12 @@ def test_serve_warm_request(benchmark, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path / "store"))
     monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", "none")
     clear_result_store()
-    config = rc.RuntimeConfig.from_environment(instructions=6_000)
+    config = rc.RuntimeConfig.from_environment(
+        instructions=6_000, queue_dir=None, serve_port=0
+    )
     with rc.activated(config):
         run_experiments(["fig5"], instructions=6_000)
-    with background_server(config=config, queue_dir=None) as server:
+    with background_server(config) as server:
         url = server.url + "/experiment/fig5"
 
         def request():
@@ -268,9 +270,11 @@ def test_serve_cold_miss_request(benchmark, tmp_path, monkeypatch):
     clear_result_store()
     queue_dir = tmp_path / "queue"
     queue_dir.mkdir()
-    config = rc.RuntimeConfig.from_environment(instructions=6_000)
+    config = rc.RuntimeConfig.from_environment(
+        instructions=6_000, queue_dir=str(queue_dir), serve_port=0
+    )
     budgets = iter(range(7_000, 1_000_000))
-    with background_server(config=config, queue_dir=str(queue_dir)) as server:
+    with background_server(config) as server:
 
         def request():
             path = f"/experiment/fig5?instructions={next(budgets)}"

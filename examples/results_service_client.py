@@ -39,7 +39,10 @@ def main() -> None:
         queue_dir = os.path.join(scratch, "queue")
         os.makedirs(queue_dir)
         config = RuntimeConfig.from_environment(
-            instructions=INSTRUCTIONS, result_cache_dir=os.path.join(scratch, "store")
+            instructions=INSTRUCTIONS,
+            result_cache_dir=os.path.join(scratch, "store"),
+            queue_dir=queue_dir,
+            serve_port=0,
         )
 
         def drain() -> None:
@@ -53,7 +56,7 @@ def main() -> None:
         # sharing --queue-dir; the wire traffic below is identical.
         worker = threading.Thread(target=drain)
         worker.start()
-        with background_server(config=config, queue_dir=queue_dir) as server:
+        with background_server(config) as server:
             print(f"service listening on {server.url}")
 
             # Cold request: the store is empty, so the service enqueues

@@ -46,13 +46,11 @@ from typing import (
     Any,
     Dict,
     List,
-    Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
-from repro.api.frame import ResultFrame, artifact_frames
+from repro.api.frame import ResultFrame
 from repro.frontend.configs import (
     BASELINE_FRONTEND,
     TAILORED_FRONTEND,
@@ -239,8 +237,7 @@ class FrontendSweepPlan(Plan):
             (spec, self.instructions, self.seed, self.configs, self.sections)
             for spec in self.workloads
         ]
-        prime = [(spec, self.instructions, self.seed) for spec in self.workloads]
-        results = self.session.map(_sweep_worker, arguments, prime=prime)
+        results = self.session.map(_sweep_worker, arguments)
         rows: List[List[Any]] = []
         for spec, by_key in zip(self.workloads, results):
             for section in self.sections:
@@ -408,8 +405,3 @@ class ExperimentPlan(Plan):
             frame=outcome.stored_frame(),
             details={"experiment": outcome.name, "title": outcome.title},
         )
-
-
-def experiment_frames(artifact: Mapping[str, Any]) -> Sequence[ResultFrame]:
-    """Frames of one stored artifact (re-exported convenience)."""
-    return artifact_frames(artifact)

@@ -79,10 +79,6 @@ QUEUE_DIR_VARIABLE = "REPRO_QUEUE_DIR"
 #: reclaims it from a presumed-dead worker.
 LEASE_TTL_VARIABLE = "REPRO_LEASE_TTL"
 
-#: Environment variable fixing the queue heartbeat renewal interval in
-#: seconds (must be smaller than the lease TTL).
-HEARTBEAT_INTERVAL_VARIABLE = "REPRO_HEARTBEAT_INTERVAL"
-
 #: Environment variable fixing the bind address of the results service
 #: (``repro-frontend serve``).  Deployment-local: never folded into
 #: result keys.
@@ -107,7 +103,6 @@ ENVIRONMENT_VARIABLES: Tuple[str, ...] = (
     CACHE_NAMESPACE_VARIABLE,
     QUEUE_DIR_VARIABLE,
     LEASE_TTL_VARIABLE,
-    HEARTBEAT_INTERVAL_VARIABLE,
     SERVE_HOST_VARIABLE,
     SERVE_PORT_VARIABLE,
 )
@@ -129,9 +124,6 @@ DEFAULT_RETRY_DELAY = 0.05
 #: stalled past the TTL) cost duplicated work, while a true dead worker
 #: only delays its items by the TTL.
 DEFAULT_LEASE_TTL = 30.0
-
-#: Default queue heartbeat renewal interval, in seconds.
-DEFAULT_HEARTBEAT_INTERVAL = 5.0
 
 #: Default bind address of the results service: loopback only, so a
 #: bare ``repro-frontend serve`` never exposes itself off-host.
@@ -288,7 +280,8 @@ class RuntimeConfig:
     instructions: int = DEFAULT_INSTRUCTIONS
     #: Per-item retries of supervised sweeps (0 disables retrying).
     retries: int = DEFAULT_RETRIES
-    #: Base backoff delay between retries, in seconds.
+    #: Base backoff delay between retries of a serial sweep, in seconds
+    #: (a queue worker retries an item on its next scan).
     retry_delay: float = DEFAULT_RETRY_DELAY
     #: Deterministic fault-injection plan: inline JSON or a file path
     #: (``None``: no injection).  Parsed by :mod:`repro.exec.faults`.
@@ -300,10 +293,9 @@ class RuntimeConfig:
     #: :func:`current_queue_dir`).
     queue_dir: Optional[str] = None
     #: Queue lease time-to-live in seconds: heartbeat silence beyond
-    #: this and the reaper reclaims the item.
+    #: this and the reaper reclaims the item.  Workers renew every
+    #: ``lease_ttl / 6`` (:data:`repro.exec.queue.HEARTBEATS_PER_TTL`).
     lease_ttl: float = DEFAULT_LEASE_TTL
-    #: Queue heartbeat renewal interval in seconds (< ``lease_ttl``).
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
     #: Results-service bind address (deployment-local; never keyed).
     serve_host: str = DEFAULT_SERVE_HOST
     #: Results-service TCP port (``0``: OS-assigned ephemeral port).
@@ -337,25 +329,7 @@ class RuntimeConfig:
         lease_ttl = float(self.lease_ttl)
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {self.lease_ttl!r}")
-        heartbeat = float(self.heartbeat_interval)
-        if heartbeat <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive, "
-                f"got {self.heartbeat_interval!r}"
-            )
-        if heartbeat >= lease_ttl:
-            if heartbeat == DEFAULT_HEARTBEAT_INTERVAL:
-                # An untouched default heartbeat scales with a lowered
-                # TTL (same ratio as the defaults) instead of raising on
-                # a construction that only named the TTL.
-                heartbeat = lease_ttl * (DEFAULT_HEARTBEAT_INTERVAL / DEFAULT_LEASE_TTL)
-            else:
-                raise ValueError(
-                    f"heartbeat_interval ({self.heartbeat_interval!r}) must be "
-                    f"smaller than lease_ttl ({self.lease_ttl!r})"
-                )
         object.__setattr__(self, "lease_ttl", lease_ttl)
-        object.__setattr__(self, "heartbeat_interval", heartbeat)
         host = str(self.serve_host).strip() or DEFAULT_SERVE_HOST
         object.__setattr__(self, "serve_host", host)
         port = int(self.serve_port)
@@ -381,7 +355,6 @@ class RuntimeConfig:
         cache_namespace: Union[str, None, Any] = _UNSET,
         queue_dir: Union[str, None, Any] = _UNSET,
         lease_ttl: Union[float, Any] = _UNSET,
-        heartbeat_interval: Union[float, Any] = _UNSET,
         serve_host: Union[str, Any] = _UNSET,
         serve_port: Union[int, Any] = _UNSET,
     ) -> "RuntimeConfig":
@@ -442,26 +415,10 @@ class RuntimeConfig:
             )
         if queue_dir is _UNSET:
             queue_dir = read_environment(QUEUE_DIR_VARIABLE)
-        lease_ttl_explicit = lease_ttl is not _UNSET
-        heartbeat_explicit = heartbeat_interval is not _UNSET
-        if not lease_ttl_explicit:
+        if lease_ttl is _UNSET:
             lease_ttl = _env_float(LEASE_TTL_VARIABLE, None)
             if lease_ttl is None or lease_ttl <= 0:
                 lease_ttl = DEFAULT_LEASE_TTL
-        if not heartbeat_explicit:
-            heartbeat_interval = _env_float(HEARTBEAT_INTERVAL_VARIABLE, None)
-            if heartbeat_interval is None or heartbeat_interval <= 0:
-                heartbeat_interval = DEFAULT_HEARTBEAT_INTERVAL
-            if (
-                heartbeat_interval >= float(lease_ttl)
-                and heartbeat_interval != DEFAULT_HEARTBEAT_INTERVAL
-            ):
-                # An env-only conflicting pair falls back leniently to
-                # the default ratio; explicit arguments raise instead
-                # (validated at construction below).
-                heartbeat_interval = float(lease_ttl) * (
-                    DEFAULT_HEARTBEAT_INTERVAL / DEFAULT_LEASE_TTL
-                )
         if serve_host is _UNSET:
             serve_host = read_environment(SERVE_HOST_VARIABLE) or DEFAULT_SERVE_HOST
         if serve_port is _UNSET:
@@ -482,7 +439,6 @@ class RuntimeConfig:
             cache_namespace=cache_namespace,
             queue_dir=normalize_cache_dir(queue_dir),
             lease_ttl=float(lease_ttl),
-            heartbeat_interval=float(heartbeat_interval),
             serve_host=str(serve_host),
             serve_port=resolved_serve_port,
         )

@@ -112,8 +112,8 @@ def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
     to 0 otherwise.  The check is ``type(...) is int`` on purpose:
     drivers also pass ``(spec, instructions, section)`` tuples whose
     :class:`~repro.trace.instruction.CodeSection` is an ``IntEnum`` and
-    must not be misread as a seed.  Callers whose workers derive seeds
-    elsewhere pass explicit keys to :meth:`Session.map` instead.
+    must not be misread as a seed, and a CMP exploration chunk
+    ``(spec, instructions, chips)`` profiles the seed-0 trace.
     """
     keys = []
     seen = set()
@@ -383,12 +383,7 @@ class Session:
 
     # -- the sweep engine --------------------------------------------
 
-    def map(
-        self,
-        worker: Callable,
-        arguments: Sequence,
-        prime: Optional[Sequence] = None,
-    ) -> List:
+    def map(self, worker: Callable, arguments: Sequence) -> List:
         """Run a per-workload sweep worker over its argument tuples.
 
         The historical "list of values" contract over
@@ -397,54 +392,32 @@ class Session:
         report (and the partial results) when any item permanently
         failed.
         """
-        return self.map_report(worker, arguments, prime=prime).values()
+        return self.map_report(worker, arguments).values()
 
-    def map_report(
-        self,
-        worker: Callable,
-        arguments: Sequence,
-        prime: Optional[Sequence] = None,
-    ):
+    def map_report(self, worker: Callable, arguments: Sequence):
         """Run a sweep under supervision; return the full SweepReport.
 
-        The session's config is the execution policy: ``parallel``
-        runs the sweep on the work queue with ``processes`` workers,
-        anything else runs it serially in-process, both with per-item
-        retries and fault injection from the config.  Before the queue
-        spawns workers, the shared disk trace cache is primed under the
-        session's ``trace_cache_dir``.  Queue campaigns live under the
+        The session's config is the execution policy, handed to the
+        executor whole: ``parallel`` runs the sweep on the work queue
+        with ``processes`` workers, anything else runs it serially
+        in-process, both with per-item retries and fault injection from
+        the config.  Before the queue spawns workers, the shared disk
+        trace cache is primed under the session's ``trace_cache_dir``
+        with the traces the argument tuples name (see
+        :func:`_default_prime_keys`).  Queue campaigns live under the
         config's ``queue_dir``, else under the result store, so a
         killed sweep rerun with the same store replays the items
         already published and computes only the rest.
-
-        ``prime`` names the traces to pre-generate as ``(spec,
-        instructions, seed)`` triples; when omitted they are inferred
-        from conventionally shaped ``(spec, instructions, [seed,] ...)``
-        argument tuples.
         """
-        from repro.exec import executors as exec_executors
-        from repro.exec.faults import FaultPlan
+        from repro.exec.executors import SerialExecutor, execute_items
         from repro.exec.queue import QueueExecutor
 
         config = self.config
-        settings = exec_executors.ExecutionSettings(
-            processes=config.processes,
-            retries=config.retries,
-            retry_delay=config.retry_delay,
-            fault_plan=FaultPlan.from_spec(config.fault_plan),
-            queue_dir=config.queue_dir,
-            lease_ttl=config.lease_ttl,
-            heartbeat_interval=config.heartbeat_interval,
-        )
-        executor = (
-            QueueExecutor() if config.parallel else exec_executors.SerialExecutor()
-        )
+        executor = QueueExecutor() if config.parallel else SerialExecutor()
         with self.activate():
             if config.parallel and config.trace_cache_dir is not None:
-                if prime is None:
-                    prime = _default_prime_keys(arguments)
-                _prime_shared_traces(prime, config)
-            return exec_executors.execute_items(worker, arguments, settings, executor)
+                _prime_shared_traces(_default_prime_keys(arguments), config)
+            return execute_items(worker, arguments, config, executor)
 
     def workload_sweep(
         self,

@@ -266,7 +266,7 @@ def main(argv: Optional[list] = None) -> int:
         config = rc.RuntimeConfig.from_environment(**overrides)
         if config.queue_dir is None:
             parser.error("'serve' requires --queue-dir (or REPRO_QUEUE_DIR)")
-        return run_server(ResultsServer(config=config, queue_dir=config.queue_dir))
+        return run_server(ResultsServer(config))
 
     if args.experiment == "explore":
         return _run_explore(args, parser)

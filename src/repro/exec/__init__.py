@@ -4,9 +4,11 @@ Everything that turns a sweep from "a bare ``Pool.map`` that dies with
 its weakest worker" into supervised, resumable, testable execution:
 
 :class:`SerialExecutor` / :class:`QueueExecutor`
-    The two executors behind :func:`execute_items`: a session runs its
-    sweeps on the queue when its config sets ``parallel``, serially
-    otherwise.  Serial runs items in-process with retries and backoff.
+    The two executors behind :func:`execute_items`, both driven by the
+    session's :class:`~repro.api.runtime_config.RuntimeConfig`: a
+    session runs its sweeps on the queue when its config sets
+    ``parallel``, serially otherwise.  Serial runs items in-process
+    with retries and backoff.
     The queue is the one parallel path: a durable filesystem work
     queue whose items are claimed via heartbeat leases by any number
     of cooperating worker processes -- spawned by the supervisor
@@ -25,13 +27,7 @@ its weakest worker" into supervised, resumable, testable execution:
     tests rather than trusted.
 """
 
-from repro.exec.executors import (
-    ExecutionSettings,
-    ExecutionSettingsError,
-    Executor,
-    SerialExecutor,
-    execute_items,
-)
+from repro.exec.executors import Executor, SerialExecutor, execute_items
 from repro.exec.faults import (
     Fault,
     FaultPlan,
@@ -56,8 +52,6 @@ from repro.exec.results import (
 )
 
 __all__ = [
-    "ExecutionSettings",
-    "ExecutionSettingsError",
     "Executor",
     "Fault",
     "FaultPlan",

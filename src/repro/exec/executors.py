@@ -16,7 +16,9 @@ Every sweep runs through one of two executors behind one interface:
 :meth:`repro.api.session.Session.map_report` picks one from its
 session's ``parallel`` setting, and :func:`execute_items` is the one
 entry point that runs a sweep into a
-:class:`~repro.exec.results.SweepReport`.
+:class:`~repro.exec.results.SweepReport`.  Both executors take the
+session's :class:`~repro.api.runtime_config.RuntimeConfig` as their
+whole execution policy.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-from repro.api.runtime_config import activated
+from repro.api.runtime_config import RuntimeConfig, activated
 from repro.exec.faults import FaultPlan, SimulatedWorkerDeath
 from repro.exec.results import (
     STATUS_ERROR,
@@ -42,72 +43,15 @@ from repro.exec.results import (
 RunOutcome = namedtuple("RunOutcome", ["results", "degraded"])
 
 
-class ExecutionSettingsError(ValueError):
-    """An :class:`ExecutionSettings` knob is out of range.
-
-    Raised at construction -- zero or negative delays and lease
-    intervals used to slip through and misbehave deep inside a
-    sweep; now they fail fast with a typed error.
-    """
-
-
-@dataclass(frozen=True)
-class ExecutionSettings:
-    """Everything an executor needs beyond the worker and its items."""
-
-    #: Worker-process count (``None``: CPU count, capped by item count).
-    processes: Optional[int] = None
-    #: Transient-failure retries per item (0 disables retrying).
-    retries: int = 2
-    #: Base backoff delay between retries, in seconds.
-    retry_delay: float = 0.05
-    #: Deterministic fault plan injected into workers (tests/chaos).
-    fault_plan: Optional[FaultPlan] = None
-    #: Durable work-queue directory (``queue`` executor; ``None``: the
-    #: config's queue directory, see
-    #: :func:`repro.api.runtime_config.current_queue_dir`).
-    queue_dir: Optional[str] = None
-    #: Queue lease time-to-live in seconds (``queue`` executor).
-    lease_ttl: float = 30.0
-    #: Queue heartbeat renewal interval in seconds (< ``lease_ttl``).
-    heartbeat_interval: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ExecutionSettingsError(
-                f"retries must be >= 0, got {self.retries}"
-            )
-        if self.retry_delay <= 0:
-            raise ExecutionSettingsError(
-                f"retry_delay must be positive, got {self.retry_delay!r}"
-            )
-        if self.lease_ttl <= 0:
-            raise ExecutionSettingsError(
-                f"lease_ttl must be positive, got {self.lease_ttl!r}"
-            )
-        if self.heartbeat_interval <= 0:
-            raise ExecutionSettingsError(
-                f"heartbeat_interval must be positive, "
-                f"got {self.heartbeat_interval!r}"
-            )
-        if self.heartbeat_interval >= self.lease_ttl:
-            raise ExecutionSettingsError(
-                f"heartbeat_interval ({self.heartbeat_interval!r}) must be "
-                f"smaller than lease_ttl ({self.lease_ttl!r})"
-            )
-
-
-def backoff_delay(settings: ExecutionSettings, index: int, attempt: int) -> float:
+def backoff_delay(retry_delay: float, index: int, attempt: int) -> float:
     """Exponential backoff with deterministic jitter.
 
     ``retry_delay * 2^(attempt-1)``, jittered up to +25% by an RNG
     seeded from the item and attempt -- so reruns sleep identically
     (reproducible schedules) while concurrent retries still spread out.
     """
-    if settings.retry_delay <= 0:
-        return 0.0
     jitter = random.Random(f"repro-backoff:{index}:{attempt}").random()
-    return settings.retry_delay * (2 ** (attempt - 1)) * (1.0 + 0.25 * jitter)
+    return retry_delay * (2 ** (attempt - 1)) * (1.0 + 0.25 * jitter)
 
 
 class Executor:
@@ -120,9 +64,13 @@ class Executor:
         self,
         worker: Callable,
         items: Sequence[Tuple[int, Any]],
-        settings: ExecutionSettings,
+        config: RuntimeConfig,
     ) -> RunOutcome:
-        """Run ``worker`` over ``(index, args)`` items, one result each."""
+        """Run ``worker`` over ``(index, args)`` items, one result each.
+
+        ``config`` supplies the execution policy: retries, backoff, the
+        fault plan and, on the queue, worker count, directory and TTL.
+        """
         raise NotImplementedError
 
 
@@ -130,7 +78,8 @@ def _run_item_in_process(
     worker: Callable,
     index: int,
     args: Any,
-    settings: ExecutionSettings,
+    config: RuntimeConfig,
+    plan: Optional[FaultPlan],
 ) -> ItemResult:
     """Serial execution of one item with full retry/fault semantics.
 
@@ -141,17 +90,17 @@ def _run_item_in_process(
     attempt = 1
     while True:
         try:
-            if settings.fault_plan is not None:
-                settings.fault_plan.fire(index, attempt, allow_exit=False)
+            if plan is not None:
+                plan.fire(index, attempt, allow_exit=False)
             value = worker(args)
             return ItemResult(index, STATUS_OK, value=value, attempts=attempt)
         except SimulatedWorkerDeath as death:
             status, error = STATUS_WORKER_DEATH, describe_exception(death)
         except Exception as failure:
             status, error = STATUS_ERROR, describe_exception(failure)
-        if attempt > settings.retries:
+        if attempt > config.retries:
             return ItemResult(index, status, error=error, attempts=attempt)
-        time.sleep(backoff_delay(settings, index, attempt))
+        time.sleep(backoff_delay(config.retry_delay, index, attempt))
         attempt += 1
 
 
@@ -160,9 +109,10 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run(self, worker, items, settings):
+    def run(self, worker, items, config):
+        plan = FaultPlan.from_spec(config.fault_plan)
         results = [
-            _run_item_in_process(worker, index, args, settings)
+            _run_item_in_process(worker, index, args, config, plan)
             for index, args in items
         ]
         return RunOutcome(results, False)
@@ -197,16 +147,18 @@ def _worker_main(worker, root: str, parent_pid: int, announce, config) -> None:
 def execute_items(
     worker: Callable,
     arguments: Sequence,
-    settings: ExecutionSettings,
+    config: RuntimeConfig,
     executor: Executor,
 ) -> SweepReport:
     """Run ``worker`` over ``arguments`` on ``executor``, item by item.
 
-    Returns every item's typed outcome, in argument order.  On the
-    queue executor a campaign killed mid-run resumes item by item: a
-    rerun replays what was already published and runs only the rest.
+    ``config`` is the whole execution policy: retries, backoff, fault
+    plan, worker count, queue directory and lease TTL.  Returns every
+    item's typed outcome, in argument order.  On the queue executor a
+    campaign killed mid-run resumes item by item: a rerun replays what
+    was already published and runs only the rest.
     """
-    outcome = executor.run(worker, list(enumerate(arguments)), settings)
+    outcome = executor.run(worker, list(enumerate(arguments)), config)
     return SweepReport(
         items=list(outcome.results),
         executor=executor.name,

@@ -6,8 +6,8 @@ states *precisely* which item dies, raises, or has a cache file
 truncated underneath it -- no probabilities, no flakiness.  Plans are
 activated through :class:`~repro.api.runtime_config.RuntimeConfig`
 (``fault_plan=...`` / ``REPRO_FAULT_PLAN``) as either an inline JSON
-document or a path to one, and travel with the queue campaign's
-settings to every worker that serves it, so injection works
+document or a path to one, and travel parsed in the queue campaign's
+manifest to every worker that serves it, so injection works
 identically on fork and spawn platforms and in external workers.
 
 Fault kinds:
@@ -49,7 +49,7 @@ import fnmatch
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: The recognised fault kinds.
 FAULT_KINDS = (
@@ -239,17 +239,3 @@ def _truncate_target(fault: Fault) -> None:
     size = os.path.getsize(path)
     with open(path, "r+b") as stream:
         stream.truncate(size // 2)
-
-
-def plan_summary(plan: Optional[FaultPlan]) -> str:
-    """One-line rendering for logs (``-`` when no plan is active)."""
-    if plan is None or not plan.faults:
-        return "-"
-    return ", ".join(
-        f"{fault.kind}@{fault.index}.{fault.attempt}" for fault in plan.faults
-    )
-
-
-def sites(plan: FaultPlan) -> Sequence[Tuple[int, int]]:
-    """Every ``(index, attempt)`` site the plan touches, in plan order."""
-    return [(fault.index, fault.attempt) for fault in plan.faults]

@@ -12,7 +12,7 @@ worker could wedge.
 On-disk layout of one campaign::
 
     <queue_dir>/campaign-<digest>/
-        campaign.json            # worker ref, totals, execution knobs
+        campaign.json            # worker ref, totals, retries, lease TTL, faults
         items/<name>.item        # one pending work unit (pickle)
         leases/<name>.lease      # the claim + heartbeat of one item
         done/<name>.result       # the published outcome (pickle)
@@ -61,12 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.api import runtime_config
 from repro.counters import Counters
 from repro.exec import leases
-from repro.exec.executors import (
-    ExecutionSettings,
-    Executor,
-    RunOutcome,
-    _worker_main,
-)
+from repro.exec.executors import Executor, RunOutcome, _worker_main
 from repro.exec.faults import (
     QUEUE_FAULT_KINDS,
     FaultPlan,
@@ -86,6 +81,11 @@ from repro.exec.results import (
 #: How often idle workers rescan the queue, and how long the supervisor
 #: waits for a publication before it rescans ``done/`` and reaps.
 QUEUE_POLL = 0.05
+
+#: Lease renewals per lease TTL: a worker renews each claim every
+#: ``lease_ttl / HEARTBEATS_PER_TTL`` seconds, so a live worker's lease
+#: survives several delayed renewals before any reaper may take it.
+HEARTBEATS_PER_TTL = 6
 
 #: Campaign directory name prefix (content-addressed suffix).
 CAMPAIGN_PREFIX = "campaign-"
@@ -228,12 +228,12 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 @dataclass
 class Campaign:
-    """One enqueued sweep: its directory, item names, and knobs."""
+    """One enqueued sweep: its directory, item names, and config."""
 
     root: str
     names: List[str]
     worker: Optional[Callable]
-    settings: ExecutionSettings
+    config: runtime_config.RuntimeConfig
 
     @property
     def items_dir(self) -> str:
@@ -288,29 +288,6 @@ def campaign_digest(keys: Sequence[str]) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
-def _settings_wire(settings: ExecutionSettings) -> Dict[str, Any]:
-    return {
-        "retries": settings.retries,
-        "retry_delay": settings.retry_delay,
-        "lease_ttl": settings.lease_ttl,
-        "heartbeat_interval": settings.heartbeat_interval,
-        "fault_plan": (
-            settings.fault_plan.to_json() if settings.fault_plan is not None else None
-        ),
-    }
-
-
-def _settings_from_wire(wire: Dict[str, Any]) -> ExecutionSettings:
-    plan = wire.get("fault_plan")
-    return ExecutionSettings(
-        retries=int(wire.get("retries", 2)),
-        retry_delay=float(wire.get("retry_delay", 0.05)),
-        lease_ttl=float(wire.get("lease_ttl", 30.0)),
-        heartbeat_interval=float(wire.get("heartbeat_interval", 5.0)),
-        fault_plan=FaultPlan.from_json(plan) if plan else None,
-    )
-
-
 def _existing_names(root: str) -> Dict[str, str]:
     """Map each on-disk item's logical id to its actual (named) form.
 
@@ -338,7 +315,7 @@ def _existing_names(root: str) -> Dict[str, str]:
 def enqueue_campaign(
     worker: Callable,
     items: Sequence[Tuple[int, Any]],
-    settings: ExecutionSettings,
+    config: runtime_config.RuntimeConfig,
     queue_dir: str,
     priority: Union[int, Sequence[int], None] = None,
 ) -> Campaign:
@@ -373,7 +350,7 @@ def enqueue_campaign(
         root=root,
         names=names,
         worker=worker,
-        settings=settings,
+        config=config,
     )
     _create_layout(campaign)
     enqueued = 0
@@ -399,11 +376,18 @@ def _create_layout(campaign: Campaign) -> None:
         os.makedirs(directory, exist_ok=True)
     manifest_path = os.path.join(campaign.root, CAMPAIGN_FILE)
     if not os.path.exists(manifest_path):
+        # Only what every worker of the campaign must share; the fault
+        # plan travels parsed, so no worker needs the supervisor's file.
+        plan = FaultPlan.from_spec(campaign.config.fault_plan)
         manifest = {
             "version": 1,
             "worker": worker_reference(campaign.worker),
             "total": len(campaign.names),
-            "settings": _settings_wire(campaign.settings),
+            "settings": {
+                "retries": campaign.config.retries,
+                "lease_ttl": campaign.config.lease_ttl,
+                "fault_plan": plan.to_json() if plan is not None else None,
+            },
         }
         _atomic_write(
             manifest_path, json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -421,7 +405,7 @@ def _write_item(campaign: Campaign, name: str, index: int, args: Any) -> None:
 def enqueue_item(
     worker: Callable,
     args: Any,
-    settings: ExecutionSettings,
+    config: runtime_config.RuntimeConfig,
     queue_dir: str,
     priority: int = INTERACTIVE_PRIORITY,
 ) -> Tuple[Campaign, str]:
@@ -436,7 +420,7 @@ def enqueue_item(
     the item's name within it.
     """
     campaign = enqueue_campaign(
-        worker, [(0, args)], settings, queue_dir, priority=priority
+        worker, [(0, args)], config, queue_dir, priority=priority
     )
     return campaign, campaign.names[0]
 
@@ -446,7 +430,11 @@ def open_campaign(root: str, worker: Optional[Callable] = None) -> Campaign:
 
     The worker callable is resolved from the manifest's importable
     reference unless one is handed in directly (the supervisor's own
-    spawned workers, which may hold a non-importable callable).
+    spawned workers, which may hold a non-importable callable).  The
+    campaign's config is the opening process's current config with the
+    manifest's ``retries``, ``lease_ttl`` and ``fault_plan`` applied, so
+    spawned and external workers share one retry budget, one TTL and
+    one fault plan; any other key a manifest holds is ignored.
     """
     with open(os.path.join(root, CAMPAIGN_FILE), "r", encoding="utf-8") as stream:
         manifest = json.load(stream)
@@ -458,7 +446,13 @@ def open_campaign(root: str, worker: Optional[Callable] = None) -> Campaign:
                 "only its own supervisor's workers can serve it"
             )
         worker = resolve_worker_reference(reference)
-    settings = _settings_from_wire(manifest.get("settings", {}))
+    shared = manifest.get("settings", {})
+    current = runtime_config.current_config()
+    config = current.replace(
+        retries=int(shared.get("retries", current.retries)),
+        lease_ttl=float(shared.get("lease_ttl", current.lease_ttl)),
+        fault_plan=shared.get("fault_plan"),
+    )
     names = []
     for directory, suffix in (
         (os.path.join(root, ITEMS_DIR), ITEM_SUFFIX),
@@ -475,7 +469,7 @@ def open_campaign(root: str, worker: Optional[Callable] = None) -> Campaign:
         root=root,
         names=sorted(set(names)),
         worker=worker,
-        settings=settings,
+        config=config,
     )
 
 
@@ -592,9 +586,9 @@ def poison_item(
         "reclaims": counts["reclaim"],
         "worker_deaths": counts["death"],
         "errors": counts["error"],
-        "retries": campaign.settings.retries,
+        "retries": campaign.config.retries,
         "last_owner": last_owner,
-        "lease_ttl": campaign.settings.lease_ttl,
+        "lease_ttl": campaign.config.lease_ttl,
         "ledger": list(ledger),
     }
     try:
@@ -619,7 +613,7 @@ def poison_item(
         "value": None,
         "error": (
             f"poison item: its worker died {counts['reclaim'] + counts['death']} "
-            f"time(s) (retry budget {campaign.settings.retries}); quarantined "
+            f"time(s) (retry budget {campaign.config.retries}); quarantined "
             f"with report {json.dumps(report, sort_keys=True)}"
         ),
         "attempts": attempts,
@@ -640,13 +634,13 @@ class _AbandonLease(SimulatedWorkerDeath):
 
 
 class _Heartbeat(threading.Thread):
-    """Renews one lease on an interval until stopped (or paused)."""
+    """Renews one lease every ``ttl / HEARTBEATS_PER_TTL`` until stopped."""
 
-    def __init__(self, path: str, owner: str, interval: float, ttl: float) -> None:
+    def __init__(self, path: str, owner: str, ttl: float) -> None:
         super().__init__(daemon=True, name=f"lease-heartbeat:{os.path.basename(path)}")
         self.path = path
         self.owner = owner
-        self.interval = interval
+        self.interval = ttl / HEARTBEATS_PER_TTL
         self.ttl = ttl
         self.seq = 0
         self.lost = False
@@ -699,7 +693,8 @@ class QueueWorker:
         self.parent_pid = parent_pid
         self.poll = poll
         self.announce = announce
-        self.reaper = leases.Reaper(campaign.settings.lease_ttl)
+        self.reaper = leases.Reaper(campaign.config.lease_ttl)
+        self.fault_plan = FaultPlan.from_spec(campaign.config.fault_plan)
         # A SIGKILLed supervisor that its own parent has not reaped yet
         # is a zombie, which still answers kill(pid, 0); the worker is
         # reparented the moment it dies, though.  (Under forkserver the
@@ -760,7 +755,7 @@ class QueueWorker:
             if not leases.acquire(
                 self.campaign.lease_path(name),
                 self.owner,
-                self.campaign.settings.lease_ttl,
+                self.campaign.config.lease_ttl,
             ):
                 pending += 1
                 continue
@@ -790,15 +785,10 @@ class QueueWorker:
             return False
         ledger = _death_ledger(campaign, name)
         attempt = len(ledger) + 1
-        plan = campaign.settings.fault_plan
-        heartbeat = _Heartbeat(
-            lease_path,
-            self.owner,
-            campaign.settings.heartbeat_interval,
-            campaign.settings.lease_ttl,
-        )
+        heartbeat = _Heartbeat(lease_path, self.owner, campaign.config.lease_ttl)
         heartbeat.start()
         try:
+            plan = self.fault_plan
             if plan is not None:
                 self._apply_queue_faults(plan, name, index, attempt, heartbeat)
                 plan.fire(index, attempt, allow_exit=self.allow_exit)
@@ -828,7 +818,7 @@ class QueueWorker:
                 campaign, name, "error", describe_exception(failure)[:200]
             )
             ledger = _death_ledger(campaign, name)
-            if _ledger_counts(ledger)["error"] > campaign.settings.retries:
+            if _ledger_counts(ledger)["error"] > campaign.config.retries:
                 payload = {
                     "index": index,
                     "status": STATUS_ERROR,
@@ -914,7 +904,7 @@ class QueueWorker:
     def _maybe_poison(self, name: str) -> bool:
         ledger = _death_ledger(self.campaign, name)
         counts = _ledger_counts(ledger)
-        if counts["reclaim"] + counts["death"] > self.campaign.settings.retries:
+        if counts["reclaim"] + counts["death"] > self.campaign.config.retries:
             poison_item(self.campaign, name, ledger, self.owner)
             self._announce(name)
             return True
@@ -985,22 +975,25 @@ class QueueExecutor(Executor):
 
     name = "queue"
 
-    def run(self, worker, items, settings):
+    def run(self, worker, items, config):
         items = list(items)
         if not items:
             return RunOutcome([], False)
-        queue_dir = settings.queue_dir or runtime_config.current_queue_dir()
-        ephemeral = queue_dir is None
-        if ephemeral:
-            queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
-        campaign = enqueue_campaign(worker, items, settings, queue_dir)
-        try:
-            return self._supervise(campaign, items, settings)
-        finally:
+        # The supervisor runs under the config it hands its workers, and
+        # its queue directory follows from it.
+        with runtime_config.activated(config):
+            queue_dir = runtime_config.current_queue_dir()
+            ephemeral = queue_dir is None
             if ephemeral:
-                shutil.rmtree(queue_dir, ignore_errors=True)
+                queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
+            campaign = enqueue_campaign(worker, items, config, queue_dir)
+            try:
+                return self._supervise(campaign, items)
+            finally:
+                if ephemeral:
+                    shutil.rmtree(queue_dir, ignore_errors=True)
 
-    def _supervise(self, campaign, items, settings):
+    def _supervise(self, campaign, items):
         order = [index for index, _ in items]
         args_of = dict(items)
         name_of = dict(zip(order, campaign.names))
@@ -1028,24 +1021,19 @@ class QueueExecutor(Executor):
         unresolved = [index for index in order if index not in results]
         degraded = False
         if unresolved:
-            degraded = self._drive(
-                campaign, unresolved, args_of, name_of, results, settings
-            )
+            degraded = self._drive(campaign, unresolved, args_of, name_of, results)
         if all(results[index].ok for index in order):
             # A fully successful campaign leaves nothing to resume:
             # retire its directory (failures keep it as evidence).
             shutil.rmtree(campaign.root, ignore_errors=True)
         return RunOutcome([results[index] for index in order], degraded)
 
-    def _drive(self, campaign, unresolved, args_of, name_of, results, settings) -> bool:
-        count = settings.processes
+    def _drive(self, campaign, unresolved, args_of, name_of, results) -> bool:
+        count = campaign.config.processes
         if count is None:
             count = os.cpu_count() or 1
         count = max(1, min(int(count), len(unresolved)))
         ctx = multiprocessing.get_context()
-        # Workers run under the supervisor's config, handed over as an
-        # object: nothing they resolve depends on their environment.
-        config = runtime_config.current_config()
         index_of = {name_of[index]: index for index in unresolved}
         announcements, announce = ctx.Pipe(duplex=False)
         workers: List[Any] = []
@@ -1059,7 +1047,9 @@ class QueueExecutor(Executor):
                         campaign.root,
                         os.getpid(),
                         announce,
-                        config,
+                        # Handed over as an object: nothing a worker
+                        # resolves depends on its environment.
+                        campaign.config,
                     ),
                     daemon=True,
                 )

@@ -272,6 +272,12 @@ class ExplorePlan(Plan):
             raise ValueError(f"instructions must be >= 1, got {self.instructions}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.grid.kind == "cmp" and self.seed != 0:
+            # The Section V profile behind every chip is the seed-0 trace.
+            raise ValueError(
+                f"a cmp exploration profiles the seed-0 trace; seed must be 0, "
+                f"got {self.seed}"
+            )
         if self.chunk_points < 1:
             raise ValueError("chunk_points must be positive")
         _reject_duplicates("workload", [spec.name for spec in self.workloads])
@@ -407,13 +413,7 @@ class ExplorePlan(Plan):
                     missing.append((spec.name, index, key))
                     arguments.append(self._worker_arguments(spec, chunk))
             if arguments:
-                needed = {name for name, _, _ in missing}
-                prime = [
-                    (spec, self.instructions, self.seed)
-                    for spec in self.workloads
-                    if spec.name in needed
-                ]
-                results = self.session.map(worker, arguments, prime=prime)
+                results = self.session.map(worker, arguments)
                 for (name, index, key), rows in zip(missing, results):
                     rows = [list(row) for row in rows]
                     if self.use_store:

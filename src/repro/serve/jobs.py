@@ -3,7 +3,10 @@
 A store miss becomes one single-item campaign on the durable work
 queue (:func:`repro.exec.queue.enqueue_item`), claimed at interactive
 priority ahead of default-priority batch campaigns sharing the
-directory.  The worker reference stored in the campaign manifest is
+directory.  The campaign is enqueued under the request's
+:class:`~repro.api.runtime_config.RuntimeConfig`, so its manifest
+carries the service's retry budget, lease TTL and fault plan.  The
+worker reference stored in the manifest is
 :func:`experiment_job_worker` -- a plain module-level function -- so
 any external ``repro-frontend worker`` process can resolve and drain
 it; the worker runs the experiment through the orchestrator, which
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.api.runtime_config import RuntimeConfig
-from repro.exec.executors import ExecutionSettings
 from repro.exec.queue import INTERACTIVE_PRIORITY, enqueue_item
 from repro.serve.resolve import ResolvedRequest
 
@@ -90,17 +92,10 @@ class JobRegistry:
             existing = self._jobs.get(job_id)
             if existing is not None:
                 return existing
-        settings = ExecutionSettings(
-            retries=resolved.config.retries,
-            retry_delay=resolved.config.retry_delay,
-            queue_dir=self._queue_dir,
-            lease_ttl=resolved.config.lease_ttl,
-            heartbeat_interval=resolved.config.heartbeat_interval,
-        )
         campaign, item = enqueue_item(
             experiment_job_worker,
             (resolved.experiment, resolved.instructions),
-            settings,
+            resolved.config,
             self._queue_dir,
             priority=INTERACTIVE_PRIORITY,
         )

@@ -99,20 +99,19 @@ class RouteStats:
 
 
 class ResultsServer:
-    """The results service (construct, :meth:`start`, :meth:`stop`)."""
+    """The results service (construct, :meth:`start`, :meth:`stop`).
 
-    def __init__(
-        self,
-        config: Optional[rc.RuntimeConfig] = None,
-        queue_dir: Optional[str] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-    ) -> None:
-        self._config = config if config is not None else rc.RuntimeConfig.from_environment()
-        self._host = host if host is not None else self._config.serve_host
-        self._port = port if port is not None else self._config.serve_port
-        queue_dir = queue_dir if queue_dir is not None else self._config.queue_dir
-        self._jobs = JobRegistry(queue_dir) if queue_dir else None
+    ``config`` is the whole deployment: the server binds
+    ``serve_host:serve_port`` (``serve_port=0``: an ephemeral port) and
+    enqueues misses under ``queue_dir``; without a queue directory a
+    miss is a typed ``503``.
+    """
+
+    def __init__(self, config: rc.RuntimeConfig) -> None:
+        self._config = config
+        self._host = config.serve_host
+        self._port = config.serve_port
+        self._jobs = JobRegistry(config.queue_dir) if config.queue_dir else None
         self._stats: Dict[str, RouteStats] = {}
         self._stats_lock = threading.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -418,18 +417,15 @@ def run_server(server: ResultsServer) -> int:
 
 
 @contextlib.contextmanager
-def background_server(
-    config: Optional[rc.RuntimeConfig] = None,
-    queue_dir: Optional[str] = None,
-    host: Optional[str] = None,
-    port: int = 0,
-):
-    """Run a :class:`ResultsServer` on a daemon thread (tests, scripts).
+def background_server(config: rc.RuntimeConfig):
+    """Run a :class:`ResultsServer` for ``config`` on a daemon thread.
 
-    Yields the started server (its ``url`` reflects the bound port);
-    the server and its event loop are torn down on exit.
+    For tests and scripts, which usually set ``serve_port=0`` for an
+    ephemeral port.  Yields the started server (its ``url`` reflects
+    the bound port); the server and its event loop are torn down on
+    exit.
     """
-    server = ResultsServer(config=config, queue_dir=queue_dir, host=host, port=port)
+    server = ResultsServer(config)
     loop = asyncio.new_event_loop()
     ready = threading.Event()
 

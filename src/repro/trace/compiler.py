@@ -40,7 +40,7 @@ workloads, seeds and lengths.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence as Seq, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

@@ -11,7 +11,7 @@ differently inside the same HPC application.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from repro.workloads.suites import Suite
 
 

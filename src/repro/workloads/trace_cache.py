@@ -140,7 +140,8 @@ def workload_trace(
     instead of each regenerating all of them.  Repeated calls with the
     same key return the *same* object.  A config with a
     ``trace_cache_dir`` also persists trace columns on disk and shares
-    them across driver processes.
+    them across driver processes; a trace already held in memory is
+    written to the current directory when that directory lacks it.
     """
     if instructions is None:
         instructions = default_profile_instructions()
@@ -148,6 +149,11 @@ def workload_trace(
     cached = _TRACES.get(key)
     if cached is not None:
         _COUNTERS.add("hits")
+        # A trace held since another directory was current fills this one.
+        path = _disk_cache_path(*key)
+        if path is not None and not os.path.exists(path):
+            if _store_trace_to_disk(cached, *key):
+                _COUNTERS.add("disk_stores")
         return cached
     _COUNTERS.add("misses")
 

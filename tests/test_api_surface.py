@@ -57,7 +57,6 @@ class TestPublicSurface:
             "REPRO_CACHE_NAMESPACE",
             "REPRO_QUEUE_DIR",
             "REPRO_LEASE_TTL",
-            "REPRO_HEARTBEAT_INTERVAL",
             "REPRO_SERVE_HOST",
             "REPRO_SERVE_PORT",
         )
@@ -78,7 +77,6 @@ class TestPublicSurface:
             ("cache_namespace", None),
             ("queue_dir", None),
             ("lease_ttl", 30.0),
-            ("heartbeat_interval", 5.0),
             ("serve_host", "127.0.0.1"),
             ("serve_port", 8757),
         ]
@@ -134,7 +132,7 @@ class TestPublicSurface:
             "instructions",
             "use_store",
         ]
-        assert parameters(Session.map) == ["self", "worker", "arguments", "prime"]
+        assert parameters(Session.map) == ["self", "worker", "arguments"]
         assert parameters(Session.map_report) == parameters(Session.map)
         assert parameters(Session.trace) == [
             "self",

@@ -20,9 +20,8 @@ import textwrap
 
 import pytest
 
-from repro.api import Session, current_session
+from repro.api import RuntimeConfig, Session, current_session
 from repro.exec import (
-    ExecutionSettings,
     Fault,
     FaultPlan,
     InjectedFault,
@@ -59,7 +58,9 @@ def _explode(args):
 
 def serial_settings(**overrides):
     merged = {"processes": None, **FAST, **overrides}
-    return ExecutionSettings(**merged)
+    if isinstance(merged.get("fault_plan"), FaultPlan):
+        merged["fault_plan"] = merged["fault_plan"].to_json()
+    return RuntimeConfig(**merged)
 
 
 #: The two executors, by the name a sweep report quotes.

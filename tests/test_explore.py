@@ -267,6 +267,9 @@ class TestExplorePlan:
             session.explore("smoke", workloads=["FT"], instructions=0)
         with pytest.raises(ValueError, match="seed"):
             session.explore("smoke", workloads=["FT"], seed=-1)
+        # A cmp exploration profiles the seed-0 trace, whatever its seed.
+        with pytest.raises(ValueError, match="seed"):
+            session.explore("cmp", workloads=["FT"], seed=7)
         with pytest.raises(ValueError, match="section"):
             session.explore("smoke", workloads=["FT"], sections=())
         with pytest.raises(TypeError, match="CodeSection"):

@@ -25,15 +25,14 @@ import time
 
 import pytest
 
-from repro.api.runtime_config import RuntimeConfig, current_trace_cache_dir
+from repro.api.runtime_config import (
+    RuntimeConfig,
+    activated,
+    current_trace_cache_dir,
+)
 from repro.exec import leases
 from repro.exec import queue as queue_module
-from repro.exec.executors import (
-    ExecutionSettings,
-    ExecutionSettingsError,
-    SerialExecutor,
-    _worker_main,
-)
+from repro.exec.executors import SerialExecutor, _worker_main
 from repro.exec.faults import Fault, FaultPlan
 from repro.exec.queue import (
     CAMPAIGN_PREFIX,
@@ -56,11 +55,15 @@ from repro.exec.results import (
 )
 
 #: Keeps every retry path fast; the short TTL keeps reclaim tests fast.
-FAST = dict(retries=2, retry_delay=0.001, lease_ttl=1.0, heartbeat_interval=0.1)
+FAST = dict(retries=2, retry_delay=0.001, lease_ttl=1.0)
 
 
-def settings(**overrides) -> ExecutionSettings:
-    return ExecutionSettings(**{**FAST, **overrides})
+def settings(**overrides) -> RuntimeConfig:
+    """A queue config: ``FAST`` plus overrides, a fault plan as its JSON."""
+    merged = {**FAST, **overrides}
+    if isinstance(merged.get("fault_plan"), FaultPlan):
+        merged["fault_plan"] = merged["fault_plan"].to_json()
+    return RuntimeConfig(**merged)
 
 
 def double(args):
@@ -113,6 +116,8 @@ def _fresh_counters():
 
 
 class TestExecutionSettingsValidation:
+    """Execution settings are RuntimeConfig fields, checked at construction."""
+
     def test_rejects_out_of_range_knobs(self):
         for bad in (
             dict(retry_delay=0),
@@ -120,23 +125,14 @@ class TestExecutionSettingsValidation:
             dict(retries=-1),
             dict(lease_ttl=0),
             dict(lease_ttl=-1.0),
-            dict(heartbeat_interval=0),
-            dict(heartbeat_interval=-2.0),
-            dict(lease_ttl=1.0, heartbeat_interval=1.0),
-            dict(lease_ttl=1.0, heartbeat_interval=2.0),
         ):
-            merged = {**FAST, **bad}
-            with pytest.raises(ExecutionSettingsError):
-                ExecutionSettings(**merged)
-
-    def test_typed_error_is_a_value_error(self):
-        with pytest.raises(ValueError):
-            ExecutionSettings(retry_delay=0)
+            with pytest.raises(ValueError):
+                settings(**bad)
 
     def test_valid_knobs_pass(self):
         built = settings()
         assert built.lease_ttl == 1.0
-        assert built.heartbeat_interval == 0.1
+        assert built.retry_delay == 0.001
 
 
 class TestLeases:
@@ -230,7 +226,7 @@ class TestQueueExecutor:
             double, items, settings(processes=2, queue_dir=str(tmp_path))
         )
         serial = SerialExecutor().run(
-            double, items, ExecutionSettings(retries=2, retry_delay=0.001)
+            double, items, RuntimeConfig(retries=2, retry_delay=0.001)
         )
         assert [r.value for r in queued.results] == [r.value for r in serial.results]
         assert [r.index for r in queued.results] == [r.index for r in serial.results]
@@ -386,7 +382,7 @@ class TestQueueWorkerInProcess:
 
         monkeypatch.setattr(leases, "_lease_document", reap_while_acquiring)
         path = campaign.lease_path(campaign.names[0])
-        assert leases.acquire(path, claimant.owner, campaign.settings.lease_ttl)
+        assert leases.acquire(path, claimant.owner, campaign.config.lease_ttl)
         lease = leases.read_lease(path)
         assert lease is not None and lease["owner"] == claimant.owner
         evidence = [
@@ -476,9 +472,7 @@ class TestQueueWorkerInProcess:
         # sibling's reaper must reclaim and complete the item, and the
         # late publication must lose the compare-and-swap.
         plan = FaultPlan.of(Fault("slow-heartbeat", index=0, seconds=1.6))
-        campaign = self._campaign(
-            tmp_path, count=1, lease_ttl=0.4, heartbeat_interval=0.05, fault_plan=plan
-        )
+        campaign = self._campaign(tmp_path, count=1, lease_ttl=0.4, fault_plan=plan)
         stalled = QueueWorker(campaign)
         sibling = QueueWorker(campaign)
         stall_thread = threading.Thread(target=stalled.drain)
@@ -516,7 +510,8 @@ class TestKillSupervisorAndResume:
         """
         import json, os, signal, sys
 
-        from repro.exec import ExecutionSettings, QueueExecutor
+        from repro.api.runtime_config import RuntimeConfig
+        from repro.exec import QueueExecutor
 
         def worker(args):
             if args == 37 and os.environ.get("CHAOS_KILL"):
@@ -526,16 +521,15 @@ class TestKillSupervisorAndResume:
                 os._exit(87)
             return (args * 2654435761) % 1000003
 
-        settings = ExecutionSettings(
+        config = RuntimeConfig(
             processes=2,
             retries=2,
             retry_delay=0.001,
             lease_ttl=1.0,
-            heartbeat_interval=0.1,
             queue_dir=os.environ["QUEUE_DIR"],
         )
         out = QueueExecutor().run(
-            worker, [(i, i) for i in range(1000)], settings
+            worker, [(i, i) for i in range(1000)], config
         )
         json.dump(
             {
@@ -606,7 +600,8 @@ class TestRetiredCampaign:
         """
         import json, os, shutil, sys
 
-        from repro.exec import ExecutionSettings, QueueExecutor
+        from repro.api.runtime_config import RuntimeConfig
+        from repro.exec import QueueExecutor
 
         queue_dir, marker = sys.argv[1], sys.argv[2]
 
@@ -618,11 +613,9 @@ class TestRetiredCampaign:
                     shutil.rmtree(os.path.join(queue_dir, name))
             return args * 2
 
-        settings = ExecutionSettings(
-            processes=1, retry_delay=0.001, queue_dir=queue_dir
-        )
+        config = RuntimeConfig(processes=1, retry_delay=0.001, queue_dir=queue_dir)
         out = QueueExecutor().run(
-            worker, [(i, i) for i in range(4)], settings
+            worker, [(i, i) for i in range(4)], config
         )
         json.dump([r.value for r in out.results], sys.stdout)
         """
@@ -743,6 +736,38 @@ class TestExternalCliWorker:
             assert payload is not None, name
             assert payload["status"] == STATUS_OK
             assert payload["value"] == index * 2
+
+    def test_a_campaign_manifest_overrides_the_worker_config(self, tmp_path):
+        # A manifest written by older code also holds retry_delay and
+        # heartbeat_interval; the three shared keys win over the opening
+        # process's config, the rest are ignored.
+        campaign = enqueue_campaign(
+            double, [(0, 0)], settings(), str(tmp_path / "queue")
+        )
+        plan = FaultPlan.of(Fault("raise", index=0))
+        manifest = {
+            "version": 1,
+            "worker": worker_reference(double),
+            "total": 1,
+            "settings": {
+                "retries": 3,
+                "retry_delay": 0.05,
+                "lease_ttl": 2.0,
+                "heartbeat_interval": 5.0,
+                "fault_plan": plan.to_json(),
+            },
+        }
+        with open(
+            os.path.join(campaign.root, queue_module.CAMPAIGN_FILE), "w"
+        ) as stream:
+            json.dump(manifest, stream)
+        with activated(RuntimeConfig(retries=0, lease_ttl=9.0)):
+            opened = queue_module.open_campaign(campaign.root)
+        assert opened.worker is double
+        assert opened.config.retries == 3
+        assert opened.config.lease_ttl == 2.0
+        assert FaultPlan.from_spec(opened.config.fault_plan) == plan
+        assert QueueWorker(opened).fault_plan == plan
 
     def test_cli_worker_requires_a_queue_dir(self):
         env = dict(os.environ)

@@ -196,40 +196,25 @@ class TestPrecedence:
         with rc.activated(rc.RuntimeConfig()):
             assert rc.current_queue_dir() is None
 
-    def test_lease_ttl_and_heartbeat(self, monkeypatch):
+    def test_lease_ttl(self, monkeypatch):
         monkeypatch.delenv(rc.LEASE_TTL_VARIABLE, raising=False)
-        monkeypatch.delenv(rc.HEARTBEAT_INTERVAL_VARIABLE, raising=False)
         config = rc.RuntimeConfig.from_environment()
         assert config.lease_ttl == rc.DEFAULT_LEASE_TTL
-        assert config.heartbeat_interval == rc.DEFAULT_HEARTBEAT_INTERVAL
         monkeypatch.setenv(rc.LEASE_TTL_VARIABLE, "12")
-        monkeypatch.setenv(rc.HEARTBEAT_INTERVAL_VARIABLE, "3")
         config = rc.RuntimeConfig.from_environment()
         assert config.lease_ttl == 12.0
-        assert config.heartbeat_interval == 3.0
         # Garbage or non-positive environment values fall back.
         monkeypatch.setenv(rc.LEASE_TTL_VARIABLE, "soon")
-        monkeypatch.setenv(rc.HEARTBEAT_INTERVAL_VARIABLE, "-1")
         config = rc.RuntimeConfig.from_environment()
         assert config.lease_ttl == rc.DEFAULT_LEASE_TTL
-        assert config.heartbeat_interval == rc.DEFAULT_HEARTBEAT_INTERVAL
-        # An env-only heartbeat >= TTL is resolved to the default ratio.
-        monkeypatch.setenv(rc.LEASE_TTL_VARIABLE, "6")
-        monkeypatch.setenv(rc.HEARTBEAT_INTERVAL_VARIABLE, "30")
+        monkeypatch.setenv(rc.LEASE_TTL_VARIABLE, "-1")
         config = rc.RuntimeConfig.from_environment()
-        assert config.heartbeat_interval == 1.0
-        # Explicit knobs are strict: non-positive values raise, and an
-        # explicit heartbeat must stay below the TTL.
+        assert config.lease_ttl == rc.DEFAULT_LEASE_TTL
+        # Explicit knobs are strict: non-positive values raise.
         with pytest.raises(ValueError):
             rc.RuntimeConfig(lease_ttl=0)
         with pytest.raises(ValueError):
-            rc.RuntimeConfig(heartbeat_interval=-2)
-        with pytest.raises(ValueError):
-            rc.RuntimeConfig(lease_ttl=5.0, heartbeat_interval=6.0)
-        # Lowering only the TTL keeps the untouched default heartbeat
-        # usable by scaling it down at the default ratio.
-        config = rc.RuntimeConfig(lease_ttl=3.0)
-        assert config.heartbeat_interval == pytest.approx(0.5)
+            rc.RuntimeConfig.from_environment(lease_ttl=-1.0)
 
     def test_fault_plan(self, monkeypatch):
         monkeypatch.delenv(rc.FAULT_PLAN_VARIABLE, raising=False)
@@ -269,7 +254,6 @@ class TestConfigBehaviour:
             "cache_namespace",
             "queue_dir",
             "lease_ttl",
-            "heartbeat_interval",
             "serve_host",
             "serve_port",
         }

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -35,7 +34,6 @@ from repro.exec.queue import (
     serve_queue,
     worker_reference,
 )
-from repro.exec.executors import ExecutionSettings
 from repro.results.orchestrator import experiment_key, get_spec, run_experiments
 from repro.results.store import clear_result_store
 from repro.serve import background_server
@@ -65,8 +63,9 @@ def serve_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(store))
     monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", "none")
     monkeypatch.setenv("REPRO_LEASE_TTL", "1.0")
-    monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.1")
-    config = rc.RuntimeConfig.from_environment(instructions=TINY)
+    config = rc.RuntimeConfig.from_environment(
+        instructions=TINY, queue_dir=str(queue), serve_port=0
+    )
     return config, str(queue)
 
 
@@ -87,7 +86,7 @@ def get_json(url: str, path: str):
 class TestWireContract:
     def test_typed_errors(self, serve_env):
         config, queue = serve_env
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             cases = [
                 ("/experiment/fig5?instructions=abc", 400, "bad-parameter"),
                 ("/experiment/fig5?instructions=0", 400, "bad-parameter"),
@@ -106,7 +105,7 @@ class TestWireContract:
 
     def test_non_get_is_405(self, serve_env):
         config, queue = serve_env
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             request = urllib.request.Request(
                 server.url + "/healthz", data=b"{}", method="POST"
             )
@@ -116,7 +115,7 @@ class TestWireContract:
 
     def test_healthz(self, serve_env):
         config, queue = serve_env
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             status, body = get_json(server.url, "/healthz")
             assert status == 200
             assert body["status"] == "ok"
@@ -130,7 +129,7 @@ class TestWarmServing:
         report = run_experiments(["fig5"], instructions=TINY)
         outcome = report.outcome("fig5")
         frame = outcome.stored_frame()
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             status, content_type, body = get(server.url, "/experiment/fig5")
             assert status == 200 and content_type == "application/json"
             expected = dump_json(
@@ -155,7 +154,7 @@ class TestWarmServing:
         report = run_experiments(["fig5"], instructions=TINY)
         frame = report.outcome("fig5").stored_frame("workloads")
         workload = frame.column("workload")[0]
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             status, body = get_json(
                 server.url,
                 f"/experiment/fig5?frame=workloads&workload={workload}"
@@ -176,7 +175,7 @@ class TestWarmServing:
     def test_warm_requests_recompute_nothing_and_meet_latency_bound(self, serve_env):
         config, queue = serve_env
         run_experiments(["fig5"], instructions=TINY)
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             get(server.url, "/experiment/fig5")  # prime any disk promotion
             before = counters.snapshot()
             for _ in range(20):
@@ -199,7 +198,7 @@ class TestWarmServing:
 
     def test_stats_caches_are_the_counter_snapshot(self, serve_env):
         config, queue = serve_env
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             status, stats = get_json(server.url, "/stats")
         assert status == 200
         snapshot = counters.snapshot()
@@ -225,7 +224,7 @@ class TestWarmServing:
                 }
             )
         assert references[budgets[0]] != references[budgets[1]]
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             def fetch(budget: int) -> Tuple[int, bytes]:
                 status, _, body = get(
                     server.url, f"/experiment/fig5?instructions={budget}"
@@ -245,7 +244,7 @@ class TestWarmServing:
         outcome = run_experiments(["explore-smoke"], instructions=TINY).outcome(
             "explore-smoke"
         )
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             status, body = get_json(server.url, "/explore/smoke?frame=pareto")
             assert status == 200
             assert body["experiment"] == "explore-smoke"
@@ -258,7 +257,7 @@ class TestWarmServing:
 class TestMissAndJobs:
     def test_miss_enqueues_then_poll_serves_the_stored_frame(self, serve_env):
         config, queue = serve_env
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             status, body = get_json(server.url, "/experiment/fig5")
             assert status == 202 and body["status"] == "pending"
             poll_path = body["poll"]
@@ -288,7 +287,7 @@ class TestMissAndJobs:
         )
         drainer.start()
         try:
-            with background_server(config=config, queue_dir=queue) as server:
+            with background_server(config) as server:
                 status, _, body = get(server.url, "/experiment/table2?wait=60")
                 assert status == 200
                 payload = json.loads(body)
@@ -301,7 +300,7 @@ class TestMissAndJobs:
         self, serve_env, tmp_path
     ):
         config, queue = serve_env
-        with background_server(config=config, queue_dir=queue) as server:
+        with background_server(config) as server:
             # A budget large enough that the worker is mid-computation
             # for several seconds after claiming the item.
             status, body = get_json(
@@ -368,7 +367,7 @@ class TestMissAndJobs:
 
     def test_without_a_queue_the_miss_is_a_typed_503(self, serve_env):
         config, _queue = serve_env
-        with background_server(config=config, queue_dir=None) as server:
+        with background_server(config.replace(queue_dir=None)) as server:
             status, body = get_json(server.url, "/experiment/fig5")
             assert status == 503
             assert body["error"]["code"] == "queue-unavailable"
@@ -388,19 +387,15 @@ class TestInteractivePriority:
         assert worker_reference(record_order) == "test_serve:record_order"
         queue = tmp_path / "queue"
         queue.mkdir()
-        settings = ExecutionSettings(
-            retries=0, retry_delay=0.001, lease_ttl=5.0, heartbeat_interval=0.5
-        )
+        config = rc.RuntimeConfig(retries=0, retry_delay=0.001, lease_ttl=5.0)
         ORDER.clear()
         enqueue_campaign(
             record_order,
             [(index, index) for index in range(4)],
-            settings,
+            config,
             str(queue),
         )
-        campaign, item = enqueue_item(
-            record_order, 99, settings, str(queue)
-        )
+        campaign, item = enqueue_item(record_order, 99, config, str(queue))
         assert item.startswith(f"p{INTERACTIVE_PRIORITY:02d}-")
         serve_queue(str(queue), max_idle=0.3, poll=0.02)
         assert ORDER and ORDER[0] == 99

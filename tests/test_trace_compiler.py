@@ -12,8 +12,6 @@ Section III analysis invariants on compiled traces.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 

@@ -126,6 +126,21 @@ class TestLoadedTraceNeedsNoProgram:
                     getattr(built, array), getattr(trace.static, array)
                 ), (name, array)
 
+    def test_a_held_trace_fills_another_directory(
+        self, trace_dir, tmp_path_factory, monkeypatch
+    ):
+        # A trace held in memory is written to the current directory
+        # when that directory lacks it, so a later process under that
+        # directory loads it instead of synthesizing it again.
+        spec = get_workload("FT")
+        held = workload_trace(spec, INSTRUCTIONS)
+        monkeypatch.setattr(trace_cache, "build_workload", _refuse_synthesis)
+        other = tmp_path_factory.mktemp("other-traces")
+        with activated(RuntimeConfig(trace_cache_dir=str(other))):
+            assert workload_trace(spec, INSTRUCTIONS) is held
+            assert trace_on_disk(spec, INSTRUCTIONS)
+        assert trace_cache_info()["disk_stores"] == 2
+
     def test_an_entry_stores_the_static_arrays(self, trace_dir):
         spec = get_workload("FT")
         trace = workload_trace(spec, INSTRUCTIONS)
