@@ -1,6 +1,6 @@
 """Benchmark: regenerate Figure 9: I-cache MPKI versus line width for selected workloads."""
 
-from repro.experiments import run_fig09, format_fig09
+from repro.experiments import run_fig09, render_blocks
 
 from bench_common import BENCH_INSTRUCTIONS, run_once, show
 
@@ -8,4 +8,4 @@ from bench_common import BENCH_INSTRUCTIONS, run_once, show
 def test_fig09_icache_lines(benchmark):
     """Figure 9: I-cache MPKI versus line width for selected workloads."""
     result = run_once(benchmark, run_fig09, instructions=BENCH_INSTRUCTIONS)
-    show("Figure 9: I-cache MPKI versus line width for selected workloads", format_fig09(result))
+    show("Figure 9: I-cache MPKI versus line width for selected workloads", render_blocks(result.tables()))

@@ -1,6 +1,6 @@
 """Benchmark: regenerate Table II: branch predictor size parameters and cost."""
 
-from repro.experiments import run_table2, format_table2
+from repro.experiments import run_table2, render_blocks
 
 from bench_common import run_once, show
 
@@ -8,4 +8,4 @@ from bench_common import run_once, show
 def test_table2_predictor_budgets(benchmark):
     """Table II: branch predictor size parameters and cost."""
     result = run_once(benchmark, run_table2)
-    show("Table II: branch predictor size parameters and cost", format_table2(result))
+    show("Table II: branch predictor size parameters and cost", render_blocks(result.tables()))

@@ -1,6 +1,6 @@
 """Benchmark: regenerate Table III: front-end area and power at the core level."""
 
-from repro.experiments import run_table3, format_table3
+from repro.experiments import run_table3, render_blocks
 
 from bench_common import run_once, show
 
@@ -8,4 +8,4 @@ from bench_common import run_once, show
 def test_table3_area_power(benchmark):
     """Table III: front-end area and power at the core level."""
     result = run_once(benchmark, run_table3)
-    show("Table III: front-end area and power at the core level", format_table3(result))
+    show("Table III: front-end area and power at the core level", render_blocks(result.tables()))

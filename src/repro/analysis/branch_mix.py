@@ -53,14 +53,6 @@ class BranchMix:
             raise ValueError(f"unknown branch category {category!r}")
         return self.category_fractions[category]
 
-    @property
-    def direct_branch_share_of_branches(self) -> float:
-        """Share of branch instructions that are direct (conditional or not)."""
-        if self.branch_count == 0:
-            return 0.0
-        direct = self.category_counts.get("direct branch", 0)
-        return direct / self.branch_count
-
 
 def analyze_branch_mix(
     trace: Trace, section: CodeSection = CodeSection.TOTAL

@@ -37,11 +37,6 @@ class FootprintResult:
         return self.static_bytes / 1024.0
 
     @property
-    def executed_static_kb(self) -> float:
-        """Static footprint of the blocks this section actually executed."""
-        return self.executed_static_bytes / 1024.0
-
-    @property
     def dynamic_footprint_kb(self) -> float:
         """Memory needed to hold ``coverage`` of dynamic instructions, in KB."""
         return self.dynamic_footprint_bytes / 1024.0

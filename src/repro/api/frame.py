@@ -78,20 +78,6 @@ class ResultFrame:
         )
 
     @classmethod
-    def from_records(
-        cls,
-        records: Sequence[Mapping[str, Any]],
-        columns: Optional[Sequence[str]] = None,
-    ) -> "ResultFrame":
-        """Build a frame from dict records (columns: first record's keys)."""
-        records = list(records)
-        if columns is None:
-            columns = list(records[0].keys()) if records else []
-        return cls.from_rows(
-            columns, [[record.get(name) for name in columns] for record in records]
-        )
-
-    @classmethod
     def from_artifact(cls, artifact: Mapping[str, Any]) -> "ResultFrame":
         """One frame covering every table block of a stored artifact.
 

@@ -30,7 +30,7 @@ import dataclasses
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 #: Environment variable selecting the on-disk trace-cache directory
 #: (unset: no disk layer; ``none``/``off``/``0``/empty: disabled).
@@ -88,25 +88,6 @@ SERVE_HOST_VARIABLE = "REPRO_SERVE_HOST"
 #: (``0``: an ephemeral OS-assigned port, the test-friendly default).
 SERVE_PORT_VARIABLE = "REPRO_SERVE_PORT"
 
-#: Every environment variable the runtime honours, in documentation
-#: order.  The API-surface test pins this tuple: growing it is an API
-#: change.
-ENVIRONMENT_VARIABLES: Tuple[str, ...] = (
-    TRACE_CACHE_DIR_VARIABLE,
-    RESULT_CACHE_DIR_VARIABLE,
-    PARALLEL_VARIABLE,
-    PROCESSES_VARIABLE,
-    INSTRUCTIONS_VARIABLE,
-    RETRIES_VARIABLE,
-    RETRY_DELAY_VARIABLE,
-    FAULT_PLAN_VARIABLE,
-    CACHE_NAMESPACE_VARIABLE,
-    QUEUE_DIR_VARIABLE,
-    LEASE_TTL_VARIABLE,
-    SERVE_HOST_VARIABLE,
-    SERVE_PORT_VARIABLE,
-)
-
 #: Default dynamic trace length used by the profiling layers.  Scaled
 #: down from the paper's multi-billion-instruction runs so the full
 #: 41-workload sweeps finish in minutes on a laptop; every caller
@@ -139,9 +120,36 @@ CACHE_DISABLE_VALUES = frozenset({"", "0", "none", "off", "disabled"})
 #: Truthy spellings accepted by boolean variables.
 _TRUE_VALUES = frozenset({"1", "true", "yes", "on"})
 
-#: Sentinel distinguishing "argument not passed" from an explicit
-#: ``None`` (which, for the cache directories, means *disabled*).
-_UNSET: Any = object()
+
+def _parse_bool(value: str) -> bool:
+    return value.strip().lower() in _TRUE_VALUES
+
+
+#: Each :class:`RuntimeConfig` field's environment variable and the
+#: parser of its value, in documentation order.  A value that fails to
+#: parse, or that the constructor rejects, resolves to the default.
+_ENVIRONMENT: Dict[str, Tuple[str, Callable[[str], Any]]] = {
+    "trace_cache_dir": (TRACE_CACHE_DIR_VARIABLE, str),
+    "result_cache_dir": (RESULT_CACHE_DIR_VARIABLE, str),
+    "parallel": (PARALLEL_VARIABLE, _parse_bool),
+    "processes": (PROCESSES_VARIABLE, int),
+    "instructions": (INSTRUCTIONS_VARIABLE, int),
+    "retries": (RETRIES_VARIABLE, int),
+    "retry_delay": (RETRY_DELAY_VARIABLE, float),
+    "fault_plan": (FAULT_PLAN_VARIABLE, str),
+    "cache_namespace": (CACHE_NAMESPACE_VARIABLE, str),
+    "queue_dir": (QUEUE_DIR_VARIABLE, str),
+    "lease_ttl": (LEASE_TTL_VARIABLE, float),
+    "serve_host": (SERVE_HOST_VARIABLE, str),
+    "serve_port": (SERVE_PORT_VARIABLE, int),
+}
+
+#: Every environment variable the runtime honours, in documentation
+#: order.  The API-surface test pins this tuple: growing it is an API
+#: change.
+ENVIRONMENT_VARIABLES: Tuple[str, ...] = tuple(
+    variable for variable, _ in _ENVIRONMENT.values()
+)
 
 
 def read_environment(name: str) -> Optional[str]:
@@ -189,33 +197,26 @@ def normalize_cache_dir(value: Optional[str]) -> Optional[str]:
     return value
 
 
-def normalize_cache_namespace(
-    value: Optional[str], strict: bool = False
-) -> Optional[str]:
+def normalize_cache_namespace(value: Optional[str]) -> Optional[str]:
     """Map a cache-namespace setting to a path component or ``None``.
 
     ``None`` and blank mean "no namespace".  A namespace must be a
     single path component -- separators and the ``.``/``..`` traversal
-    spellings are rejected, because the namespace is joined under the
-    cache roots and must not escape them.  Explicit arguments
-    (``strict``) raise on invalid namespaces; environment values stay
-    lenient (an invalid spelling means "no namespace").
+    spellings raise, because the namespace is joined under the cache
+    roots and must not escape them.
     """
     if value is None:
         return None
     namespace = str(value).strip()
     if not namespace:
         return None
-    if (
-        namespace in (".", "..")
-        or any(sep in namespace for sep in ("/", "\\", os.sep))
+    if namespace in (".", "..") or any(
+        sep in namespace for sep in ("/", "\\", os.sep)
     ):
-        if strict:
-            raise ValueError(
-                f"invalid cache namespace {value!r}: must be a single "
-                "path component (no separators, not '.' or '..')"
-            )
-        return None
+        raise ValueError(
+            f"invalid cache namespace {value!r}: must be a single "
+            "path component (no separators, not '.' or '..')"
+        )
     return namespace
 
 
@@ -226,43 +227,16 @@ def _namespaced(directory: Optional[str], namespace: Optional[str]) -> Optional[
     return os.path.join(directory, namespace)
 
 
-def _env_bool(name: str, default: bool) -> bool:
-    value = read_environment(name)
-    if value is None:
-        return default
-    return value.strip().lower() in _TRUE_VALUES
-
-
-def _env_int(name: str, default: Optional[int]) -> Optional[int]:
-    value = read_environment(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
-    value = read_environment(name)
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        return default
-
-
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Frozen snapshot of every runtime knob the package honours.
 
     Construct via :meth:`from_environment` (explicit keyword beats
     environment variable beats default, field by field) or directly
-    with plain values.  Construction validates every knob (an
-    out-of-range count raises) and normalizes both
-    cache-directory fields to their *resolved* setting: ``None`` means
-    "no disk layer", anything else is the active directory -- the
+    with plain values.  Construction coerces and validates every knob
+    (an out-of-range count raises) and normalizes the three directory
+    fields to their *resolved* setting: ``None`` means "no disk
+    layer", anything else is the active directory -- the
     ``none``-disables spelling is applied here, so consumers never
     re-parse it.
     """
@@ -302,146 +276,66 @@ class RuntimeConfig:
     serve_port: int = DEFAULT_SERVE_PORT
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "trace_cache_dir", normalize_cache_dir(self.trace_cache_dir)
-        )
-        object.__setattr__(
-            self, "result_cache_dir", normalize_cache_dir(self.result_cache_dir)
-        )
+        def store(name: str, value: Any) -> None:
+            object.__setattr__(self, name, value)
+
+        for name in ("trace_cache_dir", "result_cache_dir", "queue_dir"):
+            store(name, normalize_cache_dir(getattr(self, name)))
+        store("parallel", bool(self.parallel))
+        for name in ("processes", "instructions", "retries", "serve_port"):
+            if getattr(self, name) is not None:
+                store(name, int(getattr(self, name)))
+        store("retry_delay", float(self.retry_delay))
+        store("lease_ttl", float(self.lease_ttl))
+        store("fault_plan", self.fault_plan or None)
+        store("cache_namespace", normalize_cache_namespace(self.cache_namespace))
+        store("serve_host", str(self.serve_host).strip() or DEFAULT_SERVE_HOST)
         if self.processes is not None and self.processes < 1:
             raise ValueError(f"processes must be >= 1, got {self.processes}")
         if self.instructions < 1:
             raise ValueError(f"instructions must be >= 1, got {self.instructions}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        retry_delay = float(self.retry_delay)
-        if retry_delay <= 0:
-            raise ValueError(
-                f"retry_delay must be positive, got {self.retry_delay!r}"
-            )
-        object.__setattr__(self, "retry_delay", retry_delay)
-        object.__setattr__(
-            self,
-            "cache_namespace",
-            normalize_cache_namespace(self.cache_namespace, strict=True),
-        )
-        object.__setattr__(self, "queue_dir", normalize_cache_dir(self.queue_dir))
-        lease_ttl = float(self.lease_ttl)
-        if lease_ttl <= 0:
+        if self.retry_delay <= 0:
+            raise ValueError(f"retry_delay must be positive, got {self.retry_delay!r}")
+        if self.lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {self.lease_ttl!r}")
-        object.__setattr__(self, "lease_ttl", lease_ttl)
-        host = str(self.serve_host).strip() or DEFAULT_SERVE_HOST
-        object.__setattr__(self, "serve_host", host)
-        port = int(self.serve_port)
-        if not 0 <= port <= 65535:
+        if not 0 <= self.serve_port <= 65535:
             raise ValueError(
                 f"serve_port must be in [0, 65535] (0: ephemeral), "
                 f"got {self.serve_port!r}"
             )
-        object.__setattr__(self, "serve_port", port)
 
     @classmethod
-    def from_environment(
-        cls,
-        *,
-        trace_cache_dir: Union[str, None, Any] = _UNSET,
-        result_cache_dir: Union[str, None, Any] = _UNSET,
-        parallel: Union[bool, Any] = _UNSET,
-        processes: Union[int, None, Any] = _UNSET,
-        instructions: Union[int, Any] = _UNSET,
-        retries: Union[int, Any] = _UNSET,
-        retry_delay: Union[float, Any] = _UNSET,
-        fault_plan: Union[str, None, Any] = _UNSET,
-        cache_namespace: Union[str, None, Any] = _UNSET,
-        queue_dir: Union[str, None, Any] = _UNSET,
-        lease_ttl: Union[float, Any] = _UNSET,
-        serve_host: Union[str, Any] = _UNSET,
-        serve_port: Union[int, Any] = _UNSET,
-    ) -> "RuntimeConfig":
+    def from_environment(cls, **explicit: Any) -> "RuntimeConfig":
         """Resolve a config with explicit > environment > default.
 
-        For the cache directories an explicit ``None`` (or any disable
-        spelling) disables the disk layer even when the environment
-        names a directory; an unset environment variable also means
-        "disabled", matching the historical library default -- except
-        under ``parallel``, where a fully unset trace-cache setting
-        defaults to the per-user shared directory, so parallel workers
-        share traces through the disk (an explicit disable still wins).
-        Explicit arguments are validated at construction and raise; an
-        environment value that would not validate (a non-positive
-        count) falls back to the default instead.
+        ``explicit`` takes field names.  For the cache directories an
+        explicit ``None`` (or any disable spelling) disables the disk
+        layer even when the environment names a directory; an unset
+        environment variable also means "disabled", matching the
+        historical library default -- except under ``parallel``, where
+        a fully unset trace-cache setting defaults to the per-user
+        shared directory, so parallel workers share traces through the
+        disk (an explicit disable still wins).  Explicit arguments are
+        validated at construction and raise; an environment value that
+        does not parse or would not validate (a non-positive count)
+        falls back to the default instead.
         """
-        if parallel is _UNSET:
-            resolved_parallel = _env_bool(PARALLEL_VARIABLE, False)
-        else:
-            resolved_parallel = bool(parallel)
-        if trace_cache_dir is _UNSET:
-            trace_cache_dir = read_environment(TRACE_CACHE_DIR_VARIABLE)
-            if trace_cache_dir is None and resolved_parallel:
-                trace_cache_dir = default_trace_cache_dir()
-        if result_cache_dir is _UNSET:
-            result_cache_dir = read_environment(RESULT_CACHE_DIR_VARIABLE)
-        if processes is _UNSET:
-            resolved_processes = _env_int(PROCESSES_VARIABLE, None)
-            if resolved_processes is not None and resolved_processes < 1:
-                resolved_processes = None
-        else:
-            resolved_processes = None if processes is None else int(processes)
-        if instructions is _UNSET:
-            resolved_instructions = _env_int(
-                INSTRUCTIONS_VARIABLE, DEFAULT_INSTRUCTIONS
-            )
-            if resolved_instructions is None or resolved_instructions < 1:
-                resolved_instructions = DEFAULT_INSTRUCTIONS
-        else:
-            resolved_instructions = int(instructions)
-        if retries is _UNSET:
-            resolved_retries = _env_int(RETRIES_VARIABLE, DEFAULT_RETRIES)
-            if resolved_retries is None or resolved_retries < 0:
-                resolved_retries = DEFAULT_RETRIES
-        else:
-            resolved_retries = int(retries)
-        if retry_delay is _UNSET:
-            resolved_retry_delay = _env_float(RETRY_DELAY_VARIABLE, None)
-            if resolved_retry_delay is None or resolved_retry_delay <= 0:
-                resolved_retry_delay = DEFAULT_RETRY_DELAY
-        else:
-            resolved_retry_delay = float(retry_delay)
-        if fault_plan is _UNSET:
-            fault_plan = read_environment(FAULT_PLAN_VARIABLE) or None
-        if cache_namespace is _UNSET:
-            cache_namespace = normalize_cache_namespace(
-                read_environment(CACHE_NAMESPACE_VARIABLE)
-            )
-        if queue_dir is _UNSET:
-            queue_dir = read_environment(QUEUE_DIR_VARIABLE)
-        if lease_ttl is _UNSET:
-            lease_ttl = _env_float(LEASE_TTL_VARIABLE, None)
-            if lease_ttl is None or lease_ttl <= 0:
-                lease_ttl = DEFAULT_LEASE_TTL
-        if serve_host is _UNSET:
-            serve_host = read_environment(SERVE_HOST_VARIABLE) or DEFAULT_SERVE_HOST
-        if serve_port is _UNSET:
-            resolved_serve_port = _env_int(SERVE_PORT_VARIABLE, DEFAULT_SERVE_PORT)
-            if resolved_serve_port is None or not 0 <= resolved_serve_port <= 65535:
-                resolved_serve_port = DEFAULT_SERVE_PORT
-        else:
-            resolved_serve_port = int(serve_port)
-        return cls(
-            trace_cache_dir=normalize_cache_dir(trace_cache_dir),
-            result_cache_dir=normalize_cache_dir(result_cache_dir),
-            parallel=resolved_parallel,
-            processes=resolved_processes,
-            instructions=int(resolved_instructions),
-            retries=resolved_retries,
-            retry_delay=resolved_retry_delay,
-            fault_plan=fault_plan,
-            cache_namespace=cache_namespace,
-            queue_dir=normalize_cache_dir(queue_dir),
-            lease_ttl=float(lease_ttl),
-            serve_host=str(serve_host),
-            serve_port=resolved_serve_port,
-        )
+        values = dict(explicit)
+        for name, (variable, parse) in _ENVIRONMENT.items():
+            text = read_environment(variable)
+            if name in values or text is None:
+                continue
+            try:
+                value = parse(text)
+                cls(**{name: value})
+            except ValueError:
+                continue
+            values[name] = value
+        if "trace_cache_dir" not in values and values.get("parallel"):
+            values["trace_cache_dir"] = default_trace_cache_dir()
+        return cls(**values)
 
     def replace(self, **changes: Any) -> "RuntimeConfig":
         """A copy with some fields changed (re-validated on construction)."""

@@ -63,7 +63,11 @@ from repro.trace.instruction import CodeSection
 from repro.workloads.catalog import get_workload
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import Suite
-from repro.workloads.trace_cache import trace_on_disk, workload_trace
+from repro.workloads.trace_cache import (
+    trace_in_memory,
+    trace_on_disk,
+    workload_trace,
+)
 
 #: What a workload argument may be: a catalog name or a spec.
 WorkloadLike = Union[str, WorkloadSpec]
@@ -136,14 +140,19 @@ def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
 def _prime_shared_traces(keys: Sequence, config: rc.RuntimeConfig) -> None:
     """Populate the shared trace cache for a sweep before forking.
 
-    ``keys`` are ``(spec, instructions, seed)`` triples.  Traces the
-    disk layer is missing are generated *in parallel* under ``config``
-    (each priming worker stores its ``.npz`` atomically), then the
-    parent loads everything into its in-memory cache, so sweep workers
-    find every trace present -- inherited on fork platforms,
+    ``keys`` are ``(spec, instructions, seed)`` triples.  Traces this
+    process does not hold and the disk layer lacks are generated *in
+    parallel* under ``config`` (each priming worker stores its ``.npz``
+    atomically).  Then the parent loads every key into its in-memory
+    cache and writes the traces it already held to the disk, so sweep
+    workers find every trace present -- inherited on fork platforms,
     disk-loaded otherwise -- instead of each regenerating its own.
     """
-    missing = [(config, *key) for key in keys if not trace_on_disk(*key)]
+    missing = [
+        (config, *key)
+        for key in keys
+        if not trace_in_memory(*key) and not trace_on_disk(*key)
+    ]
     if len(missing) > 1:
         parallel_map(_prime_worker, missing, config.processes)
     for spec, instructions, seed in keys:

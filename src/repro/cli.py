@@ -453,7 +453,7 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _render_artifact(artifact: dict) -> str:
-    """Render a (possibly store-served) artifact the way format_* does."""
+    """Render a (possibly store-served) artifact as the CLI prints results."""
     from repro.experiments.common import render_blocks
     from repro.results.artifacts import artifact_blocks
 

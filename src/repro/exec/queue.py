@@ -56,7 +56,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import runtime_config
 from repro.counters import Counters
@@ -181,7 +181,7 @@ def _clamp_priority(priority: int) -> int:
     return max(0, min(99, int(priority)))
 
 
-def _item_name(index: int, key: str, priority: int = DEFAULT_PRIORITY) -> str:
+def _item_name(index: int, key: str, priority: int) -> str:
     return f"p{_clamp_priority(priority):02d}-{index:06d}-{key[:12]}"
 
 
@@ -201,13 +201,8 @@ def _item_priority(name: str) -> int:
     return _name_parts(name)[0]
 
 
-def _item_logical(name: str) -> str:
-    """The priority-free ``<index>-<key>`` identity of an item name."""
-    return _name_parts(name)[1]
-
-
 def _item_index(name: str) -> int:
-    return int(_item_logical(name).split("-", 1)[0])
+    return int(_name_parts(name)[1].split("-", 1)[0])
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -288,64 +283,24 @@ def campaign_digest(keys: Sequence[str]) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
-def _existing_names(root: str) -> Dict[str, str]:
-    """Map each on-disk item's logical id to its actual (named) form.
-
-    Priority is execution policy, not identity: the campaign digest
-    excludes it, so re-enqueueing the same sweep at a different
-    priority must reuse the names already on disk instead of growing a
-    second item file for the same work unit.
-    """
-    existing: Dict[str, str] = {}
-    for directory, suffix in (
-        (os.path.join(root, ITEMS_DIR), ITEM_SUFFIX),
-        (os.path.join(root, DONE_DIR), RESULT_SUFFIX),
-    ):
-        try:
-            entries = os.listdir(directory)
-        except OSError:
-            continue
-        for entry in entries:
-            if entry.endswith(suffix):
-                stem = entry[: -len(suffix)]
-                existing.setdefault(_item_logical(stem), stem)
-    return existing
-
-
 def enqueue_campaign(
     worker: Callable,
     items: Sequence[Tuple[int, Any]],
     config: runtime_config.RuntimeConfig,
     queue_dir: str,
-    priority: Union[int, Sequence[int], None] = None,
+    priority: int = DEFAULT_PRIORITY,
 ) -> Campaign:
     """Materialize a sweep as a campaign directory (idempotent).
 
     Re-enqueueing the same sweep is a resume: item files are only
     written for items without a published result, so completed work is
-    never re-opened.  ``priority`` (one value for the whole sweep or a
-    per-item sequence; default :data:`DEFAULT_PRIORITY`) orders claims
-    across everything sharing the queue directory -- lower values are
-    claimed first -- without entering the campaign's content address.
+    never re-opened.  ``priority`` orders claims across everything
+    sharing the queue directory -- lower values are claimed first --
+    without entering the campaign's content address.
     """
     keys = [item_key(worker, index, args) for index, args in items]
-    if priority is None:
-        priorities = [DEFAULT_PRIORITY] * len(keys)
-    elif isinstance(priority, int):
-        priorities = [priority] * len(keys)
-    else:
-        priorities = [int(value) for value in priority]
-        if len(priorities) != len(keys):
-            raise ValueError(
-                f"per-item priority sequence has {len(priorities)} entries "
-                f"for {len(keys)} items"
-            )
     root = os.path.join(queue_dir, CAMPAIGN_PREFIX + campaign_digest(keys))
-    existing = _existing_names(root)
-    names = []
-    for (index, _), key, item_priority in zip(items, keys, priorities):
-        fresh = _item_name(index, key, item_priority)
-        names.append(existing.get(_item_logical(fresh), fresh))
+    names = [_item_name(index, key, priority) for (index, _), key in zip(items, keys)]
     campaign = Campaign(
         root=root,
         names=names,

@@ -2,13 +2,14 @@
 
 Every module exposes a ``run_*`` function that regenerates the data of
 the corresponding table or figure (per-suite or per-benchmark rows and
-series), a ``tables_*`` helper that distils the result into the table
-blocks the CLI prints and the manifest emits as CSV/JSON, a ``format_*``
-helper rendering those blocks as text, and a module-level ``SPEC`` --
-the :class:`~repro.results.spec.ExperimentSpec` the orchestrator
+series) and a module-level ``SPEC`` -- the
+:class:`~repro.results.spec.ExperimentSpec` the orchestrator
 (:mod:`repro.results.orchestrator`) registers the driver behind.  The
-benchmark harness under ``benchmarks/`` simply calls these functions,
-so the mapping from paper artefact to code is one-to-one.
+result renders itself: ``result.tables()`` gives the table blocks the
+CLI prints and the manifest emits as CSV/JSON, and
+``render_blocks(result.tables())`` the text.  The benchmark harness
+under ``benchmarks/`` simply calls these functions, so the mapping from
+paper artefact to code is one-to-one.
 """
 
 from repro.experiments.common import (
@@ -17,40 +18,26 @@ from repro.experiments.common import (
     normalize_to_reference,
     render_blocks,
 )
-from repro.experiments.fig01_branch_mix import run_fig01, tables_fig01, format_fig01
-from repro.experiments.fig02_branch_bias import run_fig02, tables_fig02, format_fig02
-from repro.experiments.table1_taken_direction import (
-    run_table1,
-    tables_table1,
-    format_table1,
-)
-from repro.experiments.fig03_footprint import run_fig03, tables_fig03, format_fig03
-from repro.experiments.fig04_basic_blocks import run_fig04, tables_fig04, format_fig04
-from repro.experiments.table2_predictor_budgets import (
-    run_table2,
-    tables_table2,
-    format_table2,
-)
-from repro.experiments.fig05_branch_mpki import run_fig05, tables_fig05, format_fig05
-from repro.experiments.fig06_mpki_breakdown import run_fig06, tables_fig06, format_fig06
-from repro.experiments.fig07_btb import run_fig07, tables_fig07, format_fig07
-from repro.experiments.fig08_icache import run_fig08, tables_fig08, format_fig08
-from repro.experiments.fig09_icache_lines import run_fig09, tables_fig09, format_fig09
-from repro.experiments.table3_area_power import run_table3, tables_table3, format_table3
-from repro.experiments.fig10_cmp_configs import run_fig10, tables_fig10, format_fig10
-from repro.experiments.fig11_per_benchmark_time import (
-    run_fig11,
-    tables_fig11,
-    format_fig11,
-)
-from repro.experiments.cmp_sweep import run_cmpsweep, tables_cmpsweep, format_cmpsweep
+from repro.experiments.fig01_branch_mix import run_fig01
+from repro.experiments.fig02_branch_bias import run_fig02
+from repro.experiments.table1_taken_direction import run_table1
+from repro.experiments.fig03_footprint import run_fig03
+from repro.experiments.fig04_basic_blocks import run_fig04
+from repro.experiments.table2_predictor_budgets import run_table2
+from repro.experiments.fig05_branch_mpki import run_fig05
+from repro.experiments.fig06_mpki_breakdown import run_fig06
+from repro.experiments.fig07_btb import run_fig07
+from repro.experiments.fig08_icache import run_fig08
+from repro.experiments.fig09_icache_lines import run_fig09
+from repro.experiments.table3_area_power import run_table3
+from repro.experiments.fig10_cmp_configs import run_fig10
+from repro.experiments.fig11_per_benchmark_time import run_fig11
+from repro.experiments.cmp_sweep import run_cmpsweep
 from repro.experiments.explore_presets import (
     run_explore_preset,
     run_explore_frontend,
     run_explore_smoke,
     run_explore_cmp,
-    tables_explore,
-    format_explore,
 )
 
 __all__ = [
@@ -59,54 +46,22 @@ __all__ = [
     "normalize_to_reference",
     "render_blocks",
     "run_fig01",
-    "tables_fig01",
-    "format_fig01",
     "run_fig02",
-    "tables_fig02",
-    "format_fig02",
     "run_table1",
-    "tables_table1",
-    "format_table1",
     "run_fig03",
-    "tables_fig03",
-    "format_fig03",
     "run_fig04",
-    "tables_fig04",
-    "format_fig04",
     "run_table2",
-    "tables_table2",
-    "format_table2",
     "run_fig05",
-    "tables_fig05",
-    "format_fig05",
     "run_fig06",
-    "tables_fig06",
-    "format_fig06",
     "run_fig07",
-    "tables_fig07",
-    "format_fig07",
     "run_fig08",
-    "tables_fig08",
-    "format_fig08",
     "run_fig09",
-    "tables_fig09",
-    "format_fig09",
     "run_table3",
-    "tables_table3",
-    "format_table3",
     "run_fig10",
-    "tables_fig10",
-    "format_fig10",
     "run_fig11",
-    "tables_fig11",
-    "format_fig11",
     "run_cmpsweep",
-    "tables_cmpsweep",
-    "format_cmpsweep",
     "run_explore_preset",
     "run_explore_frontend",
     "run_explore_smoke",
     "run_explore_cmp",
-    "tables_explore",
-    "format_explore",
 ]

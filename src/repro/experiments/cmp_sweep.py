@@ -23,10 +23,8 @@ from repro.experiments.common import (
     fixed,
     mean,
     normalize_to_reference,
-    render_blocks,
 )
 from repro.power.cmp_power import evaluate_cmp_energy
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.uarch.simulator import profile_workload_frontend, run_on_cmp
 from repro.uarch.sweep import SweepScenario, get_scenario, standard_scenarios
@@ -190,16 +188,6 @@ def run_cmpsweep(
     )
 
 
-def tables_cmpsweep(result: CmpSweepResult) -> List[TableBlock]:
-    """One normalized time/power/energy table block per scenario."""
-    return result.tables()
-
-
-def format_cmpsweep(result: CmpSweepResult) -> str:
-    """Render one normalized time/power/energy table per scenario."""
-    return render_blocks(result.tables())
-
-
 def _constants() -> Dict[str, object]:
     """Key material: the default workload mix and reported metrics."""
     return {"metrics": list(SWEEP_METRICS)}
@@ -209,7 +197,6 @@ SPEC = ExperimentSpec(
     name="cmpsweep",
     title="CMP scenario sweeps: configuration grids over the workloads",
     runner=run_cmpsweep,
-    tables=tables_cmpsweep,
     workloads=lambda: tuple(DEFAULT_SWEEP_WORKLOADS),
     constants=_constants,
 )

@@ -5,13 +5,13 @@ and their sweeps from :meth:`repro.api.session.Session.map`; this
 module holds the workload selection helpers and small formatting
 utilities they share.
 
-It also owns the frame-native result layer shared by all 15 drivers:
+It also owns the frame-native result layer shared by every driver:
 :class:`FrameResult` (a result base class whose payload is a set of
 named :class:`~repro.api.frame.ResultFrame` columns), the declarative
 :class:`PayloadField` spec that maps frames back onto the historical
 nested-dict payload layout, and the :class:`RowView` /
-:class:`PivotView` table renderers that replace the per-driver
-``tables_*`` block-building code.
+:class:`PivotView` table renderers through which every result renders
+its own table blocks (:meth:`FrameResult.tables`).
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def default_workload_names() -> tuple:
 def render_blocks(blocks: Sequence[TableBlock]) -> str:
     """Render experiment table blocks the way the CLI prints them.
 
-    Every ``format_*`` helper routes through this, so the text output
-    and the CSV/JSON manifest emission share one source of truth (the
-    blocks produced by the experiment's ``tables_*`` function).
+    The CLI prints ``render_blocks(result.tables())``, so the text
+    output and the CSV/JSON manifest emission share one source of truth
+    (the blocks the result renders from its frames).
     """
     parts = []
     for item in blocks:

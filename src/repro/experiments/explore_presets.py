@@ -21,14 +21,13 @@ import functools
 from typing import Dict, List, Optional
 
 from repro.api.session import current_session
-from repro.experiments.common import experiment_instructions, render_blocks
+from repro.experiments.common import experiment_instructions
 from repro.explore.grid import GRID_PRESETS, get_grid
 from repro.explore.plan import (
     DEFAULT_EXPLORE_WORKLOADS,
     DEFAULT_OBJECTIVES,
     ExploreResult,
 )
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.trace.instruction import CodeSection
 
@@ -71,16 +70,6 @@ def run_explore_cmp(instructions: Optional[int] = None) -> ExploreResult:
     return run_explore_preset("cmp", instructions)
 
 
-def tables_explore(result: ExploreResult) -> List[TableBlock]:
-    """An exploration's pareto/sensitivity views as table blocks."""
-    return result.tables()
-
-
-def format_explore(result: ExploreResult) -> str:
-    """Render an exploration's views as text tables."""
-    return render_blocks(result.tables())
-
-
 def _constants(preset: str) -> Dict[str, object]:
     """Key material: the compiled grid, sections, seed, and objectives.
 
@@ -113,7 +102,6 @@ def _spec(preset: str, title: str) -> ExperimentSpec:
         name=preset_experiment_name(preset),
         title=title,
         runner=runners[preset],
-        tables=tables_explore,
         workloads=_explore_workloads,
         constants=functools.partial(_constants, preset),
     )

@@ -16,12 +16,10 @@ from repro.experiments.common import (
     default_workload_names,
     mean,
     percent,
-    render_blocks,
     section_cell,
     sections_for,
     suite_cell,
 )
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.trace.instruction import FIGURE1_CATEGORIES, CodeSection
 from repro.workloads.suites import Suite
@@ -129,20 +127,9 @@ def run_fig01(
     )
 
 
-def tables_fig01(result: Fig01Result) -> List[TableBlock]:
-    """Figure 1 stacked-bar data as table blocks (values in %)."""
-    return result.tables()
-
-
-def format_fig01(result: Fig01Result) -> str:
-    """Render the Figure 1 stacked-bar data as a table (values in %)."""
-    return render_blocks(result.tables())
-
-
 SPEC = ExperimentSpec(
     name="fig1",
     title="Figure 1: dynamic branch instruction breakdown per suite and section",
     runner=run_fig01,
-    tables=tables_fig01,
     workloads=default_workload_names,
 )

@@ -20,12 +20,10 @@ from repro.experiments.common import (
     default_workload_names,
     mean,
     percent,
-    render_blocks,
     section_cell,
     sections_for,
     suite_cell,
 )
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.trace.instruction import CodeSection
 from repro.workloads.suites import Suite
@@ -121,20 +119,9 @@ def run_fig02(
     )
 
 
-def tables_fig02(result: Fig02Result) -> List[TableBlock]:
-    """Figure 2 stacked-bar data as table blocks (values in %)."""
-    return result.tables()
-
-
-def format_fig02(result: Fig02Result) -> str:
-    """Render the Figure 2 stacked-bar data as a table (values in %)."""
-    return render_blocks(result.tables())
-
-
 SPEC = ExperimentSpec(
     name="fig2",
     title="Figure 2: distribution of conditional branch directions per suite",
     runner=run_fig02,
-    tables=tables_fig02,
     workloads=default_workload_names,
 )

@@ -16,12 +16,10 @@ from repro.experiments.common import (
     default_workload_names,
     fixed,
     mean,
-    render_blocks,
     section_cell,
     sections_for,
     suite_cell,
 )
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.trace.instruction import CodeSection
 from repro.workloads.suites import Suite
@@ -125,20 +123,9 @@ def run_fig03(
     )
 
 
-def tables_fig03(result: Fig03Result) -> List[TableBlock]:
-    """Figure 3 bars as table blocks (KB)."""
-    return result.tables()
-
-
-def format_fig03(result: Fig03Result) -> str:
-    """Render the Figure 3 bars as a table (KB)."""
-    return render_blocks(result.tables())
-
-
 SPEC = ExperimentSpec(
     name="fig3",
     title="Figure 3: static and 99%-dynamic instruction footprints per suite",
     runner=run_fig03,
-    tables=tables_fig03,
     workloads=default_workload_names,
 )

@@ -16,12 +16,10 @@ from repro.experiments.common import (
     default_workload_names,
     fixed,
     mean,
-    render_blocks,
     section_cell,
     sections_for,
     suite_cell,
 )
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.trace.instruction import CodeSection
 from repro.workloads.suites import Suite
@@ -146,20 +144,9 @@ def hpc_to_desktop_block_ratio(result: Fig04Result) -> float:
     return hpc / desktop
 
 
-def tables_fig04(result: Fig04Result) -> List[TableBlock]:
-    """Figure 4 bars as table blocks (bytes)."""
-    return result.tables()
-
-
-def format_fig04(result: Fig04Result) -> str:
-    """Render the Figure 4 bars as a table (bytes)."""
-    return render_blocks(result.tables())
-
-
 SPEC = ExperimentSpec(
     name="fig4",
     title="Figure 4: basic-block length and distance between taken branches",
     runner=run_fig04,
-    tables=tables_fig04,
     workloads=default_workload_names,
 )

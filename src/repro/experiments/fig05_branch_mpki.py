@@ -15,13 +15,11 @@ from repro.experiments.common import (
     default_workload_names,
     fixed,
     mean,
-    render_blocks,
     suite_cell,
 )
 from repro.frontend.configs import BranchPredictorConfig
 from repro.frontend.predictors.factory import predictor_configurations
 from repro.frontend.simulation import simulate_branch_predictors
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.trace.instruction import CodeSection
 from repro.workloads.suites import Suite
@@ -122,16 +120,6 @@ def run_fig05(
     )
 
 
-def tables_fig05(result: Fig05Result) -> List[TableBlock]:
-    """Figure 5 bars as table blocks (MPKI)."""
-    return result.tables()
-
-
-def format_fig05(result: Fig05Result) -> str:
-    """Render the Figure 5 bars as a table (MPKI)."""
-    return render_blocks(result.tables())
-
-
 def _constants() -> Dict[str, object]:
     """Key material: the nine predictor configurations Figure 5 sweeps."""
     return {
@@ -144,7 +132,6 @@ SPEC = ExperimentSpec(
     name="fig5",
     title="Figure 5: branch MPKI per predictor configuration and suite",
     runner=run_fig05,
-    tables=tables_fig05,
     workloads=default_workload_names,
     constants=_constants,
 )

@@ -17,11 +17,9 @@ from repro.experiments.common import (
     RowView,
     experiment_instructions,
     fixed,
-    render_blocks,
 )
 from repro.frontend.configs import BranchPredictorConfig
 from repro.frontend.simulation import simulate_branch_predictors
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.workloads.trace_cache import workload_trace
 
@@ -139,16 +137,6 @@ def run_fig06(
     )
 
 
-def tables_fig06(result: Fig06Result) -> List[TableBlock]:
-    """Figure 6 stacked bars as table blocks (MPKI)."""
-    return result.tables()
-
-
-def format_fig06(result: Fig06Result) -> str:
-    """Render the Figure 6 stacked bars as a table (MPKI)."""
-    return render_blocks(result.tables())
-
-
 def _constants() -> Dict[str, object]:
     """Key material: the gshare configurations Figure 6 compares."""
     return {"configurations": [label for label, _, _, _ in FIGURE6_CONFIGS]}
@@ -158,7 +146,6 @@ SPEC = ExperimentSpec(
     name="fig6",
     title="Figure 6: branch MPKI breakdown for gshare on a workload subset",
     runner=run_fig06,
-    tables=tables_fig06,
     workloads=lambda: tuple(FIGURE6_WORKLOADS),
     constants=_constants,
 )

@@ -15,11 +15,9 @@ from repro.experiments.common import (
     default_workload_names,
     fixed,
     mean,
-    render_blocks,
     suite_cell,
 )
 from repro.frontend.simulation import simulate_btb
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.workloads.suites import Suite
 from repro.workloads.trace_cache import workload_trace
@@ -123,16 +121,6 @@ def run_fig07(
     )
 
 
-def tables_fig07(result: Fig07Result) -> List[TableBlock]:
-    """Figure 7 bars as table blocks (MPKI)."""
-    return result.tables()
-
-
-def format_fig07(result: Fig07Result) -> str:
-    """Render the Figure 7 bars as a table (MPKI)."""
-    return render_blocks(result.tables())
-
-
 def _constants() -> Dict[str, object]:
     """Key material: the BTB geometry grid Figure 7 sweeps."""
     return {"geometries": [list(geometry) for geometry in BTB_GEOMETRIES]}
@@ -142,7 +130,6 @@ SPEC = ExperimentSpec(
     name="fig7",
     title="Figure 7: BTB MPKI for different entry counts and associativities",
     runner=run_fig07,
-    tables=tables_fig07,
     workloads=default_workload_names,
     constants=_constants,
 )

@@ -15,11 +15,9 @@ from repro.experiments.common import (
     default_workload_names,
     fixed,
     mean,
-    render_blocks,
     suite_cell,
 )
 from repro.frontend.simulation import simulate_icache
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.workloads.suites import Suite
 from repro.workloads.trace_cache import workload_trace
@@ -129,16 +127,6 @@ def run_fig08(
     )
 
 
-def tables_fig08(result: Fig08Result) -> List[TableBlock]:
-    """Figure 8 bars as table blocks (MPKI)."""
-    return result.tables()
-
-
-def format_fig08(result: Fig08Result) -> str:
-    """Render the Figure 8 bars as a table (MPKI)."""
-    return render_blocks(result.tables())
-
-
 def _constants() -> Dict[str, object]:
     """Key material: the I-cache geometry grid Figure 8 sweeps."""
     return {
@@ -151,7 +139,6 @@ SPEC = ExperimentSpec(
     name="fig8",
     title="Figure 8: I-cache MPKI for different sizes and associativities",
     runner=run_fig08,
-    tables=tables_fig08,
     workloads=default_workload_names,
     constants=_constants,
 )

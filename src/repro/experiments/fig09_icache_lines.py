@@ -15,10 +15,8 @@ from repro.experiments.common import (
     experiment_instructions,
     fixed,
     percent,
-    render_blocks,
 )
 from repro.frontend.simulation import simulate_icache
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.workloads.trace_cache import workload_trace
 
@@ -136,16 +134,6 @@ def run_fig09(
     )
 
 
-def tables_fig09(result: Fig09Result) -> List[TableBlock]:
-    """Figure 9 bars as table blocks (MPKI, plus 128B usefulness)."""
-    return result.tables()
-
-
-def format_fig09(result: Fig09Result) -> str:
-    """Render the Figure 9 bars as a table (MPKI, plus 128B usefulness)."""
-    return render_blocks(result.tables())
-
-
 def _constants() -> Dict[str, object]:
     """Key material: the line geometry grid and fixed cache size."""
     return {
@@ -158,7 +146,6 @@ SPEC = ExperimentSpec(
     name="fig9",
     title="Figure 9: I-cache MPKI versus line width for specific benchmarks",
     runner=run_fig09,
-    tables=tables_fig09,
     workloads=lambda: tuple(FIGURE9_WORKLOADS),
     constants=_constants,
 )

@@ -16,11 +16,9 @@ from repro.experiments.common import (
     fixed,
     mean,
     normalize_to_reference,
-    render_blocks,
     suite_cell,
 )
 from repro.power.cmp_power import evaluate_cmp_energy
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.uarch.cmp import STANDARD_CMP_CONFIGS, CmpConfig
 from repro.uarch.simulator import profile_workload_frontend, run_on_cmp
@@ -136,16 +134,6 @@ def run_fig10(
     )
 
 
-def tables_fig10(result: Fig10Result) -> List[TableBlock]:
-    """Figure 10 bars as table blocks (normalized to Baseline CMP)."""
-    return result.tables()
-
-
-def format_fig10(result: Fig10Result) -> str:
-    """Render the Figure 10 bars as a table (normalized to Baseline CMP)."""
-    return render_blocks(result.tables())
-
-
 def _constants() -> Dict[str, object]:
     """Key material: the four Section V chips and reported metrics."""
     return {
@@ -158,7 +146,6 @@ SPEC = ExperimentSpec(
     name="fig10",
     title="Figure 10: normalized execution time, power, energy, and ED per CMP",
     runner=run_fig10,
-    tables=tables_fig10,
     workloads=default_workload_names,
     constants=_constants,
 )

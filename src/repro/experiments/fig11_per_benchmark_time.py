@@ -14,9 +14,7 @@ from repro.experiments.common import (
     experiment_instructions,
     fixed,
     normalize_to_reference,
-    render_blocks,
 )
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.uarch.cmp import STANDARD_CMP_CONFIGS, CmpConfig
 from repro.uarch.simulator import profile_workload_frontend, run_on_cmp
@@ -106,16 +104,6 @@ def run_fig11(
     )
 
 
-def tables_fig11(result: Fig11Result) -> List[TableBlock]:
-    """Figure 11 bars as table blocks."""
-    return result.tables()
-
-
-def format_fig11(result: Fig11Result) -> str:
-    """Render the Figure 11 bars as a table."""
-    return render_blocks(result.tables())
-
-
 def _derive_from_fig10(dependencies, config) -> Optional[Fig11Result]:
     """Build the Figure 11 result from a Figure 10 artifact.
 
@@ -171,7 +159,6 @@ SPEC = ExperimentSpec(
     name="fig11",
     title="Figure 11: per-benchmark execution time normalized to the Baseline CMP",
     runner=run_fig11,
-    tables=tables_fig11,
     workloads=lambda: tuple(FIGURE11_WORKLOADS),
     constants=_constants,
     dependencies=("fig10",),

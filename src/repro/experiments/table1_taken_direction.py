@@ -15,11 +15,9 @@ from repro.experiments.common import (
     experiment_instructions,
     default_workload_names,
     mean,
-    render_blocks,
     sections_for,
     suite_cell,
 )
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.trace.instruction import CodeSection
 from repro.workloads.suites import Suite
@@ -132,20 +130,9 @@ def run_table1(
     )
 
 
-def tables_table1(result: Table1Result) -> List[TableBlock]:
-    """Table I as table blocks (percent backward / forward per section)."""
-    return result.tables()
-
-
-def format_table1(result: Table1Result) -> str:
-    """Render Table I (percent backward / forward per code section)."""
-    return render_blocks(result.tables())
-
-
 SPEC = ExperimentSpec(
     name="table1",
     title="Table I: backward versus forward taken branches per suite and section",
     runner=run_table1,
-    tables=tables_table1,
     workloads=default_workload_names,
 )

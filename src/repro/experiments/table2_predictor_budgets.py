@@ -11,11 +11,9 @@ from repro.experiments.common import (
     PayloadField,
     RowView,
     fixed,
-    render_blocks,
 )
 from repro.frontend.predictors import make_predictor
 from repro.frontend.predictors.factory import PREDICTOR_KINDS, SIZE_PARAMETERS
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 
 
@@ -95,16 +93,6 @@ def run_table2() -> Table2Result:
     )
 
 
-def tables_table2(result: Table2Result) -> List[TableBlock]:
-    """Table II as table blocks (predictor budgets)."""
-    return result.tables()
-
-
-def format_table2(result: Table2Result) -> str:
-    """Render Table II (predictor budgets)."""
-    return render_blocks(result.tables())
-
-
 def _constants() -> Mapping[str, object]:
     """Key material: the predictor configuration grid Table II sizes."""
     return {
@@ -117,6 +105,5 @@ SPEC = ExperimentSpec(
     name="table2",
     title="Table II: branch predictor size parameters and hardware cost",
     runner=run_table2,
-    tables=tables_table2,
     constants=_constants,
 )

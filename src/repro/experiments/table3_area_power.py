@@ -10,10 +10,8 @@ from repro.experiments.common import (
     FrameResult,
     PayloadField,
     RowView,
-    render_blocks,
 )
 from repro.power.core_power import CoreAreaPower, core_area_power
-from repro.results.artifacts import TableBlock
 from repro.results.spec import ExperimentSpec
 from repro.uarch.core import BASELINE_CORE, TAILORED_CORE
 
@@ -179,16 +177,6 @@ def run_table3() -> Table3Result:
     return result
 
 
-def tables_table3(result: Table3Result) -> List[TableBlock]:
-    """Table III as table blocks, with the paper's values side by side."""
-    return result.tables()
-
-
-def format_table3(result: Table3Result) -> str:
-    """Render Table III with the paper's values side by side."""
-    return render_blocks(result.tables())
-
-
 def _constants() -> Dict[str, object]:
     """Key material: the two core flavours Table III budgets."""
     return {"cores": [BASELINE_CORE.name, TAILORED_CORE.name]}
@@ -198,6 +186,5 @@ SPEC = ExperimentSpec(
     name="table3",
     title="Table III: front-end area and power share at the core level",
     runner=run_table3,
-    tables=tables_table3,
     constants=_constants,
 )

@@ -128,10 +128,6 @@ class CoreAreaPower:
         """Power while idle (leakage and clocking)."""
         return self.active_power_w * IDLE_POWER_FRACTION
 
-    def area_with_l2_mm2(self) -> float:
-        """Core plus its private L2 slice."""
-        return self.total_area_mm2 + L2_AREA_MM2
-
 
 def frontend_area_power(
     config: FrontEndConfig,

@@ -293,9 +293,7 @@ def run_experiments(
                     if parameter not in constants
                 }
             )
-        artifact = build_frame_artifact(
-            spec.name, spec.title, spec.tables(result), result
-        )
+        artifact = build_frame_artifact(spec.name, spec.title, result.tables(), result)
         if use_store:
             # First-writer-wins: when two orchestrations race on the
             # same key (overlapping CLI invocations, a resumed run

@@ -3,10 +3,11 @@
 Each experiment module (``repro.experiments.fig05_branch_mpki``, ...)
 exposes a module-level ``SPEC``: the uniform interface the orchestrator
 registers it behind.  A spec names the compute kernel (the ``run_*``
-driver), how to render its result into table blocks, and everything
-that must be folded into the content-addressed result key -- the
-workload set and any semantic constants (geometries, CMP names,
-predictor configurations) baked into the driver's defaults.
+driver) and everything that must be folded into the content-addressed
+result key -- the workload set and any semantic constants (geometries,
+CMP names, predictor configurations) baked into the driver's defaults.
+The runner's result renders its own table blocks (``result.tables()``),
+so the spec carries no rendering hook.
 
 Specs may also declare *dependencies*: experiments whose stored
 artifacts they can be derived from without simulating anything (e.g.
@@ -18,9 +19,7 @@ is unavailable the driver simply runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
-
-from repro.results.artifacts import TableBlock
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 #: A derive hook: (dependency artifacts by name, resolved semantic
 #: config) -> result object, or ``None`` to fall back to the runner.
@@ -46,8 +45,6 @@ class ExperimentSpec:
     title: str
     #: The ``run_*`` driver (the compute kernel).
     runner: Callable[..., Any]
-    #: result -> table blocks (exactly what the CLI prints / CSV emits).
-    tables: Callable[[Any], Sequence[TableBlock]]
     #: Workload names folded into the result key (the default set the
     #: runner sweeps when invoked through the orchestrator).
     workloads: Callable[[], Tuple[str, ...]] = field(default=_no_workloads)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.trace.instruction import BranchKind
 
@@ -86,40 +86,3 @@ class BasicBlock:
             f"instrs={self.num_instructions}, bytes={self.size_bytes}, "
             f"term={self.terminator.name})"
         )
-
-
-@dataclass
-class BlockSizing:
-    """Helper describing how to size freshly created basic blocks.
-
-    The synthesis layer creates many blocks whose instruction counts are
-    drawn around a mean; this small value object keeps the knobs
-    together so region constructors stay readable.
-    """
-
-    mean_instructions: float = 10.0
-    min_instructions: int = 1
-    bytes_per_instruction: float = 4.0
-    spread: float = 0.35
-
-    def draw_instructions(self, rng) -> int:
-        """Draw an instruction count for one block."""
-        mean = self.mean_instructions
-        low = max(self.min_instructions, int(round(mean * (1.0 - self.spread))))
-        high = max(low, int(round(mean * (1.0 + self.spread))))
-        return int(rng.integers(low, high + 1))
-
-    def size_block(self, rng, terminator: BranchKind = BranchKind.NONE) -> BasicBlock:
-        """Create an unregistered block with drawn instruction count."""
-        instructions = self.draw_instructions(rng)
-        size = max(instructions, int(round(instructions * self.bytes_per_instruction)))
-        return BasicBlock(
-            num_instructions=instructions,
-            size_bytes=size,
-            terminator=terminator,
-        )
-
-
-def total_code_bytes(blocks: List[BasicBlock]) -> int:
-    """Total static code size of a list of blocks."""
-    return sum(block.size_bytes for block in blocks)

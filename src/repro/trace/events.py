@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -315,17 +314,6 @@ class Trace(object):
                 )
             )
         return self._events
-
-    def block_events(
-        self, section: CodeSection = CodeSection.TOTAL
-    ) -> Iterator[BlockEvent]:
-        """Iterate block events, optionally restricted to one section."""
-        if section is CodeSection.TOTAL:
-            yield from self.events
-        else:
-            for event in self.events:
-                if event.section is section:
-                    yield event
 
     def blocks_for(self, event: BlockEvent) -> BasicBlock:
         """The static block an event refers to."""

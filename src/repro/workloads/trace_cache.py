@@ -110,6 +110,11 @@ def resolved_cache_dir() -> Optional[str]:
     return runtime_config.current_trace_cache_dir()
 
 
+def trace_in_memory(spec: WorkloadSpec, instructions: int, seed: int = 0) -> bool:
+    """Whether this process already holds the trace for this key."""
+    return (spec, int(instructions), int(seed)) in _TRACES
+
+
 def trace_on_disk(spec: WorkloadSpec, instructions: int, seed: int = 0) -> bool:
     """Whether the disk layer holds a *loadable* trace for this key.
 

@@ -15,7 +15,7 @@ import pytest
 from repro import counters
 from repro.api import ResultFrame, RuntimeConfig, Session, current_session, default_session
 from repro.api.frame import artifact_frames, write_frames_csv
-from repro.experiments import run_fig06, tables_fig06
+from repro.experiments import run_fig06
 from repro.frontend.configs import BASELINE_FRONTEND, TAILORED_FRONTEND
 from repro.frontend.simulation import simulate_frontend, simulate_frontend_many
 from repro.results.artifacts import write_artifact_csv
@@ -288,7 +288,7 @@ class TestSessionPipeline:
     def test_experiment_plan_matches_direct_driver(self):
         session = Session(instructions=INSTRUCTIONS)
         frames = session.experiment("fig6", use_store=False).frames()
-        direct = tables_fig06(run_fig06(instructions=INSTRUCTIONS))
+        direct = run_fig06(instructions=INSTRUCTIONS).tables()
         (frame,) = frames.values()
         assert frame.columns == direct[0].headers
         assert [tuple(str(c) for c in row) for row in frame.rows()] == [
@@ -326,6 +326,32 @@ class TestSessionPipeline:
         session.sweep(workloads=["FT", "LU"], seed=2).execute()
         cached = sorted(os.listdir(tmp_path))
         assert cached == [f"FT-{INSTRUCTIONS}-2.npz", f"LU-{INSTRUCTIONS}-2.npz"]
+        clear_trace_cache()
+
+    def test_priming_pool_gets_only_traces_this_process_lacks(
+        self, monkeypatch, tmp_path
+    ):
+        """A trace held in memory under another directory is written by
+        the parent, not synthesized again by the priming pool."""
+        from repro.api import session as session_module
+
+        pooled = []
+
+        def recording_map(function, items, processes=None):
+            pooled.extend(spec.name for _, spec, _, _ in items)
+            return [function(item) for item in items]
+
+        monkeypatch.setattr(session_module, "parallel_map", recording_map)
+        clear_trace_cache()
+        Session(instructions=INSTRUCTIONS, trace_cache_dir=str(tmp_path / "a")).trace("FT")
+        session = Session(instructions=INSTRUCTIONS, trace_cache_dir=str(tmp_path / "b"))
+        keys = [(get_workload(name), INSTRUCTIONS, 0) for name in ("FT", "LU", "CG")]
+        with session.activate():
+            session_module._prime_shared_traces(keys, session.config)
+        assert sorted(pooled) == ["CG", "LU"]
+        assert sorted(os.listdir(tmp_path / "b")) == [
+            f"{name}-{INSTRUCTIONS}-0.npz" for name in ("CG", "FT", "LU")
+        ]
         clear_trace_cache()
 
     def test_driver_honours_active_session_budget(self):

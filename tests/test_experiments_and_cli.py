@@ -21,7 +21,7 @@ class TestCharacterizationExperiments:
         npb = result.branch_fraction[Suite.NPB][CodeSection.PARALLEL]
         desktop = result.branch_fraction[Suite.SPEC_CPU_INT][CodeSection.TOTAL]
         assert desktop > 2 * npb  # Characteristic 1
-        text = experiments.format_fig01(result)
+        text = experiments.render_blocks(result.tables())
         assert "direct branch" in text and "NPB" in text
 
     def test_fig02_bias_shape(self):
@@ -29,7 +29,7 @@ class TestCharacterizationExperiments:
         npb = result.strongly_biased(Suite.NPB, CodeSection.PARALLEL)
         desktop = result.strongly_biased(Suite.SPEC_CPU_INT, CodeSection.TOTAL)
         assert npb > desktop  # Characteristic 2
-        assert "0-10%" in experiments.format_fig02(result)
+        assert "0-10%" in experiments.render_blocks(result.tables())
 
     def test_table1_backward_share(self):
         result = experiments.run_table1(instructions=TINY, suites=SUITES)
@@ -37,21 +37,21 @@ class TestCharacterizationExperiments:
         desktop = result.backward[Suite.SPEC_CPU_INT][CodeSection.TOTAL]
         assert npb > desktop
         assert result.forward(Suite.NPB, CodeSection.PARALLEL) == pytest.approx(1 - npb)
-        assert "backward" in experiments.format_table1(result)
+        assert "backward" in experiments.render_blocks(result.tables())
 
     def test_fig03_footprints(self):
         result = experiments.run_fig03(instructions=TINY, suites=SUITES)
         npb = result.dynamic99_kb[Suite.NPB][CodeSection.PARALLEL]
         desktop = result.dynamic99_kb[Suite.SPEC_CPU_INT][CodeSection.TOTAL]
         assert npb < desktop  # Characteristic 3
-        assert "KB" in experiments.format_fig03(result)
+        assert "KB" in experiments.render_blocks(result.tables())
 
     def test_fig04_block_lengths(self):
         result = experiments.run_fig04(instructions=TINY, suites=SUITES)
         npb = result.block_bytes[Suite.NPB][CodeSection.PARALLEL]
         desktop = result.block_bytes[Suite.SPEC_CPU_INT][CodeSection.TOTAL]
         assert npb > 2 * desktop  # Characteristic 4
-        assert "BBL" in experiments.format_fig04(result)
+        assert "BBL" in experiments.render_blocks(result.tables())
 
 
 class TestStructureExperiments:
@@ -60,14 +60,14 @@ class TestStructureExperiments:
         assert result.storage_kb("gshare", "small") == pytest.approx(2.0, rel=0.05)
         assert result.storage_kb("gshare", "big") == pytest.approx(16.0, rel=0.05)
         assert result.loop_predictor_bits > 0
-        assert "gshare" in experiments.format_table2(result)
+        assert "gshare" in experiments.render_blocks(result.tables())
 
     def test_fig05_runs_on_a_subset(self):
         result = experiments.run_fig05(instructions=TINY, suites=[Suite.NPB])
         assert len(result.configurations) == 9
         values = result.mpki[Suite.NPB]
         assert all(v >= 0 for v in values.values())
-        assert "gshare-small" in experiments.format_fig05(result)
+        assert "gshare-small" in experiments.render_blocks(result.tables())
 
     def test_fig06_breakdown(self):
         result = experiments.run_fig06(instructions=TINY, workloads=["FT", "gobmk"])
@@ -75,7 +75,7 @@ class TestStructureExperiments:
         assert total == pytest.approx(
             sum(result.breakdown["FT"]["gshare-small"].values())
         )
-        assert "gobmk" in experiments.format_fig06(result)
+        assert "gobmk" in experiments.render_blocks(result.tables())
 
     def test_fig07_btb_sweep(self):
         result = experiments.run_fig07(
@@ -83,7 +83,7 @@ class TestStructureExperiments:
         )
         values = result.mpki[Suite.NPB]
         assert values[(1024, 4)] <= values[(256, 4)] + 0.1
-        assert "256e/4w" in experiments.format_fig07(result)
+        assert "256e/4w" in experiments.render_blocks(result.tables())
 
     def test_fig08_icache_sweep(self):
         result = experiments.run_fig08(
@@ -91,19 +91,19 @@ class TestStructureExperiments:
         )
         values = result.mpki[Suite.NPB]
         assert values[(32, 4)] <= values[(8, 4)]
-        assert "8KB/4w" in experiments.format_fig08(result)
+        assert "8KB/4w" in experiments.render_blocks(result.tables())
 
     def test_fig09_line_width(self):
         result = experiments.run_fig09(instructions=TINY, workloads=["CoGL", "omnetpp"])
         assert set(result.workloads) == {"CoGL", "omnetpp"}
         assert 0.0 < result.usefulness_128["CoGL"] <= 1.0
-        assert "usefulness" in experiments.format_fig09(result)
+        assert "usefulness" in experiments.render_blocks(result.tables())
 
     def test_table3_area_power(self):
         result = experiments.run_table3()
         assert result.area_ratio() == pytest.approx(0.84, abs=0.04)
         assert result.power_ratio() == pytest.approx(0.93, abs=0.05)
-        assert "Total core" in experiments.format_table3(result)
+        assert "Total core" in experiments.render_blocks(result.tables())
 
 
 class TestCmpExperiments:
@@ -113,14 +113,14 @@ class TestCmpExperiments:
         assert data["execution time"]["Baseline CMP"] == pytest.approx(1.0)
         assert data["execution time"]["Asymmetric++ CMP"] < 1.0
         assert data["power"]["Asymmetric++ CMP"] > 1.0
-        assert "energy-delay" in experiments.format_fig10(result)
+        assert "energy-delay" in experiments.render_blocks(result.tables())
 
     def test_fig11_per_benchmark(self):
         result = experiments.run_fig11(instructions=TINY, workloads=["FT", "gobmk"])
         assert result.normalized_time["FT"]["Baseline CMP"] == pytest.approx(1.0)
         assert result.normalized_time["FT"]["Asymmetric++ CMP"] < 1.0
         assert result.normalized_time["gobmk"]["Asymmetric++ CMP"] == pytest.approx(1.0)
-        assert "gobmk" in experiments.format_fig11(result)
+        assert "gobmk" in experiments.render_blocks(result.tables())
 
 
 class TestCli:

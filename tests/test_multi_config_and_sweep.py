@@ -410,7 +410,7 @@ class TestSweepScenarios:
         assert paper["gobmk"]["time"]["Asymmetric++ CMP"] == pytest.approx(1.0)
         summary = result.summary["paper"]
         assert summary["time"]["Baseline CMP"] == pytest.approx(1.0)
-        text = experiments.format_cmpsweep(result)
+        text = experiments.render_blocks(result.tables())
         assert "scenario paper" in text and "Asymmetric++ CMP" in text
 
     def test_run_cmpsweep_with_explicit_scenario_objects(self, ft_profile):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.api.runtime_config import RESULT_CACHE_DIR_VARIABLE
-from repro.experiments import run_fig11, tables_fig11
+from repro.experiments import run_fig11
 from repro.experiments.fig11_per_benchmark_time import SPEC as FIG11_SPEC
 from repro.results.artifacts import build_frame_artifact, rendered_artifact
 from repro.results.orchestrator import (
@@ -114,7 +114,7 @@ class TestOrchestratedRuns:
         assert report.outcome("fig11").status == "derived"
         result = run_fig11(instructions=TINY)
         direct = build_frame_artifact(
-            "fig11", FIG11_SPEC.title, tables_fig11(result), result
+            "fig11", FIG11_SPEC.title, result.tables(), result
         )
         derived = report.outcome("fig11").artifact
         # Both the stored frame-native form and the rendered manifest

@@ -224,6 +224,21 @@ class TestPrecedence:
         assert rc.RuntimeConfig.from_environment().fault_plan == document
         assert rc.RuntimeConfig.from_environment(fault_plan=None).fault_plan is None
 
+    def test_serve_host_and_port(self, monkeypatch):
+        monkeypatch.setenv(rc.SERVE_HOST_VARIABLE, "0.0.0.0")
+        monkeypatch.setenv(rc.SERVE_PORT_VARIABLE, "9000")
+        config = rc.RuntimeConfig.from_environment()
+        assert (config.serve_host, config.serve_port) == ("0.0.0.0", 9000)
+        # Blank, unparsable or out-of-range values fall back.
+        monkeypatch.setenv(rc.SERVE_HOST_VARIABLE, "  ")
+        for port in ("http", "70000", "-1"):
+            monkeypatch.setenv(rc.SERVE_PORT_VARIABLE, port)
+            config = rc.RuntimeConfig.from_environment()
+            assert (config.serve_host, config.serve_port) == (
+                rc.DEFAULT_SERVE_HOST,
+                rc.DEFAULT_SERVE_PORT,
+            ), port
+
 
 class TestConfigBehaviour:
     def test_replace_normalizes_cache_dirs(self):

@@ -22,7 +22,6 @@ from repro.trace import (
     UniformTripCount,
     layout_program,
 )
-from repro.trace.basic_block import BlockSizing, total_code_bytes
 from repro.trace.execution import ExecutionContext
 
 
@@ -56,24 +55,6 @@ class TestBasicBlock:
         block = BasicBlock(num_instructions=4, size_bytes=16)
         with pytest.raises(ValueError):
             block.branch_address
-
-    def test_total_code_bytes(self):
-        blocks = [BasicBlock(2, 8), BasicBlock(3, 12)]
-        assert total_code_bytes(blocks) == 20
-
-
-class TestBlockSizing:
-    def test_draw_respects_minimum(self):
-        sizing = BlockSizing(mean_instructions=2.0, min_instructions=2)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert sizing.draw_instructions(rng) >= 2
-
-    def test_size_block_scales_bytes(self):
-        sizing = BlockSizing(mean_instructions=10.0, bytes_per_instruction=4.0)
-        rng = np.random.default_rng(1)
-        block = sizing.size_block(rng)
-        assert block.size_bytes >= block.num_instructions
 
 
 class TestTripCounts:
