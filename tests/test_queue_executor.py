@@ -36,7 +36,9 @@ from repro.exec.executors import SerialExecutor, _worker_main
 from repro.exec.faults import Fault, FaultPlan
 from repro.exec.queue import (
     CAMPAIGN_PREFIX,
+    DEFAULT_PRIORITY,
     FAILED_SUFFIX,
+    INTERACTIVE_PRIORITY,
     RESULT_SUFFIX,
     QueueExecutor,
     QueueWorker,
@@ -327,6 +329,27 @@ class TestQueueExecutor:
         # Other code, other campaign: nothing published under the old
         # source can replay into a run of the new one.
         assert after.root != before.root
+
+    def test_one_priority_leads_every_item_name(self, tmp_path):
+        items = [(index, index) for index in range(3)]
+        background = enqueue_campaign(double, items, settings(), str(tmp_path / "a"))
+        interactive = enqueue_campaign(
+            double,
+            items,
+            settings(),
+            str(tmp_path / "b"),
+            priority=INTERACTIVE_PRIORITY,
+        )
+        assert {name[:4] for name in background.names} == {f"p{DEFAULT_PRIORITY}-"}
+        assert {name[:4] for name in interactive.names} == {
+            f"p{INTERACTIVE_PRIORITY}-"
+        }
+        # Priority orders claims only: the same sweep keeps its item ids
+        # and its content address.
+        assert [name[4:] for name in interactive.names] == [
+            name[4:] for name in background.names
+        ]
+        assert os.path.basename(interactive.root) == os.path.basename(background.root)
 
     def test_supervisor_wakes_on_publication(self, tmp_path, monkeypatch):
         # With the rescan interval far beyond the test's budget, only

@@ -255,6 +255,28 @@ class TestConfigBehaviour:
         assert config.trace_cache_dir is None
         assert config.result_cache_dir is None
 
+    def test_direct_construction_coerces_explicit_values(self):
+        config = rc.RuntimeConfig(
+            parallel=1,
+            processes="2",
+            instructions=3000.0,
+            retries="1",
+            retry_delay="0.5",
+            lease_ttl=3,
+            serve_port="8080",
+            fault_plan="",
+        )
+        assert config.parallel is True
+        counts = ("processes", "instructions", "retries", "serve_port")
+        assert [getattr(config, name) for name in counts] == [2, 3000, 1, 8080]
+        assert {type(getattr(config, name)) for name in counts} == {int}
+        assert (config.retry_delay, config.lease_ttl) == (0.5, 3.0)
+        assert type(config.lease_ttl) is float
+        assert config.fault_plan is None
+        # from_environment hands explicit values to the same constructor.
+        explicit = rc.RuntimeConfig.from_environment(processes="3", parallel=0)
+        assert (explicit.processes, explicit.parallel) == (3, False)
+
     def test_describe_covers_every_field(self):
         described = rc.RuntimeConfig().describe()
         assert set(described) == {

@@ -45,6 +45,7 @@ from repro.workloads.catalog import WORKLOADS, get_workload
 from repro.workloads.trace_cache import (
     clear_trace_cache,
     trace_cache_info,
+    trace_in_memory,
     trace_on_disk,
     workload_trace,
 )
@@ -140,6 +141,20 @@ class TestLoadedTraceNeedsNoProgram:
             assert workload_trace(spec, INSTRUCTIONS) is held
             assert trace_on_disk(spec, INSTRUCTIONS)
         assert trace_cache_info()["disk_stores"] == 2
+
+    def test_trace_in_memory_reports_only_held_keys(self, trace_dir):
+        # Sweep priming skips the keys this answers True for, so it must
+        # track the process cache exactly, apart from the disk layer.
+        spec = get_workload("FT")
+        assert not trace_in_memory(spec, INSTRUCTIONS)
+        workload_trace(spec, INSTRUCTIONS)
+        assert trace_in_memory(spec, INSTRUCTIONS)
+        assert not trace_in_memory(spec, INSTRUCTIONS, seed=1)
+        assert not trace_in_memory(spec, INSTRUCTIONS + 1)
+        assert not trace_in_memory(get_workload("LU"), INSTRUCTIONS)
+        clear_trace_cache()
+        assert trace_on_disk(spec, INSTRUCTIONS)
+        assert not trace_in_memory(spec, INSTRUCTIONS)
 
     def test_an_entry_stores_the_static_arrays(self, trace_dir):
         spec = get_workload("FT")
