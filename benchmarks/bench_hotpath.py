@@ -25,7 +25,6 @@ from repro.exec import QueueWorker, enqueue_campaign
 from repro.frontend.configs import BASELINE_FRONTEND
 from repro.frontend.simulation import simulate_frontend
 from repro.power import evaluate_cmp_energy
-from repro.trace.compiler import CompiledTraceGenerator, compile_schedule
 from repro.trace.events import Trace
 from repro.trace.execution import TraceGenerator
 from repro.uarch import (
@@ -55,14 +54,11 @@ def test_trace_generation(benchmark, instructions):
     compilation itself is memoized and excluded by a warm-up run.
     """
     workload = _workload()
-    compile_schedule(workload.program, workload.schedule)  # warm the memo
+    compiled = workload.compiled  # compiles once (memoized on the program)
     seeds = iter(range(1_000, 100_000))
 
     def generate():
-        generator = CompiledTraceGenerator(
-            workload.program, workload.schedule, seed=next(seeds)
-        )
-        return generator.run(instructions)
+        return compiled.run(instructions, seed=next(seeds))
 
     trace = benchmark(generate)
     assert trace.instruction_count() >= instructions

@@ -43,7 +43,8 @@ def main() -> None:
     ):
         print(f"  tailored branch MPKI on {workload}: {mpki:.2f}")
 
-    # Any registered paper artefact, store-backed, as a frame.
+    # Any registered paper artefact, store-backed: execute() returns the
+    # experiment's stored primary frame (table3's per-structure rows).
     table3 = session.experiment("table3").execute()
     print("\nTable III via the orchestrator:")
     print(table3.to_csv())

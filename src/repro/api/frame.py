@@ -2,18 +2,18 @@
 
 A :class:`ResultFrame` is a small, dependency-free table -- named
 columns over row tuples -- that every :class:`~repro.api.plan.Plan`
-yields and that the orchestrator's artifact writer consumes directly.
-It is deliberately *not* a DataFrame clone: it holds exactly what the
-experiment artifacts need (deterministic CSV/JSON emission, named
-column access, row iteration) and nothing else, so the result store
-and the manifest writer can depend on it from the bottom of the
-layering without pulling in the session machinery.
+yields.  It is deliberately *not* a DataFrame clone: it holds exactly
+what the experiment results need (deterministic CSV/JSON emission,
+named column access, row iteration, slicing) and nothing else, so the
+result store can depend on it from the bottom of the layering without
+pulling in the session machinery.
 
-Frames round-trip through the stored artifact form
-(:func:`ResultFrame.from_artifact` / the ``tables`` blocks built by
-:func:`repro.results.artifacts.build_frame_artifact`), and the CSV emission
-is bit-identical to the historical ``write_artifact_csv`` output --
-asserted in the test suite.
+A driver's result holds its frames, and a stored artifact keeps each
+one in the versioned columnar form of :meth:`ResultFrame.to_payload`;
+:func:`repro.results.artifacts.stored_frame` turns it back into a
+frame for the orchestrator's outcomes, ``ExperimentPlan`` and the
+results service.  The manifest's CSV is written from the artifact's
+rendered table blocks, not from these frames.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class ResultFrame:
     columns: Tuple[str, ...]
     #: Row tuples; every row has exactly ``len(columns)`` cells.
     data: Tuple[Tuple[Any, ...], ...] = ()
-    #: Optional human-readable title (carried from the artifact block).
+    #: Optional human-readable title (kept in the stored payload).
     title: Optional[str] = None
     #: Index of each column name, built once.
     _index: Dict[str, int] = field(
@@ -76,44 +76,6 @@ class ResultFrame:
             data=tuple(tuple(row) for row in rows),
             title=title,
         )
-
-    @classmethod
-    def from_artifact(cls, artifact: Mapping[str, Any]) -> "ResultFrame":
-        """One frame covering every table block of a stored artifact.
-
-        Single-block artifacts map one-to-one.  Multi-block artifacts
-        that agree on their headers (e.g. the per-scenario ``cmpsweep``
-        tables) gain a leading ``table`` column carrying each block's
-        short name, exactly mirroring the CSV the manifest emits.
-        Multi-block artifacts with differing headers cannot be one
-        table; use :func:`artifact_frames` for those.
-        """
-        frames = artifact_frames(artifact)
-        if len(frames) == 1:
-            return frames[0]
-        try:
-            return cls.concat(frames, title=artifact.get("title"))
-        except ValueError as error:
-            raise ValueError(
-                "artifact blocks disagree on headers; use artifact_frames()"
-            ) from error
-
-    @classmethod
-    def concat(
-        cls,
-        frames: "Sequence[ResultFrame]",
-        title: Optional[str] = None,
-    ) -> "ResultFrame":
-        """Concatenate frames that agree on their columns, in order."""
-        frames = list(frames)
-        if not frames:
-            raise ValueError("cannot concatenate zero frames")
-        if len({frame.columns for frame in frames}) != 1:
-            raise ValueError("frames disagree on columns")
-        combined: List[Tuple[Any, ...]] = []
-        for frame in frames:
-            combined.extend(frame.data)
-        return cls(columns=frames[0].columns, data=tuple(combined), title=title)
 
     # -- access ------------------------------------------------------
 
@@ -202,9 +164,8 @@ class ResultFrame:
     def to_csv(self, path: Optional[str] = None) -> str:
         """Render (and optionally write) the frame as CSV.
 
-        Uses the same ``csv`` module configuration as the manifest
-        writer, so a frame reconstructed from an artifact emits the
-        identical bytes.
+        Uses the ``csv`` module's default dialect (CRLF line ends), like
+        the manifest's CSV writer.
         """
         buffer = io.StringIO(newline="")
         writer = csv.writer(buffer)
@@ -230,43 +191,3 @@ class ResultFrame:
             with open(path, "w", encoding="utf-8") as stream:
                 stream.write(text)
         return text
-
-
-def artifact_frames(artifact: Mapping[str, Any]) -> List[ResultFrame]:
-    """One frame per table block of a stored artifact.
-
-    For multi-block artifacts every frame gains the leading ``table``
-    column (carrying the block's short name, or its index when the
-    block is unnamed), matching the manifest CSV layout.
-    """
-    tables = list(artifact.get("tables") or [])
-    multi = len(tables) > 1
-    frames: List[ResultFrame] = []
-    for index, table in enumerate(tables):
-        headers = [str(h) for h in table.get("headers") or []]
-        rows = [list(row) for row in table.get("rows") or []]
-        if multi:
-            label = table.get("name") or str(index)
-            headers = ["table"] + headers
-            rows = [[label] + row for row in rows]
-        frames.append(
-            ResultFrame.from_rows(headers, rows, title=table.get("title"))
-        )
-    return frames
-
-
-def write_frames_csv(frames: Sequence[ResultFrame], path: str) -> None:
-    """Emit frames into one CSV file, the manifest writer's format.
-
-    A single frame becomes a plain header+rows CSV.  Multiple frames
-    share one header row when they agree on it and re-emit the header
-    per frame otherwise, so rows always sit under the headers that
-    describe them -- byte-identical to the historical artifact CSV.
-    """
-    shared = len({frame.columns for frame in frames}) == 1
-    with open(path, "w", newline="", encoding="utf-8") as stream:
-        writer = csv.writer(stream)
-        for index, frame in enumerate(frames):
-            if index == 0 or not shared:
-                writer.writerow(frame.columns)
-            writer.writerows(frame.data)

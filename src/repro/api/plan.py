@@ -314,30 +314,16 @@ class ExperimentPlan(Plan):
                 use_store=self.use_store,
             )
 
-    def frames(self) -> Dict[str, ResultFrame]:
-        """Execute and return one *rendered* frame per experiment.
-
-        These are the table-block frames (what the manifest CSV emits);
-        the canonical columnar payloads live in :meth:`stored_frames`.
-        """
+    def _sole_outcome(self):
+        """Run the plan and return its one experiment's outcome."""
         report = self.report()
-        return {
-            outcome.name: ResultFrame.from_artifact(outcome.artifact)
-            for outcome in report.outcomes
-        }
-
-    def stored_frames(self) -> Dict[str, Dict[str, ResultFrame]]:
-        """Execute and return every experiment's stored payload frames.
-
-        One ``{frame name: ResultFrame}`` dict per experiment, straight
-        from the versioned columnar payloads the store persists -- no
-        per-experiment glue, and every frame supports
-        ``select()``/``column()`` slicing.
-        """
-        report = self.report()
-        return {
-            outcome.name: outcome.stored_frames() for outcome in report.outcomes
-        }
+        if len(report.outcomes) != 1:
+            known = ", ".join(outcome.name for outcome in report.outcomes)
+            raise ValueError(
+                f"plan selects {len(report.outcomes)} experiments ({known}); "
+                "name one with frame(experiment=...), or use report()"
+            )
+        return report.outcomes[0]
 
     def frame(
         self,
@@ -350,38 +336,20 @@ class ExperimentPlan(Plan):
         multi-experiment plan requires it); ``name`` defaults to the
         experiment's primary frame as declared in its artifact.
         """
-        report = self.report()
         if experiment is None:
-            if len(report.outcomes) != 1:
-                known = ", ".join(outcome.name for outcome in report.outcomes)
-                raise ValueError(
-                    f"plan selects {len(report.outcomes)} experiments ({known}); "
-                    "pass experiment= to pick one"
-                )
-            outcome = report.outcomes[0]
+            outcome = self._sole_outcome()
         else:
-            outcome = report.outcome(experiment)
+            outcome = self.report().outcome(experiment)
         return outcome.stored_frame(name)
 
     def execute(self) -> ResultFrame:
-        """Execute and return the frame of the selection.
+        """Execute and return the selected experiment's primary frame.
 
-        A single-experiment plan returns that experiment's frame.  A
-        multi-experiment plan returns one frame only when every
-        experiment's tables agree on their headers; use
-        :meth:`frames` for heterogeneous selections.
+        The same frame as :meth:`frame`: the stored payload frame the
+        Plan protocol calls canonical.  A multi-experiment plan has no
+        single canonical frame and raises; use :meth:`report`.
         """
-        frames = self.frames()
-        if not frames:
-            raise ValueError("the plan selected no experiments; nothing to execute")
-        if len(frames) == 1:
-            return next(iter(frames.values()))
-        try:
-            return ResultFrame.concat(list(frames.values()))
-        except ValueError as error:
-            raise ValueError(
-                "experiments disagree on table headers; use frames() instead"
-            ) from error
+        return self.frame()
 
     def outcome(self) -> PlanOutcome:
         """Execute and return the single selected experiment's outcome.
@@ -390,14 +358,7 @@ class ExperimentPlan(Plan):
         ``"computed"``) passes straight through.  A multi-experiment
         plan has no single outcome; use :meth:`report`.
         """
-        report = self.report()
-        if len(report.outcomes) != 1:
-            known = ", ".join(outcome.name for outcome in report.outcomes)
-            raise ValueError(
-                f"plan selects {len(report.outcomes)} experiments ({known}); "
-                "outcome() needs exactly one -- use report() instead"
-            )
-        outcome = report.outcomes[0]
+        outcome = self._sole_outcome()
         return PlanOutcome(
             kind="experiments",
             key=outcome.key,

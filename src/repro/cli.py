@@ -432,10 +432,7 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         from repro.results.artifacts import build_frame_artifact
 
         artifact = build_frame_artifact(
-            "explore",
-            f"design-space exploration of the {preset!r} grid",
-            result.tables(),
-            result,
+            "explore", f"design-space exploration of the {preset!r} grid", result
         )
         report = RunReport(instructions=session.config.instructions)
         report.outcomes.append(

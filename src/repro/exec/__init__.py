@@ -16,7 +16,9 @@ its weakest worker" into supervised, resumable, testable execution:
     with ``repro-frontend worker`` -- with stale-lease reclaim,
     first-writer-wins completion, poison-item quarantine, graceful
     serial degradation, and resume from the published results of a
-    killed campaign.
+    killed campaign.  Every queue file lands whole, and damaged ones
+    are set aside as evidence, through :mod:`repro.durable`, the
+    module the result store and the trace cache write through too.
 :class:`ItemResult` / :class:`SweepReport` / :class:`SweepError`
     Every item finishes as a typed outcome; failed sweeps raise a
     structured failure report carrying the partial results.
@@ -34,7 +36,6 @@ from repro.exec.faults import (
     InjectedFault,
     SimulatedWorkerDeath,
 )
-from repro.exec.leases import quarantine_entry
 from repro.exec.queue import (
     QueueExecutor,
     QueueWorker,
@@ -68,7 +69,6 @@ __all__ = [
     "execute_items",
     "item_key",
     "open_campaign",
-    "quarantine_entry",
     "queue_info",
     "serve_queue",
 ]

@@ -4,14 +4,15 @@ A lease is one small JSON file next to the item it protects.  The
 primitives here make three guarantees on any POSIX filesystem (local or
 shared) without assuming comparable clocks across machines:
 
-* **Exclusive claims** -- :func:`acquire` writes the whole lease
-  document to a temporary file and hardlinks it into place; the link
-  fails when the lease exists, so exactly one worker wins a contested
-  item, and no reader ever sees a claim without its document.
+* **Exclusive claims** -- :func:`acquire` publishes the whole lease
+  document first-writer-wins (:func:`repro.durable.write_link`), so
+  exactly one worker wins a contested item, and no reader ever sees a
+  claim without its document.
 * **Liveness** -- the owner renews the lease on a heartbeat interval
   (:func:`renew`), bumping a monotonic sequence number and a wall-clock
   timestamp.  Renewal re-reads the file first and refuses to clobber a
-  lease it no longer owns (a reclaimed lease stays reclaimed).
+  lease it no longer owns (a reclaimed lease stays reclaimed), then
+  replaces the whole document (:func:`repro.durable.write_replace`).
 * **Recovery** -- a :class:`Reaper` watches leases and reclaims an item
   (:func:`reclaim`) when its owner is provably or presumably dead:
   the owner's pid is gone (same-host fast path), the heartbeat
@@ -20,9 +21,11 @@ shared) without assuming comparable clocks across machines:
   monotonic clock.  Reclaim renames the lease to a unique tombstone
   first, so concurrent reapers cannot both win.
 
-Corrupt lease files (a torn write from a hard kill) are quarantined as
-``*.corrupt`` evidence and treated as immediately reclaimable: a lease
-that cannot prove liveness does not grant one.
+Corrupt lease files are quarantined as ``*.corrupt`` evidence
+(:func:`repro.durable.quarantine`) and treated as immediately
+reclaimable: a lease that cannot prove liveness does not grant one.
+No write here creates a directory, so a lease write into a retired
+campaign fails instead of re-creating it.
 """
 
 from __future__ import annotations
@@ -30,15 +33,12 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import time
 import uuid
 from typing import Any, Dict, Optional
 
+from repro import durable
 from repro.counters import Counters
-
-#: Suffix appended to quarantined (unreadable) entries.
-CORRUPT_SUFFIX = ".corrupt"
 
 _COUNTERS = Counters(
     "leases", ("acquired", "renewed", "released", "reclaimed", "lost", "corrupt")
@@ -53,28 +53,6 @@ def lease_info() -> Dict[str, int]:
 def reset_lease_info() -> None:
     """Zero the counters (tests)."""
     _COUNTERS.reset()
-
-
-def quarantine_entry(path: str, suffix: str = CORRUPT_SUFFIX) -> Optional[str]:
-    """Rename a file to ``<path><suffix>`` (``*.corrupt`` by default).
-
-    Shared by the leases, the queue, the disk trace cache, and the
-    result store: damaged bytes (or a failed item's outcome) are
-    preserved as evidence -- with a numeric suffix when a previous
-    quarantine already claimed the name -- and the caller counts and
-    recomputes.  Returns the quarantine path, or ``None`` when the
-    rename itself failed (the entry is then left in place).
-    """
-    destination = path + suffix
-    attempt = 0
-    while os.path.exists(destination):
-        attempt += 1
-        destination = f"{path}{suffix}.{attempt}"
-    try:
-        os.replace(path, destination)
-    except OSError:
-        return None
-    return destination
 
 
 def new_owner_id() -> str:
@@ -112,27 +90,16 @@ def _lease_document(owner: str, seq: int, ttl: float) -> bytes:
 
 
 def acquire(path: str, owner: str, ttl: float) -> bool:
-    """Claim a lease by hardlinking a whole document.  False when contested.
+    """Claim a lease by publishing a whole document.  False when contested.
 
-    The document is written to a temporary file first and linked into
-    place, so the lease never exists half-written: a sibling's reaper
-    can never read an empty claim as a torn write and reclaim it.
+    The lease never exists half-written, so a sibling's reaper can never
+    read an empty claim as a torn write and reclaim it.
     """
     try:
-        handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
+        if not durable.write_link(path, _lease_document(owner, 0, ttl)):
+            return False  # Contested.
     except OSError:
         return False
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(_lease_document(owner, 0, ttl))
-        os.link(temporary, path)
-    except OSError:  # FileExistsError: contested.
-        return False
-    finally:
-        try:
-            os.unlink(temporary)
-        except OSError:
-            pass
     _COUNTERS.add("acquired")
     return True
 
@@ -140,7 +107,7 @@ def acquire(path: str, owner: str, ttl: float) -> bool:
 def read_lease(path: str) -> Optional[Dict[str, Any]]:
     """The lease document, or ``None`` when absent.
 
-    A present-but-unreadable lease (torn write) is quarantined as
+    A present-but-unreadable lease is quarantined as
     ``*.corrupt`` evidence and reported as a sentinel document with
     ``seq`` and ``ts`` of 0 -- i.e. immediately stale -- because a
     lease that cannot prove liveness does not grant one.
@@ -157,7 +124,7 @@ def read_lease(path: str) -> Optional[Dict[str, Any]]:
         if not isinstance(document, dict) or "owner" not in document:
             raise ValueError("not a lease document")
     except ValueError:
-        if quarantine_entry(path) is not None:
+        if durable.quarantine(path) is not None:
             _COUNTERS.add("corrupt")
         return {"owner": "", "seq": 0, "ts": 0.0, "ttl": 0.0, "corrupt": True}
     return document
@@ -174,16 +141,9 @@ def renew(path: str, owner: str, seq: int, ttl: float) -> bool:
     if current is None or current.get("owner") != owner:
         _COUNTERS.add("lost")
         return False
-    temporary = f"{path}.{owner.rsplit(':', 1)[-1]}.hb"
     try:
-        with open(temporary, "wb") as stream:
-            stream.write(_lease_document(owner, seq, ttl))
-        os.replace(temporary, path)
+        durable.write_replace(path, _lease_document(owner, seq, ttl))
     except OSError:
-        try:
-            os.unlink(temporary)
-        except OSError:
-            pass
         return False
     _COUNTERS.add("renewed")
     return True

@@ -6,8 +6,9 @@ supervising :class:`QueueExecutor` or started externally on any machine
 that mounts the queue directory (``repro-frontend worker --queue-dir``)
 -- claim items with lease files, renew heartbeats while running, and
 publish results with first-writer-wins compare-and-swap.  Everything is
-plain files and atomic renames: no broker, no sockets, no locks a dead
-worker could wedge.
+plain files, each written whole through :mod:`repro.durable`, and
+atomic renames: no broker, no sockets, no locks a dead worker could
+wedge.
 
 On-disk layout of one campaign::
 
@@ -58,6 +59,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import durable
 from repro.api import runtime_config
 from repro.counters import Counters
 from repro.exec import leases
@@ -68,7 +70,6 @@ from repro.exec.faults import (
     KILL_EXIT_CODE,
     SimulatedWorkerDeath,
 )
-from repro.exec.leases import quarantine_entry
 from repro.exec.results import (
     STATUS_ERROR,
     STATUS_OK,
@@ -205,22 +206,6 @@ def _item_index(name: str) -> int:
     return int(_name_parts(name)[1].split("-", 1)[0])
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(data)
-        os.replace(temporary, path)
-    except OSError:
-        try:
-            os.unlink(temporary)
-        except OSError:
-            pass
-        raise
-
-
 @dataclass
 class Campaign:
     """One enqueued sweep: its directory, item names, and config."""
@@ -344,14 +329,15 @@ def _create_layout(campaign: Campaign) -> None:
                 "fault_plan": plan.to_json() if plan is not None else None,
             },
         }
-        _atomic_write(
+        durable.write_replace(
             manifest_path, json.dumps(manifest, sort_keys=True).encode("utf-8")
         )
 
 
 def _write_item(campaign: Campaign, name: str, index: int, args: Any) -> None:
     """Materialize one pending work unit as ``items/<name>.item``."""
-    _atomic_write(
+    os.makedirs(campaign.items_dir, exist_ok=True)
+    durable.write_replace(
         campaign.item_path(name),
         pickle.dumps((index, args), protocol=pickle.HIGHEST_PROTOCOL),
     )
@@ -439,45 +425,26 @@ def publish_result(campaign: Campaign, name: str, payload: Dict[str, Any]) -> st
     """
     path = campaign.result_path(name)
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    # Hardlink publication: the payload is fully written to a temporary
-    # file and linked into place.  The link both fails atomically when a
-    # result already exists (the compare of the CAS) and can never show
-    # a reader a torn half-written result.
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(data)
-        try:
-            os.link(temporary, path)
-        except FileExistsError:
-            try:
-                with open(path, "rb") as stream:
-                    existing = stream.read()
-            except OSError:
-                existing = b""
-            if existing == data:
-                _COUNTERS.add("duplicates")
-                return "duplicate"
-            evidence = path + ".conflict"
-            attempt = 0
-            while os.path.exists(evidence):
-                attempt += 1
-                evidence = f"{path}.conflict.{attempt}"
-            try:
-                os.link(temporary, evidence)
-            except OSError:
-                pass
-            _COUNTERS.add("conflicts")
-            return "conflict"
+    # The link of a whole file both fails when a result already exists
+    # (the compare of the CAS) and never shows a reader a torn result.
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    if durable.write_link(path, data):
         _COUNTERS.add("completed")
         return "stored"
-    finally:
-        try:
-            os.unlink(temporary)
-        except OSError:
-            pass
+    try:
+        with open(path, "rb") as stream:
+            existing = stream.read()
+    except OSError:
+        existing = b""
+    if existing == data:
+        _COUNTERS.add("duplicates")
+        return "duplicate"
+    try:
+        durable.write_link(durable.free_name(path, ".conflict"), data)
+    except OSError:
+        pass
+    _COUNTERS.add("conflicts")
+    return "conflict"
 
 
 def load_published(campaign: Campaign, name: str) -> Optional[Dict[str, Any]]:
@@ -489,7 +456,7 @@ def load_published(campaign: Campaign, name: str) -> Optional[Dict[str, Any]]:
     except FileNotFoundError:
         return None
     except Exception:
-        quarantine_entry(path)
+        durable.quarantine(path)
         return None
 
 
@@ -547,7 +514,7 @@ def poison_item(
         "ledger": list(ledger),
     }
     try:
-        _atomic_write(
+        durable.write_replace(
             campaign.poison_report_path(name),
             json.dumps(report, sort_keys=True, indent=2).encode("utf-8"),
         )
@@ -735,7 +702,7 @@ class QueueWorker:
             leases.release(lease_path, self.owner)
             return False  # Completed and collected between scan and claim.
         except Exception:
-            quarantine_entry(campaign.item_path(name))
+            durable.quarantine(campaign.item_path(name))
             leases.release(lease_path, self.owner)
             return False
         ledger = _death_ledger(campaign, name)
@@ -824,7 +791,7 @@ class QueueWorker:
                 # from the lease document alone.
                 heartbeat.stop()
                 try:
-                    _atomic_write(
+                    durable.write_replace(
                         lease_path,
                         json.dumps(
                             {
@@ -962,8 +929,8 @@ class QueueExecutor(Executor):
             if payload is None:
                 continue
             if payload.get("status", STATUS_OK) != STATUS_OK:
-                quarantine_entry(campaign.result_path(name), suffix=FAILED_SUFFIX)
-                quarantine_entry(campaign.deaths_path(name), suffix=FAILED_SUFFIX)
+                durable.quarantine(campaign.result_path(name), FAILED_SUFFIX)
+                durable.quarantine(campaign.deaths_path(name), FAILED_SUFFIX)
                 _write_item(campaign, name, index, args_of[index])
                 continue
             results[index] = ItemResult(

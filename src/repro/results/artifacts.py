@@ -1,19 +1,26 @@
 """Experiment artifacts: the stored/emitted form of a result.
 
 An *artifact* is the JSON-serializable distillation of one experiment
-result: the rendered table blocks (exactly what the CLI prints) plus a
-structured payload (the raw numbers, for plotting).  Artifacts are what
-the content-addressed result store persists and what the manifest
-directory emits as CSV+JSON, so a store hit reproduces the original
-outputs bit for bit without re-running any simulation.
+result, and it has one stored form (schema v2, built by
+:func:`build_frame_artifact`): the rendered table blocks (exactly what
+the CLI prints), the result's named columnar frames, and a declarative
+payload spec.  Artifacts are what the content-addressed result store
+persists and what the manifest directory emits as CSV+JSON, so a store
+hit reproduces the original outputs bit for bit without re-running any
+simulation.  Emission writes the table blocks as CSV
+(:func:`write_artifact_csv`) and lowers the JSON to the historical v1
+layout (:func:`rendered_artifact`); every reader of stored frames --
+the orchestrator's outcomes, ``ExperimentPlan`` and the results
+service -- goes through one lookup, :func:`stored_frame`.
 
-This module is dependency-free on purpose: the experiment drivers, the
-store, and the orchestrator all import it without creating a layering
-cycle.
+This module is dependency-free on purpose (``repro.api.frame`` is
+imported lazily): the experiment drivers, the store, and the
+orchestrator all import it without creating a layering cycle.
 """
 
 from __future__ import annotations
 
+import csv
 import enum
 import json
 import os
@@ -167,16 +174,12 @@ def _table_entries(blocks: Sequence[TableBlock]) -> List[Dict[str, Any]]:
     ]
 
 
-def build_frame_artifact(
-    experiment: str,
-    title: str,
-    blocks: Sequence[TableBlock],
-    result: Any,
-) -> Dict[str, Any]:
-    """Assemble the frame-native (v2) artifact of one experiment result.
+def build_frame_artifact(experiment: str, title: str, result: Any) -> Dict[str, Any]:
+    """Assemble the stored (v2) artifact of one experiment result.
 
     ``result`` is a :class:`repro.experiments.common.FrameResult`: its
-    named frames are stored in their versioned columnar form, and the
+    table blocks are rendered here from the result itself, its named
+    frames are stored in their versioned columnar form, and the
     declarative payload spec (scalars carry their value; pivot entries
     describe how to rebuild the historical nested dict from a frame) is
     stored alongside so emission needs no driver code.
@@ -185,7 +188,7 @@ def build_frame_artifact(
         "schema": ARTIFACT_SCHEMA_VERSION,
         "experiment": experiment,
         "title": title,
-        "tables": _table_entries(blocks),
+        "tables": _table_entries(result.tables()),
         "primary": result.PRIMARY,
         "frames": result.serialized_frames(),
         "payload": result.payload_entries(),
@@ -212,15 +215,11 @@ def rendered_payload(artifact: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def rendered_artifact(artifact: Mapping[str, Any]) -> Dict[str, Any]:
-    """The emitted (v1-layout) form of an artifact.
+    """The emitted (v1-layout) form of a stored artifact.
 
-    v2 artifacts are lowered to the historical layout -- tables as
-    stored, payload rendered from the frames -- so manifest JSON stays
-    byte-identical across the frame-native refactor; v1 artifacts pass
-    through unchanged.
+    Tables as stored, payload rendered from the frames, so manifest
+    JSON stays byte-identical across the frame-native refactor.
     """
-    if artifact.get("schema") != ARTIFACT_SCHEMA_VERSION:
-        return dict(artifact)
     return {
         "schema": RENDERED_SCHEMA_VERSION,
         "experiment": artifact["experiment"],
@@ -228,6 +227,26 @@ def rendered_artifact(artifact: Mapping[str, Any]) -> Dict[str, Any]:
         "tables": artifact["tables"],
         "payload": rendered_payload(artifact),
     }
+
+
+def stored_frame(
+    artifact: Mapping[str, Any], name: Optional[str] = None
+) -> Tuple[str, Any]:
+    """One stored frame of an artifact as ``(name, ResultFrame)``.
+
+    ``name`` defaults to the artifact's primary frame.  Raises
+    :class:`KeyError` naming the stored frames when there is no such
+    frame.
+    """
+    from repro.api.frame import ResultFrame
+
+    frames = artifact.get("frames") or {}
+    if name is None:
+        name = artifact.get("primary")
+    if name not in frames:
+        known = ", ".join(sorted(frames)) or "none"
+        raise KeyError(f"artifact has no frame {name!r} (stored: {known})")
+    return str(name), ResultFrame.from_payload(frames[name])
 
 
 def artifact_blocks(artifact: Dict[str, Any]) -> List[TableBlock]:
@@ -244,16 +263,16 @@ def artifact_blocks(artifact: Dict[str, Any]) -> List[TableBlock]:
 
 
 def valid_artifact(artifact: Any, experiment: Optional[str] = None) -> bool:
-    """Whether a value (e.g. loaded from disk) is a usable artifact.
+    """Whether a value (e.g. loaded from disk) is a usable stored artifact.
 
-    Accepts the stored frame-native schema (v2, validated down to each
-    frame's columnar payload) and the rendered legacy layout (v1), so
-    artifacts re-read from an emitted manifest still validate.
+    Only the stored frame-native schema (v2) is usable, validated down
+    to each frame's columnar payload.
     """
+    from repro.api.frame import ResultFrame
+
     if not isinstance(artifact, dict):
         return False
-    schema = artifact.get("schema")
-    if schema not in (RENDERED_SCHEMA_VERSION, ARTIFACT_SCHEMA_VERSION):
+    if artifact.get("schema") != ARTIFACT_SCHEMA_VERSION:
         return False
     if experiment is not None and artifact.get("experiment") != experiment:
         return False
@@ -267,21 +286,15 @@ def valid_artifact(artifact: Any, experiment: Optional[str] = None) -> bool:
             return False
         if not isinstance(table.get("rows"), list):
             return False
-    if schema == ARTIFACT_SCHEMA_VERSION:
-        from repro.api.frame import ResultFrame
-
-        frames = artifact.get("frames")
-        if not isinstance(frames, dict) or not isinstance(
-            artifact.get("payload"), list
-        ):
+    frames = artifact.get("frames")
+    if not isinstance(frames, dict) or not isinstance(artifact.get("payload"), list):
+        return False
+    for payload in frames.values():
+        try:
+            ResultFrame.from_payload(payload)
+        except ValueError:
             return False
-        for payload in frames.values():
-            try:
-                ResultFrame.from_payload(payload)
-            except ValueError:
-                return False
-        return True
-    return "payload" in artifact
+    return True
 
 
 def write_artifact_json(artifact: Dict[str, Any], path: str) -> None:
@@ -299,20 +312,30 @@ def write_artifact_json(artifact: Dict[str, Any], path: str) -> None:
 
 
 def write_artifact_csv(artifact: Dict[str, Any], path: str) -> None:
-    """Emit an artifact's tables as one CSV file.
+    """Emit an artifact's table blocks as one CSV file.
 
-    The artifact is lowered to columnar result frames
-    (:func:`repro.api.frame.artifact_frames`) and emitted through the
-    frame writer: single-table artifacts become a plain header+rows
-    CSV; multi-table artifacts (``cmpsweep``) gain a leading ``table``
-    column carrying each block's short name, with the shared header row
-    emitted once when every block agrees on it and per block otherwise.
-    The bytes are identical to the pre-frame writer (asserted in the
-    test suite).
+    A single-table artifact becomes a plain header+rows CSV.  The
+    blocks of a multi-table artifact (``cmpsweep``) gain a leading
+    ``table`` column carrying each block's short name (or its index),
+    with the header row emitted once when every block agrees on it and
+    per block otherwise, so rows always sit under the headers that
+    describe them.  The bytes are identical to the historical writer
+    (asserted in the test suite).
     """
-    from repro.api.frame import artifact_frames, write_frames_csv
-
-    write_frames_csv(artifact_frames(artifact), path)
+    tables = artifact["tables"]
+    multi = len(tables) > 1
+    shared = len({tuple(table["headers"]) for table in tables}) == 1
+    with open(path, "w", newline="", encoding="utf-8") as stream:
+        writer = csv.writer(stream)
+        for index, table in enumerate(tables):
+            headers, rows = table["headers"], table["rows"]
+            if multi:
+                label = table.get("name") or str(index)
+                headers = ["table", *headers]
+                rows = [[label, *row] for row in rows]
+            if index == 0 or not shared:
+                writer.writerow(headers)
+            writer.writerows(rows)
 
 
 def ensure_directory(path: str) -> None:

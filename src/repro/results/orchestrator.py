@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.results.artifacts import (
     build_frame_artifact,
     ensure_directory,
+    stored_frame,
     write_artifact_csv,
     write_artifact_json,
 )
@@ -102,51 +103,13 @@ class ExperimentOutcome:
     status: str
     artifact: Dict[str, Any]
 
-    def frame(self):
-        """The artifact's tables as one columnar ResultFrame.
-
-        This is what the manifest writer emits (multi-table artifacts
-        gain the leading ``table`` column); heterogeneous-header
-        artifacts raise -- use :meth:`frames` for those.
-        """
-        from repro.api.frame import ResultFrame
-
-        return ResultFrame.from_artifact(self.artifact)
-
-    def frames(self):
-        """One ResultFrame per table block of the artifact."""
-        from repro.api.frame import artifact_frames
-
-        return artifact_frames(self.artifact)
-
-    def stored_frames(self) -> "Dict[str, Any]":
-        """The artifact's stored payload frames, by name.
-
-        These are the canonical columnar payloads (v2 artifacts store
-        one versioned frame per logical table); every frame supports
-        ``select()``/``column()`` slicing without driver code.
-        """
-        from repro.api.frame import ResultFrame
-
-        return {
-            name: ResultFrame.from_payload(payload)
-            for name, payload in (self.artifact.get("frames") or {}).items()
-        }
-
     def stored_frame(self, name: Optional[str] = None):
-        """One stored payload frame (default: the artifact's primary)."""
-        from repro.api.frame import ResultFrame
+        """One stored payload frame (default: the artifact's primary).
 
-        frames = self.artifact.get("frames") or {}
-        if name is None:
-            name = self.artifact.get("primary")
-        if name not in frames:
-            known = ", ".join(frames) or "none"
-            raise KeyError(
-                f"experiment {self.name!r} has no stored frame {name!r} "
-                f"(stored: {known})"
-            )
-        return ResultFrame.from_payload(frames[name])
+        Raises :class:`KeyError` naming the stored frames when the
+        artifact has no frame ``name``.
+        """
+        return stored_frame(self.artifact, name)[1]
 
 
 @dataclass
@@ -293,7 +256,7 @@ def run_experiments(
                     if parameter not in constants
                 }
             )
-        artifact = build_frame_artifact(spec.name, spec.title, result.tables(), result)
+        artifact = build_frame_artifact(spec.name, spec.title, result)
         if use_store:
             # First-writer-wins: when two orchestrations race on the
             # same key (overlapping CLI invocations, a resumed run

@@ -15,10 +15,14 @@ of :mod:`repro.counters`), and an optional XDG-style disk layer
 lives in the current config's ``result_cache_dir``
 (``REPRO_RESULT_CACHE_DIR``: unset means "no disk layer" for library
 use, while the CLI defaults it to the per-user directory; ``none``/
-``off``/``0``/empty disables it everywhere).  Disk entries are written
-atomically (write-then-rename); corrupt or truncated entries are
-quarantined as ``*.corrupt`` evidence and treated as misses, so a
-damaged cache can only cost a recompute, never a wrong answer.
+``off``/``0``/empty disables it everywhere).  Disk entries land whole
+through :mod:`repro.durable` -- last writer wins for
+:func:`store_result`, first writer wins for :func:`store_result_cas`
+-- and the disk layer is best-effort: a write that fails leaves the
+memory layer to answer.  Corrupt or truncated entries are quarantined
+as ``*.corrupt`` evidence and treated as misses, so a damaged cache can
+only cost a recompute, never a wrong answer.  Only the stored (v2)
+artifact form validates on load.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
+from repro import durable
 from repro.api import runtime_config
 from repro.api.frame import FRAME_SCHEMA_VERSION
 from repro.counters import Counters
@@ -204,10 +208,9 @@ def store_result_cas(
       preserved as ``*.conflict`` evidence next to the entry and the
       conflict is counted, never silently clobbered.
 
-    Disk-layer atomicity is hardlink-based: the entry is fully written
-    to a temporary file and then ``os.link``-ed into place, which both
-    fails on an existing entry (the compare) and can never expose a
-    torn half-written file to a concurrent reader.
+    The disk leg is :func:`repro.durable.write_link`: the whole entry
+    is linked into place, which both fails on an existing entry (the
+    compare) and can never expose a torn file to a concurrent reader.
     """
     path = _entry_path(key)
     if path is not None:
@@ -245,60 +248,29 @@ def _cas_to_disk(
     # etag comparison is canonical, the entry round-trips verbatim.
     data = json.dumps({"key": key, "artifact": artifact, "etag": etag}).encode("utf-8")
     try:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        handle, temporary = tempfile.mkstemp(suffix=".json.tmp", dir=directory)
-    except OSError:
-        return "stored", artifact  # No disk layer reachable: memory wins.
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(data)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         for _ in range(5):
-            try:
-                os.link(temporary, path)
+            if durable.write_link(path, data):
                 return "stored", artifact
-            except FileExistsError:
-                existing = _load_from_disk(key, experiment)
-                if existing is not None:
-                    if artifact_etag(existing) == etag:
-                        return "identical", existing
-                    _preserve_conflict(path, data)
-                    return "conflict", existing
-                if os.path.exists(path):
-                    # A valid entry of *different* provenance (key
-                    # prefix collision) occupies the slot; replace it
-                    # exactly as the plain store would.
-                    os.replace(temporary, path)
-                    temporary = None
-                    return "stored", artifact
-                # Corrupt entry was quarantined away: retry the link.
-            except OSError:
-                return "stored", artifact  # Disk is best-effort.
-        os.replace(temporary, path)
-        temporary = None
-        return "stored", artifact
+            existing = _load_from_disk(key, experiment)
+            if existing is not None:
+                if artifact_etag(existing) == etag:
+                    return "identical", existing
+                try:
+                    durable.write_link(durable.free_name(path, ".conflict"), data)
+                except OSError:
+                    pass  # Evidence is best-effort; the verdict stands.
+                return "conflict", existing
+            if os.path.exists(path):
+                # A valid entry of *different* provenance (key prefix
+                # collision) occupies the slot; replace it exactly as
+                # the plain store would.
+                break
+            # A corrupt entry was quarantined away: retry the link.
+        durable.write_replace(path, data)
     except OSError:
-        return "stored", artifact
-    finally:
-        if temporary is not None:
-            try:
-                os.unlink(temporary)
-            except OSError:
-                pass
-
-
-def _preserve_conflict(path: str, data: bytes) -> None:
-    """Keep a CAS loser's bytes as ``*.conflict`` evidence (best effort)."""
-    evidence = path + ".conflict"
-    attempt = 0
-    while os.path.exists(evidence):
-        attempt += 1
-        evidence = f"{path}.conflict.{attempt}"
-    try:
-        with open(evidence, "wb") as stream:
-            stream.write(data)
-    except OSError:
-        pass
+        pass  # The disk layer is best-effort: memory wins.
+    return "stored", artifact
 
 
 def clear_result_store() -> None:
@@ -337,9 +309,7 @@ def _load_from_disk(key: str, experiment: Optional[str]) -> Optional[Dict[str, A
         # as ``*.corrupt`` evidence and recompute.  Entries below that
         # merely mismatch (key prefix collision, schema change) are
         # valid files from other provenance and stay untouched.
-        from repro.exec.leases import quarantine_entry
-
-        if quarantine_entry(path) is not None:
+        if durable.quarantine(path) is not None:
             _COUNTERS.add("quarantined")
         return None
     if not isinstance(entry, dict) or entry.get("key") != key:
@@ -354,23 +324,15 @@ def _store_to_disk(key: str, artifact: Dict[str, Any]) -> bool:
     path = _entry_path(key)
     if path is None:
         return False
-    # Write-then-rename keeps the store atomic: concurrent writers (the
-    # orchestrator's --parallel workers, overlapping CLI invocations)
-    # may race on the same key, and a reader must never observe a
-    # half-written entry.  Last writer wins with identical content.
-    temporary = None
+    # Concurrent writers (the orchestrator's --parallel workers,
+    # overlapping CLI invocations) may race on the same key, and a
+    # reader must never observe a half-written entry.  Last writer wins
+    # with identical content.
     try:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        handle, temporary = tempfile.mkstemp(suffix=".json.tmp", dir=directory)
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump({"key": key, "artifact": artifact}, stream)
-        os.replace(temporary, path)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        durable.write_replace(
+            path, json.dumps({"key": key, "artifact": artifact}).encode("utf-8")
+        )
     except OSError:
-        if temporary is not None:
-            try:
-                os.unlink(temporary)
-            except OSError:
-                pass
         return False  # Disk store is best-effort.
     return True

@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, unquote
 
 from repro.api.frame import ResultFrame
+from repro.results.artifacts import stored_frame
 
 JSON_TYPE = "application/json"
 CSV_TYPE = "text/csv; charset=utf-8"
@@ -206,18 +207,15 @@ def slice_frame(frame: ResultFrame, params: Mapping[str, List[str]]) -> ResultFr
 
 
 def artifact_frame(artifact: Mapping[str, Any], name: Optional[str]) -> Tuple[str, ResultFrame]:
-    """One stored payload frame of an artifact (default: its primary)."""
-    frames = artifact.get("frames") or {}
-    if name is None:
-        name = artifact.get("primary")
-    if name not in frames:
-        known = ", ".join(sorted(frames)) or "none"
-        raise HttpError(
-            400,
-            "unknown-frame",
-            f"artifact has no frame {name!r} (stored: {known})",
-        )
-    return str(name), ResultFrame.from_payload(frames[name])
+    """One stored payload frame of an artifact (default: its primary).
+
+    :func:`repro.results.artifacts.stored_frame` with its
+    :class:`KeyError` turned into a typed 400 ``unknown-frame``.
+    """
+    try:
+        return stored_frame(artifact, name)
+    except KeyError as error:
+        raise HttpError(400, "unknown-frame", error.args[0]) from None
 
 
 def frame_body(

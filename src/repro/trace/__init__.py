@@ -49,12 +49,7 @@ from repro.trace.execution import (
     TraceGenerator,
     generate_trace,
 )
-from repro.trace.compiler import (
-    CompiledSchedule,
-    CompiledTraceGenerator,
-    compile_schedule,
-    generate_trace_compiled,
-)
+from repro.trace.compiler import CompiledSchedule, compile_schedule
 
 __all__ = [
     "BranchKind",
@@ -88,7 +83,5 @@ __all__ = [
     "generate_trace",
     "ColumnBuffer",
     "CompiledSchedule",
-    "CompiledTraceGenerator",
     "compile_schedule",
-    "generate_trace_compiled",
 ]

@@ -1278,34 +1278,3 @@ def compile_schedule(
     cache[key] = (schedule, compiled)
     return compiled
 
-
-class CompiledTraceGenerator:
-    """Drop-in counterpart of :class:`TraceGenerator` on the compiled path."""
-
-    def __init__(
-        self,
-        program: Program,
-        schedule: ExecutionSchedule,
-        seed: int = 0,
-        max_call_depth: int = 64,
-    ) -> None:
-        self.program = program
-        self.schedule = schedule
-        self.seed = seed
-        self.compiled = compile_schedule(program, schedule, max_call_depth)
-
-    def run(self, max_instructions: int, name: str = "") -> Trace:
-        return self.compiled.run(max_instructions, seed=self.seed, name=name)
-
-
-def generate_trace_compiled(
-    program: Program,
-    schedule: ExecutionSchedule,
-    max_instructions: int,
-    seed: int = 0,
-    name: str = "",
-) -> Trace:
-    """Convenience wrapper: compile (cached) and generate one trace."""
-    return compile_schedule(program, schedule).run(
-        max_instructions, seed=seed, name=name
-    )

@@ -36,7 +36,10 @@ column query from the stored arrays and builds its program only if
 something asks for block objects.  A readable entry whose fingerprint
 differs (or that lacks the static arrays) is stale and is regenerated
 and overwritten; only an unreadable one is quarantined as
-``*.corrupt``.
+``*.corrupt``.  Entries are serialized in memory and land whole
+through :func:`repro.durable.write_replace` (last writer wins), and the
+disk layer is best-effort: a write that fails leaves the trace in
+memory only.
 """
 
 from __future__ import annotations
@@ -44,13 +47,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
-import tempfile
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import durable
 from repro.api import runtime_config
 from repro.counters import Counters
 from repro.source_digest import source_digest
@@ -274,17 +278,8 @@ def _load_trace_from_disk(
 
 
 def _quarantine_trace_entry(path: str) -> None:
-    """Rename an unreadable ``.npz`` to ``*.corrupt`` and count it.
-
-    The rename itself is shared with the work queue and the result
-    store (:func:`repro.exec.leases.quarantine_entry`, imported lazily
-    to keep this layer importable on its own); the counter lives in
-    this cache's counters so ``--verbose`` reporting attributes the
-    damage to the right store.
-    """
-    from repro.exec.leases import quarantine_entry
-
-    if quarantine_entry(path) is not None:
+    """Set an unreadable ``.npz`` aside as ``*.corrupt`` and count it."""
+    if durable.quarantine(path) is not None:
         _COUNTERS.add("quarantined")
 
 
@@ -294,31 +289,23 @@ def _store_trace_to_disk(
     path = _disk_cache_path(spec, instructions, seed)
     if path is None:
         return False
-    # Write-then-rename keeps the store atomic: the shared directory is
-    # populated concurrently by parallel drivers, and a reader must
-    # never observe a half-written archive.
-    temporary = None
+    # The archive is serialized in memory and lands whole: the shared
+    # directory is populated concurrently by parallel drivers, and a
+    # reader must never observe a half-written archive.
+    static = trace.static
+    archive = io.BytesIO()
+    np.savez_compressed(
+        archive,
+        block_ids=trace.block_ids,
+        taken=trace.taken_column,
+        targets=trace.target_column,
+        sections=trace.section_column,
+        fingerprint=np.str_(trace_fingerprint(spec)),
+        **{name: getattr(static, name) for name in STATIC_ARRAYS},
+    )
     try:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        handle, temporary = tempfile.mkstemp(suffix=".npz.tmp", dir=directory)
-        static = trace.static
-        with os.fdopen(handle, "wb") as stream:
-            np.savez_compressed(
-                stream,
-                block_ids=trace.block_ids,
-                taken=trace.taken_column,
-                targets=trace.target_column,
-                sections=trace.section_column,
-                fingerprint=np.str_(trace_fingerprint(spec)),
-                **{name: getattr(static, name) for name in STATIC_ARRAYS},
-            )
-        os.replace(temporary, path)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        durable.write_replace(path, archive.getvalue())
     except OSError:
-        if temporary is not None:
-            try:
-                os.unlink(temporary)
-            except OSError:
-                pass
         return False  # Disk cache is best-effort.
     return True

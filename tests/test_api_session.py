@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing
 import os
 import subprocess
@@ -14,7 +15,6 @@ import pytest
 
 from repro import counters
 from repro.api import ResultFrame, RuntimeConfig, Session, current_session, default_session
-from repro.api.frame import artifact_frames, write_frames_csv
 from repro.experiments import run_fig06
 from repro.frontend.configs import BASELINE_FRONTEND, TAILORED_FRONTEND
 from repro.frontend.simulation import simulate_frontend, simulate_frontend_many
@@ -28,9 +28,17 @@ from repro.workloads.trace_cache import clear_trace_cache, workload_trace
 INSTRUCTIONS = 30_000
 
 
-def _v1_artifact(*tables):
-    """A literal v1 (rendered) artifact holding ``tables``."""
-    return {"schema": 1, "experiment": "t", "title": "T", "tables": list(tables), "payload": {}}
+def _artifact(*tables):
+    """A literal stored (v2) artifact holding ``tables`` and no frames."""
+    return {
+        "schema": 2,
+        "experiment": "t",
+        "title": "T",
+        "tables": list(tables),
+        "primary": None,
+        "frames": {},
+        "payload": [],
+    }
 
 
 def _table(headers, rows, name=None):
@@ -81,42 +89,25 @@ class TestResultFrame:
         assert '"columns"' in payload and '"rows"' in payload
 
     def test_artifact_csv_bytes_match_legacy_writer(self, tmp_path):
-        """write_artifact_csv (now frame-backed) emits the historical bytes."""
-        single = _v1_artifact(_table(["h1", "h2"], [["a", "b"], ["c", "d"]]))
-        multi_shared = _v1_artifact(
+        """write_artifact_csv emits the historical bytes (CRLF per the
+        csv module): a plain table, one shared header for blocks that
+        agree on it, and a header per block otherwise."""
+        single = _artifact(_table(["h1", "h2"], [["a", "b"], ["c", "d"]]))
+        multi_shared = _artifact(
             _table(["h"], [["1"]], name="one"), _table(["h"], [["2"]], name="two")
         )
-        multi_mixed = _v1_artifact(
+        multi_mixed = _artifact(
             _table(["h"], [["1"]], name="one"),
             _table(["g", "gg"], [["2", "3"]], name="two"),
         )
-        for index, artifact in enumerate((single, multi_shared, multi_mixed)):
-            path = tmp_path / f"a{index}.csv"
+        for artifact, expected in (
+            (single, b"h1,h2\r\na,b\r\nc,d\r\n"),
+            (multi_shared, b"table,h\r\none,1\r\ntwo,2\r\n"),
+            (multi_mixed, b"table,h\r\none,1\r\ntable,g,gg\r\ntwo,2,3\r\n"),
+        ):
+            path = tmp_path / "artifact.csv"
             write_artifact_csv(artifact, str(path))
-            expected = tmp_path / f"e{index}.csv"
-            write_frames_csv(artifact_frames(artifact), str(expected))
-            assert path.read_bytes() == expected.read_bytes()
-        # And the known layouts, explicitly (CRLF per the csv module).
-        write_artifact_csv(single, str(tmp_path / "single.csv"))
-        assert (
-            tmp_path / "single.csv"
-        ).read_bytes() == b"h1,h2\r\na,b\r\nc,d\r\n"
-        write_artifact_csv(multi_shared, str(tmp_path / "shared.csv"))
-        assert (
-            tmp_path / "shared.csv"
-        ).read_bytes() == b"table,h\r\none,1\r\ntwo,2\r\n"
-        write_artifact_csv(multi_mixed, str(tmp_path / "mixed.csv"))
-        assert (
-            tmp_path / "mixed.csv"
-        ).read_bytes() == b"table,h\r\none,1\r\ntable,g,gg\r\ntwo,2,3\r\n"
-
-    def test_from_artifact_combines_shared_headers(self):
-        artifact = _v1_artifact(
-            _table(["h"], [["1"]], name="one"), _table(["h"], [["2"]], name="two")
-        )
-        frame = ResultFrame.from_artifact(artifact)
-        assert frame.columns == ("table", "h")
-        assert frame.rows() == [("one", "1"), ("two", "2")]
+            assert path.read_bytes() == expected
 
 
 class TestSessionConfig:
@@ -286,14 +277,15 @@ class TestSessionPipeline:
         assert description["runtime"]["instructions"] == INSTRUCTIONS
 
     def test_experiment_plan_matches_direct_driver(self):
-        session = Session(instructions=INSTRUCTIONS)
-        frames = session.experiment("fig6", use_store=False).frames()
-        direct = run_fig06(instructions=INSTRUCTIONS).tables()
-        (frame,) = frames.values()
-        assert frame.columns == direct[0].headers
-        assert [tuple(str(c) for c in row) for row in frame.rows()] == [
-            tuple(row) for row in direct[0].rows
-        ]
+        """A single-experiment execute() is frame(): the driver's
+        primary frame after the stored artifact's JSON round trip."""
+        plan = Session(instructions=INSTRUCTIONS).experiment("fig6", use_store=False)
+        frame = plan.execute()
+        assert frame == plan.frame()
+        direct = run_fig06(instructions=INSTRUCTIONS)
+        stored = json.loads(json.dumps(direct.serialized_frames()[direct.PRIMARY]))
+        assert frame == ResultFrame.from_payload(stored)
+        assert frame.columns[:2] == ("workload", "config")
 
     def test_experiment_plan_execute_returns_frame(self):
         session = Session(instructions=INSTRUCTIONS)
@@ -301,16 +293,12 @@ class TestSessionPipeline:
         assert "core" in frame.columns
         assert len(frame) > 0
 
-    def test_concat(self):
-        one = ResultFrame.from_rows(["a"], [[1]])
-        two = ResultFrame.from_rows(["a"], [[2]])
-        merged = ResultFrame.concat([one, two], title="both")
-        assert merged.rows() == [(1,), (2,)]
-        assert merged.title == "both"
-        with pytest.raises(ValueError):
-            ResultFrame.concat([])
-        with pytest.raises(ValueError):
-            ResultFrame.concat([one, ResultFrame.from_rows(["b"], [[3]])])
+    def test_multi_experiment_execute_raises_and_points_at_report(self):
+        plan = Session(instructions=INSTRUCTIONS).experiments(
+            ["table2", "table3"], use_store=False
+        )
+        with pytest.raises(ValueError, match=r"\(table2, table3\).*report\(\)"):
+            plan.execute()
 
     def test_parallel_sweep_primes_the_plan_seed(self, tmp_path):
         """A non-zero-seed parallel sweep primes seed-N traces, not seed-0."""

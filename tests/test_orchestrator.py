@@ -113,9 +113,7 @@ class TestOrchestratedRuns:
         assert report.outcome("fig10").status == "computed"
         assert report.outcome("fig11").status == "derived"
         result = run_fig11(instructions=TINY)
-        direct = build_frame_artifact(
-            "fig11", FIG11_SPEC.title, result.tables(), result
-        )
+        direct = build_frame_artifact("fig11", FIG11_SPEC.title, result)
         derived = report.outcome("fig11").artifact
         # Both the stored frame-native form and the rendered manifest
         # layout are bit-identical to a direct computation.

@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro import durable
 from repro.api.runtime_config import (
     RuntimeConfig,
     activated,
@@ -412,7 +413,7 @@ class TestQueueWorkerInProcess:
             name
             for _, _, names in os.walk(campaign.root)
             for name in names
-            if name.endswith(leases.CORRUPT_SUFFIX)
+            if name.endswith(durable.CORRUPT_SUFFIX)
         ]
         assert evidence == []
         assert sorted(os.listdir(campaign.leases_dir)) == [os.path.basename(path)]

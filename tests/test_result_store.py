@@ -3,8 +3,8 @@
 Covers the store contract directly: key stability across processes,
 invalidation when the configuration or seed changes, corrupted-entry
 recovery (a truncated disk file falls back to recompute), and
-concurrent writers relying on the atomic write-then-rename pattern
-shared with the trace cache.
+concurrent writers relying on the whole-file writes of
+:mod:`repro.durable` shared with the trace cache and the work queue.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.api.runtime_config import RuntimeConfig, activated
+from repro.results.artifacts import rendered_artifact
 from repro.results.store import (
     clear_result_store,
     load_result,
@@ -41,16 +42,31 @@ def _fresh_store():
 
 
 def _artifact(experiment: str = "fig7", value: str = "1.00") -> dict:
-    """A literal v1 (rendered) artifact, the layout emitted manifests keep."""
+    """A literal stored (v2) artifact: its table, frame and payload spec."""
     return {
-        "schema": 1,
+        "schema": 2,
         "experiment": experiment,
         "title": "a title",
         "tables": [
             {"title": None, "name": None, "headers": ["suite", "mpki"], "rows": [["NPB", value]]}
         ],
-        "payload": {"mpki": {"NPB": float(value)}},
+        "primary": "suites",
+        "frames": {
+            "suites": {
+                "schema": 1,
+                "columns": ["suite", "mpki"],
+                "rows": [["NPB", float(value)]],
+            }
+        },
+        "payload": [
+            {"name": "mpki", "frame": "suites", "levels": [["suite"]], "value": "mpki"}
+        ],
     }
+
+
+def _mpki(artifact: dict) -> float:
+    """The one stored mpki cell of an :func:`_artifact`."""
+    return artifact["frames"]["suites"]["rows"][0][1]
 
 
 class TestResultKey:
@@ -140,8 +156,10 @@ class TestStoreLayers:
         store_result(key, _artifact())
         clear_result_store()
         (entry,) = [p for p in result_store_dir.iterdir() if p.suffix == ".json"]
-        entry.write_text(json.dumps({"key": key, "artifact": {"schema": 999}}))
-        assert load_result(key, "fig7") is None
+        # The emitted (v1-layout) form is not a stored artifact either.
+        for artifact in ({"schema": 999}, rendered_artifact(_artifact())):
+            entry.write_text(json.dumps({"key": key, "artifact": artifact}))
+            assert load_result(key, "fig7") is None
 
     def test_unwritable_disk_layer_is_best_effort(self, tmp_path):
         target = tmp_path / "not-a-directory"
@@ -282,7 +300,7 @@ def _stress_writer(worker_id: int, shared_keys, contested_key: str, out_queue):
     _, winner = store_result_cas(
         contested_key, _artifact(value=f"{worker_id}.50"), "fig7"
     )
-    out_queue.put((worker_id, winner["payload"]["mpki"]["NPB"]))
+    out_queue.put((worker_id, _mpki(winner)))
 
 
 class TestMultiProcessWriters:
@@ -323,7 +341,7 @@ class TestMultiProcessWriters:
         values = {value for _, value in winners}
         assert len(values) == 1
         stored = load_result(contested_key, "fig7")
-        assert stored["payload"]["mpki"]["NPB"] == values.pop()
+        assert _mpki(stored) == values.pop()
         # No torn entries: every surviving file parses, no temporaries.
         for entry in result_store_dir.iterdir():
             if entry.name.endswith(".tmp"):

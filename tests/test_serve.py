@@ -172,6 +172,20 @@ class TestWarmServing:
             )
             assert status == 400 and body["error"]["code"] == "unknown-column"
 
+    def test_unknown_frame_is_a_key_error_and_a_typed_400(self, serve_env):
+        """One stored-frame lookup: the outcome raises KeyError naming
+        the stored frames, serve answers 400 unknown-frame with them."""
+        config, queue = serve_env
+        outcome = run_experiments(["fig5"], instructions=TINY).outcome("fig5")
+        message = "artifact has no frame 'nope' (stored: suites, workloads)"
+        with pytest.raises(KeyError) as raised:
+            outcome.stored_frame("nope")
+        assert raised.value.args[0] == message
+        with background_server(config) as server:
+            status, body = get_json(server.url, "/experiment/fig5?frame=nope")
+        assert status == 400
+        assert body["error"] == {"code": "unknown-frame", "message": message}
+
     def test_warm_requests_recompute_nothing_and_meet_latency_bound(self, serve_env):
         config, queue = serve_env
         run_experiments(["fig5"], instructions=TINY)

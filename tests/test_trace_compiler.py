@@ -25,7 +25,6 @@ from repro.trace import (
     CallRegion,
     CodeRegion,
     CodeSection,
-    CompiledTraceGenerator,
     ExecutionSchedule,
     FixedTripCount,
     Function,
@@ -78,9 +77,7 @@ class TestCompiledEquivalence:
                 reference = TraceGenerator(
                     workload.program, workload.schedule, seed=seed
                 ).run(instructions)
-                compiled = CompiledTraceGenerator(
-                    workload.program, workload.schedule, seed=seed
-                ).run(instructions)
+                compiled = workload.compiled.run(instructions, seed=seed)
                 assert_traces_identical(reference, compiled)
 
     def test_tiny_budget_truncation_matches(self):
@@ -90,9 +87,7 @@ class TestCompiledEquivalence:
             reference = TraceGenerator(
                 workload.program, workload.schedule, seed=3
             ).run(instructions)
-            compiled = CompiledTraceGenerator(
-                workload.program, workload.schedule, seed=3
-            ).run(instructions)
+            compiled = workload.compiled.run(instructions, seed=3)
             assert_traces_identical(reference, compiled)
 
     def test_hand_built_program_with_every_region_kind(self):
@@ -135,8 +130,8 @@ class TestCompiledEquivalence:
                 reference = TraceGenerator(program, schedule, seed=seed).run(
                     instructions
                 )
-                compiled = CompiledTraceGenerator(program, schedule, seed=seed).run(
-                    instructions
+                compiled = compile_schedule(program, schedule).run(
+                    instructions, seed=seed
                 )
                 assert_traces_identical(reference, compiled)
 
@@ -165,7 +160,7 @@ class TestCompiledEquivalence:
         )
         for seed in (0, 42):
             reference = TraceGenerator(program, schedule, seed=seed).run(4_000)
-            compiled = CompiledTraceGenerator(program, schedule, seed=seed).run(4_000)
+            compiled = compile_schedule(program, schedule).run(4_000, seed=seed)
             assert_traces_identical(reference, compiled)
         sections = set(np.unique(compiled.section_column).tolist())
         assert sections == {int(CodeSection.SERIAL), int(CodeSection.PARALLEL)}
@@ -199,7 +194,7 @@ class TestCompiledEquivalence:
         )
         for seed in (0, 7):
             reference = TraceGenerator(program, schedule, seed=seed).run(5_000)
-            compiled = CompiledTraceGenerator(program, schedule, seed=seed).run(5_000)
+            compiled = compile_schedule(program, schedule).run(5_000, seed=seed)
             assert_traces_identical(reference, compiled)
 
     def test_zero_trip_loops_match(self):
@@ -221,7 +216,7 @@ class TestCompiledEquivalence:
         schedule = ExecutionSchedule(steady=[Phase(main, CodeSection.SERIAL)])
         for seed in (3, 21):
             reference = TraceGenerator(program, schedule, seed=seed).run(3_000)
-            compiled = CompiledTraceGenerator(program, schedule, seed=seed).run(3_000)
+            compiled = compile_schedule(program, schedule).run(3_000, seed=seed)
             assert_traces_identical(reference, compiled)
 
     def test_compilation_is_memoized_per_program(self):
@@ -235,12 +230,8 @@ class TestCompiledEquivalence:
 class TestCompiledDeterminism:
     def test_same_seed_same_trace_across_generator_instances(self):
         workload = build_workload(get_workload("CoMD"))
-        first = CompiledTraceGenerator(
-            workload.program, workload.schedule, seed=5
-        ).run(40_000)
-        fresh = CompiledTraceGenerator(
-            workload.program, workload.schedule, seed=5
-        ).run(40_000)
+        first = workload.compiled.run(40_000, seed=5)
+        fresh = workload.compiled.run(40_000, seed=5)
         assert_traces_identical(first, fresh)
 
     def test_identical_across_cache_layers(self, tmp_path):
