@@ -46,7 +46,6 @@ __all__ = [
     "RuntimeConfig",
     "Session",
     "current_session",
-    "default_session",
 ]
 
 #: Where each public name lives; ``__getattr__`` resolves through this.
@@ -63,14 +62,13 @@ _EXPORTS = {
     "ParetoFrontier": "repro.explore.pareto",
     "Session": "repro.api.session",
     "current_session": "repro.api.session",
-    "default_session": "repro.api.session",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
     from repro.api.frame import ResultFrame
     from repro.api.plan import ExperimentPlan, FrontendSweepPlan, Plan, PlanOutcome
     from repro.api.runtime_config import ENVIRONMENT_VARIABLES, RuntimeConfig
-    from repro.api.session import Session, current_session, default_session
+    from repro.api.session import Session, current_session
     from repro.explore.grid import GridSpec
     from repro.explore.pareto import ParetoFrontier
     from repro.explore.plan import ExplorePlan

@@ -15,7 +15,10 @@ process snapshot resolved from ``REPRO_*`` on first use.  Nothing
 re-reads the environment after that, so a later change to it reaches
 only configs and sessions built afterwards.  Worker processes never
 read it either: a parallel sweep hands each worker the sweep's config
-as an object, and the worker runs under :func:`activated`.
+as an object, and the worker runs under :func:`activated`.  The
+activated config is the package's only "current" state:
+:func:`repro.api.session.current_session` is a session over
+:func:`current_config`.
 
 The module deliberately imports nothing from the rest of the package,
 so every layer -- down to :mod:`repro.workloads.trace_cache` -- can
@@ -55,18 +58,9 @@ INSTRUCTIONS_VARIABLE = "REPRO_INSTRUCTIONS"
 #: sweeps (transient failures and worker deaths).
 RETRIES_VARIABLE = "REPRO_RETRIES"
 
-#: Environment variable fixing the base retry backoff delay (seconds).
-RETRY_DELAY_VARIABLE = "REPRO_RETRY_DELAY"
-
 #: Environment variable carrying a deterministic fault-injection plan
 #: (inline JSON or a path to a JSON file; see :mod:`repro.exec.faults`).
 FAULT_PLAN_VARIABLE = "REPRO_FAULT_PLAN"
-
-#: Environment variable naming a cache namespace: a single path
-#: component appended to both disk-cache directories (trace cache and
-#: result store), so concurrent sessions pointed at the same roots
-#: cannot collide (unset/blank: no namespace).
-CACHE_NAMESPACE_VARIABLE = "REPRO_CACHE_NAMESPACE"
 
 #: Environment variable naming the durable work-queue directory used by
 #: parallel sweeps (unset/``none``: ``<result store>/queue``, or
@@ -88,17 +82,15 @@ SERVE_HOST_VARIABLE = "REPRO_SERVE_HOST"
 #: (``0``: an ephemeral OS-assigned port, the test-friendly default).
 SERVE_PORT_VARIABLE = "REPRO_SERVE_PORT"
 
-#: Default dynamic trace length used by the profiling layers.  Scaled
-#: down from the paper's multi-billion-instruction runs so the full
-#: 41-workload sweeps finish in minutes on a laptop; every caller
-#: accepts an ``instructions`` override.
+#: Default dynamic trace length per workload: the one instruction
+#: budget default of the package.  Scaled down from the paper's
+#: multi-billion-instruction runs so the full 41-workload sweeps finish
+#: in minutes on a laptop; every caller accepts an ``instructions``
+#: override, and an omitted one resolves to the current config's.
 DEFAULT_INSTRUCTIONS = 150_000
 
 #: Default per-item retry count of supervised sweeps.
 DEFAULT_RETRIES = 2
-
-#: Default base backoff delay between retries, in seconds.
-DEFAULT_RETRY_DELAY = 0.05
 
 #: Default queue lease time-to-live, in seconds.  Generous on purpose:
 #: a reclaim re-runs the item, so false positives (a live worker merely
@@ -135,9 +127,7 @@ _ENVIRONMENT: Dict[str, Tuple[str, Callable[[str], Any]]] = {
     "processes": (PROCESSES_VARIABLE, int),
     "instructions": (INSTRUCTIONS_VARIABLE, int),
     "retries": (RETRIES_VARIABLE, int),
-    "retry_delay": (RETRY_DELAY_VARIABLE, float),
     "fault_plan": (FAULT_PLAN_VARIABLE, str),
-    "cache_namespace": (CACHE_NAMESPACE_VARIABLE, str),
     "queue_dir": (QUEUE_DIR_VARIABLE, str),
     "lease_ttl": (LEASE_TTL_VARIABLE, float),
     "serve_host": (SERVE_HOST_VARIABLE, str),
@@ -197,36 +187,6 @@ def normalize_cache_dir(value: Optional[str]) -> Optional[str]:
     return value
 
 
-def normalize_cache_namespace(value: Optional[str]) -> Optional[str]:
-    """Map a cache-namespace setting to a path component or ``None``.
-
-    ``None`` and blank mean "no namespace".  A namespace must be a
-    single path component -- separators and the ``.``/``..`` traversal
-    spellings raise, because the namespace is joined under the cache
-    roots and must not escape them.
-    """
-    if value is None:
-        return None
-    namespace = str(value).strip()
-    if not namespace:
-        return None
-    if namespace in (".", "..") or any(
-        sep in namespace for sep in ("/", "\\", os.sep)
-    ):
-        raise ValueError(
-            f"invalid cache namespace {value!r}: must be a single "
-            "path component (no separators, not '.' or '..')"
-        )
-    return namespace
-
-
-def _namespaced(directory: Optional[str], namespace: Optional[str]) -> Optional[str]:
-    """Join the cache namespace under an enabled cache directory."""
-    if directory is None or namespace is None:
-        return directory
-    return os.path.join(directory, namespace)
-
-
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Frozen snapshot of every runtime knob the package honours.
@@ -252,17 +212,13 @@ class RuntimeConfig:
     processes: Optional[int] = None
     #: Default dynamic trace length per workload.
     instructions: int = DEFAULT_INSTRUCTIONS
-    #: Per-item retries of supervised sweeps (0 disables retrying).
+    #: Per-item retries of supervised sweeps (0 disables retrying).  A
+    #: serial sweep retries an item at once, a queue worker on its next
+    #: scan.
     retries: int = DEFAULT_RETRIES
-    #: Base backoff delay between retries of a serial sweep, in seconds
-    #: (a queue worker retries an item on its next scan).
-    retry_delay: float = DEFAULT_RETRY_DELAY
     #: Deterministic fault-injection plan: inline JSON or a file path
     #: (``None``: no injection).  Parsed by :mod:`repro.exec.faults`.
     fault_plan: Optional[str] = None
-    #: Cache namespace: one path component appended to both disk-cache
-    #: directories, isolating concurrent sessions (``None``: none).
-    cache_namespace: Optional[str] = None
     #: Durable work-queue directory of parallel sweeps (``None``: see
     #: :func:`current_queue_dir`).
     queue_dir: Optional[str] = None
@@ -285,10 +241,8 @@ class RuntimeConfig:
         for name in ("processes", "instructions", "retries", "serve_port"):
             if getattr(self, name) is not None:
                 store(name, int(getattr(self, name)))
-        store("retry_delay", float(self.retry_delay))
         store("lease_ttl", float(self.lease_ttl))
         store("fault_plan", self.fault_plan or None)
-        store("cache_namespace", normalize_cache_namespace(self.cache_namespace))
         store("serve_host", str(self.serve_host).strip() or DEFAULT_SERVE_HOST)
         if self.processes is not None and self.processes < 1:
             raise ValueError(f"processes must be >= 1, got {self.processes}")
@@ -296,8 +250,6 @@ class RuntimeConfig:
             raise ValueError(f"instructions must be >= 1, got {self.instructions}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.retry_delay <= 0:
-            raise ValueError(f"retry_delay must be positive, got {self.retry_delay!r}")
         if self.lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {self.lease_ttl!r}")
         if not 0 <= self.serve_port <= 65535:
@@ -361,10 +313,9 @@ _PROCESS_LOCK = threading.Lock()
 def process_snapshot() -> RuntimeConfig:
     """What a ``Session()`` built now would resolve, captured once.
 
-    The config resolved from ``REPRO_*`` on first use.
-    :func:`current_config` answers with it outside any activation, and
-    the default session is built from it, so the two always agree.
-    Later changes to the environment never reach the snapshot.
+    The config resolved from ``REPRO_*`` on first use, which
+    :func:`current_config` answers with outside any activation.  Later
+    changes to the environment never reach the snapshot.
     """
     global _PROCESS
     snapshot = _PROCESS
@@ -398,18 +349,6 @@ def activated(config: RuntimeConfig) -> Iterator[RuntimeConfig]:
         _ACTIVE.reset(token)
 
 
-def current_trace_cache_dir() -> Optional[str]:
-    """Current trace-cache directory (namespaced), or ``None`` when disabled."""
-    config = current_config()
-    return _namespaced(config.trace_cache_dir, config.cache_namespace)
-
-
-def current_result_cache_dir() -> Optional[str]:
-    """Current result-store directory (namespaced), or ``None`` when disabled."""
-    config = current_config()
-    return _namespaced(config.result_cache_dir, config.cache_namespace)
-
-
 def current_queue_dir() -> Optional[str]:
     """Current work-queue directory, or ``None`` (ephemeral campaigns).
 
@@ -420,5 +359,5 @@ def current_queue_dir() -> Optional[str]:
     config = current_config()
     if config.queue_dir is not None:
         return config.queue_dir
-    store = current_result_cache_dir()
+    store = config.result_cache_dir
     return os.path.join(store, "queue") if store is not None else None

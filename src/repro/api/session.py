@@ -27,21 +27,19 @@ session executes, its config is *activated* (see
 cache directories, the result store, the executor -- sees one
 consistent snapshot instead of re-reading the environment.
 
-Code that runs outside any session (a driver called directly, say)
-uses the **default session** (:func:`default_session`): a session
-built on first use from the process snapshot that
-:func:`repro.api.runtime_config.current_config` answers with, so both
-agree and neither re-reads the environment afterwards.
+The activated config is the only "current" state:
+:func:`current_session` is a session over
+:func:`repro.api.runtime_config.current_config`, so the experiment
+drivers follow whatever config is active -- in a worker process too,
+whatever its start method -- and, outside any activation, the process
+snapshot resolved from ``REPRO_*`` on first use.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import multiprocessing
 import os
-import threading
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Union
 
 from repro.api import runtime_config as rc
 from repro.api.frame import ResultFrame
@@ -184,20 +182,14 @@ class Session:
         """The session's frozen runtime config."""
         return self._config
 
-    @contextlib.contextmanager
-    def activate(self) -> Iterator["Session"]:
+    def activate(self) -> ContextManager[rc.RuntimeConfig]:
         """Make this session's config the active one for a scope.
 
-        Also makes the session :func:`current_session` for the scope,
-        so code below (the experiment drivers) routes its sweeps
-        through it.
+        :func:`current_session` then answers with a session over this
+        config, so code below (the experiment drivers) routes its
+        sweeps through it.
         """
-        token = _CURRENT.set(self)
-        try:
-            with rc.activated(self._config):
-                yield self
-        finally:
-            _CURRENT.reset(token)
+        return rc.activated(self._config)
 
     # -- workload selection ------------------------------------------
 
@@ -234,8 +226,7 @@ class Session:
         """Build (or reuse) a workload's dynamic trace.
 
         Routed through the shared trace cache under this session's
-        config, so the disk layer and cache namespace follow the
-        session.
+        config, so the disk layer follows the session.
         """
         spec = self.workload(workload)
         if instructions is None:
@@ -470,41 +461,13 @@ class Session:
         return results
 
 
-#: The default session, once built (see :func:`default_session`).
-_DEFAULT: Optional[Session] = None
-_DEFAULT_LOCK = threading.Lock()
-
-#: The innermost session activated via :meth:`Session.activate` -- a
-#: :class:`~contextvars.ContextVar` so threads cannot cross-contaminate.
-_CURRENT: "contextvars.ContextVar[Optional[Session]]" = contextvars.ContextVar(
-    "repro_current_session", default=None
-)
-
-
-def default_session() -> Session:
-    """The process-wide session behind code run outside any session.
-
-    Built on first use from :func:`repro.api.runtime_config.
-    process_snapshot`: its config is the snapshot
-    :func:`~repro.api.runtime_config.current_config` answers with
-    outside any activation, so the two always agree.
-    """
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        if _DEFAULT is None:
-            _DEFAULT = Session(rc.process_snapshot())
-        return _DEFAULT
-
-
 def current_session() -> Session:
-    """The session executing right now, else the default session.
+    """A session over the current config (the activated one, else the
+    process snapshot).
 
     The experiment drivers call this so that work initiated through an
-    explicit session (``session.experiment("fig5").execute()``) runs
-    under that session's config, while direct driver calls run under
-    the default session.
+    explicit session (``session.experiment("fig5").execute()``), or run
+    by a worker under a handed config, runs under that config, while
+    direct driver calls run under the process snapshot.
     """
-    current = _CURRENT.get()
-    if current is not None:
-        return current
-    return default_session()
+    return Session(rc.current_config())

@@ -7,7 +7,7 @@ Usage::
     repro-frontend table3
     repro-frontend fig10 --parallel
     repro-frontend cmpsweep --scenarios core-scaling,l2-scaling
-    repro-frontend explore --grid frontend --out results/
+    repro-frontend explore-frontend --out results/
     repro-frontend all --smoke --parallel --out results/
     repro-frontend all --parallel --processes 4 --queue-dir /shared/queue
     repro-frontend worker --queue-dir /shared/queue   # on any machine
@@ -17,12 +17,14 @@ Every invocation constructs exactly one :class:`repro.api.Session`
 (its :class:`~repro.api.RuntimeConfig` resolved once from the flags
 and the ``REPRO_*`` environment) and routes every experiment through
 a session plan and the orchestrator
-(:mod:`repro.results.orchestrator`): results are looked up in the
-content-addressed result store before anything is computed, freshly
-computed results are stored for the next invocation, and ``--out``
-emits the run as a CSV+JSON manifest directory.  The store defaults to
-the per-user directory; set ``REPRO_RESULT_CACHE_DIR`` to relocate it
-or to ``none`` to disable the disk layer.
+(:mod:`repro.results.orchestrator`), design-space explorations
+included (the registered ``explore-<preset>`` experiments): results
+are looked up in the content-addressed result store before anything
+is computed, freshly computed results are stored for the next
+invocation, and ``--out`` emits the run as a CSV+JSON manifest
+directory.  The store defaults to the per-user directory; set
+``REPRO_RESULT_CACHE_DIR`` to relocate it or to ``none`` to disable
+the disk layer.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import Dict, Optional
 from repro import counters
 from repro.api import runtime_config as rc
 from repro.exec import SweepError
-from repro.experiments import DEFAULT_EXPERIMENT_INSTRUCTIONS
 
 
 def _int_type(minimum: int, maximum: Optional[int] = None, what: str = "an integer"):
@@ -67,8 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help="experiment to run: one of %s, 'all', 'list', 'explore' "
-        "(design-space exploration over a grid), 'worker' "
+        help="experiment to run: one of %s, 'all', 'list', 'worker' "
         "(serve a durable work queue), or 'serve' (the always-on "
         "HTTP/JSON results service)" % ", ".join(sorted(registry_names())),
     )
@@ -77,17 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="dynamic trace length per workload (default %d; overrides "
-        "--smoke/--full)" % DEFAULT_EXPERIMENT_INSTRUCTIONS,
+        "--smoke)" % rc.DEFAULT_INSTRUCTIONS,
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
         help="short traces for a fast end-to-end pass (CI smoke runs)",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="full experiment trace length (the default)",
     )
     parser.add_argument(
         "--parallel",
@@ -140,13 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "REPRO_SERVE_PORT, else 8757)",
     )
     parser.add_argument(
-        "--grid",
-        type=str,
-        default=None,
-        help="'explore' only: preset grid name (default 'frontend', or "
-        "'smoke' when --smoke is passed)",
-    )
-    parser.add_argument(
         "--scenarios",
         type=str,
         default=None,
@@ -177,12 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_instructions(args: argparse.Namespace) -> Optional[int]:
-    """Instruction budget from --instructions/--smoke/--full.
+    """Instruction budget from --instructions/--smoke.
 
     ``None`` means no budget flag was passed: the session then resolves
     its budget from ``REPRO_INSTRUCTIONS`` or the default, per the
-    flags > environment > defaults precedence.  ``--full`` *is* an
-    explicit request for the default experiment length.
+    flags > environment > defaults precedence.
     """
     from repro.results.orchestrator import SMOKE_INSTRUCTIONS
 
@@ -190,8 +177,6 @@ def _resolve_instructions(args: argparse.Namespace) -> Optional[int]:
         return args.instructions
     if args.smoke:
         return SMOKE_INSTRUCTIONS
-    if args.full:
-        return DEFAULT_EXPERIMENT_INSTRUCTIONS
     return None
 
 
@@ -207,9 +192,6 @@ def main(argv: Optional[list] = None) -> int:
 
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.smoke and args.full:
-        parser.error("--smoke and --full are mutually exclusive")
 
     scenario_names = None
     if args.scenarios:
@@ -268,9 +250,6 @@ def main(argv: Optional[list] = None) -> int:
             parser.error("'serve' requires --queue-dir (or REPRO_QUEUE_DIR)")
         return run_server(ResultsServer(config))
 
-    if args.experiment == "explore":
-        return _run_explore(args, parser)
-
     if args.experiment == "all":
         names = registry_names()
     elif args.experiment in registry_names():
@@ -287,8 +266,6 @@ def main(argv: Optional[list] = None) -> int:
         budget_flag: Optional[str] = "--instructions"
     elif args.smoke:
         budget_flag = "--smoke"
-    elif args.full:
-        budget_flag = "--full"
     else:
         budget_flag = None
     ignored = unconsumed_flags(names, scenario_names, budget_flag)
@@ -377,76 +354,6 @@ def _session_overrides(
     if explicit_instructions is not None:
         overrides["instructions"] = explicit_instructions
     return overrides
-
-
-def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """The ``explore`` subcommand: run a preset grid, emit its frames.
-
-    Grid chunks are served from the content-addressed result store when
-    present (a warm rerun computes nothing and reports ``cached``), and
-    ``--out`` writes the same manifest-style artifact directory the
-    experiment runs emit.
-    """
-    from repro.api.session import Session
-    from repro.experiments.common import render_blocks
-    from repro.explore.grid import GRID_PRESETS, get_grid
-    from repro.results.orchestrator import ExperimentOutcome, RunReport, write_manifest
-
-    if args.scenarios:
-        print(
-            "warning: --scenarios ignored: not consumed by explore",
-            file=sys.stderr,
-        )
-        if args.strict:
-            print(
-                "error: --strict run with ignored flag(s): --scenarios",
-                file=sys.stderr,
-            )
-            return 2
-    preset = args.grid or ("smoke" if args.smoke else "frontend")
-    if preset not in GRID_PRESETS:
-        parser.error(
-            f"unknown grid preset {preset!r}; "
-            f"expected one of {', '.join(sorted(GRID_PRESETS))}"
-        )
-    grid = get_grid(preset)
-
-    session = Session(**_session_overrides(args))
-    plan = session.explore(grid)
-    try:
-        result = plan.result()
-    except SweepError as error:
-        print(f"error: explore failed:\n{error}", file=sys.stderr)
-        return 1
-    print(f"== explore[{preset}] ==")
-    print(render_blocks(result.tables()))
-    status = "cached" if result.chunks_computed == 0 else "computed"
-    print(
-        f"[explore] {status}: {result.points} grid points x "
-        f"{len(result.workloads)} workloads; chunks: {result.chunks_total} "
-        f"total, {result.chunks_cached} cached, {result.chunks_computed} "
-        "computed",
-        file=sys.stderr,
-    )
-    if args.out is not None:
-        from repro.results.artifacts import build_frame_artifact
-
-        artifact = build_frame_artifact(
-            "explore", f"design-space exploration of the {preset!r} grid", result
-        )
-        report = RunReport(instructions=session.config.instructions)
-        report.outcomes.append(
-            ExperimentOutcome(
-                name="explore",
-                title=artifact["title"],
-                key=plan.key(),
-                status=status,
-                artifact=artifact,
-            )
-        )
-        manifest_path = write_manifest(report, args.out)
-        print(f"manifest: {manifest_path}", file=sys.stderr)
-    return 0
 
 
 def _render_artifact(artifact: dict) -> str:

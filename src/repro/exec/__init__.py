@@ -8,7 +8,7 @@ its weakest worker" into supervised, resumable, testable execution:
     session's :class:`~repro.api.runtime_config.RuntimeConfig`: a
     session runs its sweeps on the queue when its config sets
     ``parallel``, serially otherwise.  Serial runs items in-process
-    with retries and backoff.
+    and retries a failed item at once.
     The queue is the one parallel path: a durable filesystem work
     queue whose items are claimed via heartbeat leases by any number
     of cooperating worker processes -- spawned by the supervisor

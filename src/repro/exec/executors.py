@@ -4,11 +4,13 @@ Every sweep runs through one of two executors behind one interface:
 
 * :class:`SerialExecutor` (``"serial"``) runs items in-process, in
   order, with the same retry and fault semantics as the queue, so the
-  two stay bit-identical on success.
+  two stay bit-identical on success.  A failed item is retried at
+  once, as a queue worker retries it on its next scan.
 * :class:`~repro.exec.queue.QueueExecutor` (``"queue"``) is the one
   parallel path: it enqueues the sweep as a durable campaign and
   drains it with worker processes it spawns (entry point
-  :func:`_worker_main`, which runs under the config it is handed),
+  :func:`_worker_main`, which activates the config it is handed, so
+  the worker's current config and current session are the sweep's),
   replacing dead ones, retrying failed items, quarantining poison
   items, and degrading to in-process draining when no worker can be
   spawned at all.
@@ -23,8 +25,6 @@ whole execution policy.
 
 from __future__ import annotations
 
-import random
-import time
 from collections import namedtuple
 from typing import Any, Callable, Optional, Sequence, Tuple
 
@@ -43,17 +43,6 @@ from repro.exec.results import (
 RunOutcome = namedtuple("RunOutcome", ["results", "degraded"])
 
 
-def backoff_delay(retry_delay: float, index: int, attempt: int) -> float:
-    """Exponential backoff with deterministic jitter.
-
-    ``retry_delay * 2^(attempt-1)``, jittered up to +25% by an RNG
-    seeded from the item and attempt -- so reruns sleep identically
-    (reproducible schedules) while concurrent retries still spread out.
-    """
-    jitter = random.Random(f"repro-backoff:{index}:{attempt}").random()
-    return retry_delay * (2 ** (attempt - 1)) * (1.0 + 0.25 * jitter)
-
-
 class Executor:
     """Interface every executor implements."""
 
@@ -68,8 +57,8 @@ class Executor:
     ) -> RunOutcome:
         """Run ``worker`` over ``(index, args)`` items, one result each.
 
-        ``config`` supplies the execution policy: retries, backoff, the
-        fault plan and, on the queue, worker count, directory and TTL.
+        ``config`` supplies the execution policy: retries, the fault
+        plan and, on the queue, worker count, directory and TTL.
         """
         raise NotImplementedError
 
@@ -100,7 +89,6 @@ def _run_item_in_process(
             status, error = STATUS_ERROR, describe_exception(failure)
         if attempt > config.retries:
             return ItemResult(index, status, error=error, attempts=attempt)
-        time.sleep(backoff_delay(config.retry_delay, index, attempt))
         attempt += 1
 
 
@@ -128,8 +116,9 @@ def _worker_main(worker, root: str, parent_pid: int, announce, config) -> None:
     wakes on publication instead of polling the ``done/`` directory.
     ``config`` is the supervisor's
     :class:`~repro.api.runtime_config.RuntimeConfig`; the worker runs
-    under it, so its cache directories are the sweep's whatever the
-    start method (a fork server never sees the supervisor's later
+    under it, so its cache directories, budget and
+    :func:`~repro.api.session.current_session` are the sweep's whatever
+    the start method (a fork server never sees the supervisor's later
     state).
     """
     from repro.exec.queue import QueueWorker, open_campaign
@@ -152,8 +141,8 @@ def execute_items(
 ) -> SweepReport:
     """Run ``worker`` over ``arguments`` on ``executor``, item by item.
 
-    ``config`` is the whole execution policy: retries, backoff, fault
-    plan, worker count, queue directory and lease TTL.  Returns every
+    ``config`` is the whole execution policy: retries, fault plan,
+    worker count, queue directory and lease TTL.  Returns every
     item's typed outcome, in argument order.  On the queue executor a
     campaign killed mid-run resumes item by item: a rerun replays what
     was already published and runs only the rest.

@@ -221,10 +221,11 @@ def _truncate_target(fault: Fault) -> None:
     """
     from repro.api import runtime_config
 
+    config = runtime_config.current_config()
     if fault.store == "trace-cache":
-        directory = runtime_config.current_trace_cache_dir()
+        directory = config.trace_cache_dir
     else:
-        directory = runtime_config.current_result_cache_dir()
+        directory = config.result_cache_dir
     if directory is None or not os.path.isdir(directory):
         return
     matches = sorted(

@@ -13,7 +13,6 @@ paper artefact to code is one-to-one.
 """
 
 from repro.experiments.common import (
-    DEFAULT_EXPERIMENT_INSTRUCTIONS,
     default_workload_names,
     normalize_to_reference,
     render_blocks,
@@ -41,7 +40,6 @@ from repro.experiments.explore_presets import (
 )
 
 __all__ = [
-    "DEFAULT_EXPERIMENT_INSTRUCTIONS",
     "default_workload_names",
     "normalize_to_reference",
     "render_blocks",

@@ -29,17 +29,16 @@ from typing import (
     Tuple,
 )
 
+from repro.api import runtime_config
 from repro.api.frame import ResultFrame
 from repro.results.artifacts import TableBlock, block, nest_rows
 from repro.trace.instruction import CodeSection
 from repro.workloads.catalog import select_workloads
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import SUITE_ORDER, Suite
-from repro.workloads.trace_cache import DEFAULT_PROFILE_INSTRUCTIONS
 
 __all__ = [
     # Sweep and selection helpers owned by this module.
-    "DEFAULT_EXPERIMENT_INSTRUCTIONS",
     "SECTION_ORDER",
     "default_workload_names",
     "experiment_instructions",
@@ -61,27 +60,21 @@ __all__ = [
     "section_cell",
 ]
 
-#: Default dynamic trace length used by the experiment drivers (alias
-#: of the trace-cache default so both layers agree on what a cached
-#: "experiment length" trace is).
-DEFAULT_EXPERIMENT_INSTRUCTIONS = DEFAULT_PROFILE_INSTRUCTIONS
-
 
 def experiment_instructions(instructions: Optional[int]) -> int:
     """Resolve a driver's instruction budget.
 
-    ``None`` means "the current session decides" -- as it always does
+    ``None`` means "the current config decides" -- as it always does
     for a sweep's execution policy -- so ``run_fig01()`` under
     ``Session(instructions=N).activate()`` uses ``N`` exactly like
-    ``session.experiment("fig1")`` does.  With no session active this
-    resolves from ``REPRO_INSTRUCTIONS`` or the default
-    (:data:`DEFAULT_EXPERIMENT_INSTRUCTIONS`).
+    ``session.experiment("fig1")`` does.  With no config active this
+    resolves from ``REPRO_INSTRUCTIONS`` or
+    :data:`~repro.api.runtime_config.DEFAULT_INSTRUCTIONS`.
     """
     if instructions is not None:
         return int(instructions)
-    from repro.api.session import current_session
+    return runtime_config.current_config().instructions
 
-    return current_session().config.instructions
 
 #: The sections reported by the per-suite figures, in bar order.
 SECTION_ORDER = (CodeSection.TOTAL, CodeSection.SERIAL, CodeSection.PARALLEL)

@@ -299,7 +299,7 @@ def _cmp_point(
 
 
 # ---------------------------------------------------------------------------
-# Preset grids (the CLI's --grid choices)
+# Preset grids (the registered ``explore-<preset>`` experiments)
 # ---------------------------------------------------------------------------
 
 
@@ -340,7 +340,7 @@ def cmp_exploration_grid() -> GridSpec:
     )
 
 
-#: Named preset grids, as the CLI's ``--grid`` choices.
+#: Named preset grids, each registered as ``explore-<preset>``.
 GRID_PRESETS: "Dict[str, Callable[[], GridSpec]]" = {
     "frontend": frontend_grid,
     "smoke": smoke_grid,

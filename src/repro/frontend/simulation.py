@@ -56,13 +56,6 @@ class BranchPredictionResult:
             return 0.0
         return self.mispredictions * 1000.0 / self.instruction_count
 
-    @property
-    def misprediction_rate(self) -> float:
-        """Mispredictions per executed conditional branch."""
-        if self.conditional_branches == 0:
-            return 0.0
-        return self.mispredictions / self.conditional_branches
-
     def breakdown_mpki(self) -> dict:
         """MPKI split by the outcome class of the mispredicted branch."""
         if self.instruction_count == 0:
@@ -148,14 +141,11 @@ def _conditional_stream(
     return columns.addresses[mask], columns.taken[mask], columns.targets[mask]
 
 
-def _btb_stream(
-    trace: Trace, section: CodeSection, include_returns: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
+def _btb_stream(trace: Trace, section: CodeSection) -> Tuple[np.ndarray, np.ndarray]:
     """Addresses and targets of the taken branches that look up the BTB."""
     columns = trace.branch_columns(section)
     mask = columns.taken & (columns.targets >= 0)
-    if not include_returns:
-        mask &= columns.kinds != int(BranchKind.RETURN)
+    mask &= columns.kinds != int(BranchKind.RETURN)
     return columns.addresses[mask], columns.targets[mask]
 
 
@@ -222,21 +212,18 @@ def simulate_btb(
     section: CodeSection = CodeSection.TOTAL,
     entries: int = 2048,
     associativity: int = 4,
-    include_returns: bool = False,
 ) -> BTBResult:
     """Measure BTB MPKI: taken branches that miss in the target buffer.
 
-    Returns are excluded by default because their targets are supplied
-    by the return address stack rather than the BTB.  Without a ``btb``
+    Returns are excluded because their targets are supplied by the
+    return address stack rather than the BTB.  Without a ``btb``
     instance the geometry is answered from the trace's shared
     stack-distance histograms (:class:`_SectionStreams`); a passed
     instance runs the reference simulator from its current state.
     """
-    if btb is None and not include_returns:
-        return _section_streams(trace, section).btb(BTBConfig(entries, associativity))
     if btb is None:
-        btb = BranchTargetBuffer(entries, associativity)
-    addresses, targets = _btb_stream(trace, section, include_returns)
+        return _section_streams(trace, section).btb(BTBConfig(entries, associativity))
+    addresses, targets = _btb_stream(trace, section)
     return BTBResult(
         entries=btb.entries,
         associativity=btb.associativity,

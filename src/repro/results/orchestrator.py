@@ -277,7 +277,7 @@ def unconsumed_flags(
     """Caller flags that no selected experiment's runner consumes.
 
     ``budget_flag`` names the flag an explicit instruction budget came
-    from (``--instructions``/``--smoke``/``--full``), so model-only
+    from (``--instructions``/``--smoke``), so model-only
     selections (table2/table3) that take no budget report it instead of
     silently ignoring it.
     """

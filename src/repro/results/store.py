@@ -80,10 +80,10 @@ _COUNTERS = Counters(
 def resolved_result_dir() -> Optional[str]:
     """The active disk-store directory, or ``None`` when disabled.
 
-    The current config's ``result_cache_dir`` joined with its cache
-    namespace (see :func:`repro.api.runtime_config.current_config`).
+    The current config's ``result_cache_dir`` (see
+    :func:`repro.api.runtime_config.current_config`).
     """
-    return runtime_config.current_result_cache_dir()
+    return runtime_config.current_config().result_cache_dir
 
 
 def code_fingerprint() -> str:

@@ -22,11 +22,9 @@ server therefore forgets job *ids* but never results.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.api.runtime_config import RuntimeConfig
 from repro.exec.queue import INTERACTIVE_PRIORITY, enqueue_item
 from repro.serve.resolve import ResolvedRequest
 
@@ -58,10 +56,6 @@ class Job:
     experiment: str
     instructions: int
     key: str
-    config: RuntimeConfig
-    campaign_root: str
-    item: str
-    created: float
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -92,7 +86,7 @@ class JobRegistry:
             existing = self._jobs.get(job_id)
             if existing is not None:
                 return existing
-        campaign, item = enqueue_item(
+        enqueue_item(
             experiment_job_worker,
             (resolved.experiment, resolved.instructions),
             resolved.config,
@@ -104,10 +98,6 @@ class JobRegistry:
             experiment=resolved.experiment,
             instructions=resolved.instructions,
             key=resolved.key,
-            config=resolved.config,
-            campaign_root=campaign.root,
-            item=item,
-            created=time.time(),
         )
         with self._lock:
             return self._jobs.setdefault(job_id, job)

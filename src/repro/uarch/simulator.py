@@ -2,7 +2,8 @@
 
 ``profile_workload_frontend`` measures, once per core flavour and code
 section, the front-end miss rates of a workload's trace (pulled from
-the shared :mod:`repro.workloads.trace_cache`, simulated with the
+the shared :mod:`repro.workloads.trace_cache` at the current config's
+budget unless one is given, simulated with the
 batched multi-configuration engine, and memoized weakly per trace --
 see the function docstring for the cache-routing contract);
 ``run_on_cmp`` then schedules the workload on a CMP configuration: the
@@ -18,6 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.api import runtime_config
 from repro.counters import Counters
 from repro.frontend.simulation import FrontEndResult, simulate_frontend_many
 from repro.trace.events import Trace
@@ -27,7 +29,7 @@ from repro.uarch.core import BASELINE_CORE, TAILORED_CORE, CoreModel
 from repro.uarch.cpi import CpiStack, cpi_for_section
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthesis import SyntheticWorkload
-from repro.workloads.trace_cache import default_profile_instructions, workload_trace
+from repro.workloads.trace_cache import workload_trace
 
 #: Nominal dynamic instruction count used to convert per-instruction
 #: times into seconds.  All Figure 10/11 results are normalized to the
@@ -126,10 +128,10 @@ def profile_workload_frontend(
     sweeps generated, in process and on disk (parallel sweeps default
     ``REPRO_TRACE_CACHE_DIR`` to the per-user shared directory; cold
     traces themselves come from the compiled segment engine).  When
-    ``instructions`` is omitted it resolves through
-    :func:`repro.workloads.trace_cache.default_profile_instructions`
-    (active session budget > ``REPRO_INSTRUCTIONS`` > the
-    150k default).  The resulting
+    ``instructions`` is omitted it is the current config's budget
+    (:func:`repro.api.runtime_config.current_config`: the active
+    session's, else ``REPRO_INSTRUCTIONS``, else
+    :data:`~repro.api.runtime_config.DEFAULT_INSTRUCTIONS`).  The resulting
     profile is itself memoized per ``(trace, cores)``, weakly keyed by
     the trace; repeated calls return the *same* object, which callers
     must treat as read-only.  A profile lives as long as its trace, so
@@ -145,7 +147,7 @@ def profile_workload_frontend(
     """
     spec = workload.spec if isinstance(workload, SyntheticWorkload) else workload
     if instructions is None:
-        instructions = default_profile_instructions()
+        instructions = runtime_config.current_config().instructions
     # The trace is the memo's key: on a warm run this is a dictionary
     # lookup, and it keeps the shared trace cache the single source of
     # truth (its hit counters account every profiling pass, cached or

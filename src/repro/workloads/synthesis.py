@@ -49,12 +49,6 @@ from repro.trace.program import (
 )
 from repro.workloads.spec import SectionProfile, WorkloadSpec
 
-#: Default dynamic length of generated traces.  Scaled down from the
-#: paper's 100-billion-instruction Sniper windows to keep a full
-#: 41-workload sweep tractable on a laptop; every experiment accepts an
-#: ``instructions`` argument to raise it.
-DEFAULT_TRACE_INSTRUCTIONS = 400_000
-
 #: Minimum serial hot code, even for workloads with a tiny serial share.
 _MIN_SERIAL_HOT_KB = 0.5
 
@@ -521,8 +515,8 @@ class SyntheticWorkload:
         """
         return compile_schedule(self.program, self.schedule)
 
-    def trace(self, instructions: Optional[int] = None, seed: int = 0) -> Trace:
-        """Generate a dynamic trace of the workload.
+    def trace(self, instructions: int, seed: int = 0) -> Trace:
+        """Generate a dynamic trace of ``instructions`` instructions.
 
         Every call generates anew; the one in-memory trace cache is
         :func:`repro.workloads.trace_cache.workload_trace`.  Generation
@@ -531,8 +525,6 @@ class SyntheticWorkload:
         (:class:`~repro.trace.execution.TraceGenerator` over the same
         program, schedule and run seed).
         """
-        if instructions is None:
-            instructions = DEFAULT_TRACE_INSTRUCTIONS
         run_seed = self.spec.seed ^ (seed * 0x9E3779B1)
         return self.compiled.run(int(instructions), seed=run_seed, name=self.spec.name)
 
@@ -569,14 +561,11 @@ def _build_cold_code(spec: WorkloadSpec, rng: np.random.Generator) -> List[Funct
 
 
 @functools.lru_cache(maxsize=None)
-def build_workload(
-    spec: WorkloadSpec,
-    nominal_instructions: int = DEFAULT_TRACE_INSTRUCTIONS,
-) -> SyntheticWorkload:
+def build_workload(spec: WorkloadSpec) -> SyntheticWorkload:
     """Build the synthetic program and execution schedule for a workload.
 
     The result is cached so repeated experiments share one program per
-    workload.
+    workload, whatever trace length they ask of it.
     """
     rng = np.random.default_rng(spec.seed)
     hot_functions: List[Function] = []

@@ -12,12 +12,13 @@ The cache lives in the workloads layer -- below both ``experiments``
 and ``uarch`` -- precisely so the micro-architecture simulator can use
 it without a layering cycle.
 
-A config's ``trace_cache_dir`` (``REPRO_TRACE_CACHE_DIR``, joined with
-its ``cache_namespace``) also persists trace columns on disk as
-``.npz`` files, so separate driver *processes* (each CLI invocation is
-one, as is every ``--parallel`` worker) share traces too.  The
-namespace scopes only these directories; in memory, every session of
-a process shares one trace per key.  A parallel session built without
+A config's ``trace_cache_dir`` (``REPRO_TRACE_CACHE_DIR``) also
+persists trace columns on disk as ``.npz`` files, so separate driver
+*processes* (each CLI invocation is one, as is every ``--parallel``
+worker) share traces too.  Sessions may share one directory: an entry
+is named by its key and checked against its fingerprint, so a session
+never loads another spec's trace.  In memory, every session of a
+process shares one trace per key.  A parallel session built without
 any trace-cache setting (see :meth:`repro.api.runtime_config.
 RuntimeConfig.from_environment`) defaults the directory to a per-user one
 (``$XDG_CACHE_HOME/repro-frontend/traces``, falling back to
@@ -64,26 +65,6 @@ from repro.trace.program import Program
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthesis import build_workload
 
-#: Default dynamic trace length used by the profiling layers (owned by
-#: :mod:`repro.api.runtime_config`, aliased here so both layers agree
-#: on what a cached "profile length" trace is); every caller accepts an
-#: ``instructions`` override, and an *omitted* override resolves
-#: through :func:`default_profile_instructions` so the
-#: ``REPRO_INSTRUCTIONS`` variable and session budgets apply.
-DEFAULT_PROFILE_INSTRUCTIONS = runtime_config.DEFAULT_INSTRUCTIONS
-
-
-def default_profile_instructions() -> int:
-    """The instruction budget an omitted ``instructions`` resolves to.
-
-    The current config's budget (see
-    :func:`repro.api.runtime_config.current_config`): the activated
-    session's, else the process snapshot's (``REPRO_INSTRUCTIONS``, else
-    :data:`DEFAULT_PROFILE_INSTRUCTIONS`).
-    """
-    return runtime_config.current_config().instructions
-
-
 #: Version salt folded into the disk-cache fingerprint.  Bump when the
 #: entry layout changes; code changes are already covered by the
 #: source digest in :func:`trace_fingerprint`.
@@ -108,10 +89,10 @@ _COUNTERS = Counters(
 def resolved_cache_dir() -> Optional[str]:
     """The active disk-cache directory, or ``None`` when disabled.
 
-    The current config's ``trace_cache_dir`` joined with its cache
-    namespace (see :func:`repro.api.runtime_config.current_config`).
+    The current config's ``trace_cache_dir`` (see
+    :func:`repro.api.runtime_config.current_config`).
     """
-    return runtime_config.current_trace_cache_dir()
+    return runtime_config.current_config().trace_cache_dir
 
 
 def trace_in_memory(spec: WorkloadSpec, instructions: int, seed: int = 0) -> bool:
@@ -151,9 +132,10 @@ def workload_trace(
     ``trace_cache_dir`` also persists trace columns on disk and shares
     them across driver processes; a trace already held in memory is
     written to the current directory when that directory lacks it.
+    An omitted ``instructions`` is the current config's budget.
     """
     if instructions is None:
-        instructions = default_profile_instructions()
+        instructions = runtime_config.current_config().instructions
     key = (spec, int(instructions), int(seed))
     cached = _TRACES.get(key)
     if cached is not None:

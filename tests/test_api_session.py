@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro import counters
-from repro.api import ResultFrame, RuntimeConfig, Session, current_session, default_session
+from repro.api import ResultFrame, RuntimeConfig, Session, current_session
+from repro.api import runtime_config as rc
 from repro.experiments import run_fig06
+from repro.experiments.common import experiment_instructions
 from repro.frontend.configs import BASELINE_FRONTEND, TAILORED_FRONTEND
 from repro.frontend.simulation import simulate_frontend, simulate_frontend_many
 from repro.results.artifacts import write_artifact_csv
@@ -122,16 +124,14 @@ class TestSessionConfig:
         assert session.config.instructions == 20
         assert session.config.parallel is True
 
-    def test_default_session_is_the_process_snapshot(self, monkeypatch):
-        """current_config() and the default session resolve REPRO_*
-        once; only a new Session() sees a later environment change."""
-        from repro.api import runtime_config as rc
-
+    def test_current_session_is_the_process_snapshot(self, monkeypatch):
+        """current_config() and current_session() resolve REPRO_* once;
+        only a new Session() sees a later environment change."""
         snapshot = rc.current_config()
-        assert default_session().config is snapshot
+        assert current_session().config is snapshot
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "777")
         assert rc.current_config() is snapshot
-        assert default_session().config is snapshot
+        assert current_session().config is snapshot
         assert snapshot.instructions != 777
         assert Session().config.instructions == 777
 
@@ -145,47 +145,46 @@ class TestSessionConfig:
 
     def test_current_session_tracks_activation(self):
         session = Session(instructions=INSTRUCTIONS)
-        assert current_session() is default_session()
+        assert current_session().config is rc.process_snapshot()
         with session.activate():
-            assert current_session() is session
-        assert current_session() is default_session()
+            assert current_session().config is session.config
+        assert current_session().config is rc.process_snapshot()
 
-    def test_cache_namespace_isolates_concurrent_sessions_on_disk(self, tmp_path):
-        """Two namespaced sessions sharing cache roots never collide:
-        the trace cache and the result store each land in a per-
-        namespace subdirectory."""
-        from repro.results.store import clear_result_store, store_result
+    def test_current_session_and_driver_budget_follow_the_active_config(self):
+        # One current context: an activated config is what the current
+        # session and a driver's omitted budget both answer with.
+        with rc.activated(RuntimeConfig(instructions=1234)):
+            assert current_session().config is rc.current_config()
+            assert experiment_instructions(None) == 1234
 
-        traces_root = tmp_path / "traces"
-        results_root = tmp_path / "results"
-        written = {}
-        for namespace in ("alpha", "beta"):
-            clear_trace_cache()
-            clear_result_store()
-            session = Session(
-                instructions=INSTRUCTIONS,
-                trace_cache_dir=str(traces_root),
-                result_cache_dir=str(results_root),
-                cache_namespace=namespace,
-            )
-            assert session.config.cache_namespace == namespace
-            with session.activate():
-                workload_trace(get_workload("FT"), INSTRUCTIONS)
-                store_result("0" * 64, {"schema": 1, "payload": {}, "tables": []})
-            written[namespace] = {
-                "traces": sorted(p.name for p in (traces_root / namespace).iterdir()),
-                "results": sorted(
-                    p.name for p in (results_root / namespace).iterdir()
-                ),
-            }
+    def test_activate_yields_the_session_config(self):
+        session = Session(instructions=INSTRUCTIONS)
+        with session.activate() as config:
+            assert config is session.config
+            assert rc.current_config() is config
+        assert rc.current_config() is rc.process_snapshot()
+
+    def test_sessions_sharing_one_trace_directory_keep_their_own_traces(
+        self, tmp_path
+    ):
+        """One directory serves sessions of different budgets: an entry
+        is named by its key, so each reads back only its own trace."""
+        shared = str(tmp_path / "traces")
+        budgets = (INSTRUCTIONS, 2 * INSTRUCTIONS)
         clear_trace_cache()
-        clear_result_store()
-        for namespace, files in written.items():
-            assert files["traces"], namespace
-            assert files["results"], namespace
-        # Nothing leaked into the shared roots themselves.
-        assert sorted(p.name for p in traces_root.iterdir()) == ["alpha", "beta"]
-        assert sorted(p.name for p in results_root.iterdir()) == ["alpha", "beta"]
+        written = {
+            budget: Session(instructions=budget, trace_cache_dir=shared).trace("FT")
+            for budget in budgets
+        }
+        assert sorted(os.listdir(shared)) == [
+            f"FT-{budget}-0.npz" for budget in budgets
+        ]
+        clear_trace_cache()  # Drop the memory layer; force disk reads.
+        for budget in budgets:
+            loaded = Session(instructions=budget, trace_cache_dir=shared).trace("FT")
+            assert loaded is not written[budget]
+            assert np.array_equal(loaded.block_ids, written[budget].block_ids)
+        clear_trace_cache()
 
 
 class TestSessionPipeline:
@@ -198,6 +197,14 @@ class TestSessionPipeline:
         assert trace.instruction_count() >= INSTRUCTIONS
         assert trace.instruction_count() < 2 * INSTRUCTIONS
         clear_trace_cache()
+
+    def test_an_omitted_profile_budget_resolves_through_the_session(self):
+        """profile_workload_frontend(spec) with no budget is the active
+        session's profile, memoized under the explicit budget's key."""
+        spec = get_workload("FT")
+        with Session(instructions=INSTRUCTIONS, trace_cache_dir=None).activate():
+            profile = profile_workload_frontend(spec)
+        assert profile_workload_frontend(spec, INSTRUCTIONS) is profile
 
     def test_trace_matches_legacy_entry_point(self):
         session = Session(instructions=INSTRUCTIONS)
@@ -405,14 +412,43 @@ class TestSessionPipeline:
 
 def _trace_dirs_seen(_args):
     """Worker: the trace directory a queue worker resolves, and the
-    directory and namespace its environment holds."""
-    from repro.api.runtime_config import current_trace_cache_dir
+    directory its environment holds."""
+    from repro.workloads.trace_cache import resolved_cache_dir
 
-    return (
-        current_trace_cache_dir(),
-        os.environ.get("REPRO_TRACE_CACHE_DIR"),
-        os.environ.get("REPRO_CACHE_NAMESPACE"),
+    return resolved_cache_dir(), os.environ.get("REPRO_TRACE_CACHE_DIR")
+
+
+def _budgets_seen(_args):
+    """Worker: the budget its current session and a driver resolve."""
+    return current_session().config.instructions, experiment_instructions(None)
+
+
+def _run_forkserver_child(code, tmp_path, *args):
+    """Run ``code`` in a fresh interpreter without any REPRO_* variable."""
+    env = {
+        name: value
+        for name, value in os.environ.items()
+        if not name.startswith("REPRO_")
+    }
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["XDG_CACHE_HOME"] = str(tmp_path / "xdg")
+    child = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        timeout=300,
+        capture_output=True,
+        text=True,
     )
+    assert child.returncode == 0, child.stderr
+    assert not (tmp_path / "xdg").exists()
+    return child.stdout
+
+
+needs_forkserver = pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="needs the forkserver start method",
+)
 
 
 class TestWorkersRunUnderTheSessionConfig:
@@ -420,7 +456,9 @@ class TestWorkersRunUnderTheSessionConfig:
 
     A fork server keeps the environment it started with, so a worker
     that resolved its cache directories from the environment would
-    follow the first parallel session of its process forever.
+    follow the first parallel session of its process forever; and a
+    fork server child inherits no activation, so a worker sees the
+    sweep's config only because it activates the one it is handed.
     """
 
     CHILD = textwrap.dedent(
@@ -430,95 +468,84 @@ class TestWorkersRunUnderTheSessionConfig:
         from repro.api import Session
 
         multiprocessing.set_start_method("forkserver")
-        root, case = sys.argv[1], sys.argv[2]
+        root = sys.argv[1]
 
-        def sweep(names, **caches):
+        def sweep(names, trace_cache_dir):
             Session(
                 instructions=20_000,
                 parallel=True,
                 processes=2,
                 result_cache_dir=None,
-                **caches,
+                trace_cache_dir=trace_cache_dir,
             ).sweep(workloads=names).execute()
 
-        if case == "directories":
-            sweep(["FT", "LU"], trace_cache_dir=os.path.join(root, "a"))
-            sweep(["CG", "MG"], trace_cache_dir=os.path.join(root, "b"))
-        else:
-            shared = os.path.join(root, "shared")
-            sweep(["FT", "LU"], trace_cache_dir=shared, cache_namespace="alpha")
-            sweep(["CG", "MG"], trace_cache_dir=shared, cache_namespace="beta")
+        sweep(["FT", "LU"], os.path.join(root, "a"))
+        sweep(["CG", "MG"], os.path.join(root, "b"))
         """
     )
 
-    #: Per case, the trace directories of the first and second session.
-    DIRECTORIES = {
-        "directories": (("a",), ("b",)),
-        "namespaces": (("shared", "alpha"), ("shared", "beta")),
-    }
+    BUDGET_CHILD = textwrap.dedent(
+        """
+        import json, multiprocessing, sys
 
-    @pytest.mark.skipif(
-        "forkserver" not in multiprocessing.get_all_start_methods(),
-        reason="needs the forkserver start method",
-    )
-    @pytest.mark.parametrize("case", sorted(DIRECTORIES))
-    def test_forkserver_workers_follow_each_session(self, case, tmp_path):
-        env = {
-            name: value
-            for name, value in os.environ.items()
-            if not name.startswith("REPRO_")
-        }
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env["XDG_CACHE_HOME"] = str(tmp_path / "xdg")
-        child = subprocess.run(
-            [sys.executable, "-c", self.CHILD, str(tmp_path), case],
-            env=env,
-            timeout=300,
-            capture_output=True,
-            text=True,
+        sys.path.insert(0, sys.argv[1])
+        from repro.api import Session
+        from test_api_session import _budgets_seen
+
+        multiprocessing.set_start_method("forkserver")
+        session = Session(
+            instructions=20_000,
+            parallel=True,
+            processes=2,
+            result_cache_dir=None,
+            trace_cache_dir=None,
         )
-        assert child.returncode == 0, child.stderr
+        print(json.dumps(session.map(_budgets_seen, list(range(4)))))
+        """
+    )
 
-        def traces(parts):
-            names = os.listdir(tmp_path.joinpath(*parts))
+    @needs_forkserver
+    def test_forkserver_workers_follow_each_session(self, tmp_path):
+        _run_forkserver_child(self.CHILD, tmp_path, str(tmp_path))
+
+        def traces(directory):
+            names = os.listdir(tmp_path / directory)
             return sorted(name for name in names if name.endswith(".npz"))
 
-        first, second = self.DIRECTORIES[case]
-        assert (traces(first), traces(second)) == (
+        assert (traces("a"), traces("b")) == (
             ["FT-20000-0.npz", "LU-20000-0.npz"],
             ["CG-20000-0.npz", "MG-20000-0.npz"],
         )
-        assert not (tmp_path / "xdg").exists()
+
+    @needs_forkserver
+    def test_forkserver_workers_see_the_session_budget(self, tmp_path):
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        out = _run_forkserver_child(self.BUDGET_CHILD, tmp_path, tests_dir)
+        assert json.loads(out) == [[20_000, 20_000]] * 4
 
     def test_queue_workers_get_the_config_not_an_environment_export(self, tmp_path):
         session = Session(
             parallel=True,
             processes=2,
             trace_cache_dir=str(tmp_path / "traces"),
-            cache_namespace="ns",
             result_cache_dir=None,
         )
         seen = session.map(_trace_dirs_seen, list(range(4)))
-        expected = os.path.join(str(tmp_path / "traces"), "ns")
-        assert [resolved for resolved, _, _ in seen] == [expected] * 4
+        assert [resolved for resolved, _ in seen] == [str(tmp_path / "traces")] * 4
         # Nothing of this session reached the workers' environment.
-        for _, directory, namespace in seen:
+        for _, directory in seen:
             assert str(tmp_path) not in (directory or "")
-            assert namespace != ""
 
     def test_priming_worker_stores_under_the_config_it_is_handed(self, tmp_path):
-        from repro.api.runtime_config import activated
         from repro.api.session import _prime_worker
 
-        handed = RuntimeConfig(trace_cache_dir=str(tmp_path), cache_namespace="ns")
+        handed = RuntimeConfig(trace_cache_dir=str(tmp_path))
         clear_trace_cache()
         # The caller's own config keeps traces off disk; the handed one
         # decides where the primed trace goes.
-        with activated(RuntimeConfig(trace_cache_dir=None)):
+        with rc.activated(RuntimeConfig(trace_cache_dir=None)):
             _prime_worker((handed, get_workload("FT"), INSTRUCTIONS, 0))
-        assert os.listdir(tmp_path) == ["ns"]
-        assert os.listdir(tmp_path / "ns") == [f"FT-{INSTRUCTIONS}-0.npz"]
+        assert os.listdir(tmp_path) == [f"FT-{INSTRUCTIONS}-0.npz"]
         clear_trace_cache()
 
 
@@ -649,9 +676,9 @@ class TestLegacyShimsRemoved:
         """Session.map is the replacement: serial == parallel rows."""
         specs = [get_workload("FT"), get_workload("LU")]
         arguments = [(spec, INSTRUCTIONS) for spec in specs]
-        serial = default_session().map(_shim_worker, arguments)
-        with Session(parallel=True, processes=2).activate() as parallel_session:
-            parallel = parallel_session.map(_shim_worker, arguments)
+        serial = current_session().map(_shim_worker, arguments)
+        with Session(parallel=True, processes=2).activate():
+            parallel = current_session().map(_shim_worker, arguments)
         assert serial == [_shim_worker(args) for args in arguments]
         assert serial == parallel
 

@@ -37,7 +37,6 @@ class TestPublicSurface:
             "RuntimeConfig",
             "Session",
             "current_session",
-            "default_session",
         ]
 
     def test_every_export_resolves(self):
@@ -52,9 +51,7 @@ class TestPublicSurface:
             "REPRO_PROCESSES",
             "REPRO_INSTRUCTIONS",
             "REPRO_RETRIES",
-            "REPRO_RETRY_DELAY",
             "REPRO_FAULT_PLAN",
-            "REPRO_CACHE_NAMESPACE",
             "REPRO_QUEUE_DIR",
             "REPRO_LEASE_TTL",
             "REPRO_SERVE_HOST",
@@ -72,9 +69,7 @@ class TestPublicSurface:
             ("processes", None),
             ("instructions", 150_000),
             ("retries", 2),
-            ("retry_delay", 0.05),
             ("fault_plan", None),
-            ("cache_namespace", None),
             ("queue_dir", None),
             ("lease_ttl", 30.0),
             ("serve_host", "127.0.0.1"),

@@ -40,8 +40,8 @@ from repro.exec.results import (
 #: A short, cheap worker sweep shared by most tests.
 ITEMS = list(range(4))
 
-#: Settings tuned for test speed: real retry semantics, tiny backoff.
-FAST = dict(retries=2, retry_delay=0.001)
+#: Settings with real retry semantics (a serial retry does not sleep).
+FAST = dict(retries=2)
 
 
 def _square(args):
@@ -101,6 +101,23 @@ class TestRetries:
         assert InjectedFault.__name__ in text
         # Partial results survive alongside the failure.
         assert report.partial_values() == {0: 0, 2: 4, 3: 9}
+
+    def test_a_serial_retry_does_not_sleep(self, monkeypatch):
+        # A failed item is retried at once, as a queue worker retries it
+        # on its next scan: there is no backoff between attempts.
+        import time
+
+        def no_sleep(seconds):
+            raise AssertionError(f"a serial retry slept {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        plan = FaultPlan.of(
+            Fault(kind="raise", index=1, attempt=1),
+            Fault(kind="kill", index=1, attempt=2),
+        )
+        report = run_with("serial", _square, fault_plan=plan, retries=2)
+        assert report.values() == [0, 1, 4, 9]
+        assert [item.attempts for item in report.items] == [1, 3, 1, 1]
 
     def test_retries_zero_disables_retrying(self):
         plan = FaultPlan.of(Fault(kind="raise", index=0, attempt=1))
@@ -381,6 +398,42 @@ class TestFaultPlans:
         assert np.array_equal(recovered.taken_column, reference.taken_column)
         assert np.array_equal(recovered.target_column, reference.target_column)
 
+    def test_truncate_fault_damages_the_configured_result_store(self, tmp_path):
+        from repro.api.runtime_config import activated
+        from repro.results.store import (
+            clear_result_store,
+            load_result,
+            result_store_info,
+            store_result,
+        )
+
+        artifact = {
+            "schema": 2,
+            "experiment": "t",
+            "title": "T",
+            "tables": [],
+            "primary": None,
+            "frames": {},
+            "payload": [],
+        }
+        store = tmp_path / "results"
+        clear_result_store()
+        # The fault resolves the store the run is using: the active
+        # config's directory, with nothing joined under it.
+        with activated(RuntimeConfig(result_cache_dir=str(store))):
+            store_result("a" * 64, artifact)
+            (entry,) = os.listdir(store)
+            FaultPlan.of(
+                Fault(kind="truncate", index=0, target="*.json", store="result-store")
+            ).fire(0, 1, allow_exit=False)
+            clear_result_store()  # Drop the memory layer; force a disk read.
+            quarantined = result_store_info()["quarantined"]
+            assert load_result("a" * 64) is None
+        assert result_store_info()["quarantined"] == quarantined + 1
+        assert not (store / entry).exists()
+        assert [name for name in os.listdir(store) if name.endswith(".corrupt")]
+        clear_result_store()
+
 
 class TestShimsRemoved:
     """The deprecation cycle is complete: the module-level shims are gone."""
@@ -392,11 +445,11 @@ class TestShimsRemoved:
         assert not hasattr(common, "workload_trace")
 
     def test_canonical_homes_still_serve_the_replacements(self):
-        from repro.api import default_session
+        from repro.api import current_session
         from repro.workloads import get_workload
         from repro.workloads.trace_cache import workload_trace
 
-        assert default_session().map(_square, ITEMS) == [
+        assert current_session().map(_square, ITEMS) == [
             _square(item) for item in ITEMS
         ]
         spec = get_workload("FT")

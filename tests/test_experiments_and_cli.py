@@ -152,7 +152,7 @@ class TestCli:
         "argv,flag",
         [
             (["serve", "--port", "-1"], "--port"),
-            (["explore", "--smoke", "--retries", "two"], "--retries"),
+            (["explore-smoke", "--smoke", "--retries", "two"], "--retries"),
             (["fig5", "--retries", "-1"], "--retries"),
             (["serve", "--port", "70000"], "--port"),
             (["fig5", "--parallel", "--processes", "0"], "--processes"),

@@ -575,29 +575,33 @@ class TestExploreCli:
         clear_result_store()
         cold_dir = tmp_path / "cold"
         warm_dir = tmp_path / "warm"
-        assert (
-            cli_main(["explore", "--smoke", "--strict", "--out", str(cold_dir)]) == 0
-        )
+        run = ["explore-smoke", "--smoke", "--strict", "--out"]
+        assert cli_main(run + [str(cold_dir)]) == 0
         clear_result_store()
-        assert (
-            cli_main(["explore", "--smoke", "--strict", "--out", str(warm_dir)]) == 0
-        )
-        for name in ("explore.csv", "explore.json"):
+        assert cli_main(run + [str(warm_dir)]) == 0
+        for name in ("explore-smoke.csv", "explore-smoke.json"):
             assert (cold_dir / name).read_bytes() == (warm_dir / name).read_bytes()
         cold_manifest = json.loads((cold_dir / "manifest.json").read_text())
         warm_manifest = json.loads((warm_dir / "manifest.json").read_text())
-        assert cold_manifest["experiments"]["explore"]["status"] == "computed"
-        assert warm_manifest["experiments"]["explore"]["status"] == "cached"
-        payload = json.loads((cold_dir / "explore.json").read_text())
-        assert payload["experiment"] == "explore"
+        assert set(cold_manifest["experiments"]) == {"explore-smoke"}
+        assert cold_manifest["experiments"]["explore-smoke"]["status"] == "computed"
+        assert warm_manifest["experiments"]["explore-smoke"]["status"] == "cached"
+        payload = json.loads((cold_dir / "explore-smoke.json").read_text())
+        assert payload["experiment"] == "explore-smoke"
         titles = [table["title"] for table in payload["tables"]]
         assert any("Pareto frontier" in title for title in titles)
         assert any("sensitivity" in title for title in titles)
 
-    def test_explore_rejects_unknown_grid_and_scenarios(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["explore", "--grid", "galaxy"])
-        rc = cli_main(["explore", "--scenarios", "paper", "--strict"])
+    def test_explore_is_not_a_subcommand_and_presets_reject_scenarios(self, capsys):
+        # The registered explore-<preset> experiments are the one CLI
+        # spelling of an exploration.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["explore", "--smoke"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        for preset in ("explore-cmp", "explore-frontend", "explore-smoke"):
+            assert preset in err
+        rc = cli_main(["explore-smoke", "--scenarios", "paper", "--strict"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "--scenarios" in err

@@ -89,7 +89,7 @@ class TestOrchestratedRuns:
         assert report.counts()["computed"] == 1
 
     def test_execution_knobs_never_change_a_key(self):
-        """Parallelism, retries, fault plans and the cache namespace
+        """Parallelism, retries, fault plans and the queue settings
         cannot change the numbers, so a run under any of them is served
         the same store entries."""
         from repro.api.runtime_config import RuntimeConfig, activated
@@ -100,9 +100,9 @@ class TestOrchestratedRuns:
             parallel=True,
             processes=3,
             retries=7,
-            retry_delay=0.2,
             fault_plan='{"faults": []}',
-            cache_namespace="elsewhere",
+            queue_dir="elsewhere",
+            lease_ttl=2.0,
         )
         with activated(busy):
             assert experiment_key(spec, TINY) == plain

@@ -26,11 +26,7 @@ import time
 import pytest
 
 from repro import durable
-from repro.api.runtime_config import (
-    RuntimeConfig,
-    activated,
-    current_trace_cache_dir,
-)
+from repro.api.runtime_config import RuntimeConfig, activated
 from repro.exec import leases
 from repro.exec import queue as queue_module
 from repro.exec.executors import SerialExecutor, _worker_main
@@ -56,9 +52,10 @@ from repro.exec.results import (
     STATUS_POISON,
     STATUS_REPLAYED,
 )
+from repro.workloads.trace_cache import resolved_cache_dir
 
-#: Keeps every retry path fast; the short TTL keeps reclaim tests fast.
-FAST = dict(retries=2, retry_delay=0.001, lease_ttl=1.0)
+#: Real retry semantics; the short TTL keeps reclaim tests fast.
+FAST = dict(retries=2, lease_ttl=1.0)
 
 
 def settings(**overrides) -> RuntimeConfig:
@@ -92,7 +89,7 @@ def slow_double(args):
 
 
 def trace_cache_dir_of(args):
-    return current_trace_cache_dir()
+    return resolved_cache_dir()
 
 
 def _published(campaign) -> int:
@@ -123,8 +120,6 @@ class TestExecutionSettingsValidation:
 
     def test_rejects_out_of_range_knobs(self):
         for bad in (
-            dict(retry_delay=0),
-            dict(retry_delay=-0.5),
             dict(retries=-1),
             dict(lease_ttl=0),
             dict(lease_ttl=-1.0),
@@ -135,7 +130,6 @@ class TestExecutionSettingsValidation:
     def test_valid_knobs_pass(self):
         built = settings()
         assert built.lease_ttl == 1.0
-        assert built.retry_delay == 0.001
 
 
 class TestLeases:
@@ -228,9 +222,7 @@ class TestQueueExecutor:
         queued = QueueExecutor().run(
             double, items, settings(processes=2, queue_dir=str(tmp_path))
         )
-        serial = SerialExecutor().run(
-            double, items, RuntimeConfig(retries=2, retry_delay=0.001)
-        )
+        serial = SerialExecutor().run(double, items, RuntimeConfig(retries=2))
         assert [r.value for r in queued.results] == [r.value for r in serial.results]
         assert [r.index for r in queued.results] == [r.index for r in serial.results]
         assert not queued.degraded
@@ -548,7 +540,6 @@ class TestKillSupervisorAndResume:
         config = RuntimeConfig(
             processes=2,
             retries=2,
-            retry_delay=0.001,
             lease_ttl=1.0,
             queue_dir=os.environ["QUEUE_DIR"],
         )
@@ -637,7 +628,7 @@ class TestRetiredCampaign:
                     shutil.rmtree(os.path.join(queue_dir, name))
             return args * 2
 
-        config = RuntimeConfig(processes=1, retry_delay=0.001, queue_dir=queue_dir)
+        config = RuntimeConfig(processes=1, queue_dir=queue_dir)
         out = QueueExecutor().run(
             worker, [(i, i) for i in range(4)], config
         )
@@ -674,17 +665,15 @@ class TestWorkerConfig:
             settings(),
             str(tmp_path / "queue"),
         )
-        config = RuntimeConfig(
-            trace_cache_dir=str(tmp_path / "traces"), cache_namespace="ns"
-        )
+        expected = str(tmp_path / "traces")
+        config = RuntimeConfig(trace_cache_dir=expected)
         _worker_main(trace_cache_dir_of, campaign.root, os.getpid(), None, config)
-        expected = os.path.join(str(tmp_path / "traces"), "ns")
         for name in campaign.names:
             payload = load_published(campaign, name)
             assert payload["status"] == STATUS_OK
             assert payload["value"] == expected
         # The handed config is scoped to the drain.
-        assert current_trace_cache_dir() != expected
+        assert resolved_cache_dir() != expected
 
 
 class TestOrphanedWorker:

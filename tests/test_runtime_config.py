@@ -153,24 +153,6 @@ class TestPrecedence:
         with pytest.raises(ValueError):
             rc.RuntimeConfig(retries=-1)
 
-    def test_retry_delay(self, monkeypatch):
-        monkeypatch.delenv(rc.RETRY_DELAY_VARIABLE, raising=False)
-        assert (
-            rc.RuntimeConfig.from_environment().retry_delay == rc.DEFAULT_RETRY_DELAY
-        )
-        monkeypatch.setenv(rc.RETRY_DELAY_VARIABLE, "0.2")
-        assert rc.RuntimeConfig.from_environment().retry_delay == 0.2
-        # A zero/negative *environment* delay falls back to the default;
-        # explicit ones raise instead of silently clamping.
-        monkeypatch.setenv(rc.RETRY_DELAY_VARIABLE, "0")
-        assert (
-            rc.RuntimeConfig.from_environment().retry_delay == rc.DEFAULT_RETRY_DELAY
-        )
-        with pytest.raises(ValueError):
-            rc.RuntimeConfig.from_environment(retry_delay=0)
-        with pytest.raises(ValueError):
-            rc.RuntimeConfig(retry_delay=-1.0)
-
     def test_queue_dir(self, monkeypatch):
         monkeypatch.delenv(rc.QUEUE_DIR_VARIABLE, raising=False)
         assert rc.RuntimeConfig.from_environment().queue_dir is None
@@ -191,10 +173,46 @@ class TestPrecedence:
         named = rc.RuntimeConfig(result_cache_dir=store, queue_dir="/srv/queue")
         with rc.activated(named):
             assert rc.current_queue_dir() == "/srv/queue"
-        with rc.activated(rc.RuntimeConfig(cache_namespace="ns", result_cache_dir=store)):
-            assert rc.current_queue_dir() == os.path.join(store, "ns", "queue")
         with rc.activated(rc.RuntimeConfig()):
             assert rc.current_queue_dir() is None
+
+    def test_disk_directories_are_the_config_fields(self, tmp_path):
+        import pickle
+
+        from repro.results.store import resolved_result_dir
+        from repro.workloads.trace_cache import resolved_cache_dir
+
+        traces = str(tmp_path / "traces")
+        results = str(tmp_path / "results")
+        config = rc.RuntimeConfig(
+            parallel=True,
+            processes=2,
+            trace_cache_dir=traces,
+            result_cache_dir=results,
+        )
+        # Spawned and fork-server workers receive the config pickled and
+        # activate it as is: they resolve the very same directories.
+        for handed in (config, pickle.loads(pickle.dumps(config))):
+            with rc.activated(handed):
+                assert resolved_cache_dir() == traces
+                assert resolved_result_dir() == results
+                assert rc.current_queue_dir() == os.path.join(results, "queue")
+        with rc.activated(config.replace(trace_cache_dir="none", result_cache_dir="off")):
+            assert resolved_cache_dir() is None
+            assert resolved_result_dir() is None
+            assert rc.current_queue_dir() is None
+
+    def test_unknown_variables_move_no_directory(self, monkeypatch, tmp_path):
+        # Only the variables the config names are read: a leftover export
+        # of a variable the package no longer reads changes nothing.
+        for name in rc.ENVIRONMENT_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, str(tmp_path))
+        reference = rc.RuntimeConfig.from_environment()
+        monkeypatch.setenv("REPRO_CACHE_NAMESPACE", "ns")
+        monkeypatch.setenv("REPRO_RETRY_DELAY", "0.2")
+        assert rc.RuntimeConfig.from_environment() == reference
+        assert reference.trace_cache_dir == str(tmp_path)
 
     def test_lease_ttl(self, monkeypatch):
         monkeypatch.delenv(rc.LEASE_TTL_VARIABLE, raising=False)
@@ -261,7 +279,6 @@ class TestConfigBehaviour:
             processes="2",
             instructions=3000.0,
             retries="1",
-            retry_delay="0.5",
             lease_ttl=3,
             serve_port="8080",
             fault_plan="",
@@ -270,7 +287,7 @@ class TestConfigBehaviour:
         counts = ("processes", "instructions", "retries", "serve_port")
         assert [getattr(config, name) for name in counts] == [2, 3000, 1, 8080]
         assert {type(getattr(config, name)) for name in counts} == {int}
-        assert (config.retry_delay, config.lease_ttl) == (0.5, 3.0)
+        assert config.lease_ttl == 3.0
         assert type(config.lease_ttl) is float
         assert config.fault_plan is None
         # from_environment hands explicit values to the same constructor.
@@ -286,9 +303,7 @@ class TestConfigBehaviour:
             "processes",
             "instructions",
             "retries",
-            "retry_delay",
             "fault_plan",
-            "cache_namespace",
             "queue_dir",
             "lease_ttl",
             "serve_host",
@@ -296,118 +311,25 @@ class TestConfigBehaviour:
         }
 
 
-class TestCacheNamespace:
-    """One path component isolating concurrent sessions' disk caches."""
-
-    def test_precedence_and_normalization(self, monkeypatch):
-        monkeypatch.delenv(rc.CACHE_NAMESPACE_VARIABLE, raising=False)
-        assert rc.RuntimeConfig.from_environment().cache_namespace is None
-        monkeypatch.setenv(rc.CACHE_NAMESPACE_VARIABLE, "ci-run-7")
-        assert rc.RuntimeConfig.from_environment().cache_namespace == "ci-run-7"
-        # Explicit beats the environment; blank means "no namespace".
-        config = rc.RuntimeConfig.from_environment(cache_namespace="mine")
-        assert config.cache_namespace == "mine"
-        assert (
-            rc.RuntimeConfig.from_environment(cache_namespace="  ").cache_namespace
-            is None
-        )
-        assert (
-            rc.RuntimeConfig.from_environment(cache_namespace=None).cache_namespace
-            is None
-        )
-
-    def test_explicit_invalid_namespace_raises(self):
-        for bad in ("a/b", "a\\b", "..", "."):
-            with pytest.raises(ValueError):
-                rc.RuntimeConfig(cache_namespace=bad)
-
-    def test_invalid_environment_namespace_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(rc.CACHE_NAMESPACE_VARIABLE, "../escape")
-        assert rc.RuntimeConfig.from_environment().cache_namespace is None
-
-    def test_accessors_join_the_namespace(self, monkeypatch, tmp_path):
-        import os
-
-        config = rc.RuntimeConfig(
-            trace_cache_dir=str(tmp_path / "traces"),
-            result_cache_dir=str(tmp_path / "results"),
-            cache_namespace="ns",
-        )
-        with rc.activated(config):
-            assert rc.current_trace_cache_dir() == os.path.join(
-                str(tmp_path / "traces"), "ns"
-            )
-            assert rc.current_result_cache_dir() == os.path.join(
-                str(tmp_path / "results"), "ns"
-            )
-        # A config resolved from the environment joins its namespace the
-        # same way.
-        monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, str(tmp_path / "traces"))
-        monkeypatch.setenv(rc.RESULT_CACHE_DIR_VARIABLE, str(tmp_path / "results"))
-        monkeypatch.setenv(rc.CACHE_NAMESPACE_VARIABLE, "env-ns")
-        with rc.activated(rc.RuntimeConfig.from_environment()):
-            assert rc.current_trace_cache_dir() == os.path.join(
-                str(tmp_path / "traces"), "env-ns"
-            )
-            assert rc.current_result_cache_dir() == os.path.join(
-                str(tmp_path / "results"), "env-ns"
-            )
-        # A namespace without an enabled disk layer stays disabled.
-        with rc.activated(config.replace(trace_cache_dir="none")):
-            assert rc.current_trace_cache_dir() is None
-
-    def test_two_namespaces_resolve_to_distinct_paths(self, tmp_path):
-        shared = str(tmp_path / "shared")
-        first = rc.RuntimeConfig(trace_cache_dir=shared, cache_namespace="a")
-        second = rc.RuntimeConfig(trace_cache_dir=shared, cache_namespace="b")
-        with rc.activated(first):
-            dir_a = rc.current_trace_cache_dir()
-        with rc.activated(second):
-            dir_b = rc.current_trace_cache_dir()
-        assert dir_a != dir_b
-        assert dir_a.startswith(shared) and dir_b.startswith(shared)
-
-    def test_a_handed_over_config_joins_the_namespace_once(self, tmp_path):
-        import pickle
-
-        config = rc.RuntimeConfig(
-            parallel=True,
-            processes=2,
-            trace_cache_dir=str(tmp_path / "traces"),
-            result_cache_dir=str(tmp_path / "results"),
-            cache_namespace="ns",
-            fault_plan='{"faults": []}',
-        )
-        # Spawned and fork-server workers receive the config pickled
-        # and activate it as is: the namespace is joined there, once.
-        handed = pickle.loads(pickle.dumps(config))
-        assert handed == config
-        with rc.activated(handed):
-            assert rc.current_trace_cache_dir() == os.path.join(
-                str(tmp_path / "traces"), "ns"
-            )
-            assert rc.current_result_cache_dir() == os.path.join(
-                str(tmp_path / "results"), "ns"
-            )
-
-
 class TestActivation:
     """An activated config wins over the process snapshot, scoped."""
 
     def test_activated_config_overrides_the_snapshot(self, monkeypatch, tmp_path):
+        from repro.workloads.trace_cache import resolved_cache_dir
+
         snapshot = rc.process_snapshot()
         # The environment is read once: changing it later moves neither
         # the snapshot nor the accessors.
         monkeypatch.setenv(rc.TRACE_CACHE_DIR_VARIABLE, str(tmp_path / "env"))
         monkeypatch.setenv(rc.INSTRUCTIONS_VARIABLE, "777")
         assert rc.current_config() is snapshot
-        assert rc.current_trace_cache_dir() == snapshot.trace_cache_dir
+        assert resolved_cache_dir() == snapshot.trace_cache_dir
         config = rc.RuntimeConfig(trace_cache_dir=str(tmp_path / "mine"))
         with rc.activated(config):
             assert rc.current_config() is config
-            assert rc.current_trace_cache_dir() == str(tmp_path / "mine")
+            assert resolved_cache_dir() == str(tmp_path / "mine")
         assert rc.current_config() is snapshot
-        assert rc.current_trace_cache_dir() == snapshot.trace_cache_dir
+        assert resolved_cache_dir() == snapshot.trace_cache_dir
         assert rc.current_config().instructions == snapshot.instructions
 
     def test_activation_nests_and_restores_on_error(self):

@@ -401,7 +401,7 @@ class TestInteractivePriority:
         assert worker_reference(record_order) == "test_serve:record_order"
         queue = tmp_path / "queue"
         queue.mkdir()
-        config = rc.RuntimeConfig(retries=0, retry_delay=0.001, lease_ttl=5.0)
+        config = rc.RuntimeConfig(retries=0, lease_ttl=5.0)
         ORDER.clear()
         enqueue_campaign(
             record_order,
@@ -416,29 +416,58 @@ class TestInteractivePriority:
         assert sorted(ORDER) == [0, 1, 2, 3, 99]
 
 
-class TestSharedInProcessCaches:
-    """A cache namespace scopes the two disk roots only: in memory, the
-    namespaces of one process share a trace and a profile per key (disk
-    isolation is covered in ``tests/test_api_session.py``)."""
+class TestJobRegistry:
+    def test_a_repeated_miss_is_one_job_and_one_campaign(self, tmp_path):
+        from repro.exec.queue import CAMPAIGN_PREFIX
+        from repro.serve.jobs import JOB_ID_LENGTH, JobRegistry
+        from repro.serve.resolve import resolve_experiment
 
-    def test_namespaces_share_one_in_memory_trace(self):
+        queue = tmp_path / "queue"
+        queue.mkdir()
+        config = rc.RuntimeConfig(
+            instructions=TINY, trace_cache_dir=None, result_cache_dir=None
+        )
+        resolved = resolve_experiment("table2", {}, config)
+        registry = JobRegistry(str(queue))
+        job = registry.submit(resolved)
+        assert registry.submit(resolved) is job
+        assert registry.get(job.id) is job and len(registry) == 1
+        job_id = resolved.key[:JOB_ID_LENGTH]
+        assert job.describe() == {
+            "job": job_id,
+            "experiment": "table2",
+            "instructions": TINY,
+            "key": resolved.key,
+            "poll": f"/job/{job_id}",
+        }
+        campaigns = [
+            name for name in os.listdir(queue) if name.startswith(CAMPAIGN_PREFIX)
+        ]
+        assert len(campaigns) == 1
+
+
+class TestSharedInProcessCaches:
+    """A trace-cache directory scopes the disk layer only: in memory,
+    the configs of one process share a trace and a profile per key."""
+
+    def test_directories_share_one_in_memory_trace(self, tmp_path):
         spec = get_workload("FT")
         base = rc.RuntimeConfig.from_environment()
-        with rc.activated(base.replace(cache_namespace="alpha")):
+        with rc.activated(base.replace(trace_cache_dir=str(tmp_path / "a"))):
             before = trace_cache_info()["misses"]
             first = workload_trace(spec, 20_000)
-        with rc.activated(base.replace(cache_namespace="beta")):
+        with rc.activated(base.replace(trace_cache_dir=str(tmp_path / "b"))):
             assert workload_trace(spec, 20_000) is first
         assert trace_cache_info()["misses"] == before + 1
 
-    def test_namespaces_share_one_profile(self):
+    def test_directories_share_one_profile(self, tmp_path):
         from repro.uarch.simulator import profile_cache_info, profile_workload_frontend
 
         spec = get_workload("FT")
         base = rc.RuntimeConfig.from_environment()
-        with rc.activated(base.replace(cache_namespace="alpha")):
+        with rc.activated(base.replace(trace_cache_dir=str(tmp_path / "a"))):
             first = profile_workload_frontend(spec, 20_000)
             hits = profile_cache_info()["hits"]
-        with rc.activated(base.replace(cache_namespace="beta")):
+        with rc.activated(base.replace(trace_cache_dir=str(tmp_path / "b"))):
             assert profile_workload_frontend(spec, 20_000) is first
         assert profile_cache_info()["hits"] == hits + 1

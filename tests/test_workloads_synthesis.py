@@ -57,6 +57,14 @@ class TestBuildWorkload:
         spec = get_workload("IS")
         assert build_workload(spec) is build_workload(spec)
 
+    def test_a_direct_trace_takes_an_explicit_budget(self):
+        # The one budget default lives in the runtime config and reaches
+        # a trace through workload_trace; a built workload has none.
+        workload = build_workload(get_workload("IS"))
+        with pytest.raises(TypeError):
+            workload.trace()
+        assert workload.trace(SMALL).instruction_count() >= SMALL
+
     def test_trace_is_cached_per_length(self):
         spec = get_workload("IS")
         assert workload_trace(spec, SMALL) is workload_trace(spec, SMALL)
