@@ -33,8 +33,9 @@ tooling) can hold any of them behind one interface:
 ``describe()`` stays the side-effect-free semantic description used for
 logging and content addressing.
 
-The module-level sweep worker is deliberately a plain picklable
-function, so plans fan out through :meth:`Session.map
+The front-end rows worker :func:`frontend_rows` is a plain picklable
+function that :class:`FrontendSweepPlan` and the exploration's
+front-end chunks share, fanned out through :meth:`Session.map
 <repro.api.session.Session.map>` like the experiment drivers.
 """
 
@@ -56,7 +57,7 @@ from repro.frontend.configs import (
     TAILORED_FRONTEND,
     FrontEndConfig,
 )
-from repro.frontend.simulation import FrontEndResult, simulate_frontend_many
+from repro.frontend.simulation import simulate_frontend_many
 from repro.trace.instruction import CodeSection
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.trace_cache import workload_trace
@@ -75,26 +76,25 @@ DEFAULT_SWEEP_CONFIGS: Tuple[FrontEndConfig, ...] = (
 )
 
 
-def _metric_value(result: FrontEndResult, metric: str) -> float:
-    if metric == "branch_mpki":
-        return result.branch.mpki
-    if metric == "btb_mpki":
-        return result.btb.mpki
-    if metric == "icache_mpki":
-        return result.icache.mpki
-    raise KeyError(f"unknown sweep metric {metric!r}; expected one of {SWEEP_METRICS}")
-
-
-def _sweep_worker(args) -> Dict[Tuple[str, CodeSection], FrontEndResult]:
+def frontend_rows(args) -> List[List[Any]]:
     """Per-workload worker: every configuration over one shared trace.
 
-    Module-level (and argument-tuple shaped like the driver workers:
-    ``(spec, instructions, ...)``) so parallel execution can pickle it
-    and the sweep primer recognises and pre-generates its traces.
+    Takes ``(spec, instructions, seed, configs, sections)``, the driver
+    convention the sweep primer reads, and returns one ``[section,
+    config, branch_mpki, btb_mpki, icache_mpki]`` row per (section,
+    configuration), sections outermost.  Front-end sweep plans and
+    front-end exploration chunks both run it.
     """
     spec, instructions, seed, configs, sections = args
     trace = workload_trace(spec, instructions, seed=seed)
-    return simulate_frontend_many(trace, configs, sections)
+    results = simulate_frontend_many(trace, configs, sections)
+    rows: List[List[Any]] = []
+    for section in sections:
+        for config in configs:
+            result = results[(config.name, section)]
+            mpki = (result.branch.mpki, result.btb.mpki, result.icache.mpki)
+            rows.append([section.name, config.name, *mpki])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -162,11 +162,12 @@ class Plan:
 class FrontendSweepPlan(Plan):
     """workloads x front-end configurations x sections -> metrics.
 
-    Compiles to one batched :func:`simulate_frontend_many` call per
-    workload (each section's branch/line streams decoded once for all
-    configurations), fanned out through the session's pool when its
-    config says so.  The resulting frame has one row per (workload,
-    section, configuration) with the requested metric columns.
+    Compiles to one sweep of :func:`frontend_rows`, one batched
+    :func:`simulate_frontend_many` call per workload (each section's
+    branch/line streams decoded once for all configurations), on the
+    work queue when the session's config says so.  The resulting frame
+    has one row per (workload, section, configuration) with the
+    requested metric columns, picked from the worker's rows.
     """
 
     session: "Session"
@@ -237,16 +238,14 @@ class FrontendSweepPlan(Plan):
             (spec, self.instructions, self.seed, self.configs, self.sections)
             for spec in self.workloads
         ]
-        results = self.session.map(_sweep_worker, arguments)
-        rows: List[List[Any]] = []
-        for spec, by_key in zip(self.workloads, results):
-            for section in self.sections:
-                for config in self.configs:
-                    result = by_key[(config.name, section)]
-                    rows.append(
-                        [spec.name, spec.suite.label, section.name, config.name]
-                        + [_metric_value(result, metric) for metric in self.metrics]
-                    )
+        # A worker row is [section, config, *SWEEP_METRICS].
+        picks = [2 + SWEEP_METRICS.index(metric) for metric in self.metrics]
+        results = self.session.map(frontend_rows, arguments)
+        rows = [
+            [spec.name, spec.suite.label, row[0], row[1]] + [row[i] for i in picks]
+            for spec, workload_rows in zip(self.workloads, results)
+            for row in workload_rows
+        ]
         return ResultFrame.from_rows(
             ("workload", "suite", "section", "config") + self.metrics, rows
         )

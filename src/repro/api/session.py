@@ -20,7 +20,10 @@ through: serial by default, fanned out over the durable work queue of
 :mod:`repro.exec` when the session's config says so -- with per-item
 retries, worker replacement, resume of killed campaigns, and
 structured failure reports -- and the shared disk trace cache primed
-first.  The config is the only source of that policy; the queue and
+first.  A computed experiment is one sweep (:meth:`Session.suite_sweep`
+splits its rows by suite afterwards), so a parallel experiment makes
+one campaign and at most one priming pool, whose children keep no
+trace.  The config is the only source of that policy; the queue and
 priming workers receive it as an object and run under it.  While a
 session executes, its config is *activated* (see
 :func:`repro.api.runtime_config.activated`) so every layer below --
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from itertools import islice
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Union
 
 from repro.api import runtime_config as rc
@@ -62,6 +66,7 @@ from repro.workloads.catalog import get_workload
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import Suite
 from repro.workloads.trace_cache import (
+    clear_trace_cache,
     trace_in_memory,
     trace_on_disk,
     workload_trace,
@@ -71,38 +76,17 @@ from repro.workloads.trace_cache import (
 WorkloadLike = Union[str, WorkloadSpec]
 
 
-def parallel_map(
-    function: Callable,
-    items: Sequence,
-    processes: Optional[int] = None,
-) -> List:
-    """Map ``function`` over ``items`` across worker processes, in order.
-
-    ``function`` must be picklable (a module-level function).  With one
-    item or one worker, falls back to a plain in-process map.  This is
-    the pool that primes the disk trace cache before a parallel sweep
-    (:func:`_prime_shared_traces`); the sweep itself runs on the work
-    queue.
-    """
-    items = list(items)
-    if processes is None:
-        processes = min(len(items), os.cpu_count() or 1)
-    if processes <= 1 or len(items) <= 1:
-        return [function(item) for item in items]
-    with multiprocessing.Pool(processes) as pool:
-        return pool.map(function, items)
-
-
 def _prime_worker(args) -> None:
-    """Generate one trace into the shared disk cache (worker side).
+    """Generate one trace into the shared disk cache (priming pool child).
 
     Runs under the sweep's config, handed over with the key, so the
     trace lands in the session's cache directory whatever the start
-    method.
+    method.  It hands the trace over on disk and keeps nothing.
     """
     config, spec, instructions, seed = args
     with rc.activated(config):
         workload_trace(spec, instructions, seed=seed)
+    clear_trace_cache()
 
 
 def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
@@ -114,8 +98,9 @@ def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
     to 0 otherwise.  The check is ``type(...) is int`` on purpose:
     drivers also pass ``(spec, instructions, section)`` tuples whose
     :class:`~repro.trace.instruction.CodeSection` is an ``IntEnum`` and
-    must not be misread as a seed, and a CMP exploration chunk
-    ``(spec, instructions, chips)`` profiles the seed-0 trace.
+    must not be misread as a seed, and the CMP rows worker's
+    ``(spec, instructions, chips)`` -- a Figure 10 or ``cmpsweep`` item,
+    or a CMP exploration chunk -- profiles the seed-0 trace.
     """
     keys = []
     seen = set()
@@ -140,19 +125,22 @@ def _prime_shared_traces(keys: Sequence, config: rc.RuntimeConfig) -> None:
 
     ``keys`` are ``(spec, instructions, seed)`` triples.  Traces this
     process does not hold and the disk layer lacks are generated *in
-    parallel* under ``config`` (each priming worker stores its ``.npz``
-    atomically).  Then the parent loads every key into its in-memory
-    cache and writes the traces it already held to the disk, so sweep
-    workers find every trace present -- inherited on fork platforms,
-    disk-loaded otherwise -- instead of each regenerating its own.
+    parallel* under ``config`` by a pool of :func:`_prime_worker`
+    children (none for one trace or one process).  Then the parent
+    loads every key into its in-memory cache and writes the traces it
+    already held to the disk, so sweep workers find every trace present
+    -- inherited on fork platforms, disk-loaded otherwise -- instead of
+    each regenerating its own.
     """
     missing = [
         (config, *key)
         for key in keys
         if not trace_in_memory(*key) and not trace_on_disk(*key)
     ]
-    if len(missing) > 1:
-        parallel_map(_prime_worker, missing, config.processes)
+    processes = min(len(missing), config.processes or os.cpu_count() or 1)
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
+            pool.map(_prime_worker, missing)
     for spec, instructions, seed in keys:
         workload_trace(spec, instructions, seed=seed)
 
@@ -401,7 +389,8 @@ class Session:
         executor whole: ``parallel`` runs the sweep on the work queue
         with ``processes`` workers, anything else runs it serially
         in-process, both with per-item retries and fault injection from
-        the config.  Before the queue spawns workers, the shared disk
+        the config (a fault's ``index`` is an item's position in
+        ``arguments``).  Before the queue spawns workers, the shared disk
         trace cache is primed under the session's ``trace_cache_dir``
         with the traces the argument tuples name (see
         :func:`_default_prime_keys`).  Queue campaigns live under the
@@ -445,20 +434,22 @@ class Session:
         extra_args: Sequence = (),
         suites: Optional[Sequence[Suite]] = None,
     ) -> "List[tuple]":
-        """Sweep a per-workload worker suite by suite.
+        """Sweep a per-workload worker over every suite's workloads at once.
 
-        Returns ``[(suite, specs, rows), ...]`` in figure order -- the
-        per-suite loop glue shared by the Section III/IV drivers, so
-        each experiment keeps only its own aggregation.
+        Returns ``[(suite, specs, rows), ...]`` in figure order, the rows
+        of one :meth:`map` split by suite -- the per-suite glue shared by
+        the Section III/IV drivers, so each experiment keeps only its own
+        aggregation.
         """
         from repro.workloads.suites import SUITE_ORDER
 
-        results = []
-        for suite in suites or SUITE_ORDER:
-            specs = self.workloads(suites=[suite])
-            arguments = [(spec, *extra_args) for spec in specs]
-            results.append((suite, specs, self.map(worker, arguments)))
-        return results
+        suites = suites or SUITE_ORDER
+        groups = [(suite, self.workloads(suites=[suite])) for suite in suites]
+        flat = [spec for _, specs in groups for spec in specs]
+        rows = iter(self.map(worker, [(spec, *extra_args) for spec in flat]))
+        return [
+            (suite, specs, list(islice(rows, len(specs)))) for suite, specs in groups
+        ]
 
 
 def current_session() -> Session:

@@ -202,19 +202,22 @@ class Reaper:
 
     Stateful on purpose: wall-clock timestamps from another machine may
     be skewed, so besides the timestamp check the reaper tracks, per
-    lease, when *it* last saw the sequence number move (its own
-    monotonic clock).  A lease is stale when any of these holds:
+    lease, when *it* last saw the claim's ``(owner, seq)`` change (its
+    own monotonic clock).  A new claim on the same item starts a new
+    observation, even at the same sequence number.  A lease is stale
+    when any of these holds:
 
     * its owner's pid is dead and the owner is on this host (fast
       path -- no TTL wait after a local SIGKILL),
     * its heartbeat timestamp is more than a TTL in the past,
-    * its sequence number has not moved for a TTL of observation.
+    * its claim (owner and sequence number) has not changed for a TTL
+      of observation.
     """
 
     def __init__(self, ttl: float) -> None:
         self.ttl = float(ttl)
         self._host = socket.gethostname()
-        #: path -> (last seen seq, monotonic time it was first seen).
+        #: path -> ((owner, seq) last seen, monotonic time first seen).
         self._observations: Dict[str, Any] = {}
 
     def forget(self, path: str) -> None:
@@ -233,10 +236,10 @@ class Reaper:
         timestamp = float(lease.get("ts", 0) or 0)
         if timestamp and time.time() - timestamp > self.ttl:
             return True
-        seq = lease.get("seq", 0)
+        claim = (owner, lease.get("seq", 0))
         now = time.monotonic()
         seen = self._observations.get(path)
-        if seen is None or seen[0] != seq:
-            self._observations[path] = (seq, now)
+        if seen is None or seen[0] != claim:
+            self._observations[path] = (claim, now)
             return not timestamp  # A ts of 0 is stale on sight.
         return now - seen[1] > self.ttl

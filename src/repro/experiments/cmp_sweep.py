@@ -5,12 +5,15 @@ scenarios of :class:`~repro.uarch.sweep.SweepScenario` grids -- core
 counts from 1 to 64, baseline/tailored/asymmetric mixes, private-L2
 sizes -- evaluated with exactly the same profile -> schedule -> power
 pipeline as the paper's four chips.  Exposed on the CLI as
-``repro-frontend cmpsweep``.
+``repro-frontend cmpsweep``.  All selected scenarios run as one sweep
+of the CMP rows worker (:func:`repro.power.cmp_power.cmp_rows`), whose
+``(spec, instructions, chips)`` items a CMP exploration chunk shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from repro.api.frame import ResultFrame
@@ -24,9 +27,8 @@ from repro.experiments.common import (
     mean,
     normalize_to_reference,
 )
-from repro.power.cmp_power import evaluate_cmp_energy
+from repro.power.cmp_power import cmp_rows
 from repro.results.spec import ExperimentSpec
-from repro.uarch.simulator import profile_workload_frontend, run_on_cmp
 from repro.uarch.sweep import SweepScenario, get_scenario, standard_scenarios
 from repro.workloads.suites import Suite
 
@@ -97,21 +99,14 @@ class CmpSweepResult(FrameResult):
         )
 
 
-def _sweep_workload(args) -> Dict[str, Dict[str, float]]:
-    """Per-workload worker: normalized metrics on one scenario grid."""
-    spec, instructions, cmps = args
-    profile = profile_workload_frontend(spec, instructions)
-    absolute: Dict[str, Dict[str, float]] = {metric: {} for metric in SWEEP_METRICS}
-    for cmp in cmps:
-        run = run_on_cmp(profile, cmp)
-        energy = evaluate_cmp_energy(run)
-        absolute["time"][cmp.name] = run.execution_seconds
-        absolute["power"][cmp.name] = energy.average_power_w
-        absolute["energy"][cmp.name] = energy.energy_j
-    reference = cmps[0].name
+def _normalized(rows: Sequence, reference: str) -> Dict[str, Dict[str, float]]:
+    """One scenario's ``cmp_rows`` for one workload, per metric, each
+    normalized to the scenario's reference chip."""
     return {
-        metric: normalize_to_reference(values, reference)
-        for metric, values in absolute.items()
+        metric: normalize_to_reference(
+            {row[0]: row[column] for row in rows}, reference
+        )
+        for column, metric in enumerate(SWEEP_METRICS, start=1)
     }
 
 
@@ -126,11 +121,14 @@ def run_cmpsweep(
 
     ``scenarios`` takes explicit :class:`SweepScenario` objects;
     ``scenario_names`` selects built-ins by name (both default to every
-    built-in scenario).  Workload profiles are shared across scenarios
-    through the process-wide trace/profile caches, so adding a scenario
-    only adds the (cheap) scheduling and power arithmetic.  The
-    per-workload evaluation runs through the current session's sweep
-    engine.
+    built-in scenario).  Every scenario runs in one sweep through the
+    current session's sweep engine: each workload is one
+    :func:`~repro.power.cmp_power.cmp_rows` item carrying the chips of
+    every selected scenario, in scenario order, so a workload is
+    profiled once and adding a scenario only adds the (cheap)
+    scheduling and power arithmetic.  Each scenario takes its rows by
+    position, never by chip name, since two scenarios may hold
+    different chips under one name.
     """
     instructions = experiment_instructions(instructions)
     session = current_session()
@@ -144,18 +142,20 @@ def run_cmpsweep(
     if workloads is None and suites is None:
         workloads = DEFAULT_SWEEP_WORKLOADS
     specs = session.workloads(suites=suites, names=workloads)
+    chips = tuple(cmp for scenario in scenarios for cmp in scenario.cmps)
+    _, rows = session.workload_sweep(cmp_rows, (instructions, chips), specs=specs)
+    remaining = [iter(chip_rows) for chip_rows in rows]
 
     summary_rows: List[tuple] = []
     workload_rows: List[tuple] = []
     for scenario in scenarios:
-        _, rows = session.workload_sweep(
-            _sweep_workload,
-            (instructions, scenario.cmps),
-            specs=specs,
-        )
-        per_workload: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for spec, normalized in zip(specs, rows):
-            per_workload[spec.name] = normalized
+        normalized = [
+            _normalized(
+                list(islice(chip_rows, len(scenario.cmps))), scenario.reference.name
+            )
+            for chip_rows in remaining
+        ]
+        for spec, values in zip(specs, normalized):
             for metric in SWEEP_METRICS:
                 for cmp in scenario.cmps:
                     workload_rows.append(
@@ -164,14 +164,12 @@ def run_cmpsweep(
                             spec.name,
                             metric,
                             cmp.name,
-                            normalized[metric][cmp.name],
+                            values[metric][cmp.name],
                         )
                     )
         for metric in SWEEP_METRICS:
             for cmp in scenario.cmps:
-                value = mean(
-                    per_workload[spec.name][metric][cmp.name] for spec in specs
-                )
+                value = mean(values[metric][cmp.name] for values in normalized)
                 summary_rows.append((scenario.name, metric, cmp.name, value))
     return CmpSweepResult(
         instructions=instructions,

@@ -18,10 +18,9 @@ from repro.experiments.common import (
     normalize_to_reference,
     suite_cell,
 )
-from repro.power.cmp_power import evaluate_cmp_energy
+from repro.power.cmp_power import cmp_rows
 from repro.results.spec import ExperimentSpec
 from repro.uarch.cmp import STANDARD_CMP_CONFIGS, CmpConfig
-from repro.uarch.simulator import profile_workload_frontend, run_on_cmp
 from repro.workloads.suites import Suite
 
 #: Metrics reported by Figure 10, in subplot order.
@@ -63,26 +62,17 @@ class Fig10Result(FrameResult):
         )
 
 
-def _evaluate_workload(args) -> Dict[str, Dict[str, float]]:
-    """Per-workload worker: normalized metrics on every CMP configuration.
-
-    The front-end profile comes from the shared trace/profile caches
-    (see :func:`repro.uarch.simulator.profile_workload_frontend`), so a
-    warm in-process run re-simulates nothing.
-    """
-    spec, instructions, cmps = args
-    profile = profile_workload_frontend(spec, instructions)
+def _normalized(rows: Sequence, reference: str) -> Dict[str, Dict[str, float]]:
+    """One workload's ``cmp_rows`` per Figure 10 metric, normalized to
+    the ``reference`` chip (energy-delay is energy times time)."""
     absolute: Dict[str, Dict[str, float]] = {metric: {} for metric in FIG10_METRICS}
-    for cmp in cmps:
-        run = run_on_cmp(profile, cmp)
-        energy = evaluate_cmp_energy(run)
-        absolute["execution time"][cmp.name] = run.execution_seconds
-        absolute["power"][cmp.name] = energy.average_power_w
-        absolute["energy"][cmp.name] = energy.energy_j
-        absolute["energy-delay"][cmp.name] = energy.energy_delay
-    baseline_name = cmps[0].name
+    for name, seconds, power_w, energy_j in rows:
+        absolute["execution time"][name] = seconds
+        absolute["power"][name] = power_w
+        absolute["energy"][name] = energy_j
+        absolute["energy-delay"][name] = energy_j * seconds
     return {
-        metric: normalize_to_reference(values, baseline_name)
+        metric: normalize_to_reference(values, reference)
         for metric, values in absolute.items()
     }
 
@@ -95,21 +85,21 @@ def run_fig10(
     """Regenerate the Figure 10 data.
 
     The per-workload evaluation (trace, front-end profile, all CMP
-    runs) goes through the current session's sweep engine.
+    runs) is one sweep of :func:`~repro.power.cmp_power.cmp_rows`
+    through the current session's sweep engine.
     """
     instructions = experiment_instructions(instructions)
     cmps = tuple(cmps)
     names = [cmp.name for cmp in cmps]
     suite_rows: List[tuple] = []
     workload_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(
-        _evaluate_workload, (instructions, cmps), suites
-    )
+    sweep = current_session().suite_sweep(cmp_rows, (instructions, cmps), suites)
     for suite, specs, rows in sweep:
         per_metric: Dict[str, Dict[str, List[float]]] = {
             metric: {name: [] for name in names} for metric in FIG10_METRICS
         }
-        for spec, normalized in zip(specs, rows):
+        for spec, chip_rows in zip(specs, rows):
+            normalized = _normalized(chip_rows, names[0])
             for metric in FIG10_METRICS:
                 workload_rows.append(
                     (spec.name, metric)

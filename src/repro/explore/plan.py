@@ -34,6 +34,11 @@ chunk) pair is one unit of work:
   its chunk count, which is what makes thousands of configs per
   workload cheap.  CMP grids share one cached workload profile the
   same way.
+* Each chunk is one item of a worker the package shares: a front-end
+  chunk runs :func:`repro.api.plan.frontend_rows`, the worker of a
+  front-end sweep plan, and a CMP chunk ``(spec, instructions, chips)``
+  runs :func:`repro.power.cmp_power.cmp_rows`, the worker of
+  ``cmpsweep`` and Figure 10.
 
 Static per-point columns (area, power) are pure arithmetic and are
 recomputed at assembly time rather than stored.
@@ -54,14 +59,14 @@ from typing import (
 )
 
 from repro.api.frame import ResultFrame
-from repro.api.plan import Plan, PlanOutcome
+from repro.api.plan import Plan, PlanOutcome, frontend_rows
 from repro.experiments.common import FrameResult, PayloadField, RowView
 from repro.explore.grid import GridPoint, GridSpec
 from repro.explore.pareto import ParetoFrontier
 from repro.explore.sensitivity import sensitivity_frame
+from repro.power.cmp_power import cmp_rows
 from repro.trace.instruction import CodeSection
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.trace_cache import workload_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.api.session import Session
@@ -94,51 +99,12 @@ DEFAULT_OBJECTIVES = {
     "cmp": ("area_mm2", "power_w", "time_s"),
 }
 
-#: Columns of the per-chunk worker rows, per grid kind.
+#: Columns of the per-chunk worker rows, per grid kind: what
+#: ``frontend_rows`` and ``cmp_rows`` return.
 _CHUNK_COLUMNS = {
     "frontend": ("section", "point", "branch_mpki", "btb_mpki", "icache_mpki"),
     "cmp": ("point", "time_s", "power_w", "energy_j"),
 }
-
-
-def _frontend_chunk_worker(args) -> List[List[Any]]:
-    """Per-(workload, chunk) worker: every config over one shared trace."""
-    spec, instructions, seed, configs, sections = args
-    trace = workload_trace(spec, instructions, seed=seed)
-    from repro.frontend.simulation import simulate_frontend_many
-
-    results = simulate_frontend_many(trace, configs, sections)
-    rows: List[List[Any]] = []
-    for section in sections:
-        for config in configs:
-            result = results[(config.name, section)]
-            rows.append(
-                [
-                    section.name,
-                    config.name,
-                    result.branch.mpki,
-                    result.btb.mpki,
-                    result.icache.mpki,
-                ]
-            )
-    return rows
-
-
-def _cmp_chunk_worker(args) -> List[List[Any]]:
-    """Per-(workload, chunk) worker: every chip over one cached profile."""
-    spec, instructions, cmps = args
-    from repro.power.cmp_power import evaluate_cmp_energy
-    from repro.uarch.simulator import profile_workload_frontend, run_on_cmp
-
-    profile = profile_workload_frontend(spec, instructions)
-    rows: List[List[Any]] = []
-    for cmp in cmps:
-        run = run_on_cmp(profile, cmp)
-        energy = evaluate_cmp_energy(run)
-        rows.append(
-            [cmp.name, run.execution_seconds, energy.average_power_w, energy.energy_j]
-        )
-    return rows
 
 
 def _chunk_artifact(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> Dict:
@@ -388,11 +354,7 @@ class ExplorePlan(Plan):
             raise ValueError("the grid compiled to zero points")
         chunks = self._chunks(points)
         columns = _CHUNK_COLUMNS[self.grid.kind]
-        worker = (
-            _frontend_chunk_worker
-            if self.grid.kind == "frontend"
-            else _cmp_chunk_worker
-        )
+        worker = frontend_rows if self.grid.kind == "frontend" else cmp_rows
         # Keys only address the store: without one, no chunk is keyed.
         materials = (
             [self._chunk_material(chunk) for chunk in chunks] if self.use_store else []

@@ -4,12 +4,15 @@ Following the paper, only the private resources (cores and their L2
 slices) are accounted because the shared last-level cache and
 interconnect are identical across configurations.  Power combines each
 core's active power weighted by its busy time with its idle power for
-the remainder of the run, plus the L2 slices.
+the remainder of the run, plus the L2 slices.  :func:`cmp_rows` is the
+per-workload worker that Figure 10, ``cmpsweep`` and a CMP exploration
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, List
 
 from repro.power.core_power import (
     CoreAreaPower,
@@ -18,7 +21,11 @@ from repro.power.core_power import (
     l2_power_w,
 )
 from repro.uarch.cmp import CmpConfig
-from repro.uarch.simulator import CmpRunResult
+from repro.uarch.simulator import (
+    CmpRunResult,
+    profile_workload_frontend,
+    run_on_cmp,
+)
 
 
 @dataclass(frozen=True)
@@ -81,3 +88,25 @@ def evaluate_cmp_energy(run: CmpRunResult) -> CmpEnergyResult:
         average_power_w=total_energy / execution,
         area_mm2=cmp_area_mm2(run.cmp),
     )
+
+
+def cmp_rows(args) -> List[List[Any]]:
+    """Per-workload worker: every chip over one cached Section V profile.
+
+    Takes ``(spec, instructions, chips)`` and returns one ``[chip name,
+    execution seconds, average power W, energy J]`` row per chip, in
+    chip order, so callers read the rows by position, never by name: a
+    ``cmpsweep`` item carries the chips of every selected scenario, and
+    two scenarios may name different chips alike.  Figure 10 runs it over
+    the paper's four chips, a CMP exploration chunk over its grid points.
+    """
+    spec, instructions, chips = args
+    profile = profile_workload_frontend(spec, instructions)
+    rows: List[List[Any]] = []
+    for cmp in chips:
+        run = run_on_cmp(profile, cmp)
+        energy = evaluate_cmp_energy(run)
+        rows.append(
+            [cmp.name, run.execution_seconds, energy.average_power_w, energy.energy_j]
+        )
+    return rows

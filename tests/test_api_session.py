@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from repro.experiments.common import experiment_instructions
 from repro.frontend.configs import BASELINE_FRONTEND, TAILORED_FRONTEND
 from repro.frontend.simulation import simulate_frontend, simulate_frontend_many
 from repro.results.artifacts import write_artifact_csv
+from repro.results.orchestrator import registry_names
+from repro.results.store import clear_result_store
 from repro.trace.instruction import CodeSection
 from repro.uarch.core import BASELINE_CORE, TAILORED_CORE
 from repro.uarch.simulator import profile_workload_frontend
@@ -330,20 +333,29 @@ class TestSessionPipeline:
         the parent, not synthesized again by the priming pool."""
         from repro.api import session as session_module
 
-        pooled = []
+        handed = []
 
-        def recording_map(function, items, processes=None):
-            pooled.extend(spec.name for _, spec, _, _ in items)
-            return [function(item) for item in items]
+        class RecordingPool(multiprocessing.pool.Pool):
+            def __init__(self, processes):
+                handed.append(processes)
+                super().__init__(processes)
 
-        monkeypatch.setattr(session_module, "parallel_map", recording_map)
+            def map(self, function, items):
+                handed.append(sorted(spec.name for _, spec, _, _ in items))
+                return super().map(function, items)
+
+        monkeypatch.setattr(session_module.multiprocessing, "Pool", RecordingPool)
         clear_trace_cache()
         Session(instructions=INSTRUCTIONS, trace_cache_dir=str(tmp_path / "a")).trace("FT")
-        session = Session(instructions=INSTRUCTIONS, trace_cache_dir=str(tmp_path / "b"))
+        session = Session(
+            instructions=INSTRUCTIONS,
+            processes=2,
+            trace_cache_dir=str(tmp_path / "b"),
+        )
         keys = [(get_workload(name), INSTRUCTIONS, 0) for name in ("FT", "LU", "CG")]
         with session.activate():
             session_module._prime_shared_traces(keys, session.config)
-        assert sorted(pooled) == ["CG", "LU"]
+        assert handed == [2, ["CG", "LU"]]
         assert sorted(os.listdir(tmp_path / "b")) == [
             f"{name}-{INSTRUCTIONS}-0.npz" for name in ("CG", "FT", "LU")
         ]
@@ -548,6 +560,20 @@ class TestWorkersRunUnderTheSessionConfig:
         assert os.listdir(tmp_path) == [f"FT-{INSTRUCTIONS}-0.npz"]
         clear_trace_cache()
 
+    def test_priming_worker_hands_its_trace_over_on_disk_only(self, tmp_path):
+        """A priming child keeps nothing it synthesized: the parent and
+        the sweep workers load the trace from the disk cache."""
+        from repro.api.session import _prime_worker
+        from repro.workloads.trace_cache import trace_in_memory
+
+        spec = get_workload("FT")
+        clear_trace_cache()
+        _prime_worker(
+            (RuntimeConfig(trace_cache_dir=str(tmp_path)), spec, INSTRUCTIONS, 0)
+        )
+        assert os.listdir(tmp_path) == [f"FT-{INSTRUCTIONS}-0.npz"]
+        assert not trace_in_memory(spec, INSTRUCTIONS, 0)
+
 
 class TestCliSession:
     def test_cli_honours_runtime_environment_variables(self, monkeypatch):
@@ -705,6 +731,28 @@ def _changed_ft():
             ft.parallel, branch_fraction=ft.parallel.branch_fraction * 0.5
         ),
     )
+
+
+class TestOneSweepPerExperiment:
+    """A computed experiment is one sweep, whatever its figure groups by."""
+
+    @pytest.mark.parametrize("name", registry_names())
+    def test_an_experiment_maps_once(self, name, monkeypatch):
+        sweeps = []
+        original = Session.map_report
+
+        def counting(self, worker, arguments):
+            sweeps.append(len(arguments))
+            return original(self, worker, arguments)
+
+        monkeypatch.setattr(Session, "map_report", counting)
+        clear_result_store()  # An in-process entry would serve it.
+        session = Session(
+            instructions=6_000, result_cache_dir=None, trace_cache_dir=None
+        )
+        session.experiment(name).report()
+        # table2 and table3 are model arithmetic, with nothing to sweep.
+        assert len(sweeps) == (0 if name in ("table2", "table3") else 1)
 
 
 class TestSpecKeyedCaches:

@@ -425,6 +425,52 @@ class TestSweepScenarios:
         assert list(result.summary) == ["tiny"]
         assert result.summary["tiny"]["energy"]["Asymmetric CMP"] < 1.0
 
+    def test_scenarios_naming_different_chips_alike_keep_their_own(
+        self, monkeypatch
+    ):
+        # Both scenarios call their chips "ref" and "alt", but the chips
+        # differ, so each must get its own numbers from the one sweep.
+        def renamed(*chips):
+            return tuple(
+                dataclasses.replace(chip, name=name)
+                for chip, name in zip(chips, ("ref", "alt"))
+            )
+
+        small = SweepScenario(
+            "small",
+            "4 cores",
+            renamed(mix_config("baseline", 4), mix_config("tailored", 4)),
+        )
+        large = SweepScenario(
+            "large",
+            "16 cores",
+            renamed(mix_config("baseline", 16), mix_config("asymmetric", 16)),
+        )
+        sweeps = []
+        original = Session.map_report
+
+        def counting(self, worker, arguments):
+            sweeps.append(len(arguments))
+            return original(self, worker, arguments)
+
+        monkeypatch.setattr(Session, "map_report", counting)
+        workloads = ["FT", "gobmk"]
+        both = experiments.run_cmpsweep(
+            instructions=SMALL, scenarios=[small, large], workloads=workloads
+        )
+        assert sweeps == [len(workloads)]
+        for scenario in (small, large):
+            alone = experiments.run_cmpsweep(
+                instructions=SMALL, scenarios=[scenario], workloads=workloads
+            )
+            for frame in ("summary", "workloads"):
+                assert (
+                    both.frames[frame].select(scenario=scenario.name).rows()
+                    == alone.frames[frame].rows()
+                )
+        small_alt = both.summary["small"]["time"]["alt"]
+        assert small_alt != both.summary["large"]["time"]["alt"]
+
 
 class TestParallelSweeps:
     def test_fig11_parallel_matches_serial(self):

@@ -22,6 +22,7 @@ import sys
 import textwrap
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -214,6 +215,27 @@ class TestLeases:
         assert not reaper.is_stale(path, document)  # First observation.
         time.sleep(0.3)
         assert reaper.is_stale(path, document)
+
+    def test_a_new_claim_starts_a_new_observation(self, tmp_path, monkeypatch):
+        # This reaper last looked at the item when owner A held it at
+        # seq 0.  Another reaper reclaimed A's lease and owner B claimed
+        # the item, again at seq 0.  B's lease is fresh and its pid is
+        # alive, so A's age must not carry over to it.
+        now = 100.0
+        monkeypatch.setattr(
+            leases, "time", SimpleNamespace(time=time.time, monotonic=lambda: now)
+        )
+        path = str(tmp_path / "item.lease")
+        owner = f"{socket.gethostname()}:{os.getpid()}"
+        reaper = leases.Reaper(ttl=1.0)
+        first = {"owner": f"{owner}:a", "seq": 0, "ts": time.time(), "ttl": 1.0}
+        assert not reaper.is_stale(path, first)
+        now = 102.0
+        second = {"owner": f"{owner}:b", "seq": 0, "ts": time.time(), "ttl": 1.0}
+        assert not reaper.is_stale(path, second)
+        # B's own claim ages on the reaper's clock as any other does.
+        now = 103.5
+        assert reaper.is_stale(path, second)
 
 
 class TestQueueExecutor:
