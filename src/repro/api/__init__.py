@@ -15,11 +15,11 @@ The pieces:
     Every ``REPRO_*`` knob, resolved once (explicit > env > default).
 :class:`Session`
     Owns a config; typed methods for every pipeline stage.
-:class:`Plan` / :class:`FrontendSweepPlan` / :class:`ExperimentPlan` /
-:class:`ExplorePlan`
-    Declarative descriptions of work; ``execute()`` runs them, and
-    every plan shares the ``execute()``/``frame()``/``outcome()``
-    protocol (see :mod:`repro.api.plan`).
+:class:`FrontendSweepPlan` / :class:`ExperimentPlan` / :class:`ExplorePlan`
+    Declarative descriptions of work; ``execute()`` runs them and
+    returns the primary frame (see :mod:`repro.api.plan`).
+    ``ExperimentPlan.report()`` and ``ExplorePlan.result()`` also carry
+    provenance: store status and key, cached and computed chunks.
 :class:`GridSpec` / :class:`ParetoFrontier`
     Declarative design-space grids and their non-dominated subsets
     (see :mod:`repro.explore`).
@@ -40,8 +40,6 @@ __all__ = [
     "FrontendSweepPlan",
     "GridSpec",
     "ParetoFrontier",
-    "Plan",
-    "PlanOutcome",
     "ResultFrame",
     "RuntimeConfig",
     "Session",
@@ -53,8 +51,6 @@ _EXPORTS = {
     "ENVIRONMENT_VARIABLES": "repro.api.runtime_config",
     "RuntimeConfig": "repro.api.runtime_config",
     "ResultFrame": "repro.api.frame",
-    "Plan": "repro.api.plan",
-    "PlanOutcome": "repro.api.plan",
     "FrontendSweepPlan": "repro.api.plan",
     "ExperimentPlan": "repro.api.plan",
     "ExplorePlan": "repro.explore.plan",
@@ -66,7 +62,7 @@ _EXPORTS = {
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
     from repro.api.frame import ResultFrame
-    from repro.api.plan import ExperimentPlan, FrontendSweepPlan, Plan, PlanOutcome
+    from repro.api.plan import ExperimentPlan, FrontendSweepPlan
     from repro.api.runtime_config import ENVIRONMENT_VARIABLES, RuntimeConfig
     from repro.api.session import Session, current_session
     from repro.explore.grid import GridSpec

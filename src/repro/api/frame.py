@@ -1,12 +1,12 @@
 """Columnar result frames: the typed output of every executed plan.
 
 A :class:`ResultFrame` is a small, dependency-free table -- named
-columns over row tuples -- that every :class:`~repro.api.plan.Plan`
-yields.  It is deliberately *not* a DataFrame clone: it holds exactly
-what the experiment results need (deterministic CSV/JSON emission,
-named column access, row iteration, slicing) and nothing else, so the
-result store can depend on it from the bottom of the layering without
-pulling in the session machinery.
+columns over row tuples -- that every plan's ``execute()`` yields (see
+:mod:`repro.api.plan`).  It is deliberately *not* a DataFrame clone: it
+holds exactly what the experiment results need (deterministic CSV/JSON
+emission, named column access, row iteration, slicing) and nothing
+else, so the result store can depend on it from the bottom of the
+layering without pulling in the session machinery.
 
 A driver's result holds its frames, and a stored artifact keeps each
 one in the versioned columnar form of :meth:`ResultFrame.to_payload`;

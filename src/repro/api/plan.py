@@ -1,37 +1,24 @@
 """Declarative plans: what to run, separated from how it runs.
 
-A :class:`Plan` captures a complete description of work -- which
-workloads, which front-end configurations, which metrics, which
-registered paper experiments, or which exploration grid -- bound to the
+A plan captures a complete description of work -- which workloads,
+which front-end configurations, which metrics, which registered paper
+experiments, or which exploration grid -- bound to the
 :class:`~repro.api.session.Session` that will execute it.  Building a
-plan performs no simulation; :meth:`Plan.execute` compiles it onto the
+plan performs no simulation; ``execute()`` compiles it onto the
 existing engines (the batched
 :func:`repro.frontend.simulation.simulate_frontend_many`, the shared
 trace cache, the orchestrator's content-addressed store) under the
 session's :class:`~repro.api.runtime_config.RuntimeConfig` and yields a
 columnar :class:`~repro.api.frame.ResultFrame`.
 
-The Plan protocol
------------------
-Every plan -- :class:`FrontendSweepPlan`, :class:`ExperimentPlan`, and
-:class:`~repro.explore.plan.ExplorePlan` -- implements the same
-three-method surface, so callers (the CLI, notebooks, higher-level
-tooling) can hold any of them behind one interface:
-
-``execute() -> ResultFrame``
-    Run the plan and return its canonical columnar result.
-``frame() -> ResultFrame``
-    The plan's primary frame.  For store-backed plans this is the
-    *stored payload* frame (slice with ``select()``/``column()``);
-    plans that compute directly alias :meth:`execute`.
-``outcome() -> PlanOutcome``
-    Run the plan and return the frame together with its provenance:
-    the plan kind, the plan's content-addressed key, and
-    whether the result was served from the store (``"cached"``) or
-    computed this run.
-
-``describe()`` stays the side-effect-free semantic description used for
-logging and content addressing.
+Each plan -- :class:`FrontendSweepPlan`, :class:`ExperimentPlan`, and
+:class:`~repro.explore.plan.ExplorePlan` -- has ``execute()``, which
+returns its primary frame.  Provenance is read where it is computed:
+:meth:`ExperimentPlan.report` returns the orchestrator's
+:class:`~repro.results.orchestrator.RunReport` (each experiment's
+status, ``"computed"`` or ``"cached"``, and its store key), and
+:meth:`ExplorePlan.result() <repro.explore.plan.ExplorePlan.result>`
+returns every frame with its cached and computed chunk counts.
 
 The front-end rows worker :func:`frontend_rows` is a plain picklable
 function that :class:`FrontendSweepPlan` and the exploration's
@@ -45,7 +32,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Dict,
     List,
     Optional,
     Tuple,
@@ -98,68 +84,7 @@ def frontend_rows(args) -> List[List[Any]]:
 
 
 @dataclass(frozen=True)
-class PlanOutcome:
-    """What one executed plan produced, with provenance.
-
-    ``kind``
-        The plan flavour (``"frontend-sweep"``, ``"experiments"``,
-        ``"explore"``).
-    ``key``
-        The plan's content-addressed key -- the identity a rerun would
-        resolve against.
-    ``status``
-        ``"cached"`` when the result was served entirely from the
-        store, ``"computed"`` otherwise (orchestrator statuses such as
-        ``"derived"`` pass through).
-    ``frame``
-        The plan's primary :class:`ResultFrame`.
-    ``details``
-        Plan-specific accounting (chunk counts, experiment titles, ...).
-    """
-
-    kind: str
-    key: str
-    status: str
-    frame: ResultFrame
-    details: Dict[str, Any]
-
-
-class Plan:
-    """Base class of every declarative plan.
-
-    Subclasses implement the protocol documented in the module
-    docstring: :meth:`execute` and :meth:`describe` are required;
-    :meth:`frame` defaults to :meth:`execute`, and :meth:`outcome`
-    wraps it with ``"computed"`` provenance for plans that do not
-    track store service themselves.
-    """
-
-    def execute(self) -> ResultFrame:
-        """Run the plan and return its columnar result."""
-        raise NotImplementedError
-
-    def describe(self) -> Dict[str, Any]:
-        """Plain-dict description of everything the plan will do."""
-        raise NotImplementedError
-
-    def frame(self) -> ResultFrame:
-        """The plan's primary frame (defaults to :meth:`execute`)."""
-        return self.execute()
-
-    def outcome(self) -> PlanOutcome:
-        """Execute and return the frame with provenance attached."""
-        description = self.describe()
-        return PlanOutcome(
-            kind=str(description.get("kind", type(self).__name__)),
-            key="",
-            status="computed",
-            frame=self.execute(),
-            details={},
-        )
-
-
-@dataclass(frozen=True)
-class FrontendSweepPlan(Plan):
+class FrontendSweepPlan:
     """workloads x front-end configurations x sections -> metrics.
 
     Compiles to one sweep of :func:`frontend_rows`, one batched
@@ -199,41 +124,8 @@ class FrontendSweepPlan(Plan):
                 "duplicate sweep metrics; each metric becomes one frame column"
             )
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "kind": "frontend-sweep",
-            "workloads": [spec.name for spec in self.workloads],
-            "configs": [config.name for config in self.configs],
-            "sections": [section.name for section in self.sections],
-            "metrics": list(self.metrics),
-            "instructions": self.instructions,
-            "seed": self.seed,
-            "runtime": self.session.config.describe(),
-        }
-
-    def key(self) -> str:
-        """Content address of this sweep (the :class:`PlanOutcome` key).
-
-        A digest of the plan's full provenance via
-        :func:`repro.results.store.result_key`, which also folds in the
-        package source fingerprint.
-        """
-        import dataclasses
-
-        from repro.results.store import result_key
-
-        return result_key(
-            "frontend-sweep-plan",
-            {
-                "configs": [dataclasses.asdict(config) for config in self.configs],
-                "sections": [section.name for section in self.sections],
-                "instructions": self.instructions,
-            },
-            [spec.name for spec in self.workloads],
-            seed=self.seed,
-        )
-
     def execute(self) -> ResultFrame:
+        """Run the sweep and return its frame."""
         arguments = [
             (spec, self.instructions, self.seed, self.configs, self.sections)
             for spec in self.workloads
@@ -250,49 +142,20 @@ class FrontendSweepPlan(Plan):
             ("workload", "suite", "section", "config") + self.metrics, rows
         )
 
-    def outcome(self) -> PlanOutcome:
-        """Execute and return the sweep frame with its key.
-
-        Sweep plans are not stored as whole results, so the status is
-        always ``"computed"``.
-        """
-        return PlanOutcome(
-            kind="frontend-sweep",
-            key=self.key(),
-            status="computed",
-            frame=self.execute(),
-            details={
-                "workloads": [spec.name for spec in self.workloads],
-                "configs": [config.name for config in self.configs],
-            },
-        )
-
 
 @dataclass(frozen=True)
-class ExperimentPlan(Plan):
+class ExperimentPlan:
     """A selection of registered paper experiments, store-backed.
 
     Executes through the orchestrator under the session's runtime
     config: results are looked up in the content-addressed store first,
-    derived from dependencies when possible, computed otherwise, and
-    stored the moment they complete.
+    computed otherwise, and stored the moment they complete.
     """
 
     session: "Session"
     names: Tuple[str, ...]
     scenario_names: Optional[Tuple[str, ...]] = None
     instructions: Optional[int] = None
-    use_store: bool = True
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "kind": "experiments",
-            "experiments": list(self.names),
-            "scenarios": list(self.scenario_names or ()) or None,
-            "instructions": self._instructions(),
-            "use_store": self.use_store,
-            "runtime": self.session.config.describe(),
-        }
 
     def _instructions(self) -> int:
         if self.instructions is not None:
@@ -310,7 +173,6 @@ class ExperimentPlan(Plan):
                 scenario_names=(
                     list(self.scenario_names) if self.scenario_names else None
                 ),
-                use_store=self.use_store,
             )
 
     def _sole_outcome(self):
@@ -344,24 +206,8 @@ class ExperimentPlan(Plan):
     def execute(self) -> ResultFrame:
         """Execute and return the selected experiment's primary frame.
 
-        The same frame as :meth:`frame`: the stored payload frame the
-        Plan protocol calls canonical.  A multi-experiment plan has no
-        single canonical frame and raises; use :meth:`report`.
+        The same frame as :meth:`frame`: the stored payload frame.  A
+        multi-experiment plan has no single primary frame and raises;
+        use :meth:`report`.
         """
         return self.frame()
-
-    def outcome(self) -> PlanOutcome:
-        """Execute and return the single selected experiment's outcome.
-
-        The orchestrator's store status (``"cached"``, ``"derived"``,
-        ``"computed"``) passes straight through.  A multi-experiment
-        plan has no single outcome; use :meth:`report`.
-        """
-        outcome = self._sole_outcome()
-        return PlanOutcome(
-            kind="experiments",
-            key=outcome.key,
-            status=outcome.status,
-            frame=outcome.stored_frame(),
-            details={"experiment": outcome.name, "title": outcome.title},
-        )

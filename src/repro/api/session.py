@@ -46,13 +46,11 @@ from itertools import islice
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Union
 
 from repro.api import runtime_config as rc
-from repro.api.frame import ResultFrame
 from repro.api.plan import (
     DEFAULT_SWEEP_CONFIGS,
     SWEEP_METRICS,
     ExperimentPlan,
     FrontendSweepPlan,
-    Plan,
 )
 from repro.frontend.configs import FrontEndConfig
 from repro.frontend.simulation import (
@@ -293,13 +291,12 @@ class Session:
         names: Optional[Sequence[str]] = None,
         scenario_names: Optional[Sequence[str]] = None,
         instructions: Optional[int] = None,
-        use_store: bool = True,
     ) -> ExperimentPlan:
         """Declare a selection of registered experiments (default: all).
 
         Returns an :class:`ExperimentPlan` that executes through the
-        orchestrator under this session's config: store-first,
-        dependency-deriving, resumable.
+        orchestrator under this session's config: store-first and
+        resumable.
         """
         if names is None:
             from repro.results.orchestrator import registry_names
@@ -310,7 +307,6 @@ class Session:
             names=tuple(names),
             scenario_names=tuple(scenario_names) if scenario_names else None,
             instructions=instructions,
-            use_store=use_store,
         )
 
     def explore(
@@ -364,10 +360,6 @@ class Session:
             objectives=() if objectives is None else objectives,
             use_store=use_store,
         )
-
-    def run(self, plan: Plan) -> ResultFrame:
-        """Execute a plan (equivalent to ``plan.execute()``)."""
-        return plan.execute()
 
     # -- the sweep engine --------------------------------------------
 

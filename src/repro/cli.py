@@ -286,11 +286,10 @@ def main(argv: Optional[list] = None) -> int:
     session = Session(**_session_overrides(args))
     instructions = session.config.instructions
 
-    # Experiments run one plan at a time so output streams
-    # incrementally; the registry order already places dependencies
-    # (fig10) before their dependents (fig11), and every completed
-    # experiment lands in the result store immediately, so an
-    # interrupted `all` run resumes where it died.
+    # Experiments run one plan at a time, in registry order, so output
+    # streams incrementally; every completed experiment lands in the
+    # result store immediately, so an interrupted `all` run resumes
+    # where it died.
     combined = RunReport(instructions=instructions)
     for name in names:
         before = counters.snapshot() if args.verbose else None
@@ -316,7 +315,7 @@ def main(argv: Optional[list] = None) -> int:
         counts = combined.counts()
         print(
             f"[{args.experiment}] result store: {counts['computed']} computed, "
-            f"{counts['derived']} derived, {counts['cached']} served from store",
+            f"{counts['cached']} served from store",
             file=sys.stderr,
         )
     if args.out is not None:

@@ -18,8 +18,13 @@ shared) without assuming comparable clocks across machines:
   the owner's pid is gone (same-host fast path), the heartbeat
   timestamp is older than the TTL, or -- clock-skew-proof -- the
   sequence number has not moved for a TTL on the *reaper's own*
-  monotonic clock.  Reclaim renames the lease to a unique tombstone
-  first, so concurrent reapers cannot both win.
+  monotonic clock.  Reclaim renames the lease to a tombstone the
+  reaper names, so concurrent reapers cannot both win, and takes only
+  the claim the reaper judged: a newer claim found in the tombstone is
+  put back.  The rename frees the item and leaves the dead claim at the
+  tombstone in one step, so a caller that names its tombstone in a
+  record (the work queue names it in the item's failure ledger) never
+  shows a claimant a free item whose death is not yet recorded.
 
 Corrupt lease files are quarantined as ``*.corrupt`` evidence
 (:func:`repro.durable.quarantine`) and treated as immediately
@@ -35,7 +40,7 @@ import os
 import socket
 import time
 import uuid
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro import durable
 from repro.counters import Counters
@@ -81,6 +86,11 @@ def owner_host(owner: str) -> Optional[str]:
     if len(parts) != 3:
         return None
     return parts[0]
+
+
+def claim_of(lease: Dict[str, Any]) -> Tuple[str, Any]:
+    """A lease's claim: its owner and sequence number."""
+    return (str(lease.get("owner", "")), lease.get("seq", 0))
 
 
 def _lease_document(owner: str, seq: int, ttl: float) -> bytes:
@@ -162,27 +172,42 @@ def release(path: str, owner: str) -> bool:
     return True
 
 
-def reclaim(path: str, reclaimer: str) -> Optional[Dict[str, Any]]:
+def reclaim(
+    path: str, tombstone: str, claim: Tuple[str, Any]
+) -> Optional[Dict[str, Any]]:
     """Take a stale lease away from its (dead) owner.
 
-    Atomic against concurrent reapers: the lease is renamed to a
-    tombstone unique to this reclaimer first -- only one rename can
-    win -- then read and removed.  Returns the dead lease's document,
-    or ``None`` when another reaper (or a surprise heartbeat's
-    ``os.replace``) got there first.
+    ``claim`` is the ``(owner, seq)`` the caller judged (see
+    :func:`claim_of`).  Atomic against concurrent reapers: the lease is
+    renamed to ``tombstone``, a name unique to this reclaimer, first --
+    only one rename can win.  Returns the dead lease's document, which
+    stays at ``tombstone`` for the caller to keep or remove, or ``None``
+    (and nothing at ``tombstone``) when another reaper got there first.
+
+    Between the judgement and the rename, another reaper may reclaim
+    the judged claim and a worker claim the item anew, or the owner's
+    heartbeat may renew it.  A tombstone holding any other claim is put
+    back with a link, which never clobbers a claim made since the
+    rename, and the call returns ``None``: only the judged claim is
+    ever taken.
     """
-    tombstone = f"{path}.{reclaimer.rsplit(':', 1)[-1]}.reclaim"
     try:
         os.rename(path, tombstone)
     except OSError:
         return None
     document = read_lease(tombstone)
+    if document is None or document.get("corrupt") or claim_of(document) == claim:
+        _COUNTERS.add("reclaimed")
+        return document if document is not None else {"owner": "", "seq": 0}
+    try:
+        os.link(tombstone, path)
+    except OSError:
+        pass  # A claim made since the rename holds the path.
     try:
         os.unlink(tombstone)
     except OSError:
         pass
-    _COUNTERS.add("reclaimed")
-    return document if document is not None else {"owner": "", "seq": 0}
+    return None
 
 
 def _pid_alive(pid: int) -> bool:
@@ -236,7 +261,7 @@ class Reaper:
         timestamp = float(lease.get("ts", 0) or 0)
         if timestamp and time.time() - timestamp > self.ttl:
             return True
-        claim = (owner, lease.get("seq", 0))
+        claim = claim_of(lease)
         now = time.monotonic()
         seen = self._observations.get(path)
         if seen is None or seen[0] != claim:

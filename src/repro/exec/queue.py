@@ -18,7 +18,7 @@ On-disk layout of one campaign::
         leases/<name>.lease      # the claim + heartbeat of one item
         done/<name>.result       # the published outcome (pickle)
         done/<name>.conflict*    # quarantined conflicting publications
-        deaths/<name>            # append-only per-item failure ledger
+        deaths/<name>/           # per-item failure ledger, one file per failure
         poison/<name>.json       # typed report of a quarantined item
 
 Robustness properties, each deterministically testable through the
@@ -28,7 +28,9 @@ Robustness properties, each deterministically testable through the
 * A worker SIGKILLed mid-item leaves a lease that stops heartbeating;
   the reaper (every worker and the supervisor run one) reclaims it and
   the item is retried -- instantly when the dead pid is local, after
-  the lease TTL otherwise.
+  the lease TTL otherwise.  Every failure is in the item's ledger
+  before the item is free again, so the claim that retries it numbers
+  its attempt and checks the retry budget exactly.
 * Double completion (a reclaimed-but-alive worker finishing anyway) is
   resolved first-writer-wins: the loser's identical publication counts
   as a duplicate, a *different* one is quarantined as ``.conflict``
@@ -56,6 +58,7 @@ import shutil
 import tempfile
 import threading
 import time
+import uuid
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -105,6 +108,10 @@ RESULT_SUFFIX = ".result"
 #: Suffix of a failed outcome (and its failure ledger) set aside when a
 #: rerun enqueues the item again.
 FAILED_SUFFIX = ".failed"
+
+#: The kinds of failure a ledger records, each the suffix of its entries:
+#: a dead claim a reaper took, an in-process worker death, an exception.
+LEDGER_KINDS = ("reclaim", "death", "error")
 
 _COUNTERS = Counters(
     "queue",
@@ -460,26 +467,62 @@ def load_published(campaign: Campaign, name: str) -> Optional[Dict[str, Any]]:
         return None
 
 
-def _record_death(campaign: Campaign, name: str, kind: str, detail: str) -> None:
-    """Append one line to an item's failure ledger (``kind detail``).
+def _ledger_entry(campaign: Campaign, name: str, kind: str) -> str:
+    """A new entry name in an item's failure ledger, in time order.
 
-    The ledger is strictly line-oriented (one line = one failure), so
-    the detail -- often a multi-line traceback -- is flattened.
+    The ledger is a directory with one file per failure, so the reaper
+    can record a dead claim by renaming its lease into it: the item is
+    free only once the ledger holds its death.
     """
-    path = campaign.deaths_path(name)
-    os.makedirs(campaign.deaths_dir, exist_ok=True)
+    directory = campaign.deaths_path(name)
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(
+        directory, f"{time.time_ns():020d}-{uuid.uuid4().hex[:8]}.{kind}"
+    )
+
+
+def _record_death(campaign: Campaign, name: str, kind: str, detail: str) -> None:
+    """Add one line to an item's failure ledger (``kind detail``).
+
+    One entry is one failure, so the detail -- often a multi-line
+    traceback -- is flattened.
+    """
     flattened = " | ".join(part for part in detail.splitlines() if part.strip())
-    line = f"{kind} {flattened}\n".encode("utf-8")
-    with open(path, "ab") as stream:
-        stream.write(line)
+    durable.write_replace(
+        _ledger_entry(campaign, name, kind), f"{kind} {flattened}".encode("utf-8")
+    )
 
 
 def _death_ledger(campaign: Campaign, name: str) -> List[str]:
+    """An item's failures, oldest first, as ``kind detail`` lines.
+
+    A ``reclaim`` entry is the dead claim's lease document itself.
+    """
+    directory = campaign.deaths_path(name)
     try:
-        with open(campaign.deaths_path(name), "r", encoding="utf-8") as stream:
-            return [line.strip() for line in stream if line.strip()]
+        entries = sorted(os.listdir(directory))
     except OSError:
         return []
+    ledger = []
+    for entry in entries:
+        kind = entry.rsplit(".", 1)[-1]
+        if kind not in LEDGER_KINDS:
+            continue  # A write still landing.
+        try:
+            with open(os.path.join(directory, entry), "rb") as stream:
+                raw = stream.read()
+        except OSError:
+            continue  # A claim a reaper took by mistake and put back.
+        if kind == "reclaim":
+            try:
+                lease = json.loads(raw.decode("utf-8"))
+            except ValueError:
+                lease = {}
+            owner, seq = leases.claim_of(lease if isinstance(lease, dict) else {})
+            ledger.append(f"reclaim stale lease of {owner or '?'} (seq {seq})")
+        else:
+            ledger.append(raw.decode("utf-8", "replace").strip())
+    return ledger
 
 
 def _ledger_counts(ledger: Sequence[str]) -> Dict[str, int]:
@@ -565,7 +608,6 @@ class _Heartbeat(threading.Thread):
         self.interval = ttl / HEARTBEATS_PER_TTL
         self.ttl = ttl
         self.seq = 0
-        self.lost = False
         self._pause_until = 0.0
         self._stop_event = threading.Event()
 
@@ -575,7 +617,6 @@ class _Heartbeat(threading.Thread):
                 continue  # A slow-heartbeat fault: skip renewals.
             self.seq += 1
             if not leases.renew(self.path, self.owner, self.seq, self.ttl):
-                self.lost = True
                 return
 
     def pause(self, seconds: float) -> None:
@@ -705,7 +746,18 @@ class QueueWorker:
             durable.quarantine(campaign.item_path(name))
             leases.release(lease_path, self.owner)
             return False
+        # Every earlier claim's failure is in the ledger before the item
+        # is free again (its owner records a death or error before it
+        # releases; a reaper frees a dead claim by renaming it into the
+        # ledger), so the ledger read under this lease numbers the
+        # attempt and enforces the death budget exactly.
         ledger = _death_ledger(campaign, name)
+        counts = _ledger_counts(ledger)
+        if counts["reclaim"] + counts["death"] > campaign.config.retries:
+            poison_item(campaign, name, ledger, self.owner)
+            leases.release(lease_path, self.owner)
+            self._announce(name)
+            return True
         attempt = len(ledger) + 1
         heartbeat = _Heartbeat(lease_path, self.owner, campaign.config.lease_ttl)
         heartbeat.start()
@@ -729,11 +781,11 @@ class QueueWorker:
             return False
         except SimulatedWorkerDeath as death:
             # The in-process stand-in for a worker kill: ledger it like
-            # a real death and let a later pass (or sibling) retry.
+            # a real death and let the next claim retry or poison it.
             heartbeat.stop()
             _record_death(campaign, name, "death", describe_exception(death)[:200])
             leases.release(lease_path, self.owner)
-            return self._maybe_poison(name)
+            return False
         except Exception as failure:
             heartbeat.stop()
             _record_death(
@@ -823,23 +875,15 @@ class QueueWorker:
                 heartbeat.pause(fault.seconds)
                 time.sleep(fault.seconds)
 
-    def _maybe_poison(self, name: str) -> bool:
-        ledger = _death_ledger(self.campaign, name)
-        counts = _ledger_counts(ledger)
-        if counts["reclaim"] + counts["death"] > self.campaign.config.retries:
-            poison_item(self.campaign, name, ledger, self.owner)
-            self._announce(name)
-            return True
-        return False
-
     # -- reaping ------------------------------------------------------
 
     def reap(self) -> int:
-        """Reclaim stale leases; poison items past their death budget.
+        """Reclaim stale leases into their items' failure ledgers.
 
         Returns the number of leases reclaimed.  Every worker and the
         supervisor reap, so recovery needs no dedicated process and
-        survives any single participant's death.
+        survives any single participant's death.  The next claim of a
+        reclaimed item retries it, or poisons it past its death budget.
         """
         campaign = self.campaign
         try:
@@ -857,28 +901,26 @@ class QueueWorker:
                 continue
             if lease.get("owner") == self.owner:
                 continue  # Never reap ourselves.
+            claim = leases.claim_of(lease)
             if os.path.exists(campaign.result_path(name)):
                 # Published but never released (death after publish):
                 # the claim is moot, clear it without a death entry.
-                leases.reclaim(path, self.owner)
+                tombstone = f"{path}.{self.owner.rsplit(':', 1)[-1]}.reclaim"
+                if leases.reclaim(path, tombstone, claim) is not None:
+                    try:
+                        os.unlink(tombstone)
+                    except OSError:
+                        pass
                 self.reaper.forget(path)
                 continue
             if not self.reaper.is_stale(path, lease):
                 continue
-            document = leases.reclaim(path, self.owner)
-            if document is None:
-                continue  # Lost the reclaim race; someone else owns it.
+            entry = _ledger_entry(campaign, name, "reclaim")
+            if leases.reclaim(path, entry, claim) is None:
+                continue  # The judged claim is gone; someone else owns the item.
             self.reaper.forget(path)
             reclaimed += 1
             _COUNTERS.add("reclaims")
-            _record_death(
-                campaign,
-                name,
-                "reclaim",
-                f"stale lease of {document.get('owner', '?')} "
-                f"(seq {document.get('seq', 0)})",
-            )
-            self._maybe_poison(name)
         return reclaimed
 
 

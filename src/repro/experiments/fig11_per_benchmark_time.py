@@ -104,52 +104,6 @@ def run_fig11(
     )
 
 
-def _derive_from_fig10(dependencies, config) -> Optional[Fig11Result]:
-    """Build the Figure 11 result from a Figure 10 artifact.
-
-    Figure 11 is a per-benchmark slice of Figure 10's normalized
-    execution-time metric, so when a compatible Figure 10 artifact is
-    available (same instruction budget, the standard chips, and
-    coverage of every Figure 11 benchmark) the result can be assembled
-    without simulating anything.  Since the frame-native artifacts the
-    slice reads Figure 10's stored ``workloads`` frame directly: the
-    sliced cells are the very floats Figure 10 computed, so the derived
-    artifact is bit-identical to a directly computed one.
-    """
-    fig10 = dependencies.get("fig10")
-    if fig10 is None:
-        return None
-    scalars = {
-        entry.get("name"): entry.get("value")
-        for entry in fig10.get("payload") or []
-        if isinstance(entry, dict) and entry.get("frame") is None
-    }
-    if scalars.get("instructions") != config.get("instructions"):
-        return None
-    cmp_names = list(scalars.get("cmp_names") or [])
-    if cmp_names != [cmp.name for cmp in STANDARD_CMP_CONFIGS]:
-        return None
-    try:
-        frame = ResultFrame.from_payload((fig10.get("frames") or {}).get("workloads"))
-    except ValueError:
-        return None
-    times = frame.select(metric="execution time")
-    by_workload = {record.get("workload"): record for record in times.records()}
-    names = list(FIGURE11_WORKLOADS)
-    rows: List[tuple] = []
-    for name in names:
-        record = by_workload.get(name)
-        if record is None or any(cmp not in record for cmp in cmp_names):
-            return None
-        rows.append((name,) + tuple(float(record[cmp]) for cmp in cmp_names))
-    return Fig11Result(
-        instructions=int(config["instructions"]),
-        cmp_names=cmp_names,
-        workloads=names,
-        frames={"workloads": ResultFrame.from_rows(["workload", *cmp_names], rows)},
-    )
-
-
 def _constants() -> Dict[str, object]:
     """Key material: the four Section V chips Figure 11 compares."""
     return {"cmp_names": [cmp.name for cmp in STANDARD_CMP_CONFIGS]}
@@ -161,6 +115,4 @@ SPEC = ExperimentSpec(
     runner=run_fig11,
     workloads=lambda: tuple(FIGURE11_WORKLOADS),
     constants=_constants,
-    dependencies=("fig10",),
-    derive=_derive_from_fig10,
 )

@@ -1,8 +1,8 @@
 """The exploration plan: a grid compiled onto the batched engines.
 
-:class:`ExplorePlan` is the third implementation of the
-:class:`~repro.api.plan.Plan` protocol (after the front-end sweep and
-the experiment plan): it evaluates every point of a
+:class:`ExplorePlan` is the third declarative plan of
+:mod:`repro.api.plan` (after the front-end sweep and the experiment
+plan): it evaluates every point of a
 :class:`~repro.explore.grid.GridSpec` over a workload selection and
 yields one columnar grid frame plus the Pareto-frontier and per-axis
 sensitivity views derived from it.
@@ -59,7 +59,7 @@ from typing import (
 )
 
 from repro.api.frame import ResultFrame
-from repro.api.plan import Plan, PlanOutcome, frontend_rows
+from repro.api.plan import frontend_rows
 from repro.experiments.common import FrameResult, PayloadField, RowView
 from repro.explore.grid import GridPoint, GridSpec
 from repro.explore.pareto import ParetoFrontier
@@ -202,7 +202,7 @@ class ExploreResult(FrameResult):
 
 
 @dataclass(frozen=True)
-class ExplorePlan(Plan):
+class ExplorePlan:
     """grid points x workloads -> grid/pareto/sensitivity frames.
 
     Build through :meth:`repro.api.session.Session.explore`; nothing
@@ -269,20 +269,6 @@ class ExplorePlan(Plan):
         """The Pareto objectives (the kind's default unless overridden)."""
         return self.objectives or DEFAULT_OBJECTIVES[self.grid.kind]
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "kind": "explore",
-            "grid": self.grid.describe(),
-            "workloads": [spec.name for spec in self.workloads],
-            "sections": [section.name for section in self.sections],
-            "instructions": self.instructions,
-            "seed": self.seed,
-            "chunk_points": self.chunk_points,
-            "objectives": list(self.resolved_objectives),
-            "use_store": self.use_store,
-            "runtime": self.session.config.describe(),
-        }
-
     # -- content addressing ------------------------------------------
 
     def _section_names(self) -> List[str]:
@@ -314,22 +300,6 @@ class ExplorePlan(Plan):
         naming, geometry derivation -- can never reuse a stale entry.
         """
         return self._material_key(spec, self._chunk_material(chunk))
-
-    def key(self) -> str:
-        """Content address of the whole exploration (the outcome key)."""
-        from repro.results.store import result_key
-
-        return result_key(
-            "explore-plan",
-            {
-                "grid": self.grid.describe(),
-                "sections": self._section_names(),
-                "instructions": self.instructions,
-                "chunk_points": self.chunk_points,
-            },
-            [spec.name for spec in self.workloads],
-            seed=self.seed,
-        )
 
     # -- execution ---------------------------------------------------
 
@@ -472,29 +442,6 @@ class ExplorePlan(Plan):
                 )
         return ResultFrame.from_rows(columns, rows)
 
-    # -- the Plan protocol -------------------------------------------
-
     def execute(self) -> ResultFrame:
         """Run the exploration and return the grid frame."""
         return self.result().frames["grid"]
-
-    def frame(self) -> ResultFrame:
-        """The grid frame (alias of :meth:`execute`)."""
-        return self.execute()
-
-    def outcome(self) -> PlanOutcome:
-        """Execute and summarize: status, store key, chunk accounting."""
-        result = self.result()
-        status = "cached" if result.chunks_computed == 0 else "computed"
-        return PlanOutcome(
-            kind="explore",
-            key=self.key(),
-            status=status,
-            frame=result.frames["grid"],
-            details={
-                "points": result.points,
-                "chunks_total": result.chunks_total,
-                "chunks_cached": result.chunks_cached,
-                "chunks_computed": result.chunks_computed,
-            },
-        )

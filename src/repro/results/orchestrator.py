@@ -1,11 +1,12 @@
 """Unified experiment orchestrator.
 
 Registers every figure/table/sweep driver behind the uniform
-:class:`~repro.results.spec.ExperimentSpec` interface, resolves their
-dependency graph (Figure 11 derives from Figure 10; the Section V
-experiments share front-end profiles in-process by running in paper
-order), and executes any selection -- up to the whole paper -- with
-shared parallel sweeps and the content-addressed result store.
+:class:`~repro.results.spec.ExperimentSpec` interface and executes any
+selection -- up to the whole paper -- in registry (paper) order, with
+the session's sweeps and the content-addressed result store.  Each
+experiment has one producer, its driver; the Section V experiments
+share front-end profiles in-process because paper order runs Figure 10
+before Figure 11.
 
 Every result is keyed by its full provenance (see
 :func:`repro.results.store.result_key`), checked against the store
@@ -98,8 +99,8 @@ class ExperimentOutcome:
     name: str
     title: str
     key: str
-    #: ``"computed"`` (runner executed), ``"derived"`` (built from a
-    #: dependency's artifact), or ``"cached"`` (served from the store).
+    #: ``"computed"`` (runner executed) or ``"cached"`` (served from
+    #: the store).
     status: str
     artifact: Dict[str, Any]
 
@@ -123,7 +124,7 @@ class RunReport:
 
     def counts(self) -> Dict[str, int]:
         """Number of experiments per outcome status."""
-        counts = {"computed": 0, "derived": 0, "cached": 0}
+        counts = {"computed": 0, "cached": 0}
         for outcome in self.outcomes:
             counts[outcome.status] = counts.get(outcome.status, 0) + 1
         return counts
@@ -173,47 +174,17 @@ def experiment_key(
     return result_key(spec.name, config, spec.workloads())
 
 
-def _topological(names: Sequence[str]) -> List[str]:
-    """Order a selection so dependencies come before their dependents.
-
-    Unselected dependencies are *not* pulled in -- they are consulted
-    through the store instead, so asking for one cheap experiment never
-    triggers an expensive prerequisite.
-    """
-    registry = _registry()
-    selected = [name for name in registry if name in set(names)]
-    ordered: List[str] = []
-    visiting: set = set()
-
-    def visit(name: str) -> None:
-        if name in ordered or name not in selected:
-            return
-        if name in visiting:
-            raise ValueError(f"dependency cycle through experiment {name!r}")
-        visiting.add(name)
-        for dependency in registry[name].dependencies:
-            visit(dependency)
-        visiting.discard(name)
-        ordered.append(name)
-
-    for name in selected:
-        visit(name)
-    return ordered
-
-
 def run_experiments(
     names: Optional[Sequence[str]] = None,
     instructions: int = SMOKE_INSTRUCTIONS,
     scenario_names: Optional[Sequence[str]] = None,
-    use_store: bool = True,
 ) -> RunReport:
     """Execute a selection of experiments (default: the whole paper).
 
-    For each experiment, in dependency order: consult the result store,
-    then try deriving from dependency artifacts, then run the driver,
-    whose sweeps follow the current session's config.  Freshly computed
-    or derived artifacts are stored immediately, making interrupted runs
-    resumable.
+    For each experiment, in registry order: consult the result store,
+    else run the driver, whose sweeps follow the current session's
+    config.  Freshly computed artifacts are stored immediately, making
+    interrupted runs resumable.
     """
     registry = _registry()
     if names is None:
@@ -225,46 +196,36 @@ def run_experiments(
     report = RunReport(instructions=int(instructions))
     report.ignored_flags.extend(unconsumed_flags(names, scenario_names))
 
-    for name in _topological(names):
+    for name in registry:
+        if name not in names:
+            continue
         spec = registry[name]
         config = spec_config(spec, instructions, scenario_names)
         key = result_key(spec.name, config, spec.workloads())
 
-        artifact = load_result(key, spec.name) if use_store else None
+        artifact = load_result(key, spec.name)
         if artifact is not None:
             report.outcomes.append(
                 ExperimentOutcome(name, spec.title, key, "cached", artifact)
             )
             continue
 
-        result = None
-        status = "computed"
-        if spec.derive is not None:
-            dependencies = _dependency_artifacts(
-                spec, report, instructions, scenario_names, use_store
-            )
-            if dependencies is not None:
-                result = spec.derive(dependencies, config)
-                if result is not None:
-                    status = "derived"
-        if result is None:
-            constants = spec.constants()
-            result = spec.runner(
-                **{
-                    parameter: value
-                    for parameter, value in config.items()
-                    if parameter not in constants
-                }
-            )
+        constants = spec.constants()
+        result = spec.runner(
+            **{
+                parameter: value
+                for parameter, value in config.items()
+                if parameter not in constants
+            }
+        )
         artifact = build_frame_artifact(spec.name, spec.title, result)
-        if use_store:
-            # First-writer-wins: when two orchestrations race on the
-            # same key (overlapping CLI invocations, a resumed run
-            # racing a zombie), every process converges on the first
-            # published artifact instead of last-writer clobbering.
-            _, artifact = store_result_cas(key, artifact, spec.name)
+        # First-writer-wins: when two orchestrations race on the same
+        # key (overlapping CLI invocations, a resumed run racing a
+        # zombie), every process converges on the first published
+        # artifact instead of last-writer clobbering.
+        _, artifact = store_result_cas(key, artifact, spec.name)
         report.outcomes.append(
-            ExperimentOutcome(name, spec.title, key, status, artifact)
+            ExperimentOutcome(name, spec.title, key, "computed", artifact)
         )
     return report
 
@@ -292,36 +253,6 @@ def unconsumed_flags(
     ):
         ignored.append("--scenarios")
     return ignored
-
-
-def _dependency_artifacts(
-    spec: ExperimentSpec,
-    report: RunReport,
-    instructions: int,
-    scenario_names: Optional[Sequence[str]],
-    use_store: bool,
-) -> Optional[Dict[str, Dict[str, Any]]]:
-    """Artifacts of a spec's dependencies, or ``None`` if any is missing.
-
-    Dependencies computed earlier in the same run are used directly;
-    otherwise the store is consulted under the dependency's own key for
-    the same run configuration.
-    """
-    artifacts: Dict[str, Dict[str, Any]] = {}
-    for dependency in spec.dependencies:
-        artifact = None
-        for outcome in report.outcomes:
-            if outcome.name == dependency:
-                artifact = outcome.artifact
-                break
-        if artifact is None and use_store:
-            dependency_spec = get_spec(dependency)
-            key = experiment_key(dependency_spec, instructions, scenario_names)
-            artifact = load_result(key, dependency)
-        if artifact is None:
-            return None
-        artifacts[dependency] = artifact
-    return artifacts
 
 
 def write_manifest(report: RunReport, directory: str) -> str:

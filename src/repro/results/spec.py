@@ -8,22 +8,12 @@ result key -- the workload set and any semantic constants (geometries,
 CMP names, predictor configurations) baked into the driver's defaults.
 The runner's result renders its own table blocks (``result.tables()``),
 so the spec carries no rendering hook.
-
-Specs may also declare *dependencies*: experiments whose stored
-artifacts they can be derived from without simulating anything (e.g.
-Figure 11 is a per-benchmark slice of Figure 10's execution-time
-metric).  Derivation is opportunistic -- when a dependency's artifact
-is unavailable the driver simply runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Tuple
-
-#: A derive hook: (dependency artifacts by name, resolved semantic
-#: config) -> result object, or ``None`` to fall back to the runner.
-DeriveFn = Callable[[Mapping[str, Mapping[str, Any]], Mapping[str, Any]], Optional[Any]]
+from typing import Any, Callable, Mapping, Tuple
 
 
 def _no_workloads() -> Tuple[str, ...]:
@@ -51,8 +41,3 @@ class ExperimentSpec:
     #: Extra semantic configuration folded into the key: defaults baked
     #: into the driver that change its numbers (geometries, CMP names).
     constants: Callable[[], Mapping[str, Any]] = field(default=_no_constants)
-    #: Experiments this one can be derived from (see :attr:`derive`).
-    dependencies: Tuple[str, ...] = ()
-    #: Optional derivation hook replacing the runner when every
-    #: dependency artifact is available and compatible.
-    derive: Optional[DeriveFn] = None

@@ -256,6 +256,7 @@ class TestSessionPipeline:
             "icache_mpki",
         )
         assert len(frame) == 4  # 2 workloads x 1 section x 2 configs
+        assert frame.column("workload") == ["FT", "FT", "gobmk", "gobmk"]
         for name in ("FT", "gobmk"):
             trace = session.trace(name)
             for config in (BASELINE_FRONTEND, TAILORED_FRONTEND):
@@ -278,18 +279,11 @@ class TestSessionPipeline:
         with pytest.raises(KeyError, match="unknown sweep metric"):
             session.sweep(workloads=["FT"], metrics=["mpki_per_parsec"])
 
-    def test_sweep_plan_describe(self):
-        session = Session(instructions=INSTRUCTIONS)
-        description = session.sweep(workloads=["FT"]).describe()
-        assert description["kind"] == "frontend-sweep"
-        assert description["workloads"] == ["FT"]
-        assert description["instructions"] == INSTRUCTIONS
-        assert description["runtime"]["instructions"] == INSTRUCTIONS
-
     def test_experiment_plan_matches_direct_driver(self):
         """A single-experiment execute() is frame(): the driver's
         primary frame after the stored artifact's JSON round trip."""
-        plan = Session(instructions=INSTRUCTIONS).experiment("fig6", use_store=False)
+        session = Session(instructions=INSTRUCTIONS, result_cache_dir=None)
+        plan = session.experiment("fig6")
         frame = plan.execute()
         assert frame == plan.frame()
         direct = run_fig06(instructions=INSTRUCTIONS)
@@ -298,15 +292,14 @@ class TestSessionPipeline:
         assert frame.columns[:2] == ("workload", "config")
 
     def test_experiment_plan_execute_returns_frame(self):
-        session = Session(instructions=INSTRUCTIONS)
-        frame = session.experiment("table3", use_store=False).execute()
+        session = Session(instructions=INSTRUCTIONS, result_cache_dir=None)
+        frame = session.experiment("table3").execute()
         assert "core" in frame.columns
         assert len(frame) > 0
 
     def test_multi_experiment_execute_raises_and_points_at_report(self):
-        plan = Session(instructions=INSTRUCTIONS).experiments(
-            ["table2", "table3"], use_store=False
-        )
+        session = Session(instructions=INSTRUCTIONS, result_cache_dir=None)
+        plan = session.experiments(["table2", "table3"])
         with pytest.raises(ValueError, match=r"\(table2, table3\).*report\(\)"):
             plan.execute()
 

@@ -13,7 +13,7 @@ import pathlib
 
 import repro.api
 from repro.api import ResultFrame, RuntimeConfig, Session
-from repro.api.plan import ExperimentPlan, FrontendSweepPlan, Plan, PlanOutcome
+from repro.api.plan import ExperimentPlan, FrontendSweepPlan
 from repro.api.runtime_config import ENVIRONMENT_VARIABLES
 from repro.explore.grid import GridSpec
 from repro.explore.pareto import ParetoFrontier
@@ -31,8 +31,6 @@ class TestPublicSurface:
             "FrontendSweepPlan",
             "GridSpec",
             "ParetoFrontier",
-            "Plan",
-            "PlanOutcome",
             "ResultFrame",
             "RuntimeConfig",
             "Session",
@@ -125,7 +123,6 @@ class TestPublicSurface:
             "names",
             "scenario_names",
             "instructions",
-            "use_store",
         ]
         assert parameters(Session.map) == ["self", "worker", "arguments"]
         assert parameters(Session.map_report) == parameters(Session.map)
@@ -180,7 +177,6 @@ class TestPublicSurface:
             "names",
             "scenario_names",
             "instructions",
-            "use_store",
         }
         assert set(ExplorePlan.__dataclass_fields__) == {
             "session",
@@ -193,22 +189,16 @@ class TestPublicSurface:
             "objectives",
             "use_store",
         }
-        assert set(PlanOutcome.__dataclass_fields__) == {
-            "kind",
-            "key",
-            "status",
-            "frame",
-            "details",
-        }
         for method in ("rows", "records", "column", "select", "to_csv", "to_json"):
             assert callable(getattr(ResultFrame, method)), method
 
     def test_plan_protocol_is_shared(self):
-        # Every plan implements the unified Plan protocol.
+        # Every plan executes to its primary frame; the store-backed
+        # plans also return their provenance.
         for plan_type in (FrontendSweepPlan, ExperimentPlan, ExplorePlan):
-            assert issubclass(plan_type, Plan), plan_type
-            for method in ("execute", "describe", "frame", "outcome"):
-                assert callable(getattr(plan_type, method)), (plan_type, method)
+            assert callable(plan_type.execute), plan_type
+        assert callable(ExperimentPlan.report)
+        assert callable(ExplorePlan.result)
 
     def test_py_typed_marker_ships(self):
         package_dir = pathlib.Path(inspect.getfile(repro.api)).parent.parent

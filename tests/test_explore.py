@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ExplorePlan, GridSpec, ParetoFrontier, PlanOutcome, Session
+from repro.api import ExplorePlan, GridSpec, ParetoFrontier, Session
 from repro.api.frame import ResultFrame
 from repro.cli import main as cli_main
 from repro.explore import (
@@ -253,7 +253,7 @@ class TestExplorePlan:
     def test_plan_is_declarative_and_validated(self, session):
         plan = session.explore("smoke", workloads=["FT"])
         assert isinstance(plan, ExplorePlan)
-        assert plan.describe()["grid"]["name"] == "smoke"
+        assert plan.grid.describe()["name"] == "smoke"
         with pytest.raises(KeyError, match="unknown objective"):
             session.explore("smoke", workloads=["FT"], objectives=["latency"])
         with pytest.raises(ValueError, match="workload"):
@@ -319,14 +319,15 @@ class TestExplorePlan:
         ).mask) == expected
 
     def test_plan_protocol_outcome(self, session):
+        # The plan's outcome is its result: the frames and their
+        # provenance.  Without a store every chunk is computed, and
+        # execute() is the grid frame.
         plan = session.explore("smoke", workloads=["FT"], use_store=False)
-        outcome = plan.outcome()
-        assert isinstance(outcome, PlanOutcome)
-        assert outcome.kind == "explore"
-        assert outcome.status == "computed"
-        assert outcome.key == plan.key()
-        assert outcome.details["points"] == 8
-        assert outcome.frame == plan.frame()
+        result = plan.result()
+        assert result.points == 8
+        assert result.chunks_computed == result.chunks_total > 0
+        assert result.chunks_cached == 0
+        assert plan.execute() == result.frames["grid"]
 
     def test_cmp_exploration(self, session):
         grid = GridSpec.cmp(cores=(1, 4), mixes=("baseline", "asymmetric"))
@@ -509,7 +510,6 @@ class TestExploreResume:
         assert (warm.chunks_cached, warm.chunks_computed) == (6, 0)
         for name in ("grid", "pareto", "sensitivity"):
             assert warm.frames[name] == cold.frames[name]
-        assert plan.outcome().status == "cached"
 
     def test_interrupted_exploration_replays_only_missing_chunks(self, tmp_path):
         clear_result_store()  # hermetic: drop entries leaked by other tests

@@ -16,9 +16,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.api.runtime_config import RESULT_CACHE_DIR_VARIABLE
-from repro.experiments import run_fig11
-from repro.experiments.fig11_per_benchmark_time import SPEC as FIG11_SPEC
-from repro.results.artifacts import build_frame_artifact, rendered_artifact
+from repro.experiments import fig11_per_benchmark_time
+from repro.experiments.fig11_per_benchmark_time import FIGURE11_WORKLOADS
 from repro.results.orchestrator import (
     experiment_key,
     get_spec,
@@ -28,6 +27,7 @@ from repro.results.orchestrator import (
     write_manifest,
 )
 from repro.results.store import clear_result_store, load_result
+from repro.uarch.simulator import profile_cache_info
 from repro.workloads.trace_cache import clear_trace_cache
 
 #: Short enough that the full 18-experiment suite stays test-friendly.
@@ -64,12 +64,6 @@ class TestRegistry:
     def test_registry_covers_every_paper_artefact(self):
         assert set(registry_names()) == EXPECTED
 
-    def test_dependencies_precede_dependents(self):
-        names = registry_names()
-        for name in names:
-            for dependency in get_spec(name).dependencies:
-                assert names.index(dependency) < names.index(name)
-
     def test_unknown_experiment_is_rejected(self):
         with pytest.raises(KeyError, match="figure99"):
             run_experiments(["figure99"], instructions=TINY)
@@ -80,7 +74,7 @@ class TestOrchestratedRuns:
         first = run_experiments(["table2"], instructions=TINY)
         assert first.counts()["computed"] == 1
         second = run_experiments(["table2"], instructions=TINY)
-        assert second.counts() == {"computed": 0, "derived": 0, "cached": 1}
+        assert second.counts() == {"computed": 0, "cached": 1}
         assert second.outcome("table2").artifact == first.outcome("table2").artifact
 
     def test_instruction_budget_invalidates(self):
@@ -108,19 +102,36 @@ class TestOrchestratedRuns:
             assert experiment_key(spec, TINY) == plain
         assert experiment_key(spec, TINY * 2) != plain
 
-    def test_fig11_derives_from_fig10_bit_identically(self):
-        report = run_experiments(["fig10", "fig11"], instructions=TINY)
-        assert report.outcome("fig10").status == "computed"
-        assert report.outcome("fig11").status == "derived"
-        result = run_fig11(instructions=TINY)
-        direct = build_frame_artifact("fig11", FIG11_SPEC.title, result)
-        derived = report.outcome("fig11").artifact
-        # Both the stored frame-native form and the rendered manifest
-        # layout are bit-identical to a direct computation.
-        assert json.dumps(derived) == json.dumps(direct)
-        assert json.dumps(rendered_artifact(derived)) == json.dumps(
-            rendered_artifact(direct)
+    def test_fig11_matches_fig10_execution_time_without_simulating(self, monkeypatch):
+        """Figure 11 is a per-benchmark slice of Figure 10's execution
+        time, and run after Figure 10 it simulates nothing: every
+        profile it looks up is one Figure 10 made."""
+        before = {}
+        session = fig11_per_benchmark_time.current_session
+
+        def snapshot_then_session():
+            before.update(profile_cache_info())
+            return session()
+
+        monkeypatch.setattr(
+            fig11_per_benchmark_time, "current_session", snapshot_then_session
         )
+        report = run_experiments(["fig10", "fig11"], instructions=TINY)
+        after = profile_cache_info()
+        assert [o.status for o in report.outcomes] == ["computed", "computed"]
+        assert after["hits"] - before["hits"] == len(FIGURE11_WORKLOADS)
+        assert after["misses"] == before["misses"]
+
+        fig11 = report.outcome("fig11").stored_frame()
+        times = report.outcome("fig10").stored_frame("workloads").select(
+            metric="execution time"
+        )
+        assert fig11.column("workload") == list(FIGURE11_WORKLOADS)
+        for name in FIGURE11_WORKLOADS:
+            (row,) = fig11.select(workload=name).records()
+            (expected,) = times.select(workload=name).records()
+            del expected["metric"]
+            assert row == expected
 
     def test_fig11_alone_computes_without_pulling_in_fig10(self):
         report = run_experiments(["fig11"], instructions=TINY)
@@ -183,7 +194,7 @@ class TestFullSuiteManifest:
                 assert (directory / entry["json"]).exists()
 
         # Zero recomputes on the warm run, reported via --verbose.
-        assert "0 computed, 0 derived, 18 served from store" in warm.err
+        assert "0 computed, 18 served from store" in warm.err
         assert "18 served from store" not in cold.err
         # ... and no trace or profile lookup: the --verbose line of
         # every experiment reads zero of each.

@@ -145,7 +145,8 @@ class TestLeases:
         path = str(tmp_path / "item.lease")
         assert leases.acquire(path, "a:1:x", ttl=5.0)
         assert leases.renew(path, "a:1:x", seq=1, ttl=5.0)
-        taken = leases.reclaim(path, "reaper:2:y")
+        tombstone = str(tmp_path / "item.lease.y.reclaim")
+        taken = leases.reclaim(path, tombstone, ("a:1:x", 1))
         assert taken["owner"] == "a:1:x"
         # The zombie's next heartbeat must not resurrect the claim.
         assert not leases.renew(path, "a:1:x", seq=2, ttl=5.0)
@@ -163,10 +164,35 @@ class TestLeases:
     def test_reclaim_race_has_one_winner(self, tmp_path):
         path = str(tmp_path / "item.lease")
         leases.acquire(path, "a:1:x", ttl=5.0)
-        first = leases.reclaim(path, "reaper:2:y")
-        second = leases.reclaim(path, "reaper:3:z")
+        first = leases.reclaim(path, str(tmp_path / "y.reclaim"), ("a:1:x", 0))
+        second = leases.reclaim(path, str(tmp_path / "z.reclaim"), ("a:1:x", 0))
         assert first is not None
         assert second is None
+        assert sorted(os.listdir(tmp_path)) == ["y.reclaim"]
+
+    def test_reclaim_leaves_the_taken_claim_at_its_tombstone(self, tmp_path):
+        # Freeing the item and keeping the dead claim are one rename:
+        # the claim is never gone from both places at once.
+        path = str(tmp_path / "item.lease")
+        leases.acquire(path, "a:1:x", ttl=5.0)
+        tombstone = str(tmp_path / "ledger.reclaim")
+        taken = leases.reclaim(path, tombstone, ("a:1:x", 0))
+        assert leases.claim_of(taken) == ("a:1:x", 0)
+        assert not os.path.exists(path)
+        assert leases.read_lease(tombstone) == taken
+        assert leases.lease_info()["reclaimed"] == 1
+
+    def test_reclaim_puts_back_a_claim_it_did_not_judge(self, tmp_path):
+        # The owner renewed after the reaper judged seq 0: the reaper
+        # takes nothing, and the renewed lease stays where it was.
+        path = str(tmp_path / "item.lease")
+        leases.acquire(path, "a:1:x", ttl=5.0)
+        assert leases.renew(path, "a:1:x", seq=1, ttl=5.0)
+        tombstone = str(tmp_path / "item.lease.y.reclaim")
+        assert leases.reclaim(path, tombstone, ("a:1:x", 0)) is None
+        assert leases.claim_of(leases.read_lease(path)) == ("a:1:x", 1)
+        assert sorted(os.listdir(tmp_path)) == ["item.lease"]
+        assert leases.lease_info()["reclaimed"] == 0
 
     def test_corrupt_lease_is_quarantined_and_stale(self, tmp_path):
         path = str(tmp_path / "item.lease")
@@ -432,6 +458,68 @@ class TestQueueWorkerInProcess:
         assert evidence == []
         assert sorted(os.listdir(campaign.leases_dir)) == [os.path.basename(path)]
         assert queue_info()["reclaims"] == 0
+
+    def test_reaper_takes_only_the_claim_it_judged(self, tmp_path, monkeypatch):
+        # Between reaper B's judgement of a dead claim and its reclaim,
+        # reaper A reclaims that claim and worker C claims the item
+        # anew.  B must leave C's live claim alone and ledger nothing:
+        # a second ledger line would number C's successor attempt 3.
+        campaign = self._campaign(tmp_path, count=1)
+        name = campaign.names[0]
+        path = campaign.lease_path(name)
+        ttl = campaign.config.lease_ttl
+        probe = subprocess.Popen([sys.executable, "-c", "pass"])
+        probe.wait()
+        assert leases.acquire(path, f"{socket.gethostname()}:{probe.pid}:dead", ttl)
+        reaper_a, reaper_b, claimant = (QueueWorker(campaign) for _ in range(3))
+        judge = reaper_b.reaper.is_stale
+
+        def race_while_judging(lease_path, lease):
+            stale = judge(lease_path, lease)
+            assert reaper_a.reap() == 1
+            assert leases.acquire(path, claimant.owner, ttl)
+            return stale
+
+        monkeypatch.setattr(reaper_b.reaper, "is_stale", race_while_judging)
+        assert reaper_b.reap() == 0
+        lease = leases.read_lease(path)
+        assert lease is not None and lease["owner"] == claimant.owner
+        assert len(queue_module._death_ledger(campaign, name)) == 1
+
+    def test_a_claim_on_a_freed_item_sees_the_death_that_freed_it(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker killed at attempt 1 left its lease.  A claimant that
+        # takes the item the moment the reaper frees it -- before the
+        # reaper's reclaim has even returned -- must run attempt 2, not
+        # attempt 1 (and its kill) once more.
+        plan = FaultPlan.of(Fault("kill", index=0, attempt=1))
+        campaign = self._campaign(tmp_path, count=1, fault_plan=plan)
+        name = campaign.names[0]
+        path = campaign.lease_path(name)
+        probe = subprocess.Popen([sys.executable, "-c", "pass"])
+        probe.wait()
+        dead = f"{socket.gethostname()}:{probe.pid}:dead"
+        assert leases.acquire(path, dead, campaign.config.lease_ttl)
+        reaper, claimant = QueueWorker(campaign), QueueWorker(campaign)
+        read_lease = leases.read_lease
+        claimed = []
+
+        def claim_once_freed(lease_path):
+            # The reaper reads the claim it renamed away: the item is free.
+            if lease_path != path and not claimed:
+                claimed.append(claimant.step())
+            return read_lease(lease_path)
+
+        monkeypatch.setattr(leases, "read_lease", claim_once_freed)
+        assert reaper.reap() == 1
+        assert claimed == [(1, 0)]
+        payload = load_published(campaign, name)
+        assert payload["status"] == STATUS_OK
+        assert payload["attempts"] == 2
+        assert queue_module._death_ledger(campaign, name) == [
+            f"reclaim stale lease of {dead} (seq 0)"
+        ]
 
     def test_stale_lease_fault_exercises_foreign_reclaim(self, tmp_path):
         plan = FaultPlan.of(Fault("stale-lease", index=0))
