@@ -17,7 +17,7 @@ from repro.frontend.predictors import (
 )
 from repro.frontend.simulation import simulate_branch_predictor, simulate_icache
 from repro.uarch import ASYMMETRIC_PLUS_CMP, BASELINE_CMP, profile_workload_frontend, run_on_cmp
-from repro.workloads import build_workload, get_workload
+from repro.workloads import get_workload
 from repro.workloads.trace_cache import workload_trace
 
 from bench_common import BENCH_INSTRUCTIONS, run_once, show
@@ -96,7 +96,7 @@ def _serial_fraction_sweep():
     rows = []
     for name in ("FT", "CoMD", "CoEVP"):
         spec = get_workload(name)
-        profile = profile_workload_frontend(build_workload(spec), BENCH_INSTRUCTIONS)
+        profile = profile_workload_frontend(spec, BENCH_INSTRUCTIONS)
         baseline = run_on_cmp(profile, BASELINE_CMP).execution_seconds
         plus = run_on_cmp(profile, ASYMMETRIC_PLUS_CMP).execution_seconds
         rows.append([name, f"{spec.serial_fraction:.2f}", f"{plus / baseline:.3f}"])

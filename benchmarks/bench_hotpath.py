@@ -132,12 +132,12 @@ def test_section_v_stack(benchmark, instructions):
     cache is cleared each round, so the number reflects the simulation
     engine rather than trace generation or memoization.
     """
-    workload = _workload()
-    workload_trace(workload.spec, instructions)  # warm the shared trace cache
+    spec = get_workload(WORKLOAD)
+    workload_trace(spec, instructions)  # warm the shared trace cache
 
     def stack():
         clear_profile_cache()
-        profile = profile_workload_frontend(workload, instructions)
+        profile = profile_workload_frontend(spec, instructions)
         return [
             evaluate_cmp_energy(run_on_cmp(profile, cmp))
             for cmp in STANDARD_CMP_CONFIGS

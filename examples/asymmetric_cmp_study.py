@@ -21,7 +21,7 @@ from repro.uarch import (
     profile_workload_frontend,
     run_on_cmp,
 )
-from repro.workloads import build_workload, get_workload
+from repro.workloads import get_workload
 
 TRACE_INSTRUCTIONS = 150_000
 WORKLOADS = ("FT", "LU", "CoMD", "CoEVP", "fma3d", "gobmk")
@@ -46,7 +46,7 @@ def area_report() -> str:
 
 
 def workload_report(name: str) -> str:
-    profile = profile_workload_frontend(build_workload(get_workload(name)), TRACE_INSTRUCTIONS)
+    profile = profile_workload_frontend(get_workload(name), TRACE_INSTRUCTIONS)
     rows = []
     reference = None
     for cmp in STANDARD_CMP_CONFIGS:

@@ -65,11 +65,12 @@ DEFAULT_SWEEP_CONFIGS: Tuple[FrontEndConfig, ...] = (
 def frontend_rows(args) -> List[List[Any]]:
     """Per-workload worker: every configuration over one shared trace.
 
-    Takes ``(spec, instructions, seed, configs, sections)``, the driver
-    convention the sweep primer reads, and returns one ``[section,
-    config, branch_mpki, btb_mpki, icache_mpki]`` row per (section,
-    configuration), sections outermost.  Front-end sweep plans and
-    front-end exploration chunks both run it.
+    Takes ``(spec, instructions, seed, configs, sections)``, a sweep
+    item headed by its trace like every per-workload worker's (see
+    :meth:`Session.map <repro.api.session.Session.map>`), and returns
+    one ``[section, config, branch_mpki, btb_mpki, icache_mpki]`` row
+    per (section, configuration), sections outermost.  Front-end sweep
+    plans and front-end exploration chunks both run it.
     """
     spec, instructions, seed, configs, sections = args
     trace = workload_trace(spec, instructions, seed=seed)

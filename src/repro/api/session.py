@@ -20,7 +20,8 @@ through: serial by default, fanned out over the durable work queue of
 :mod:`repro.exec` when the session's config says so -- with per-item
 retries, worker replacement, resume of killed campaigns, and
 structured failure reports -- and the shared disk trace cache primed
-first.  A computed experiment is one sweep (:meth:`Session.suite_sweep`
+first with the trace each item's ``(spec, instructions, seed)`` head
+names.  A computed experiment is one sweep (:meth:`Session.suite_sweep`
 splits its rows by suite afterwards), so a parallel experiment makes
 one campaign and at most one priming pool, whose children keep no
 trace.  The config is the only source of that policy; the queue and
@@ -88,34 +89,22 @@ def _prime_worker(args) -> None:
 
 
 def _default_prime_keys(arguments: Sequence) -> "List[tuple]":
-    """Prime keys inferred from conventional driver argument tuples.
+    """The trace keys a sweep's items name, each once, in item order.
 
-    Tuples shaped ``(spec, instructions, ...)`` are primed; the seed is
-    taken from the third position when it is a plain ``int`` (the
-    ``(spec, instructions, seed, ...)`` worker convention) and defaults
-    to 0 otherwise.  The check is ``type(...) is int`` on purpose:
-    drivers also pass ``(spec, instructions, section)`` tuples whose
-    :class:`~repro.trace.instruction.CodeSection` is an ``IntEnum`` and
-    must not be misread as a seed, and the CMP rows worker's
-    ``(spec, instructions, chips)`` -- a Figure 10 or ``cmpsweep`` item,
-    or a CMP exploration chunk -- profiles the seed-0 trace.
+    An item whose head is ``(WorkloadSpec, int, int)`` names the trace
+    ``(spec, instructions, seed)`` (the item shape :meth:`Session.map`
+    documents); any other item names none.
     """
-    keys = []
-    seen = set()
-    for args in arguments:
-        if (
-            isinstance(args, tuple)
-            and len(args) >= 2
+    return list(
+        dict.fromkeys(
+            args[:3]
+            for args in arguments
+            if isinstance(args, tuple)
+            and len(args) >= 3
             and isinstance(args[0], WorkloadSpec)
-            and isinstance(args[1], int)
-        ):
-            seed = args[2] if len(args) >= 3 and type(args[2]) is int else 0
-            key = (args[0], args[1], seed)
-            if key in seen:
-                continue
-            seen.add(key)
-            keys.append(key)
-    return keys
+            and all(type(number) is int for number in args[1:3])
+        )
+    )
 
 
 def _prime_shared_traces(keys: Sequence, config: rc.RuntimeConfig) -> None:
@@ -316,7 +305,6 @@ class Session:
         sections: Sequence[CodeSection] = (CodeSection.TOTAL,),
         instructions: Optional[int] = None,
         seed: int = 0,
-        chunk_points: Optional[int] = None,
         objectives: Optional[Sequence[str]] = None,
         use_store: bool = True,
     ) -> "Any":
@@ -332,11 +320,7 @@ class Session:
         area/power/performance triple) select the Pareto frontier.
         """
         from repro.explore.grid import GridSpec, get_grid
-        from repro.explore.plan import (
-            DEFAULT_CHUNK_POINTS,
-            DEFAULT_EXPLORE_WORKLOADS,
-            ExplorePlan,
-        )
+        from repro.explore.plan import DEFAULT_EXPLORE_WORKLOADS, ExplorePlan
 
         if isinstance(grid, str):
             grid = get_grid(grid)
@@ -354,9 +338,6 @@ class Session:
                 self.config.instructions if instructions is None else int(instructions)
             ),
             seed=int(seed),
-            chunk_points=(
-                DEFAULT_CHUNK_POINTS if chunk_points is None else int(chunk_points)
-            ),
             objectives=() if objectives is None else objectives,
             use_store=use_store,
         )
@@ -364,10 +345,16 @@ class Session:
     # -- the sweep engine --------------------------------------------
 
     def map(self, worker: Callable, arguments: Sequence) -> List:
-        """Run a per-workload sweep worker over its argument tuples.
+        """Run a per-workload sweep worker over its items.
 
-        The historical "list of values" contract over
-        :meth:`map_report`: every item's value in argument order, or a
+        A per-workload item is a tuple ``(spec, instructions, seed,
+        *rest)``: its head names the one trace the worker reads,
+        ``workload_trace(spec, instructions, seed=seed)``, and ``rest``
+        is the worker's own arguments.  Every worker the package sweeps
+        takes that shape, and the primer reads the head of each item
+        (see :meth:`map_report`).
+
+        Returns every item's value in argument order, or raises a
         :class:`repro.exec.SweepError` carrying the structured failure
         report (and the partial results) when any item permanently
         failed.
@@ -384,11 +371,11 @@ class Session:
         the config (a fault's ``index`` is an item's position in
         ``arguments``).  Before the queue spawns workers, the shared disk
         trace cache is primed under the session's ``trace_cache_dir``
-        with the traces the argument tuples name (see
-        :func:`_default_prime_keys`).  Queue campaigns live under the
-        config's ``queue_dir``, else under the result store, so a
-        killed sweep rerun with the same store replays the items
-        already published and computes only the rest.
+        with the traces the items' ``(spec, instructions, seed)`` heads
+        name.  Queue campaigns live under the config's ``queue_dir``,
+        else under the result store, so a killed sweep rerun with the
+        same store replays the items already published and computes
+        only the rest.
         """
         from repro.exec.executors import SerialExecutor, execute_items
         from repro.exec.queue import QueueExecutor
@@ -403,45 +390,55 @@ class Session:
     def workload_sweep(
         self,
         worker: Callable,
+        instructions: int,
         extra_args: Sequence = (),
         names: Optional[Sequence[str]] = None,
         specs: Optional[Sequence[WorkloadSpec]] = None,
     ) -> "tuple[List[WorkloadSpec], List]":
         """Sweep a per-workload worker over one workload selection.
 
-        Builds the conventional ``(spec, *extra_args)`` argument tuples
-        and runs them through :meth:`map`.  Returns ``(specs, rows)``
-        with rows in spec order -- the flat-sweep glue every
-        per-benchmark driver used to hand-roll.
+        Runs one item per spec, each at the seed-0 trace (see
+        :func:`_sweep_items`), through :meth:`map`.  Returns ``(specs,
+        rows)`` with rows in spec order.
         """
         if specs is None:
             specs = self.workloads(names=names)
         specs = list(specs)
-        arguments = [(spec, *extra_args) for spec in specs]
-        return specs, self.map(worker, arguments)
+        return specs, self.map(worker, _sweep_items(specs, instructions, extra_args))
 
     def suite_sweep(
         self,
         worker: Callable,
+        instructions: int,
         extra_args: Sequence = (),
         suites: Optional[Sequence[Suite]] = None,
     ) -> "List[tuple]":
         """Sweep a per-workload worker over every suite's workloads at once.
 
         Returns ``[(suite, specs, rows), ...]`` in figure order, the rows
-        of one :meth:`map` split by suite -- the per-suite glue shared by
-        the Section III/IV drivers, so each experiment keeps only its own
-        aggregation.
+        of one :meth:`map` (items as in :meth:`workload_sweep`) split by
+        suite -- the per-suite glue shared by the Section III/IV
+        drivers, so each experiment keeps only its own aggregation.
         """
         from repro.workloads.suites import SUITE_ORDER
 
         suites = suites or SUITE_ORDER
         groups = [(suite, self.workloads(suites=[suite])) for suite in suites]
         flat = [spec for _, specs in groups for spec in specs]
-        rows = iter(self.map(worker, [(spec, *extra_args) for spec in flat]))
+        rows = iter(self.map(worker, _sweep_items(flat, instructions, extra_args)))
         return [
             (suite, specs, list(islice(rows, len(specs)))) for suite, specs in groups
         ]
+
+
+def _sweep_items(
+    specs: Sequence[WorkloadSpec], instructions: int, extra_args: Sequence
+) -> "List[tuple]":
+    """One ``(spec, instructions, 0, *extra_args)`` item per spec.
+
+    The experiment drivers sweep the seed-0 trace of every workload.
+    """
+    return [(spec, instructions, 0, *extra_args) for spec in specs]
 
 
 def current_session() -> Session:

@@ -7,7 +7,8 @@ sizes -- evaluated with exactly the same profile -> schedule -> power
 pipeline as the paper's four chips.  Exposed on the CLI as
 ``repro-frontend cmpsweep``.  All selected scenarios run as one sweep
 of the CMP rows worker (:func:`repro.power.cmp_power.cmp_rows`), whose
-``(spec, instructions, chips)`` items a CMP exploration chunk shares.
+``(spec, instructions, seed, chips)`` items a CMP exploration chunk
+shares; the sweep reads the seed-0 traces.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def run_cmpsweep(
         workloads = DEFAULT_SWEEP_WORKLOADS
     specs = session.workloads(suites=suites, names=workloads)
     chips = tuple(cmp for scenario in scenarios for cmp in scenario.cmps)
-    _, rows = session.workload_sweep(cmp_rows, (instructions, chips), specs=specs)
+    _, rows = session.workload_sweep(cmp_rows, instructions, (chips,), specs=specs)
     remaining = [iter(chip_rows) for chip_rows in rows]
 
     summary_rows: List[tuple] = []

@@ -78,8 +78,8 @@ class Fig01Result(FrameResult):
 
 def _workload_mix(args) -> Dict[CodeSection, BranchMix]:
     """Per-workload worker: branch mix of every reported section."""
-    spec, instructions = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed = args
+    trace = workload_trace(spec, instructions, seed=seed)
     return {
         section: analyze_branch_mix(trace, section) for section in sections_for(spec)
     }
@@ -97,7 +97,7 @@ def run_fig01(
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
     workload_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(_workload_mix, (instructions,), suites)
+    sweep = current_session().suite_sweep(_workload_mix, instructions, suites=suites)
     for suite, specs, rows in sweep:
         per_section_mixes: Dict[CodeSection, List[BranchMix]] = {}
         for spec, mixes in zip(specs, rows):

@@ -74,8 +74,8 @@ class Fig02Result(FrameResult):
 
 def _workload_bias(args) -> Dict[CodeSection, BiasDistribution]:
     """Per-workload worker: bias distribution of every reported section."""
-    spec, instructions = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed = args
+    trace = workload_trace(spec, instructions, seed=seed)
     return {
         section: analyze_branch_bias(trace, section) for section in sections_for(spec)
     }
@@ -92,7 +92,7 @@ def run_fig02(
     """
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(_workload_bias, (instructions,), suites)
+    sweep = current_session().suite_sweep(_workload_bias, instructions, suites=suites)
     for suite, specs, rows in sweep:
         per_section: Dict[CodeSection, List[BiasDistribution]] = {}
         for spec, distributions in zip(specs, rows):

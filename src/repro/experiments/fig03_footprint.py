@@ -75,8 +75,8 @@ class Fig03Result(FrameResult):
 
 def _workload_footprints(args) -> Dict[CodeSection, FootprintResult]:
     """Per-workload worker: footprint of every reported section."""
-    spec, instructions = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed = args
+    trace = workload_trace(spec, instructions, seed=seed)
     return {
         section: analyze_footprint(trace, section) for section in sections_for(spec)
     }
@@ -94,7 +94,9 @@ def run_fig03(
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
     workload_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(_workload_footprints, (instructions,), suites)
+    sweep = current_session().suite_sweep(
+        _workload_footprints, instructions, suites=suites
+    )
     for suite, specs, rows in sweep:
         static: Dict[CodeSection, List[float]] = {}
         dynamic: Dict[CodeSection, List[float]] = {}

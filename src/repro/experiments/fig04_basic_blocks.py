@@ -76,8 +76,8 @@ class Fig04Result(FrameResult):
 
 def _workload_blocks(args) -> Dict[CodeSection, BasicBlockStats]:
     """Per-workload worker: block statistics of every reported section."""
-    spec, instructions = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed = args
+    trace = workload_trace(spec, instructions, seed=seed)
     return {
         section: analyze_basic_blocks(trace, section)
         for section in sections_for(spec)
@@ -96,7 +96,7 @@ def run_fig04(
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
     workload_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(_workload_blocks, (instructions,), suites)
+    sweep = current_session().suite_sweep(_workload_blocks, instructions, suites=suites)
     for suite, specs, rows in sweep:
         blocks: Dict[CodeSection, List[float]] = {}
         distances: Dict[CodeSection, List[float]] = {}

@@ -38,8 +38,8 @@ def _workload_mpki(args) -> Dict[str, float]:
     combine those passes.  Figure 6, the exploration presets and the
     Section V profiles then reuse them on the same cached trace.
     """
-    spec, instructions, section = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed, section = args
+    trace = workload_trace(spec, instructions, seed=seed)
     configurations = predictor_configurations()
     configs = [
         BranchPredictorConfig(kind, budget, with_loop)
@@ -99,7 +99,7 @@ def run_fig05(
     suite_rows: List[tuple] = []
     workload_rows: List[tuple] = []
     sweep = current_session().suite_sweep(
-        _workload_mpki, (instructions, section), suites
+        _workload_mpki, instructions, (section,), suites
     )
     for suite, specs, rows in sweep:
         per_config: Dict[str, List[float]] = {label: [] for label in labels}

@@ -89,8 +89,8 @@ def _workload_breakdown(args) -> Dict[str, Dict[str, float]]:
     (:func:`simulate_branch_predictors`), so on a trace Figure 5 already
     simulated no predictor runs again.
     """
-    spec, instructions = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed = args
+    trace = workload_trace(spec, instructions, seed=seed)
     configs = [
         BranchPredictorConfig(kind, budget, with_loop)
         for _, kind, budget, with_loop in FIGURE6_CONFIGS
@@ -115,9 +115,7 @@ def run_fig06(
     names = list(workloads or FIGURE6_WORKLOADS)
     breakdown_rows: List[tuple] = []
     specs, rows = current_session().workload_sweep(
-        _workload_breakdown,
-        (instructions,),
-        names=names,
+        _workload_breakdown, instructions, names=names
     )
     for spec, breakdown in zip(specs, rows):
         for label, classes in breakdown.items():

@@ -25,8 +25,8 @@ from repro.workloads.trace_cache import workload_trace
 
 def _workload_mpki(args) -> Dict[Tuple[int, int], float]:
     """Per-workload worker: every BTB geometry on one trace."""
-    spec, instructions, geometries = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed, geometries = args
+    trace = workload_trace(spec, instructions, seed=seed)
     return {
         (entries, associativity): simulate_btb(
             trace, entries=entries, associativity=associativity
@@ -97,7 +97,7 @@ def run_fig07(
     suite_rows: List[tuple] = []
     workload_rows: List[tuple] = []
     sweep = current_session().suite_sweep(
-        _workload_mpki, (instructions, geometries), suites
+        _workload_mpki, instructions, (geometries,), suites
     )
     for suite, specs, rows in sweep:
         per_geometry: Dict[Tuple[int, int], List[float]] = {g: [] for g in geometries}

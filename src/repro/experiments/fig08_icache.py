@@ -25,8 +25,8 @@ from repro.workloads.trace_cache import workload_trace
 
 def _workload_mpki(args) -> Dict[Tuple[int, int], float]:
     """Per-workload worker: every I-cache geometry on one trace."""
-    spec, instructions, geometries = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed, geometries = args
+    trace = workload_trace(spec, instructions, seed=seed)
     return {
         (size_kb, associativity): simulate_icache(
             trace,
@@ -103,7 +103,7 @@ def run_fig08(
     suite_rows: List[tuple] = []
     workload_rows: List[tuple] = []
     sweep = current_session().suite_sweep(
-        _workload_mpki, (instructions, geometries), suites
+        _workload_mpki, instructions, (geometries,), suites
     )
     for suite, specs, rows in sweep:
         per_geometry: Dict[Tuple[int, int], List[float]] = {g: [] for g in geometries}

@@ -81,8 +81,8 @@ class Fig09Result(FrameResult):
 
 def _workload_lines(args) -> Tuple[Dict[Tuple[int, int], float], float]:
     """Per-workload worker: every line geometry plus 128B usefulness."""
-    spec, instructions, geometries = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed, geometries = args
+    trace = workload_trace(spec, instructions, seed=seed)
     mpki = {
         (line_bytes, associativity): simulate_icache(
             trace,
@@ -111,9 +111,7 @@ def run_fig09(
     line_rows: List[tuple] = []
     usefulness_rows: List[tuple] = []
     specs, rows = current_session().workload_sweep(
-        _workload_lines,
-        (instructions, tuple(geometries)),
-        names=names,
+        _workload_lines, instructions, (tuple(geometries),), names=names
     )
     for spec, (mpki, usefulness) in zip(specs, rows):
         for geometry, value in mpki.items():

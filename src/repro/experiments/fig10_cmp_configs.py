@@ -93,7 +93,7 @@ def run_fig10(
     names = [cmp.name for cmp in cmps]
     suite_rows: List[tuple] = []
     workload_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(cmp_rows, (instructions, cmps), suites)
+    sweep = current_session().suite_sweep(cmp_rows, instructions, (cmps,), suites)
     for suite, specs, rows in sweep:
         per_metric: Dict[str, Dict[str, List[float]]] = {
             metric: {name: [] for name in names} for metric in FIG10_METRICS

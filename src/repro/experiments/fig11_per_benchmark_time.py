@@ -1,4 +1,8 @@
-"""Figure 11: per-benchmark execution time normalized to the Baseline CMP."""
+"""Figure 11: per-benchmark execution time normalized to the Baseline CMP.
+
+A per-benchmark slice of Figure 10's execution time: the same
+:func:`~repro.power.cmp_power.cmp_rows` worker over six workloads.
+"""
 
 from __future__ import annotations
 
@@ -15,9 +19,9 @@ from repro.experiments.common import (
     fixed,
     normalize_to_reference,
 )
+from repro.power.cmp_power import cmp_rows
 from repro.results.spec import ExperimentSpec
 from repro.uarch.cmp import STANDARD_CMP_CONFIGS, CmpConfig
-from repro.uarch.simulator import profile_workload_frontend, run_on_cmp
 
 #: The benchmarks shown in Figure 11 of the paper.
 FIGURE11_WORKLOADS = ("CoEVP", "CoMD", "fma3d", "FT", "h264ref", "gobmk")
@@ -57,18 +61,6 @@ class Fig11Result(FrameResult):
         )
 
 
-def _evaluate_workload_time(args) -> Dict[str, float]:
-    """Per-workload worker: normalized execution time per CMP.
-
-    Shares the trace/profile caches with Figure 10, so running fig11
-    after fig10 (or twice) re-simulates nothing in-process.
-    """
-    spec, instructions, cmps = args
-    profile = profile_workload_frontend(spec, instructions)
-    times = {cmp.name: run_on_cmp(profile, cmp).execution_seconds for cmp in cmps}
-    return normalize_to_reference(times, cmps[0].name)
-
-
 def run_fig11(
     instructions: Optional[int] = None,
     workloads: Optional[Sequence[str]] = None,
@@ -76,22 +68,26 @@ def run_fig11(
 ) -> Fig11Result:
     """Regenerate the Figure 11 data.
 
-    The per-workload evaluation runs through the current session's
-    sweep engine.
+    One sweep of Figure 10's worker,
+    :func:`~repro.power.cmp_power.cmp_rows`, over the Figure 11
+    workloads, through the current session's sweep engine; each row's
+    execution seconds are normalized to its first chip.  It shares the
+    trace and profile caches with Figure 10, so running fig11 after
+    fig10 (or twice) re-simulates nothing in-process.
     """
     instructions = experiment_instructions(instructions)
     cmps = tuple(cmps)
     cmp_names = [cmp.name for cmp in cmps]
     names = list(workloads or FIGURE11_WORKLOADS)
     specs, rows = current_session().workload_sweep(
-        _evaluate_workload_time,
-        (instructions, cmps),
-        names=names,
+        cmp_rows, instructions, (cmps,), names=names
     )
-    workload_rows = [
-        (spec.name,) + tuple(normalized[name] for name in cmp_names)
-        for spec, normalized in zip(specs, rows)
-    ]
+    workload_rows = []
+    for spec, chip_rows in zip(specs, rows):
+        times = normalize_to_reference(
+            {row[0]: row[1] for row in chip_rows}, cmp_names[0]
+        )
+        workload_rows.append((spec.name,) + tuple(times[name] for name in cmp_names))
     return Fig11Result(
         instructions=instructions,
         cmp_names=cmp_names,

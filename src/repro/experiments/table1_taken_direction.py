@@ -72,8 +72,8 @@ class Table1Result(FrameResult):
 
 def _workload_directions(args) -> Dict[CodeSection, float]:
     """Per-workload worker: backward-taken share of every section."""
-    spec, instructions = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed = args
+    trace = workload_trace(spec, instructions, seed=seed)
     return {
         section: analyze_taken_directions(trace, section).backward_fraction
         for section in sections_for(spec)
@@ -92,7 +92,9 @@ def run_table1(
     instructions = experiment_instructions(instructions)
     section_rows: List[tuple] = []
     table_rows: List[tuple] = []
-    sweep = current_session().suite_sweep(_workload_directions, (instructions,), suites)
+    sweep = current_session().suite_sweep(
+        _workload_directions, instructions, suites=suites
+    )
     for suite, specs, rows in sweep:
         per_section: Dict[CodeSection, List[float]] = {}
         for spec, fractions in zip(specs, rows):

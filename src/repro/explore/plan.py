@@ -9,8 +9,8 @@ sensitivity views derived from it.
 
 Execution strategy
 ------------------
-The grid is split into fixed-size *chunks* of points; each (workload,
-chunk) pair is one unit of work:
+The grid is split into *chunks* of :data:`CHUNK_POINTS` points; each
+(workload, chunk) pair is one unit of work:
 
 * A chunk's result is content-addressed in the result store
   (:func:`repro.results.store.result_key` over the chunk's full
@@ -34,11 +34,13 @@ chunk) pair is one unit of work:
   its chunk count, which is what makes thousands of configs per
   workload cheap.  CMP grids share one cached workload profile the
   same way.
-* Each chunk is one item of a worker the package shares: a front-end
-  chunk runs :func:`repro.api.plan.frontend_rows`, the worker of a
-  front-end sweep plan, and a CMP chunk ``(spec, instructions, chips)``
-  runs :func:`repro.power.cmp_power.cmp_rows`, the worker of
-  ``cmpsweep`` and Figure 10.
+* Each chunk is one item of a worker the package shares, headed by
+  the trace it reads, ``(spec, instructions, seed)``, at the plan's
+  seed for either grid kind: a front-end chunk runs
+  :func:`repro.api.plan.frontend_rows`, the worker of a front-end sweep
+  plan, and a CMP chunk ``(spec, instructions, seed, chips)`` runs
+  :func:`repro.power.cmp_power.cmp_rows`, the worker of ``cmpsweep``
+  and Figures 10 and 11.
 
 Static per-point columns (area, power) are pure arithmetic and are
 recomputed at assembly time rather than stored.
@@ -77,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 DEFAULT_EXPLORE_WORKLOADS = ("CoEVP", "CoMD", "fma3d", "FT", "h264ref", "gobmk")
 
 #: Grid points per stored chunk (the resume granularity).
-DEFAULT_CHUNK_POINTS = 64
+CHUNK_POINTS = 64
 
 #: Store namespace of the per-chunk artifacts.
 EXPLORE_CHUNK_EXPERIMENT = "explore-chunk"
@@ -216,7 +218,6 @@ class ExplorePlan:
     sections: Tuple[CodeSection, ...]
     instructions: int
     seed: int = 0
-    chunk_points: int = DEFAULT_CHUNK_POINTS
     objectives: Tuple[str, ...] = ()
     use_store: bool = True
 
@@ -238,14 +239,6 @@ class ExplorePlan:
             raise ValueError(f"instructions must be >= 1, got {self.instructions}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.grid.kind == "cmp" and self.seed != 0:
-            # The Section V profile behind every chip is the seed-0 trace.
-            raise ValueError(
-                f"a cmp exploration profiles the seed-0 trace; seed must be 0, "
-                f"got {self.seed}"
-            )
-        if self.chunk_points < 1:
-            raise ValueError("chunk_points must be positive")
         _reject_duplicates("workload", [spec.name for spec in self.workloads])
         _reject_duplicates("section", [section.name for section in self.sections])
         _reject_duplicates("objective", self.objectives)
@@ -305,15 +298,16 @@ class ExplorePlan:
 
     def _chunks(self, points: Sequence[GridPoint]) -> List[Tuple[GridPoint, ...]]:
         return [
-            tuple(points[start : start + self.chunk_points])
-            for start in range(0, len(points), self.chunk_points)
+            tuple(points[start : start + CHUNK_POINTS])
+            for start in range(0, len(points), CHUNK_POINTS)
         ]
 
     def _worker_arguments(self, spec: WorkloadSpec, chunk: Sequence[GridPoint]):
+        head = (spec, self.instructions, self.seed)
         configs = tuple(point.config for point in chunk)
         if self.grid.kind == "frontend":
-            return (spec, self.instructions, self.seed, configs, self.sections)
-        return (spec, self.instructions, configs)
+            return (*head, configs, self.sections)
+        return (*head, configs)
 
     def result(self) -> ExploreResult:
         """Run the exploration and return every derived frame."""

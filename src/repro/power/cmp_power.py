@@ -5,8 +5,8 @@ slices) are accounted because the shared last-level cache and
 interconnect are identical across configurations.  Power combines each
 core's active power weighted by its busy time with its idle power for
 the remainder of the run, plus the L2 slices.  :func:`cmp_rows` is the
-per-workload worker that Figure 10, ``cmpsweep`` and a CMP exploration
-share.
+per-workload worker that Figures 10 and 11, ``cmpsweep`` and a CMP
+exploration share; its items are ``(spec, instructions, seed, chips)``.
 """
 
 from __future__ import annotations
@@ -93,15 +93,17 @@ def evaluate_cmp_energy(run: CmpRunResult) -> CmpEnergyResult:
 def cmp_rows(args) -> List[List[Any]]:
     """Per-workload worker: every chip over one cached Section V profile.
 
-    Takes ``(spec, instructions, chips)`` and returns one ``[chip name,
+    Takes ``(spec, instructions, seed, chips)``, profiles the trace
+    ``(spec, instructions, seed)`` and returns one ``[chip name,
     execution seconds, average power W, energy J]`` row per chip, in
     chip order, so callers read the rows by position, never by name: a
     ``cmpsweep`` item carries the chips of every selected scenario, and
-    two scenarios may name different chips alike.  Figure 10 runs it over
-    the paper's four chips, a CMP exploration chunk over its grid points.
+    two scenarios may name different chips alike.  Figures 10 and 11 run
+    it over the paper's chips, a CMP exploration chunk over its grid
+    points at the plan's seed.
     """
-    spec, instructions, chips = args
-    profile = profile_workload_frontend(spec, instructions)
+    spec, instructions, seed, chips = args
+    profile = profile_workload_frontend(spec, instructions, seed=seed)
     rows: List[List[Any]] = []
     for cmp in chips:
         run = run_on_cmp(profile, cmp)

@@ -119,8 +119,6 @@ class RunReport:
 
     instructions: int
     outcomes: List[ExperimentOutcome] = field(default_factory=list)
-    #: Flags the caller passed that no selected experiment consumed.
-    ignored_flags: List[str] = field(default_factory=list)
 
     def counts(self) -> Dict[str, int]:
         """Number of experiments per outcome status."""
@@ -194,7 +192,6 @@ def run_experiments(
         raise KeyError(f"unknown experiment(s): {', '.join(sorted(unknown))}")
 
     report = RunReport(instructions=int(instructions))
-    report.ignored_flags.extend(unconsumed_flags(names, scenario_names))
 
     for name in registry:
         if name not in names:

@@ -31,7 +31,6 @@ import hashlib
 import json
 import os
 import threading
-import time
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro import durable
@@ -64,14 +63,6 @@ _COUNTERS = Counters(
         "cas_stores",
         "cas_identical",
         "cas_conflicts",
-        # Read-path accounting (the results service reads these): every
-        # load_result call, how many resolved to an artifact from either
-        # layer, and the cumulative wall time spent loading -- so a
-        # serving layer can report store-read latency without wrapping
-        # every call.
-        "loads",
-        "load_hits",
-        "load_ns",
     ),
     {"entries": lambda: len(_MEMORY)},
 )
@@ -148,8 +139,6 @@ def load_result(key: str, experiment: Optional[str] = None) -> Optional[Dict[str
     A disk hit is promoted into the memory layer.  Returns ``None`` on
     a miss (including corrupt, truncated, or mismatched disk entries).
     """
-    started = time.perf_counter_ns()
-    _COUNTERS.add("loads")
     artifact = _MEMORY.get(key)
     if artifact is not None:
         _COUNTERS.add("hits")
@@ -162,9 +151,6 @@ def load_result(key: str, experiment: Optional[str] = None) -> Optional[Dict[str
             else:
                 _COUNTERS.add("disk_hits")
                 _MEMORY[key] = artifact
-    if artifact is not None:
-        _COUNTERS.add("load_hits")
-    _COUNTERS.add("load_ns", time.perf_counter_ns() - started)
     return artifact
 
 

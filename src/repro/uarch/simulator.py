@@ -2,9 +2,9 @@
 
 ``profile_workload_frontend`` measures, once per core flavour and code
 section, the front-end miss rates of a workload's trace (pulled from
-the shared :mod:`repro.workloads.trace_cache` at the current config's
-budget unless one is given, simulated with the
-batched multi-configuration engine, and memoized weakly per trace --
+the shared :mod:`repro.workloads.trace_cache` at ``(spec, instructions,
+seed)``, the budget defaulting to the current config's, simulated with
+the batched multi-configuration engine, and memoized weakly per trace --
 see the function docstring for the cache-routing contract);
 ``run_on_cmp`` then schedules the workload on a CMP configuration: the
 serial sections run on the master core, the parallel sections are
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.api import runtime_config
 from repro.counters import Counters
@@ -28,7 +28,6 @@ from repro.uarch.cmp import CmpConfig
 from repro.uarch.core import BASELINE_CORE, TAILORED_CORE, CoreModel
 from repro.uarch.cpi import CpiStack, cpi_for_section
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.synthesis import SyntheticWorkload
 from repro.workloads.trace_cache import workload_trace
 
 #: Nominal dynamic instruction count used to convert per-instruction
@@ -113,17 +112,18 @@ def profile_cache_info() -> Dict[str, int]:
 
 
 def profile_workload_frontend(
-    workload: Union[SyntheticWorkload, WorkloadSpec],
+    spec: WorkloadSpec,
     instructions: Optional[int] = None,
+    seed: int = 0,
     cores: Tuple[CoreModel, ...] = (BASELINE_CORE, TAILORED_CORE),
 ) -> WorkloadFrontendProfile:
     """Measure front-end miss rates per core flavour and code section.
 
     Cache-routing contract
     ----------------------
-    The trace is obtained through the shared
-    :func:`repro.workloads.trace_cache.workload_trace` cache -- never
-    by calling ``workload.trace`` directly -- so the Section V stack
+    The trace ``(spec, instructions, seed)`` is obtained through the
+    shared :func:`repro.workloads.trace_cache.workload_trace` cache --
+    never by building the workload directly -- so the Section V stack
     (Figures 10/11) reuses the very same trace objects the Section IV
     sweeps generated, in process and on disk (parallel sweeps default
     ``REPRO_TRACE_CACHE_DIR`` to the per-user shared directory; cold
@@ -137,22 +137,18 @@ def profile_workload_frontend(
     must treat as read-only.  A profile lives as long as its trace, so
     clearing the trace cache drops it too.
 
-    ``workload`` may be a built :class:`SyntheticWorkload` or a bare
-    :class:`WorkloadSpec`; only the spec is used.
-
     All core flavours are simulated through the batched
     :func:`repro.frontend.simulation.simulate_frontend_many` engine,
     which decodes each section's branch/line streams once and runs
     every front-end configuration over the shared columnar views.
     """
-    spec = workload.spec if isinstance(workload, SyntheticWorkload) else workload
     if instructions is None:
         instructions = runtime_config.current_config().instructions
     # The trace is the memo's key: on a warm run this is a dictionary
     # lookup, and it keeps the shared trace cache the single source of
     # truth (its hit counters account every profiling pass, cached or
     # not).
-    trace = workload_trace(spec, instructions)
+    trace = workload_trace(spec, instructions, seed=seed)
     cores = tuple(cores)
     profiles = _PROFILES.setdefault(trace, {})
     cached = profiles.get(cores)

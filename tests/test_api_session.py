@@ -27,7 +27,7 @@ from repro.results.store import clear_result_store
 from repro.trace.instruction import CodeSection
 from repro.uarch.core import BASELINE_CORE, TAILORED_CORE
 from repro.uarch.simulator import profile_workload_frontend
-from repro.workloads import build_workload, get_workload
+from repro.workloads import WorkloadSpec, build_workload, get_workload
 from repro.workloads.trace_cache import clear_trace_cache, workload_trace
 
 INSTRUCTIONS = 30_000
@@ -319,6 +319,61 @@ class TestSessionPipeline:
         assert cached == [f"FT-{INSTRUCTIONS}-2.npz", f"LU-{INSTRUCTIONS}-2.npz"]
         clear_trace_cache()
 
+    def test_parallel_cmp_exploration_primes_and_profiles_the_plan_seed(
+        self, tmp_path
+    ):
+        """A CMP exploration reads its traces at the plan's seed, as a
+        front-end one does: it equals the CMP worker called at that
+        seed, and in parallel it primes seed-N traces and equals the
+        serial run."""
+        from repro.api import GridSpec
+        from repro.power.cmp_power import cmp_rows
+
+        instructions = 6_000
+        grid = GridSpec.cmp(cores=(2, 4), mixes=("baseline", "tailored"))
+
+        def explored(seed, **overrides):
+            session = Session(
+                instructions=instructions, result_cache_dir=None, **overrides
+            )
+            return session.explore(
+                grid, workloads=["FT", "gobmk"], seed=seed, use_store=False
+            ).execute()
+
+        clear_trace_cache()
+        serial = explored(7, trace_cache_dir=None)
+        assert serial != explored(0, trace_cache_dir=None)
+        chips = tuple(point.config for point in grid.points())
+        ft = serial.select(workload="FT")
+        columns = ("point", "time_s", "power_w", "energy_j")
+        measured = zip(*(ft.column(column) for column in columns))
+        expected = cmp_rows((get_workload("FT"), instructions, 7, chips))
+        assert [list(row) for row in measured] == expected
+
+        clear_trace_cache()
+        parallel = explored(
+            7, parallel=True, processes=2, trace_cache_dir=str(tmp_path)
+        )
+        assert parallel == serial
+        assert sorted(os.listdir(tmp_path)) == [
+            f"FT-{instructions}-7.npz",
+            f"gobmk-{instructions}-7.npz",
+        ]
+        clear_trace_cache()
+
+    def test_the_primer_reads_each_item_head_once(self):
+        """An item headed (spec, int, int) names one trace; any other
+        item names none, and a repeated head is primed once."""
+        from repro.api.session import _default_prime_keys
+
+        ft, lu = get_workload("FT"), get_workload("LU")
+        n = INSTRUCTIONS
+        assert _default_prime_keys([(ft, n, 3, "rest")]) == [(ft, n, 3)]
+        assert _default_prime_keys([(ft, n, CodeSection.TOTAL), (ft, n), 5]) == []
+        assert _default_prime_keys(
+            [(ft, n, 0), (lu, n, 0, "a"), (ft, n, 0, "b"), (ft, n, 1)]
+        ) == [(ft, n, 0), (lu, n, 0), (ft, n, 1)]
+
     def test_priming_pool_gets_only_traces_this_process_lacks(
         self, monkeypatch, tmp_path
     ):
@@ -381,7 +436,7 @@ class TestSessionPipeline:
             trace_cache_dir=None,
         )
         specs = [get_workload("FT"), get_workload("LU")]
-        arguments = [(spec, INSTRUCTIONS) for spec in specs]
+        arguments = [(spec, INSTRUCTIONS, 0) for spec in specs]
         assert session.map(_shim_worker, arguments) == [
             _shim_worker(args) for args in arguments
         ]
@@ -694,7 +749,7 @@ class TestLegacyShimsRemoved:
     def test_session_map_covers_the_old_run_sweep_contract(self):
         """Session.map is the replacement: serial == parallel rows."""
         specs = [get_workload("FT"), get_workload("LU")]
-        arguments = [(spec, INSTRUCTIONS) for spec in specs]
+        arguments = [(spec, INSTRUCTIONS, 0) for spec in specs]
         serial = current_session().map(_shim_worker, arguments)
         with Session(parallel=True, processes=2).activate():
             parallel = current_session().map(_shim_worker, arguments)
@@ -731,14 +786,16 @@ class TestOneSweepPerExperiment:
 
     @pytest.mark.parametrize("name", registry_names())
     def test_an_experiment_maps_once(self, name, monkeypatch):
+        from repro.api.session import _default_prime_keys
+
         sweeps = []
         original = Session.map_report
 
-        def counting(self, worker, arguments):
-            sweeps.append(len(arguments))
+        def recording(self, worker, arguments):
+            sweeps.append(list(arguments))
             return original(self, worker, arguments)
 
-        monkeypatch.setattr(Session, "map_report", counting)
+        monkeypatch.setattr(Session, "map_report", recording)
         clear_result_store()  # An in-process entry would serve it.
         session = Session(
             instructions=6_000, result_cache_dir=None, trace_cache_dir=None
@@ -746,6 +803,16 @@ class TestOneSweepPerExperiment:
         session.experiment(name).report()
         # table2 and table3 are model arithmetic, with nothing to sweep.
         assert len(sweeps) == (0 if name in ("table2", "table3") else 1)
+        # Every item is headed by the seed-0 trace it reads, and the
+        # primer names each workload's trace once.
+        for items in sweeps:
+            for item in items:
+                assert isinstance(item[0], WorkloadSpec)
+                assert item[1:3] == (6_000, 0)
+            keys = _default_prime_keys(items)
+            assert sorted(spec.name for spec, _, _ in keys) == sorted(
+                {item[0].name for item in items}
+            )
 
 
 class TestSpecKeyedCaches:
@@ -775,6 +842,6 @@ class TestSpecKeyedCaches:
 
 
 def _shim_worker(args):
-    spec, instructions = args
-    trace = workload_trace(spec, instructions)
+    spec, instructions, seed = args
+    trace = workload_trace(spec, instructions, seed=seed)
     return (spec.name, int(trace.block_ids.shape[0]))

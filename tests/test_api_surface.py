@@ -139,7 +139,6 @@ class TestPublicSurface:
             "sections",
             "instructions",
             "seed",
-            "chunk_points",
             "objectives",
             "use_store",
         ]
@@ -185,7 +184,6 @@ class TestPublicSurface:
             "sections",
             "instructions",
             "seed",
-            "chunk_points",
             "objectives",
             "use_store",
         }

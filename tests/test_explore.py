@@ -33,6 +33,7 @@ from repro.explore import (
     sensitivity_summary,
     smoke_grid,
 )
+import repro.explore.plan as explore_plan
 from repro.explore.plan import EXPLORE_CHUNK_EXPERIMENT
 from repro.frontend.predictors import GsharePredictor, TournamentPredictor
 from repro.results.store import clear_result_store, load_result, result_key
@@ -267,9 +268,9 @@ class TestExplorePlan:
             session.explore("smoke", workloads=["FT"], instructions=0)
         with pytest.raises(ValueError, match="seed"):
             session.explore("smoke", workloads=["FT"], seed=-1)
-        # A cmp exploration profiles the seed-0 trace, whatever its seed.
-        with pytest.raises(ValueError, match="seed"):
-            session.explore("cmp", workloads=["FT"], seed=7)
+        # A cmp exploration reads its traces at the plan's seed, as a
+        # front-end one does.
+        assert session.explore("cmp", workloads=["FT"], seed=7).seed == 7
         with pytest.raises(ValueError, match="section"):
             session.explore("smoke", workloads=["FT"], sections=())
         with pytest.raises(TypeError, match="CodeSection"):
@@ -398,20 +399,16 @@ class TestCrossChunkSharing:
         icache_associativity=(2, 4),
     )
 
-    def test_chunk_size_does_not_change_the_frames(self):
+    def test_chunk_size_does_not_change_the_frames(self, monkeypatch):
         session = Session(
             instructions=SMALL, trace_cache_dir=None, result_cache_dir=None
         )
         points = len(self.GRID.points())
-        results = [
-            session.explore(
-                self.GRID,
-                workloads=["FT", "gobmk"],
-                chunk_points=chunk_points,
-                use_store=False,
-            ).result()
-            for chunk_points in (1, 64, points)
-        ]
+        plan = session.explore(self.GRID, workloads=["FT", "gobmk"], use_store=False)
+        results = []
+        for chunk_points in (1, 64, points):
+            monkeypatch.setattr(explore_plan, "CHUNK_POINTS", chunk_points)
+            results.append(plan.result())
         assert [r.chunks_computed for r in results] == [2 * points, 2, 2]
         for name in ("grid", "pareto", "sensitivity"):
             assert results[0].frames[name] == results[1].frames[name]
@@ -469,11 +466,11 @@ class TestCrossChunkSharing:
         )
         workloads = ["FT", "CoEVP"]
         sections = (CodeSection.SERIAL, CodeSection.PARALLEL)
+        monkeypatch.setattr(explore_plan, "CHUNK_POINTS", 5)
         result = session.explore(
             self.GRID,
             workloads=workloads,
             sections=sections,
-            chunk_points=5,
             use_store=False,
         ).result()
         assert result.chunks_computed == len(workloads) * 10
@@ -499,10 +496,11 @@ class TestExploreResume:
             result_cache_dir=str(tmp_path / "results"),
         )
 
-    def test_warm_rerun_is_served_from_store(self, tmp_path):
+    def test_warm_rerun_is_served_from_store(self, tmp_path, monkeypatch):
         clear_result_store()  # hermetic: drop entries leaked by other tests
+        monkeypatch.setattr(explore_plan, "CHUNK_POINTS", 3)
         session = self._session(tmp_path)
-        plan = session.explore("smoke", workloads=["FT", "gobmk"], chunk_points=3)
+        plan = session.explore("smoke", workloads=["FT", "gobmk"])
         cold = plan.result()
         assert (cold.chunks_cached, cold.chunks_computed) == (0, 6)
         clear_result_store()  # drop the in-memory layer: disk must serve
@@ -511,10 +509,13 @@ class TestExploreResume:
         for name in ("grid", "pareto", "sensitivity"):
             assert warm.frames[name] == cold.frames[name]
 
-    def test_interrupted_exploration_replays_only_missing_chunks(self, tmp_path):
+    def test_interrupted_exploration_replays_only_missing_chunks(
+        self, tmp_path, monkeypatch
+    ):
         clear_result_store()  # hermetic: drop entries leaked by other tests
+        monkeypatch.setattr(explore_plan, "CHUNK_POINTS", 2)
         session = self._session(tmp_path)
-        plan = session.explore("smoke", workloads=["FT"], chunk_points=2)
+        plan = session.explore("smoke", workloads=["FT"])
         cold = plan.result()
         assert cold.chunks_total == 4
         # Simulate an interruption that lost part of the store: delete
@@ -529,10 +530,11 @@ class TestExploreResume:
         assert resumed.chunks_computed == 2
         assert resumed.frames["grid"] == cold.frames["grid"]
 
-    def test_chunks_are_stored_under_their_chunk_key(self, tmp_path):
+    def test_chunks_are_stored_under_their_chunk_key(self, tmp_path, monkeypatch):
         clear_result_store()  # hermetic: drop entries leaked by other tests
+        monkeypatch.setattr(explore_plan, "CHUNK_POINTS", 3)
         session = self._session(tmp_path)
-        plan = session.explore("smoke", workloads=["FT", "gobmk"], chunk_points=3)
+        plan = session.explore("smoke", workloads=["FT", "gobmk"])
         plan.result()
         points = plan.grid.points()
         for spec in plan.workloads:
@@ -555,9 +557,8 @@ class TestExploreResume:
 
     def test_store_disabled_always_computes(self, tmp_path, monkeypatch):
         session = self._session(tmp_path)
-        plan = session.explore(
-            "smoke", workloads=["FT"], chunk_points=4, use_store=False
-        )
+        monkeypatch.setattr(explore_plan, "CHUNK_POINTS", 4)
+        plan = session.explore("smoke", workloads=["FT"], use_store=False)
         keyed = []
         monkeypatch.setattr(
             "repro.results.store.result_key", lambda *args, **kw: keyed.append(args)

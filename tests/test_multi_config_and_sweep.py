@@ -65,7 +65,7 @@ from repro.uarch.simulator import (
     run_on_cmp,
 )
 from repro.uarch.sweep import SweepScenario
-from repro.workloads import Suite, build_workload, get_workload
+from repro.workloads import Suite, get_workload
 from repro.workloads.trace_cache import clear_trace_cache, trace_cache_info
 
 SMALL = 60_000
@@ -73,12 +73,12 @@ SMALL = 60_000
 
 @pytest.fixture(scope="module")
 def ft_profile():
-    return profile_workload_frontend(build_workload(get_workload("FT")), SMALL)
+    return profile_workload_frontend(get_workload("FT"), SMALL)
 
 
 @pytest.fixture(scope="module")
 def gobmk_profile():
-    return profile_workload_frontend(build_workload(get_workload("gobmk")), 150_000)
+    return profile_workload_frontend(get_workload("gobmk"), 150_000)
 
 #: A third front-end that shares sub-configurations with the standard
 #: two, exercising the engine's per-structure memoization.
@@ -234,13 +234,6 @@ class TestProfileCacheRouting:
         again = profile_workload_frontend(spec, 20_000)
         assert again is profile
         assert trace_cache_info()["entries"] == 1
-
-    def test_spec_and_workload_arguments_are_equivalent(self):
-        clear_trace_cache()
-        spec = get_workload("FT")
-        by_spec = profile_workload_frontend(spec, 20_000)
-        by_workload = profile_workload_frontend(build_workload(spec), 20_000)
-        assert by_workload is by_spec
 
 
 class TestRunOnCmpActivityAccounting:

@@ -203,7 +203,10 @@ class TestWarmServing:
             assert after["results"]["cas_stores"] == before["results"]["cas_stores"]
             assert after["traces"]["misses"] == before["traces"]["misses"]
             assert after["profiles"]["misses"] == before["profiles"]["misses"]
-            assert after["results"]["load_hits"] >= before["results"]["load_hits"] + 20
+            served = ("hits", "disk_hits")
+            assert sum(after["results"][c] for c in served) >= 20 + sum(
+                before["results"][c] for c in served
+            )
             status, stats = get_json(server.url, "/stats")
             assert status == 200
             route = stats["serve"]["routes"]["experiment"]

@@ -241,11 +241,11 @@ def test_a_parallel_sweep_synthesizes_each_workload_once(tmp_path, monkeypatch):
     )
     session.map(
         fig05_branch_mpki._workload_mpki,
-        [(spec, instructions, CodeSection.TOTAL) for spec in specs],
+        [(spec, instructions, 0, CodeSection.TOTAL) for spec in specs],
     )
     session.map(
         fig08_icache._workload_mpki,
-        [(spec, instructions, fig08_icache.ICACHE_GEOMETRIES) for spec in specs],
+        [(spec, instructions, 0, fig08_icache.ICACHE_GEOMETRIES) for spec in specs],
     )
     clear_trace_cache()
     built = [line.split()[1] for line in probe.read_text().splitlines()]

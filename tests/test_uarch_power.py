@@ -26,21 +26,21 @@ from repro.uarch import (
     profile_workload_frontend,
     run_on_cmp,
 )
-from repro.workloads import build_workload, get_workload
+from repro.workloads import get_workload
 
 SMALL = 60_000
 
 
 @pytest.fixture(scope="module")
 def ft_profile():
-    return profile_workload_frontend(build_workload(get_workload("FT")), SMALL)
+    return profile_workload_frontend(get_workload("FT"), SMALL)
 
 
 @pytest.fixture(scope="module")
 def gobmk_profile():
     # A longer window than for the HPC workloads so the desktop working
     # set exceeds the tailored front-end's capacity (as in the paper).
-    return profile_workload_frontend(build_workload(get_workload("gobmk")), 150_000)
+    return profile_workload_frontend(get_workload("gobmk"), 150_000)
 
 
 class TestCpi:
