@@ -22,10 +22,14 @@ from repro.api import RuntimeConfig, Session
 from repro.api.frame import ResultFrame
 from repro.explore import frontend_grid
 from repro.exec import QueueWorker, enqueue_campaign
+from repro.frontend.btb import btb_stack_histogram
 from repro.frontend.configs import BASELINE_FRONTEND
-from repro.frontend.simulation import simulate_frontend
+from repro.frontend.icache import line_stack_histogram
+from repro.frontend.simulation import _btb_stream, _fetched_ranges, simulate_frontend
+from repro.frontend.stack_distance import MIN_STACK_DEPTH
 from repro.power import evaluate_cmp_energy
 from repro.trace.events import Trace
+from repro.trace.instruction import CodeSection
 from repro.trace.execution import TraceGenerator
 from repro.uarch import (
     STANDARD_CMP_CONFIGS,
@@ -39,6 +43,13 @@ TRACE_LENGTHS = (60_000, 600_000)
 
 #: One HPC and one desktop workload: long loopy blocks vs branchy code.
 WORKLOAD = "FT"
+DESKTOP_WORKLOAD = "gobmk"
+
+#: The set counts of the explore-geometry benchmark grid: its 15 BTBs
+#: (256-4096 entries x 2, 4 or 8 ways) and its 12 I-caches (8-64 KB of
+#: 64 B lines x 2, 4 or 8 ways).
+GRID_BTB_SETS = (32, 64, 128, 256, 512, 1024, 2048)
+GRID_ICACHE_SETS = (16, 32, 64, 128, 256, 512)
 
 
 def _workload():
@@ -122,6 +133,42 @@ def test_simulate_frontend(benchmark, instructions):
 
 
 @pytest.mark.parametrize("instructions", TRACE_LENGTHS)
+def test_stack_distance_passes(benchmark, instructions):
+    """The BTB and I-cache stack-distance passes of the exploration grid.
+
+    Runs ``btb_stack_histogram`` at the grid's 7 BTB set counts and
+    ``line_stack_histogram`` at its 6 I-cache set counts over the TOTAL
+    section of one HPC and one desktop trace: 26 passes per round.  The
+    kernels are called directly on the streams the trace's section memo
+    would feed them, so no round is answered from that memo.
+    """
+    streams = []
+    for name in (WORKLOAD, DESKTOP_WORKLOAD):
+        trace = workload_trace(get_workload(name), instructions)
+        streams.append(
+            (
+                _btb_stream(trace, CodeSection.TOTAL),
+                _fetched_ranges(trace, CodeSection.TOTAL),
+            )
+        )
+
+    def passes():
+        return [
+            btb_stack_histogram(*branches, sets, MIN_STACK_DEPTH)
+            for branches, _ in streams
+            for sets in GRID_BTB_SETS
+        ] + [
+            line_stack_histogram(*ranges, 64, sets, MIN_STACK_DEPTH)
+            for _, ranges in streams
+            for sets in GRID_ICACHE_SETS
+        ]
+
+    histograms = benchmark(passes)
+    assert len(histograms) == 2 * (len(GRID_BTB_SETS) + len(GRID_ICACHE_SETS))
+    assert all(histogram.accesses > 0 for histogram in histograms)
+
+
+@pytest.mark.parametrize("instructions", TRACE_LENGTHS)
 def test_section_v_stack(benchmark, instructions):
     """The per-workload Section V pipeline: profile + schedule + power.
 
@@ -180,11 +227,13 @@ def test_explore_grid(benchmark):
 
     Compiles the 96-point ``frontend_grid()`` preset onto the batched
     ``simulate_frontend_many`` engine through ``Session.explore`` and
-    times one full exploration of it -- chunked evaluation, grid-frame
-    assembly, Pareto frontier, sensitivity tables -- with the result
-    store disabled so every round re-simulates.  The trace is
-    pre-warmed, so ``points / (min_ms / 1e3)`` is the configs/sec
-    number tracked in BENCH_hotpath.json.
+    times one full exploration of it with the result store disabled.
+    The warm-up leaves every pass memoized on the trace's sections, so
+    each round answers its chunks from that memo and times chunk
+    dispatch, grid-frame assembly, the Pareto frontier and the
+    sensitivity tables, not the kernels (``test_stack_distance_passes``
+    times those).  ``points / (min_ms / 1e3)`` is the configs/sec number
+    tracked in BENCH_hotpath.json.
     """
     grid = frontend_grid()
     points = len(grid.points())

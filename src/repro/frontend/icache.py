@@ -32,15 +32,16 @@ def line_stream(start_addresses, sizes, line_bytes: int) -> Tuple[np.ndarray, in
     """The line accesses of fetched byte ranges, run-length compressed.
 
     The ranges are expanded into the cache lines they touch with one
-    vectorized pass.  Consecutive accesses to the same line are
-    guaranteed hits (the line is already most-recently-used), so only
-    line *changes* are returned, together with the total number of line
-    accesses.
+    vectorized pass; a range of ``size <= 0`` bytes touches none, as under
+    :meth:`InstructionCache.fetch_range`.  Consecutive accesses to the
+    same line are guaranteed hits (the line is already most-recently-used),
+    so only line *changes* are returned, together with the total number of
+    line accesses.
     """
     line_shift = index_bits(line_bytes)
     first_lines = start_addresses >> line_shift
     last_lines = (start_addresses + sizes - 1) >> line_shift
-    lines_per_range = last_lines - first_lines + 1
+    lines_per_range = np.where(sizes > 0, last_lines - first_lines + 1, 0)
     total_accesses = int(lines_per_range.sum())
     if total_accesses == 0:
         return np.empty(0, dtype=np.int64), 0

@@ -15,6 +15,26 @@ count.
 The pass keeps each set's stack only down to ``depth`` entries: an
 access deeper than that misses at every associativity the histogram can
 answer, so it is counted together with the cold (first-use) accesses.
+
+Front-end streams re-touch their set's most recently used key almost
+every time (loops), so the pass reaches its Python loop only for the
+rest, in three exact steps:
+
+1. *Sort by set.*  An access's distance depends only on the earlier
+   accesses to its own set, so the sets can be walked one after another
+   as long as each keeps its own order: a stable argsort of the set
+   indices (a radix sort on their small unsigned type) gives that order.
+2. *Drop the distance-0 accesses.*  An access is at distance 0 exactly
+   when the previous access to its set had the same key, and such an
+   access moves the top of its stack to the top: it changes no stack,
+   so removing it changes no other access's distance.  In set order the
+   previous access to an access's set is its predecessor, unless the
+   access is its set's first; equal keys imply the same set, so "equal
+   to its predecessor's key" marks exactly the distance-0 accesses.
+3. *Walk one set at a time.*  The remaining accesses of a set run
+   through one list stack, started afresh at the set's first access
+   (cold, so at ``depth``); sets share no state, so one live list does.
+   After step 2 no walked access finds its key on top of its stack.
 """
 
 from __future__ import annotations
@@ -39,24 +59,39 @@ def lru_stack_distances(keys: np.ndarray, num_sets: int, depth: int) -> np.ndarr
     result is the distance of access ``i`` within its set, or ``depth``
     when the key is cold or was pushed deeper than ``depth``.
     """
-    stacks = [[] for _ in range(num_sets)]
-    set_mask = num_sets - 1
-    distances = []
-    record = distances.append
-    for key in keys.tolist():
-        stack = stacks[key & set_mask]  # Most recently used first.
-        if key in stack:
-            distance = stack.index(key)
-            if distance:
+    distances = np.zeros(keys.shape[0], dtype=np.int64)
+    if not keys.shape[0]:
+        return distances
+    sets = (keys & (num_sets - 1)).astype(np.min_scalar_type(num_sets - 1))
+    order = np.argsort(sets, kind="stable")
+    by_set = keys[order]
+    # Only accesses whose key differs from their predecessor's are walked.
+    walked = np.empty(by_set.shape[0], dtype=bool)
+    walked[0] = True
+    np.not_equal(by_set[1:], by_set[:-1], out=walked[1:])
+    positions = order[walked]
+    walked_sets = sets[positions]
+    set_starts = np.flatnonzero(walked_sets[1:] != walked_sets[:-1]) + 1
+    bounds = [0, *set_starts.tolist(), walked_sets.shape[0]]
+    walked_keys = by_set[walked].tolist()
+    recorded = []
+    record = recorded.append
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        stack = [walked_keys[start]]  # Most recently used first.
+        record(depth)
+        for key in walked_keys[start + 1 : stop]:
+            if key in stack:
+                distance = stack.index(key)
                 del stack[distance]
                 stack.insert(0, key)
-        else:
-            distance = depth
-            stack.insert(0, key)
-            if len(stack) > depth:
-                stack.pop()
-        record(distance)
-    return np.array(distances, dtype=np.int64)
+            else:
+                distance = depth
+                stack.insert(0, key)
+                if len(stack) > depth:
+                    stack.pop()
+            record(distance)
+    distances[positions] = recorded
+    return distances
 
 
 @dataclass(frozen=True)

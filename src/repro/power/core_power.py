@@ -10,10 +10,11 @@ paper.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.frontend.configs import FrontEndConfig
+from repro.frontend.configs import BranchPredictorConfig, FrontEndConfig
 from repro.power.sram import (
     SramArray,
     sram_for_btb,
@@ -129,18 +130,29 @@ class CoreAreaPower:
         return self.active_power_w * IDLE_POWER_FRACTION
 
 
+@functools.lru_cache(maxsize=None)
+def _predictor_storage_bits(config: BranchPredictorConfig) -> int:
+    """Storage of a predictor configuration, built once per configuration.
+
+    An exploration grid repeats each predictor configuration at every BTB
+    and I-cache geometry, so plan assembly asks for the same few
+    configurations once per grid point.
+    """
+    return config.build().storage_bits()
+
+
 def frontend_area_power(
     config: FrontEndConfig,
     instructions_per_second: float = NOMINAL_INSTRUCTIONS_PER_SECOND,
 ) -> FrontEndAreaPower:
     """Evaluate the area and power of one front-end configuration."""
     icache = sram_for_icache(config.icache.size_bytes, config.icache.line_bytes)
-    predictor = config.predictor.build()
-    predictor_array = sram_for_predictor(predictor.storage_bits())
+    predictor_bits = _predictor_storage_bits(config.predictor)
+    predictor_array = sram_for_predictor(predictor_bits)
     btb_array = sram_for_btb(config.btb.entries)
     return FrontEndAreaPower(
         icache=icache,
-        predictor_bits=predictor.storage_bits(),
+        predictor_bits=predictor_bits,
         btb_entries=config.btb.entries,
         icache_area_mm2=icache.area_mm2,
         icache_power_w=icache.power_w(instructions_per_second),

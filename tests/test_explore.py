@@ -487,6 +487,34 @@ class TestCrossChunkSharing:
         assert Counter(calls["btb"]) == {key: runs for key in btb_sets}
         assert Counter(calls["predictor"]) == {key: runs for key in predictors}
 
+    def test_assembly_builds_each_predictor_config_at_most_once(self, monkeypatch):
+        from collections import Counter
+
+        from repro.frontend.configs import BranchPredictorConfig
+
+        session = Session(
+            instructions=SMALL, trace_cache_dir=None, result_cache_dir=None
+        )
+        plan = session.explore(self.GRID, workloads=["FT"], use_store=False)
+        first = plan.result()
+        # The chunks of a second result are answered from the trace's
+        # memoized passes, so every predictor built now is assembly's.
+        builds = Counter()
+        build = BranchPredictorConfig.build
+
+        def counted(config):
+            builds[config] += 1
+            return build(config)
+
+        monkeypatch.setattr(BranchPredictorConfig, "build", counted)
+        second = plan.result()
+        configs = {config.predictor for config in self.GRID.configs()}
+        assert len(self.GRID.points()) == 24 * len(configs)
+        assert set(builds) <= configs
+        assert all(count == 1 for count in builds.values())
+        for name in ("grid", "pareto", "sensitivity"):
+            assert second.frames[name] == first.frames[name]
+
 
 class TestExploreResume:
     def _session(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.experiments.fig07_btb import BTB_GEOMETRIES
@@ -16,6 +17,7 @@ from repro.frontend import (
     simulate_btb,
     simulate_icache,
 )
+from repro.frontend.icache import line_stack_histogram
 from repro.frontend.simulation import simulate_frontend
 from repro.trace import CodeSection
 
@@ -119,6 +121,22 @@ class TestInstructionCache:
     def test_zero_byte_fetch(self):
         cache = InstructionCache(size_bytes=1024, line_bytes=64, associativity=2)
         assert cache.fetch_range(0x4000, 0) == 0
+
+    def test_batch_paths_fetch_no_line_for_an_empty_range(self):
+        # A zero-size range at an unaligned address and a negative size
+        # are no access to fetch_range, so none to the batch paths.
+        starts = np.array([70, 200, 70, 64, 0x4000])
+        sizes = np.array([0, 8, 0, -100, 0])
+        reference = InstructionCache(size_bytes=1024, line_bytes=64, associativity=2)
+        misses = sum(
+            reference.fetch_range(start, size)
+            for start, size in zip(starts.tolist(), sizes.tolist())
+        )
+        batch = InstructionCache(size_bytes=1024, line_bytes=64, associativity=2)
+        assert batch.fetch_ranges(starts, sizes) == misses == 1
+        assert batch.accesses == reference.accesses == 1
+        histogram = line_stack_histogram(starts, sizes, 64, batch.num_sets, 2)
+        assert (histogram.accesses, histogram.misses(2)) == (1, 1)
 
     def test_storage_bits_exceed_data_bits(self):
         cache = InstructionCache(size_bytes=8192, line_bytes=64, associativity=4)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.frontend.btb import BranchTargetBuffer, btb_stack_histogram
 from repro.frontend.icache import InstructionCache, line_stack_histogram
-from repro.frontend.stack_distance import MIN_STACK_DEPTH
+from repro.frontend.stack_distance import MIN_STACK_DEPTH, lru_stack_distances
 from repro.frontend.predictors import (
     BimodalPredictor,
     BranchPredictor,
@@ -186,6 +186,67 @@ def test_batch_predictors_match_the_scalar_protocol(stream):
 
 
 # -- stack-distance kernels against the reference simulators -------------
+
+
+def stack_distances_by_definition(keys, num_sets, depth):
+    """Each access's distinct same-set keys since its key's previous access.
+
+    Capped at ``depth``; a cold key (no previous access) is at ``depth``.
+    """
+    set_mask = num_sets - 1
+    distances = []
+    for index, key in enumerate(keys):
+        since = set()
+        for earlier in reversed(keys[:index]):
+            if earlier == key:
+                distances.append(min(len(since), depth))
+                break
+            if earlier & set_mask == key & set_mask:
+                since.add(earlier)
+        else:
+            distances.append(depth)
+    return distances
+
+
+@st.composite
+def keyed_streams(draw):
+    """A set count plus bursts of keys from up to 16 of its sets.
+
+    Each burst repeats one key, so after its first access the key is its
+    set's most recently used; bursts of different sets interleave, so in
+    set order such re-accesses sit next to each other.
+    """
+    num_sets = 1 << draw(st.integers(min_value=0, max_value=11))
+    used_sets = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=num_sets - 1),
+            min_size=1,
+            max_size=16,
+            unique=True,
+        )
+    )
+    keys = st.builds(
+        lambda set_index, tag: tag * num_sets + set_index,
+        st.sampled_from(used_sets),
+        st.integers(min_value=0, max_value=24),
+    )
+    bursts = draw(
+        st.lists(st.tuples(keys, st.integers(min_value=1, max_value=4)), max_size=80)
+    )
+    stream = [key for key, repeats in bursts for _ in range(repeats)]
+    return num_sets, np.array(stream, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_streams(), st.integers(min_value=1, max_value=20))
+def test_lru_stack_distances_match_their_definition(stream, depth):
+    num_sets, keys = stream
+    distances = lru_stack_distances(keys, num_sets, depth)
+    assert distances.dtype == np.int64
+    assert distances.tolist() == stack_distances_by_definition(
+        keys.tolist(), num_sets, depth
+    )
+
 
 set_counts = st.integers(min_value=0, max_value=10).map(lambda bits: 1 << bits)
 
