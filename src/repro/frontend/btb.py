@@ -33,24 +33,36 @@ from repro.frontend.predictors.base import index_bits
 from repro.frontend.stack_distance import StackHistogram, lru_stack_distances
 
 
-def btb_stack_histogram(
-    addresses: np.ndarray, targets: np.ndarray, num_sets: int, depth: int
-) -> StackHistogram:
-    """Stack-distance histogram of a taken-branch stream at one set count.
+def retargeted_lookups(addresses: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Whether each lookup's branch went to another target last time.
 
-    ``misses(A)`` of the result equals the misses of a fresh ``A``-way
-    :class:`BranchTargetBuffer` with ``num_sets`` sets after
-    :meth:`BranchTargetBuffer.access_sequence` over the same stream.
+    A stable sort by PC groups each branch's executions in stream order;
+    a lookup is retargeted when its predecessor in that order is the same
+    branch with a different target.  The mask does not depend on the
+    BTB's geometry.
     """
     pcs = addresses >> 2
-    # Whether each branch's previous execution went to another target.
     order = np.argsort(pcs, kind="stable")
     by_pc, by_pc_targets = pcs[order], targets[order]
     retargeted = np.zeros(pcs.shape[0], dtype=bool)
     retargeted[order[1:]] = (by_pc[1:] == by_pc[:-1]) & (
         by_pc_targets[1:] != by_pc_targets[:-1]
     )
-    distances = lru_stack_distances(pcs, num_sets, depth)
+    return retargeted
+
+
+def btb_stack_histogram(
+    addresses: np.ndarray, retargeted: np.ndarray, num_sets: int, depth: int
+) -> StackHistogram:
+    """Stack-distance histogram of a taken-branch stream at one set count.
+
+    ``retargeted`` is :func:`retargeted_lookups` of the stream's
+    addresses and targets.  ``misses(A)`` of the result equals the
+    misses of a fresh ``A``-way :class:`BranchTargetBuffer` with
+    ``num_sets`` sets after :meth:`BranchTargetBuffer.access_sequence`
+    over the same stream.
+    """
+    distances = lru_stack_distances(addresses >> 2, num_sets, depth)
     return StackHistogram(
         depth,
         np.bincount(distances, minlength=depth + 1),

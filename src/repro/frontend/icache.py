@@ -31,30 +31,37 @@ from repro.frontend.stack_distance import StackHistogram, lru_stack_distances
 def line_stream(start_addresses, sizes, line_bytes: int) -> Tuple[np.ndarray, int]:
     """The line accesses of fetched byte ranges, run-length compressed.
 
-    The ranges are expanded into the cache lines they touch with one
-    vectorized pass; a range of ``size <= 0`` bytes touches none, as under
+    A range of ``size <= 0`` bytes touches no line, as under
     :meth:`InstructionCache.fetch_range`.  Consecutive accesses to the
     same line are guaranteed hits (the line is already most-recently-used),
     so only line *changes* are returned, together with the total number of
     line accesses.
+
+    The lines of one range always differ from each other, so an access
+    repeats its predecessor only where a range's first line is the last
+    line of the previous non-empty range.  Those first lines are dropped
+    and the rest expanded directly, in one vectorized pass.
     """
     line_shift = index_bits(line_bytes)
+    touching = sizes > 0
+    if not touching.all():
+        start_addresses, sizes = start_addresses[touching], sizes[touching]
+    if sizes.shape[0] == 0:
+        return np.empty(0, dtype=np.int64), 0
     first_lines = start_addresses >> line_shift
     last_lines = (start_addresses + sizes - 1) >> line_shift
-    lines_per_range = np.where(sizes > 0, last_lines - first_lines + 1, 0)
-    total_accesses = int(lines_per_range.sum())
-    if total_accesses == 0:
-        return np.empty(0, dtype=np.int64), 0
-    repeated_firsts = np.repeat(first_lines, lines_per_range)
-    run_starts = np.cumsum(lines_per_range) - lines_per_range
-    offsets = np.arange(total_accesses, dtype=np.int64) - np.repeat(
-        run_starts, lines_per_range
+    total_accesses = int((last_lines - first_lines).sum()) + sizes.shape[0]
+    repeats = np.empty(first_lines.shape[0], dtype=bool)
+    repeats[0] = False
+    np.equal(first_lines[1:], last_lines[:-1], out=repeats[1:])
+    first_lines = first_lines + repeats
+    changes_per_range = last_lines - first_lines + 1
+    changes = total_accesses - int(repeats.sum())
+    run_starts = np.cumsum(changes_per_range) - changes_per_range
+    lines = np.repeat(first_lines - run_starts, changes_per_range) + np.arange(
+        changes, dtype=np.int64
     )
-    lines = repeated_firsts + offsets
-    changed = np.empty(total_accesses, dtype=bool)
-    changed[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=changed[1:])
-    return lines[changed], total_accesses
+    return lines, total_accesses
 
 
 def line_stack_histogram(

@@ -22,7 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.frontend.btb import BranchTargetBuffer, btb_stack_histogram
+from repro.frontend.btb import (
+    BranchTargetBuffer,
+    btb_stack_histogram,
+    retargeted_lookups,
+)
 from repro.frontend.configs import (
     BranchPredictorConfig,
     BTBConfig,
@@ -308,7 +312,9 @@ class _SectionStreams:
       ``np.where(overrides, loop predictions, base predictions)``,
       which is exactly what :meth:`PredictorWithLoop.simulate_sequence`
       computes: both parts train on the resolved outcome alone, so
-      neither pass depends on the other; and
+      neither pass depends on the other;
+    * the BTB stream's retarget mask, packed one bit per lookup, which
+      every BTB set count shares; and
     * result objects, keyed by the sub-configuration
       (:class:`BranchPredictorConfig`, :class:`BTBConfig`,
       :class:`ICacheConfig`), so identical sub-configurations share one
@@ -326,6 +332,7 @@ class _SectionStreams:
         self._histograms: Dict[tuple, StackHistogram] = {}
         self._predictions: Dict[BranchPredictorConfig, Tuple[str, np.ndarray]] = {}
         self._loop: Optional[np.ndarray] = None
+        self._retargeted: Optional[np.ndarray] = None
         self._results: Dict[object, object] = {}
 
     def _histogram(self, key: tuple, associativity: int, build) -> StackHistogram:
@@ -356,6 +363,14 @@ class _SectionStreams:
             self._loop = np.packbits(np.array(passes, dtype=bool), axis=1)
         return np.unpackbits(self._loop, axis=1, count=len(stream[0])).view(bool)
 
+    def _btb_histogram(self, sets: int, depth: int) -> StackHistogram:
+        """One BTB stack-distance pass; the retarget mask is computed once."""
+        addresses, targets = _btb_stream(self._trace(), self.section)
+        if self._retargeted is None:
+            self._retargeted = np.packbits(retargeted_lookups(addresses, targets))
+        retargeted = np.unpackbits(self._retargeted, count=len(addresses)).view(bool)
+        return btb_stack_histogram(addresses, retargeted, sets, depth)
+
     def predictor(self, config: BranchPredictorConfig) -> BranchPredictionResult:
         """The result of one direction predictor over this section."""
         result = self._results.get(config)
@@ -382,9 +397,7 @@ class _SectionStreams:
             histogram = self._histogram(
                 ("btb", sets),
                 config.associativity,
-                lambda depth: btb_stack_histogram(
-                    *_btb_stream(self._trace(), self.section), sets, depth
-                ),
+                lambda depth: self._btb_histogram(sets, depth),
             )
             result = BTBResult(
                 entries=config.entries,

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.trace.instruction import BranchKind
 
 
-@dataclass
 class BasicBlock:
     """A static basic block in a synthetic program.
 
@@ -39,22 +37,40 @@ class BasicBlock:
         Name of the function the block belongs to (for reports).
     """
 
-    num_instructions: int
-    size_bytes: int
-    terminator: BranchKind = BranchKind.NONE
-    block_id: int = -1
-    address: int = 0
-    taken_target: Optional[int] = None
-    function_name: str = ""
+    __slots__ = (
+        "num_instructions",
+        "size_bytes",
+        "terminator",
+        "block_id",
+        "address",
+        "taken_target",
+        "function_name",
+    )
 
-    def __post_init__(self) -> None:
-        if self.num_instructions < 1:
+    def __init__(
+        self,
+        num_instructions: int,
+        size_bytes: int,
+        terminator: BranchKind = BranchKind.NONE,
+        block_id: int = -1,
+        address: int = 0,
+        taken_target: Optional[int] = None,
+        function_name: str = "",
+    ) -> None:
+        if num_instructions < 1:
             raise ValueError("a basic block must contain at least one instruction")
-        if self.size_bytes < self.num_instructions:
+        if size_bytes < num_instructions:
             raise ValueError(
                 "size_bytes must be at least one byte per instruction "
-                f"(got {self.size_bytes} bytes for {self.num_instructions} instructions)"
+                f"(got {size_bytes} bytes for {num_instructions} instructions)"
             )
+        self.num_instructions = num_instructions
+        self.size_bytes = size_bytes
+        self.terminator = terminator
+        self.block_id = block_id
+        self.address = address
+        self.taken_target = taken_target
+        self.function_name = function_name
 
     @property
     def end_address(self) -> int:

@@ -25,6 +25,11 @@ preallocated NumPy buffers:
   mirror the reference control flow but emit whole templates instead of
   single events.
 
+Loops compile on their first invocation (a flat loop's sites, a
+structural loop's body), so code a trace never reaches costs nothing.
+The compiler never asks a region for its kind: regions dispatch to it
+(``Region.lower``, ``is_flat`` and ``flatten``).
+
 Execution therefore *decides* (exact RNG stream, exact instruction
 accounting) without materializing events; a final vectorized pass
 stamps every recorded segment into its precomputed offset.  Wherever
@@ -39,7 +44,10 @@ workloads, seeds and lengths.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import threading
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,21 +55,7 @@ import numpy as np
 from repro.trace.columns import NO_TARGET, program_columns
 from repro.trace.events import Trace
 from repro.trace.execution import ExecutionSchedule, Phase
-from repro.trace.program import (
-    CallRegion,
-    CodeRegion,
-    FixedTripCount,
-    If,
-    IndirectCallRegion,
-    IndirectJumpRegion,
-    JumpRegion,
-    Loop,
-    Program,
-    Region,
-    Sequence,
-    SyscallRegion,
-    _first_block,
-)
+from repro.trace.program import Program, Region, StaticSize, static_size
 
 #: Upper bound on the number of events one *recorded* static template
 #: may hold.  Recording a fixed-trip loop unrolls it, so the cap keeps
@@ -298,10 +292,12 @@ class _RunState:
         rng: np.random.Generator,
         max_instructions: int,
         max_call_depth: int,
-        n_templates: int,
-        n_flat_loops: int,
+        compiler: "_Compiler",
     ) -> None:
         self.rng = rng
+        #: For lazy compilation; nothing compiled refers back to the
+        #: compiler, so a compiled schedule holds no cycle.
+        self.compiler = compiler
         self.max_instructions = max_instructions
         self.max_call_depth = max_call_depth
         self.instructions = 0
@@ -309,9 +305,11 @@ class _RunState:
         self.call_depth = 0
         self.section_code = 0
         self.pattern_positions: dict = {}
-        self.template_offsets: List[List[int]] = [[] for _ in range(n_templates)]
-        #: One record batch per flat loop, created on first invocation.
-        self.flat_states: List[Optional[_FlatBatch]] = [None] * n_flat_loops
+        #: Instance offsets per emitted template index.  Dictionaries,
+        #: because compilation continues during a run.
+        self.template_offsets: Dict[int, List[int]] = {}
+        #: One record batch per invoked flat loop index.
+        self.flat_states: Dict[int, _FlatBatch] = {}
         #: literal fallback runs: (offset, bids, taken, targets)
         self.literal_runs: List[Tuple[int, List[int], List[bool], List[int]]] = []
         #: (start offset, section code) spans, in emission order
@@ -333,7 +331,11 @@ class _RunState:
             self.instructions + template.instructions < self.max_instructions
             and self.call_depth + template.extra_depth <= self.max_call_depth
         ):
-            self.template_offsets[template.index].append(self.events)
+            offsets = self.template_offsets.get(template.index)
+            if offsets is None:
+                self.template_offsets[template.index] = [self.events]
+            else:
+                offsets.append(self.events)
             self.events += template.n_events
             self.instructions += template.instructions
         else:
@@ -459,21 +461,37 @@ class _CSeq:
 
 
 class _CLoop:
-    """Structural loop (data-dependent body): mirrors ``Loop.execute``."""
+    """Structural loop (data-dependent body): mirrors ``Loop.execute``.
 
-    __slots__ = ("trip_count", "body", "latch_taken", "latch_done")
+    The body compiles on the loop's first invocation, as a flat loop's
+    sites do: a short trace reaches few of a large program's outer
+    loops, and compiling the rest up front would dominate cold runs.
+    """
 
-    def __init__(self, loop: Loop, body: object) -> None:
-        self.trip_count = loop.trip_count
-        self.body = body
+    __slots__ = ("loop", "body", "latch_taken", "latch_done")
+
+    def __init__(self, loop: Region) -> None:
+        self.loop = loop
+        self.body: Optional[object] = None
         self.latch_taken = _make_event_template(loop.latch, True, None)
         self.latch_done = _make_event_template(loop.latch, False, None)
 
+    def _compiled_body(self, compiler: "_Compiler") -> object:
+        # Under the compiler lock, like a flat loop's first invocation;
+        # ``self.body`` is published last.
+        with compiler.lock, _collector_paused():
+            if self.body is None:
+                self.body = compiler.compile_root(self.loop.body)
+        return self.body
+
     def execute(self, state: _RunState) -> None:
-        iterations = self.trip_count.draw(state.rng)
+        body = self.body
+        if body is None:
+            body = self._compiled_body(state.compiler)
+        iterations = self.loop.trip_count.draw(state.rng)
         last = iterations - 1
         for index in range(iterations):
-            self.body.execute(state)
+            body.execute(state)
             state.add_template(self.latch_taken if index < last else self.latch_done)
             if state.instructions >= state.max_instructions:
                 return
@@ -513,10 +531,9 @@ class _CFlatLoop:
         "latch_done_pool",
         "extra_depth",
         "broken",
-        "_compiler",
     )
 
-    def __init__(self, loop: Loop, compiler: "_Compiler") -> None:
+    def __init__(self, loop: Region) -> None:
         self.index = -1  # assigned by the CompiledSchedule
         self.loop = loop
         self.trip_count = loop.trip_count
@@ -525,22 +542,21 @@ class _CFlatLoop:
         #: recording their segments up front would dominate cold runs.
         self.sites: Optional[_SiteList] = None
         self.broken = False
-        self._compiler = compiler
 
-    def _ensure_compiled(self) -> bool:
+    def _ensure_compiled(self, compiler: "_Compiler") -> bool:
         # The compiled schedule is shared process-wide (memoized per
         # program), so first-invocation compilation takes the compiler
         # lock; ``self.sites`` is published last, making the unlocked
         # fast-path check in execute() safe.
-        with self._compiler.lock:
-            return self._ensure_compiled_locked()
+        with compiler.lock, _collector_paused():
+            return self._ensure_compiled_locked(compiler)
 
-    def _ensure_compiled_locked(self) -> bool:
+    def _ensure_compiled_locked(self, compiler: "_Compiler") -> bool:
         if self.sites is not None:
             return True
         if self.broken:
             return False
-        sites = self._compiler.flatten_body_sites(self.loop.body)
+        sites = compiler.flatten_body_sites(self.loop.body)
         if sites is None:
             # The structural flatness gate was optimistic (e.g. a call
             # chain deeper than the depth limit); stay exact by running
@@ -572,7 +588,7 @@ class _CFlatLoop:
         for site in self.choice_sites:
             depths.extend(v.extra_depth for v in site.variants)
         self.extra_depth = max(depths or [0])
-        self._compiler.place_flat_loop(self, sites)
+        compiler.place_flat_loop(self, sites)
         self.sites = sites  # publish last: readers check it unlocked
         return True
 
@@ -591,7 +607,9 @@ class _CFlatLoop:
         ctx.close()
 
     def execute(self, state: _RunState) -> None:
-        if self.sites is None and (self.broken or not self._ensure_compiled()):
+        if self.sites is None and (
+            self.broken or not self._ensure_compiled(state.compiler)
+        ):
             ctx = _LiteralContext(state)
             self.loop.execute(ctx)
             ctx.close()
@@ -611,7 +629,7 @@ class _CFlatLoop:
             self._literal_invocation(state, iterations)
             return
 
-        batch = state.flat_states[self.index]
+        batch = state.flat_states.get(self.index)
         if batch is None:
             batch = _FlatBatch(len(self.pattern_sites))
             state.flat_states[self.index] = batch
@@ -650,12 +668,9 @@ class _CFlatLoop:
 
     # -- stamping ----------------------------------------------------------
 
-    def stamp(self, state: _RunState, spans: "_SpanAccumulator") -> None:
-        batch = state.flat_states[self.index]
-        if batch is not None and batch.trips:
-            self._stamp_batch(batch, spans)
-
-    def _stamp_batch(self, batch: _FlatBatch, spans: "_SpanAccumulator") -> None:
+    def stamp(self, batch: _FlatBatch, spans: "_SpanAccumulator") -> None:
+        if not batch.trips:
+            return
         trips = np.asarray(batch.trips, dtype=np.int64)
         offsets = np.asarray(batch.offsets, dtype=np.int64)
         total = int(trips.sum())
@@ -755,9 +770,9 @@ class _Compiler:
         #: compiled schedule is memoized per program, and the
         #: thread-safe trace cache advertises concurrent generation.
         self.lock = threading.Lock()
-        #: Memoized static emission size per region (None = dynamic),
-        #: so deciding staticness never re-walks a subtree.
-        self._static_sizes: Dict[int, Optional[int]] = {}
+        #: Memoized static emission per region (None = dynamic), so
+        #: deciding staticness never re-walks a subtree.
+        self._static_sizes: Dict[int, Optional[StaticSize]] = {}
         #: The column pool grows lazily (flat-loop segments are placed
         #: on first invocation); the array view is rebuilt on demand.
         self._pool_block_ids: List[int] = []
@@ -811,69 +826,30 @@ class _Compiler:
         return cached
 
     def register(self, template: _Template) -> _Template:
-        """Give a template a slot in the instance-offset table (idempotent)."""
+        """Give a template a slot in the instance-offset table and the
+        column pool (idempotent)."""
         if template.index < 0:
             template.index = len(self.templates)
             self.templates.append(template)
+            self.place(template)
         return template
 
-    def _static_size(self, region: Region) -> Optional[int]:
-        """Emission size of a region if it is static, else ``None``.
+    def _static_events(self, region: Region) -> Optional[int]:
+        """Events a static region emits, or ``None`` if it is dynamic or
+        larger than a template may be.
 
-        A cheap structural analysis (memoized per region) that gates the
-        recording pass: recording executes whole subtrees, so detecting
-        dynamic regions by exception from every ancestor would make
-        compilation quadratic in nesting depth.
+        The structural analysis (:func:`~repro.trace.program.static_size`,
+        memoized per region) gates the recording pass: recording executes
+        whole subtrees, so detecting dynamic regions by exception from
+        every ancestor would make compilation quadratic in nesting depth.
         """
-        key = id(region)
-        memo = self._static_sizes
-        if key in memo:
-            return memo[key]
-        memo[key] = None  # recursion guard: treat cycles as dynamic
-        size = self._compute_static_size(region)
-        memo[key] = size
-        return size
-
-    def _compute_static_size(self, region: Region) -> Optional[int]:
-        if isinstance(region, (CodeRegion, JumpRegion, SyscallRegion)):
-            return 1
-        if isinstance(region, Sequence):
-            total = 0
-            for child in region.regions:
-                size = self._static_size(child)
-                if size is None:
-                    return None
-                total += size
-            return total if total <= MAX_TEMPLATE_EVENTS else None
-        if isinstance(region, If):
-            # Only single-outcome patterns are static (the pattern
-            # position of a length-1 pattern never changes).
-            if region.pattern is None or len(region.pattern) != 1:
-                return None
-            if region.pattern[0]:
-                size = self._static_size(region.then)
-                if size is None:
-                    return None
-                return 1 + size + (1 if region.skip_else is not None else 0)
-            if region.orelse is None:
-                return 1
-            size = self._static_size(region.orelse)
-            return None if size is None else 1 + size
-        if isinstance(region, Loop):
-            if not isinstance(region.trip_count, FixedTripCount):
-                return None
-            size = self._static_size(region.body)
-            if size is None:
-                return None
-            total = region.trip_count.count * (size + 1)
-            return total if total <= MAX_TEMPLATE_EVENTS else None
-        if isinstance(region, CallRegion):
-            size = self._static_size(region.callee.body)
-            return None if size is None else size + 2  # call + body + return
-        return None  # indirect dispatch or unknown region kinds
+        size = static_size(region, self._static_sizes)
+        if size is None or size[0] > MAX_TEMPLATE_EVENTS:
+            return None
+        return size[0]
 
     def try_record(self, region: Region) -> Optional[_Template]:
-        if self._static_size(region) is None:
+        if self._static_events(region) is None:
             return None
         recorder = _Recorder(self.max_call_depth)
         try:
@@ -885,17 +861,21 @@ class _Compiler:
             return None
         return _Template(recorder, sources=[region])
 
-    def record_variant(self, emit) -> Optional[_Template]:
-        """Record one forced outcome of a choice site; ``emit`` mirrors
-        the corresponding branch of the region's ``execute``."""
+    def record_outcome(self, region: Region, outcome: int) -> Optional[_Template]:
+        """Record one forced outcome of a choice site, through the
+        region's own ``run_outcome``."""
         recorder = _Recorder(self.max_call_depth)
         try:
-            emit(recorder)
+            region.run_outcome(recorder, outcome)
         except _NotStatic:
             return None
         return _Template(recorder, sources=None)
 
     # -- region compilation ------------------------------------------------
+    #
+    # Regions dispatch to the methods below (``Region.lower``,
+    # ``is_flat`` and ``flatten``); the compiler itself never asks a
+    # region for its kind.
 
     def compile_region(self, region: Region) -> object:
         """Compile one region; a returned ``_CStatic`` is *unregistered*
@@ -903,14 +883,16 @@ class _Compiler:
         static = self.try_record(region)
         if static is not None:
             return _CStatic(static)
-        if isinstance(region, Sequence):
-            return self.compile_sequence(region)
-        if isinstance(region, Loop):
-            return self.compile_loop(region)
-        # Non-static conditionals, indirect dispatch sites, or calls to
-        # non-static functions outside a flat loop: execute literally.
-        # (Synthesis never produces these outside loop bodies; the
-        # fallback keeps arbitrary hand-built programs exact.)
+        return region.lower(self)
+
+    def literal(self, region: Region) -> object:
+        """A region with no compiled form: execute it literally.
+
+        Non-static conditionals, indirect dispatch sites, or calls to
+        non-static functions outside a flat loop land here.  (Synthesis
+        never produces these outside loop bodies; the fallback keeps
+        arbitrary hand-built programs exact.)
+        """
         return _CFallback(region)
 
     def compile_root(self, region: Region) -> object:
@@ -920,7 +902,7 @@ class _Compiler:
             self.register(node.template)
         return node
 
-    def compile_sequence(self, region: Sequence) -> object:
+    def compile_sequence(self, region: Region) -> object:
         children: List[object] = []
         static_run: List[_Template] = []
 
@@ -950,156 +932,79 @@ class _Compiler:
             return children[0]
         return _CSeq(children)
 
-    def compile_loop(self, loop: Loop) -> object:
-        if self._body_is_flat(loop.body):
-            flat = _CFlatLoop(loop, self)
+    def compile_loop(self, loop: Region) -> object:
+        if self.body_is_flat(loop.body):
+            flat = _CFlatLoop(loop)
             flat.index = len(self.flat_loops)
             self.flat_loops.append(flat)
             return flat
-        node = _CLoop(loop, self.compile_root(loop.body))
+        node = _CLoop(loop)
         # Latch templates are emitted through the shared template table.
         self.register(node.latch_taken)
         self.register(node.latch_done)
         return node
 
-    def _body_is_flat(self, region: Region) -> bool:
+    def body_is_flat(self, region: Region) -> bool:
         """Structural gate: can this loop body flatten into sites?
 
         Mirrors what :meth:`flatten_body_sites` will accept without
         doing any recording, so the (much more expensive) segment
         recording can wait until the loop's first invocation.
         """
-        if self._static_size(region) is not None:
+        if self._static_events(region) is not None:
             return True
+        return region.is_flat(self)
+
+    def choice_fits(self, region: Region) -> bool:
+        """Whether every outcome of a choice site records as a variant."""
         limit = MAX_TEMPLATE_EVENTS - 2  # room for dispatch/join blocks
-        if isinstance(region, Sequence):
-            return all(self._body_is_flat(child) for child in region.regions)
-        if isinstance(region, If):
-            then_size = self._static_size(region.then)
-            if then_size is None or then_size > limit:
+        for body in region.outcome_regions():
+            if body is None:
+                continue
+            size = self._static_events(body)
+            if size is None or size > limit:
                 return False
-            if region.orelse is not None:
-                else_size = self._static_size(region.orelse)
-                if else_size is None or else_size > limit:
-                    return False
-            return True
-        if isinstance(region, IndirectCallRegion):
-            return all(
-                (size := self._static_size(callee.body)) is not None
-                and size <= limit
-                for callee in region.callees
-            )
-        if isinstance(region, IndirectJumpRegion):
-            return all(
-                (size := self._static_size(case)) is not None and size <= limit
-                for case in region.cases
-            )
-        return False
+        return True
 
     def flatten_body_sites(self, region: Region) -> Optional[_SiteList]:
         """Flatten a loop body into static/choice sites, or ``None``."""
         sites: _SiteList = []
-        if not self._flatten_into(region, sites):
+        if not self.flatten_into(region, sites):
             return None
         return sites
 
-    def _flatten_into(self, region: Region, sites: _SiteList) -> bool:
+    def flatten_into(self, region: Region, sites: _SiteList) -> bool:
         static = self.try_record(region)
         if static is not None:
-            self._append_static(sites, static)
+            if sites and isinstance(sites[-1], _Template):
+                sites[-1] = _merge_templates([sites[-1], static])
+            else:
+                sites.append(static)
             return True
-        if isinstance(region, Sequence):
-            return all(self._flatten_into(child, sites) for child in region.regions)
-        if isinstance(region, If):
-            site = self._compile_if_site(region)
-        elif isinstance(region, IndirectCallRegion):
-            site = self._compile_indirect_call_site(region)
-        elif isinstance(region, IndirectJumpRegion):
-            site = self._compile_indirect_jump_site(region)
+        return region.flatten(self, sites)
+
+    def add_choice_site(self, region: Region, sites: _SiteList) -> bool:
+        """Record every outcome of a choice region as one site."""
+        variants: List[_Template] = []
+        for outcome in range(len(region.outcome_regions())):
+            template = self.record_outcome(region, outcome)
+            if template is None:
+                return False  # nested dynamic code or a template too large
+            variants.append(template)
+        mode, parameter = region.chooser()
+        if mode == "pattern":
+            site = _ChoiceSite(_CHOICE_PATTERN, variants)
+            site.owner = region
+            site.pattern_variants = np.asarray(parameter, dtype=np.int64)
+            site.finish_pattern()
+        elif mode == "threshold":
+            site = _ChoiceSite(_CHOICE_RANDOM, variants)
+            site.threshold = parameter
         else:
-            return False  # nested dynamic loop or unknown construct
-        if site is None:
-            return False
+            site = _ChoiceSite(_CHOICE_WEIGHTED, variants)
+            site.cum_weights = np.cumsum(np.asarray(parameter, dtype=np.float64))
         sites.append(site)
         return True
-
-    def _append_static(self, sites: _SiteList, template: _Template) -> None:
-        if sites and isinstance(sites[-1], _Template):
-            sites[-1] = _merge_templates([sites[-1], template])
-        else:
-            sites.append(template)
-
-    def _compile_if_site(self, region: If) -> Optional[_ChoiceSite]:
-        # Variant emissions mirror If.execute exactly: the condition is
-        # taken when the then-branch is skipped.
-        def then_variant(rec: _Recorder) -> None:
-            rec.emit(region.condition, taken=False)
-            region.then.execute(rec)
-            if region.skip_else is not None:
-                rec.emit(region.skip_else, taken=True)
-
-        def else_variant(rec: _Recorder) -> None:
-            rec.emit(region.condition, taken=True)
-            if region.orelse is not None:
-                region.orelse.execute(rec)
-
-        then_template = self.record_variant(then_variant)
-        else_template = self.record_variant(else_variant)
-        if then_template is None or else_template is None:
-            return None
-        site = _ChoiceSite(
-            _CHOICE_PATTERN if region.pattern is not None else _CHOICE_RANDOM,
-            [then_template, else_template],
-        )
-        if region.pattern is not None:
-            site.owner = region
-            site.pattern_variants = np.asarray(
-                [0 if outcome else 1 for outcome in region.pattern], dtype=np.int64
-            )
-            site.finish_pattern()
-        else:
-            site.threshold = region.probability_then
-        return site
-
-    def _compile_indirect_call_site(
-        self, region: IndirectCallRegion
-    ) -> Optional[_ChoiceSite]:
-        variants: List[_Template] = []
-        for callee in region.callees:
-            def variant(rec: _Recorder, callee=callee) -> None:
-                rec.emit(region.call_block, taken=True, target=callee.entry_address)
-                rec.call(callee, return_to=region.call_block.fallthrough_address)
-
-            template = self.record_variant(variant)
-            if template is None:
-                return None
-            variants.append(template)
-        site = _ChoiceSite(_CHOICE_WEIGHTED, variants)
-        site.cum_weights = np.cumsum(np.asarray(region.weights, dtype=np.float64))
-        return site
-
-    def _compile_indirect_jump_site(
-        self, region: IndirectJumpRegion
-    ) -> Optional[_ChoiceSite]:
-        variants: List[_Template] = []
-        for index, case in enumerate(region.cases):
-            def variant(rec: _Recorder, index=index, case=case) -> None:
-                entry = _first_block(case)
-                rec.emit(
-                    region.dispatch,
-                    taken=True,
-                    target=None if entry is None else entry.address,
-                )
-                case.execute(rec)
-                rec.emit(region.case_exits[index], taken=True)
-
-            template = self.record_variant(variant)
-            if template is None:
-                return None
-            variants.append(template)
-        site = _ChoiceSite(_CHOICE_WEIGHTED, variants)
-        site.cum_weights = np.cumsum(np.asarray(region.weights, dtype=np.float64))
-        return site
 
 
 class _CompiledPhase:
@@ -1121,7 +1026,10 @@ class CompiledSchedule:
         schedule: ExecutionSchedule,
         max_call_depth: int = 64,
     ) -> None:
-        self.program = program
+        # The program caches this schedule (``compile_schedule``), so the
+        # reference back to it is weak: a compiled workload holds no
+        # reference cycle, and reference counting alone frees it.
+        self._program = weakref.ref(program)
         self.schedule = schedule
         self.max_call_depth = max_call_depth
         #: Compiled against this static layout; a re-layout invalidates.
@@ -1131,10 +1039,16 @@ class CompiledSchedule:
         self.steady = [self._compile_phase(compiler, p) for p in schedule.steady]
         self.templates = compiler.templates
         self.flat_loops = compiler.flat_loops
-        #: Kept alive for lazy flat-loop compilation and the column pool.
+        #: Kept alive for lazy compilation and the column pool.
         self._compiler = compiler
-        for template in self.templates:
-            compiler.place(template)
+
+    @property
+    def program(self) -> Program:
+        """The program this schedule was compiled from."""
+        program = self._program()
+        if program is None:
+            raise ReferenceError("the compiled program no longer exists")
+        return program
 
     def _compile_phase(self, compiler: _Compiler, phase: Phase) -> _CompiledPhase:
         body = compiler.compile_root(phase.function.body)
@@ -1153,8 +1067,7 @@ class CompiledSchedule:
             np.random.default_rng(seed),
             max_instructions,
             self.max_call_depth,
-            len(self.templates),
-            len(self.flat_loops),
+            self._compiler,
         )
 
         for phase in self.setup:
@@ -1188,17 +1101,16 @@ class CompiledSchedule:
         out_sections = np.empty(state.events, dtype=np.uint8)
 
         spans = _SpanAccumulator()
-        for template, offsets in zip(self.templates, state.template_offsets):
-            if not offsets:
-                continue
+        for index, offsets in state.template_offsets.items():
+            template = self.templates[index]
             dst = np.asarray(offsets, dtype=np.int64)
             spans.add(
                 np.full(dst.shape[0], template.pool_offset, dtype=np.int64),
                 dst,
                 np.full(dst.shape[0], template.n_events, dtype=np.int64),
             )
-        for flat in self.flat_loops:
-            flat.stamp(state, spans)
+        for index, batch in state.flat_states.items():
+            self.flat_loops[index].stamp(batch, spans)
 
         if spans.src:
             # One global expansion: every span becomes a contiguous
@@ -1274,7 +1186,30 @@ def compile_schedule(
         cached_schedule, compiled = entry
         if cached_schedule is schedule and compiled.columns is program_columns(program):
             return compiled
-    compiled = CompiledSchedule(program, schedule, max_call_depth)
+    with _collector_paused():
+        compiled = CompiledSchedule(program, schedule, max_call_depth)
     cache[key] = (schedule, compiled)
     return compiled
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector while a workload is built or compiled.
+
+    Construction allocates hundreds of thousands of tracked objects, so
+    the collector would otherwise run several full collections, each
+    walking every program built so far.  Built and compiled workloads
+    hold no reference cycles, so reference counting frees them without
+    it; a cycle would instead survive until the collector next ran.
+    The state found is restored: a collector its caller disabled stays
+    disabled.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 

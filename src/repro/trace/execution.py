@@ -26,7 +26,7 @@ from repro.trace.columns import NO_TARGET
 from repro.trace.events import BlockEvent, Trace
 from repro.trace.instruction import CodeSection
 from repro.trace.basic_block import BasicBlock
-from repro.trace.program import Function, Program
+from repro.trace.program import Function, Program, Region, static_size
 
 
 @dataclass
@@ -152,23 +152,54 @@ class ExecutionContext:
         return Trace.from_columns(program, *self._buffer.columns(), name=name)
 
 
-class CountingContext(ExecutionContext):
-    """An execution context that counts instructions and records nothing.
+class CountingContext:
+    """Counts the instructions one execution of a region tree runs.
 
-    Regions drive it exactly as they drive :class:`ExecutionContext` --
-    the same RNG draws, pattern positions and call-depth limit -- so
-    ``instructions_emitted`` is the same, but no event buffer is
-    allocated and :meth:`emit` only adds the block's instruction count.
-    Synthesis sizes its schedule with it.
+    It walks the tree as the regions execute against
+    :class:`ExecutionContext` -- the same RNG draws in the same order,
+    the same pattern positions, the same call-depth limit -- but emits
+    nothing: a subtree that draws nothing adds its instruction count in
+    one step (:func:`~repro.trace.program.static_size`), and every other
+    region counts itself (``Region.count``).  There is no instruction
+    budget.  Synthesis sizes its schedule with it.
     """
 
-    @staticmethod
-    def _event_buffer(max_instructions: int) -> None:
-        return None
+    def __init__(self, rng: np.random.Generator, max_call_depth: int = 64) -> None:
+        self.rng = rng
+        self.max_call_depth = max_call_depth
+        self._call_depth = 0
+        self._pattern_positions: dict = {}
+        self._sizes: dict = {}
 
-    def emit(self, block: BasicBlock, taken: bool, target: Optional[int] = None) -> None:
-        """Count one dynamic execution of a block."""
-        self.instructions_emitted += block.num_instructions
+    def next_pattern_index(self, owner: object, length: int) -> int:
+        """Advance and return the pattern position of a patterned region."""
+        position = self._pattern_positions.get(owner, 0)
+        self._pattern_positions[owner] = (position + 1) % length
+        return position
+
+    def fixed(self, region: Region) -> Optional[int]:
+        """Instructions of ``region`` if it draws nothing at this depth."""
+        size = static_size(region, self._sizes)
+        if size is None or self._call_depth + size[2] > self.max_call_depth:
+            return None
+        return size[1]
+
+    def count(self, region: Region) -> int:
+        """Instructions of one execution of ``region``."""
+        size = static_size(region, self._sizes)
+        if size is not None and self._call_depth + size[2] <= self.max_call_depth:
+            return size[1]
+        return region.count(self)
+
+    def call(self, callee: Function) -> int:
+        """Instructions of a callee's body and return, as ``call`` runs them."""
+        if self._call_depth >= self.max_call_depth:
+            # Too deep to recurse: only the return executes.
+            return callee.return_block.num_instructions
+        self._call_depth += 1
+        instructions = self.count(callee.body)
+        self._call_depth -= 1
+        return instructions + callee.return_block.num_instructions
 
 
 class TraceGenerator:

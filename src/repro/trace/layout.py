@@ -12,24 +12,9 @@ exactly the property the paper's backward/forward taken analysis
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.trace.columns import invalidate_program_columns
 from repro.trace.instruction import TEXT_BASE_ADDRESS
-from repro.trace.program import (
-    CallRegion,
-    CodeRegion,
-    If,
-    IndirectCallRegion,
-    IndirectJumpRegion,
-    JumpRegion,
-    Loop,
-    Program,
-    Region,
-    Sequence,
-    SyscallRegion,
-    _first_block,
-)
+from repro.trace.program import Program
 
 
 def layout_program(
@@ -43,7 +28,7 @@ def layout_program(
     """
     _assign_addresses(program, base_address, function_alignment)
     for function in program.functions:
-        _resolve_region_targets(function.body)
+        function.body.resolve_targets()
     invalidate_program_columns(program)
     return program
 
@@ -51,11 +36,17 @@ def layout_program(
 def _assign_addresses(
     program: Program, base_address: int, function_alignment: int
 ) -> None:
-    """Place functions back to back and blocks contiguously inside them."""
+    """Place functions back to back and blocks contiguously inside them.
+
+    Walks the block list the program enumerated at construction, one
+    function's slice at a time.
+    """
     cursor = base_address
-    for function in program.functions:
+    blocks = program.blocks
+    offsets = program.function_offsets
+    for start, end in zip(offsets, offsets[1:]):
         cursor = _align(cursor, function_alignment)
-        for block in function.blocks():
+        for block in blocks[start:end]:
             block.address = cursor
             cursor += block.size_bytes
 
@@ -68,74 +59,3 @@ def _align(address: int, alignment: int) -> int:
     if remainder == 0:
         return address
     return address + (alignment - remainder)
-
-
-def _resolve_region_targets(region: Region) -> None:
-    """Fill in the statically-known taken targets of a region tree."""
-    if isinstance(region, Sequence):
-        for child in region.regions:
-            _resolve_region_targets(child)
-    elif isinstance(region, Loop):
-        _resolve_loop(region)
-    elif isinstance(region, If):
-        _resolve_if(region)
-    elif isinstance(region, CallRegion):
-        region.call_block.taken_target = region.callee.entry_address
-    elif isinstance(region, IndirectJumpRegion):
-        _resolve_indirect_jump(region)
-    elif isinstance(region, JumpRegion):
-        region.block.taken_target = region.block.end_address
-    elif isinstance(region, (CodeRegion, SyscallRegion, IndirectCallRegion)):
-        # Fall-through code, syscalls and indirect calls have no
-        # statically-known taken target.
-        pass
-    else:  # pragma: no cover - guards against new region types
-        raise TypeError(f"unknown region type {type(region).__name__}")
-
-
-def _resolve_loop(loop: Loop) -> None:
-    """Point the latch back-edge at the start of the loop body."""
-    _resolve_region_targets(loop.body)
-    body_entry = _first_block(loop.body)
-    if body_entry is None:
-        # Degenerate empty-body loop: branch to the latch itself.
-        loop.latch.taken_target = loop.latch.address
-    else:
-        loop.latch.taken_target = body_entry.address
-
-
-def _resolve_if(conditional: If) -> None:
-    """Point the condition branch past the then region."""
-    _resolve_region_targets(conditional.then)
-    if conditional.orelse is not None:
-        _resolve_region_targets(conditional.orelse)
-        else_entry = _first_block(conditional.orelse)
-        join_address = _region_end_address(conditional.orelse)
-        if else_entry is None:
-            else_entry_address = join_address
-        else:
-            else_entry_address = else_entry.address
-        conditional.condition.taken_target = else_entry_address
-        if conditional.skip_else is not None:
-            conditional.skip_else.taken_target = join_address
-    else:
-        conditional.condition.taken_target = _region_end_address(conditional.then)
-
-
-def _resolve_indirect_jump(region: IndirectJumpRegion) -> None:
-    """Point each case's trailing jump at the join after the dispatch."""
-    for case in region.cases:
-        _resolve_region_targets(case)
-    join_address = region.case_exits[-1].end_address
-    for exit_block in region.case_exits:
-        exit_block.taken_target = join_address
-
-
-def _region_end_address(region: Region) -> int:
-    """Address of the first byte after the last block of a region."""
-    last: Optional[int] = None
-    for block in region.blocks():
-        last = block.end_address
-    if last is None:
-        raise ValueError("cannot compute the end address of an empty region")
-    return last

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.trace.compiler import CompiledSchedule, compile_schedule
+from repro.trace.compiler import CompiledSchedule, _collector_paused, compile_schedule
 from repro.trace.events import Trace
 from repro.trace.execution import CountingContext, ExecutionSchedule, Phase
 from repro.trace.instruction import CodeSection
@@ -538,10 +538,8 @@ class SyntheticWorkload:
 
 def _measure_pass_instructions(function: Function, seed: int) -> int:
     """Instructions executed by one invocation of a section function."""
-    ctx = CountingContext(np.random.default_rng(seed), max_instructions=10**12)
-    function.body.execute(ctx)
-    ctx.emit(function.return_block, taken=True)
-    return max(1, ctx.instructions_emitted)
+    counter = CountingContext(np.random.default_rng(seed))
+    return max(1, counter.count(function.body) + function.return_block.num_instructions)
 
 
 def _build_cold_code(spec: WorkloadSpec, rng: np.random.Generator) -> List[Function]:
@@ -565,8 +563,14 @@ def build_workload(spec: WorkloadSpec) -> SyntheticWorkload:
     """Build the synthetic program and execution schedule for a workload.
 
     The result is cached so repeated experiments share one program per
-    workload, whatever trace length they ask of it.
+    workload, whatever trace length they ask of it.  The cyclic
+    collector is paused while it builds (the workload holds no cycles).
     """
+    with _collector_paused():
+        return _build_workload(spec)
+
+
+def _build_workload(spec: WorkloadSpec) -> SyntheticWorkload:
     rng = np.random.default_rng(spec.seed)
     hot_functions: List[Function] = []
     leaf_functions: List[Function] = []
@@ -619,14 +623,14 @@ def build_workload(spec: WorkloadSpec) -> SyntheticWorkload:
                 # The smallest useful serial pass still exceeds the target;
                 # schedule several parallel passes per serial pass instead.
                 serial_repeat = 1
-                parallel_repeat = int(
-                    round(
-                        serial_work
-                        * (1.0 - serial_fraction)
-                        / (serial_fraction * parallel_work)
-                    )
+                ratio = (
+                    serial_work
+                    * (1.0 - serial_fraction)
+                    / (serial_fraction * parallel_work)
                 )
-                parallel_repeat = min(_MAX_PARALLEL_REPEAT, max(1, parallel_repeat))
+                # Capped before rounding: a vanishing serial share
+                # overflows the ratio to infinity.
+                parallel_repeat = max(1, int(round(min(ratio, _MAX_PARALLEL_REPEAT))))
             steady = [
                 Phase(serial_function, CodeSection.SERIAL, repeat=serial_repeat),
                 Phase(parallel_function, CodeSection.PARALLEL, repeat=parallel_repeat),

@@ -6,8 +6,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend.btb import BranchTargetBuffer, btb_stack_histogram
-from repro.frontend.icache import InstructionCache, line_stack_histogram
+from repro.frontend.btb import (
+    BranchTargetBuffer,
+    btb_stack_histogram,
+    retargeted_lookups,
+)
+from repro.frontend.icache import InstructionCache, line_stack_histogram, line_stream
 from repro.frontend.stack_distance import MIN_STACK_DEPTH, lru_stack_distances
 from repro.frontend.predictors import (
     BimodalPredictor,
@@ -324,8 +328,9 @@ def branch_streams(draw):
 @given(branch_streams(), st.sampled_from([1, 2, 4, 8, 16]))
 def test_btb_stack_histogram_matches_reference(stream, capped_ways):
     num_sets, addresses, targets = stream
-    histogram = btb_stack_histogram(addresses, targets, num_sets, MIN_STACK_DEPTH)
-    capped = btb_stack_histogram(addresses, targets, num_sets, capped_ways)
+    retargeted = retargeted_lookups(addresses, targets)
+    histogram = btb_stack_histogram(addresses, retargeted, num_sets, MIN_STACK_DEPTH)
+    capped = btb_stack_histogram(addresses, retargeted, num_sets, capped_ways)
     for ways in (1, 2, 4, 8, 16):
         misses = BranchTargetBuffer(num_sets * ways, ways).access_sequence(
             addresses, targets
@@ -334,3 +339,35 @@ def test_btb_stack_histogram_matches_reference(stream, capped_ways):
         assert histogram.accesses == len(addresses)
         if ways == capped_ways:
             assert capped.misses(ways) == misses
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0x400000, max_value=0x400400),
+            st.integers(min_value=-3, max_value=299),
+        ),
+        max_size=40,
+    ),
+    st.sampled_from([16, 32, 64, 128]),
+)
+def test_line_stream_is_the_compressed_full_expansion(ranges, line_bytes):
+    """Expanding only line changes loses no change and no access."""
+    expanded = []
+    for start, size in ranges:
+        if size > 0:
+            expanded.extend(
+                range(start // line_bytes, (start + size - 1) // line_bytes + 1)
+            )
+    changes = [
+        line
+        for index, line in enumerate(expanded)
+        if index == 0 or line != expanded[index - 1]
+    ]
+    starts = np.array([start for start, _ in ranges], dtype=np.int64)
+    sizes = np.array([size for _, size in ranges], dtype=np.int64)
+    lines, total_accesses = line_stream(starts, sizes, line_bytes)
+    assert total_accesses == len(expanded)
+    assert lines.dtype == np.int64
+    assert lines.tolist() == changes
