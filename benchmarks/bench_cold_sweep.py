@@ -4,8 +4,8 @@ The hot-path microbenchmarks time individual engine stages; these time
 what a user actually waits for on a fresh machine -- a figure sweep
 whose every trace must be generated (or loaded from the shared disk
 cache).  Each cold round starts from completely empty caches: the
-in-process trace cache, the workload-builder cache (so program
-synthesis and trace compilation are included), and a scratch disk
+in-process trace cache (so program synthesis and trace compilation are
+included; nothing else keeps a built workload) and a scratch disk
 cache directory.
 
     pytest benchmarks/bench_cold_sweep.py

@@ -99,8 +99,9 @@ def test_trace_generation_reference(benchmark, instructions):
 def test_cold_workload_builds(benchmark):
     """Cold trace production of the whole catalog, as a cold run pays it.
 
-    Each round clears ``build_workload``'s cache, then builds and
-    compiles all 41 catalog workloads and generates their 60k traces.
+    Each round builds and compiles all 41 catalog workloads and
+    generates their 60k traces (``build_workload`` keeps nothing, so
+    every round is cold).
     Under ``--benchmark-disable-gc`` (as the CI smoke step runs it) the
     cyclic collector never runs, so the rounds cannot show its share of
     a cold run, which ``build_workload`` and ``compile_schedule`` cut by
@@ -109,7 +110,6 @@ def test_cold_workload_builds(benchmark):
     specs = list(WORKLOADS.values())
 
     def cold_builds():
-        build_workload.cache_clear()
         return [build_workload(spec).trace(60_000) for spec in specs]
 
     traces = benchmark.pedantic(cold_builds, rounds=3, iterations=1)

@@ -118,12 +118,13 @@ class Trace(object):
     serial / parallel split.
 
     Every column query reads the static per-block arrays in
-    :attr:`static`.  A generated trace takes them from its program; a
-    trace loaded from the disk cache is given them (``static=``) and is
-    handed a zero-argument callable instead of a program, which
-    :attr:`program` calls on first access -- only block-object views
-    (:meth:`blocks_for`) ask for it.  Such a trace must be given its
-    ``name``.
+    :attr:`static`.  A freshly generated trace takes them from the
+    program it holds.  Every trace the workload trace cache holds,
+    generated or loaded from disk, holds no program: it is given the
+    arrays (``static=``) and a zero-argument callable instead of a
+    program, which :attr:`program` calls on first access and whose
+    result it keeps -- only block-object views (:meth:`blocks_for`) ask
+    for it.  Such a trace must be given its ``name``.
     """
 
     def __init__(

@@ -51,7 +51,12 @@ class SectionProfile:
     hot_code_kb:
         Static size of the steady-state (hot) code of the section.
     bytes_per_instruction:
-        Average instruction length used when sizing blocks.
+        Average instruction length in bytes (at least 1) used when
+        sizing blocks.
+
+    Construction raises ``ValueError`` for a value synthesis cannot
+    build: a fraction or share outside its range, a trip count below 1,
+    or instructions shorter than a byte.
     """
 
     branch_fraction: float
@@ -72,6 +77,17 @@ class SectionProfile:
     def __post_init__(self) -> None:
         if not 0.0 < self.branch_fraction < 1.0:
             raise ValueError("branch_fraction must be in (0, 1)")
+        for name in (
+            "call_fraction",
+            "indirect_call_fraction",
+            "indirect_branch_fraction",
+            "unconditional_fraction",
+            "syscall_fraction",
+            "balanced_if_share",
+            "moderate_if_share",
+        ):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative")
         if self.conditional_fraction <= 0.0:
             raise ValueError(
                 "branch mix leaves no room for conditional branches "
@@ -85,8 +101,14 @@ class SectionProfile:
             raise ValueError("loop_regularity must be in [0, 1]")
         if self.balanced_if_share + self.moderate_if_share > 1.0 + 1e-9:
             raise ValueError("balanced and moderate if shares exceed 1")
+        if not 0.0 <= self.if_taken_dominant_share <= 1.0:
+            raise ValueError("if_taken_dominant_share must be in [0, 1]")
         if self.hot_code_kb <= 0.0:
             raise ValueError("hot_code_kb must be positive")
+        # No instruction is shorter than a byte, and a shorter mean would
+        # size the hot code in more instructions than it has bytes.
+        if not self.bytes_per_instruction >= 1.0:
+            raise ValueError("bytes_per_instruction must be at least 1")
 
     @property
     def return_fraction(self) -> float:

@@ -20,7 +20,6 @@ looking artificial.
 
 from __future__ import annotations
 
-import functools
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -509,16 +508,17 @@ class SyntheticWorkload:
     def compiled(self) -> CompiledSchedule:
         """The workload's program + schedule lowered to segment IR.
 
-        Compilation is memoized alongside the built workload (the cache
-        lives on the program object), so every trace generation of this
-        workload -- any length, any seed -- reuses one compiled form.
+        Compilation is memoized on the program of this build, so every
+        trace this workload generates -- any length, any seed -- reuses
+        one compiled form, and the form goes with the workload.
         """
         return compile_schedule(self.program, self.schedule)
 
     def trace(self, instructions: int, seed: int = 0) -> Trace:
         """Generate a dynamic trace of ``instructions`` instructions.
 
-        Every call generates anew; the one in-memory trace cache is
+        Every call generates anew, and the trace holds this workload's
+        program; the one in-memory trace cache, which holds none, is
         :func:`repro.workloads.trace_cache.workload_trace`.  Generation
         runs through the compiled segment engine, which is bit-identical
         to the reference tree walk
@@ -558,13 +558,15 @@ def _build_cold_code(spec: WorkloadSpec, rng: np.random.Generator) -> List[Funct
     return functions
 
 
-@functools.lru_cache(maxsize=None)
 def build_workload(spec: WorkloadSpec) -> SyntheticWorkload:
     """Build the synthetic program and execution schedule for a workload.
 
-    The result is cached so repeated experiments share one program per
-    workload, whatever trace length they ask of it.  The cyclic
-    collector is paused while it builds (the workload holds no cycles).
+    Every call builds anew, and nothing keeps the result: the trace
+    cache (:func:`repro.workloads.trace_cache.workload_trace`) holds
+    traces without their programs, so a workload built for a trace is
+    freed by reference counting once that trace is generated.  The
+    cyclic collector is paused while it builds (the workload holds no
+    cycles).
     """
     with _collector_paused():
         return _build_workload(spec)

@@ -8,6 +8,16 @@ exists per process, regardless of which driver asked first.  It is the
 only in-memory trace layer: :meth:`SyntheticWorkload.trace
 <repro.workloads.synthesis.SyntheticWorkload.trace>` just generates.
 
+A cached trace holds no program.  Whether it was generated here or
+loaded from disk, it keeps its four event columns and the five static
+per-block arrays (:data:`~repro.trace.columns.STATIC_ARRAYS`) every
+analysis and simulator reads, and builds its program only when
+something asks for block objects (``trace.program``), keeping it from
+then on.  Nothing else holds a built workload either
+(:func:`~repro.workloads.synthesis.build_workload` builds anew on every
+call), so the program and compiled schedule a trace was generated from
+are freed as soon as it is cached.
+
 The cache lives in the workloads layer -- below both ``experiments``
 and ``uarch`` -- precisely so the micro-architecture simulator can use
 it without a layering cycle.
@@ -32,9 +42,8 @@ everything the bytes depend on: :data:`TRACE_CACHE_VERSION`, the NumPy
 version, the workload spec, and the source of ``repro.trace`` and
 ``repro.workloads``.  The fingerprint is computed without building
 anything, so checking or loading an entry never synthesizes the
-workload: a loaded :class:`~repro.trace.events.Trace` answers every
-column query from the stored arrays and builds its program only if
-something asks for block objects.  A readable entry whose fingerprint
+workload: a loaded trace has the same program-free form as a
+generated one.  A readable entry whose fingerprint
 differs (or that lacks the static arrays) is stale and is regenerated
 and overwritten; only an unreadable one is quarantined as
 ``*.corrupt``.  Entries are serialized in memory and land whole
@@ -123,12 +132,14 @@ def workload_trace(
     instructions: Optional[int] = None,
     seed: int = 0,
 ) -> Trace:
-    """Build (or reuse) the synthetic workload and return its trace.
+    """Return the workload's trace, generating it on a miss.
 
     Traces are cached process-wide, keyed by ``(spec, instructions,
     seed)``, so the experiment drivers share one trace per workload
     instead of each regenerating all of them.  Repeated calls with the
-    same key return the *same* object.  A config with a
+    same key return the *same* object.  A generated trace is cached
+    without the workload it came from, in the form a disk-loaded one
+    has: its ``program`` is built again on first access.  A config with a
     ``trace_cache_dir`` also persists trace columns on disk and shares
     them across driver processes; a trace already held in memory is
     written to the current directory when that directory lacks it.
@@ -154,7 +165,8 @@ def workload_trace(
     else:
         if resolved_cache_dir() is not None:
             _COUNTERS.add("disk_misses")
-        trace = build_workload(spec).trace(int(instructions), seed=seed)
+        generated = build_workload(spec).trace(int(instructions), seed=seed)
+        trace = _program_free_trace(spec, generated.event_columns(), generated.static)
         if _store_trace_to_disk(trace, *key):
             _COUNTERS.add("disk_stores")
     _TRACES[key] = trace
@@ -164,14 +176,12 @@ def workload_trace(
 def clear_trace_cache() -> None:
     """Drop every cached trace (mainly for tests and memory pressure).
 
-    Also clears the workload-builder cache underneath, which holds the
-    built programs.  Results memoized per trace (the section streams,
-    the Section V profiles) are weakly keyed by the trace and go with
-    it.
+    Results memoized per trace (the section streams, the Section V
+    profiles) are weakly keyed by the trace and go with it, as does a
+    program a trace built on request.
     """
     _TRACES.clear()
     _COUNTERS.reset()
-    build_workload.cache_clear()
 
 
 def trace_cache_info() -> Dict[str, int]:
@@ -221,8 +231,17 @@ def _is_current(archive, spec: WorkloadSpec) -> bool:
 
 
 def _build_program(spec: WorkloadSpec) -> Program:
-    """The program of a loaded trace, built when something asks for it."""
+    """The program of a cached trace, built when something asks for it."""
     return build_workload(spec).program
+
+
+def _program_free_trace(
+    spec: WorkloadSpec, columns: tuple, static: ProgramColumns
+) -> Trace:
+    """The one form the cache holds: event columns, static arrays, a loader."""
+    return Trace.from_columns(
+        functools.partial(_build_program, spec), *columns, name=spec.name, static=static
+    )
 
 
 def _load_trace_from_disk(
@@ -251,12 +270,7 @@ def _load_trace_from_disk(
         # is a valid archive from older code, simply superseded.
         _quarantine_trace_entry(path)
         return None
-    return Trace.from_columns(
-        functools.partial(_build_program, spec),
-        *columns,
-        name=spec.name,
-        static=static,
-    )
+    return _program_free_trace(spec, columns, static)
 
 
 def _quarantine_trace_entry(path: str) -> None:

@@ -12,6 +12,10 @@ bearing guarantees of that refactor:
   store, and corrupt frame payloads are rejected and recomputed.
 * **Sliceable payloads**: every experiment's stored frames support
   ``select()``/``column()`` with no per-experiment glue.
+
+The same full run also checks that no experiment reads block objects:
+each trace-cache miss builds its workload once, and no built program
+outlives the run.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from repro.results.orchestrator import (
     write_manifest,
 )
 from repro.results.store import clear_result_store, load_result
-from repro.workloads.trace_cache import clear_trace_cache
+from repro.workloads.trace_cache import clear_trace_cache, trace_cache_info
+
+from trace_fixtures import record_builds
 
 #: Must match the budget the golden manifests were recorded at.
 TINY = 6_000
@@ -41,13 +47,17 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_manifest"
 
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
-    """One full 15-experiment run plus its written manifest directory."""
+    """One full 18-experiment run, its written manifest directory, and
+    the programs it built with its trace-cache misses."""
     clear_result_store()
     clear_trace_cache()
-    report = run_experiments(registry_names(), instructions=TINY)
+    with pytest.MonkeyPatch.context() as patch:
+        built = record_builds(patch)
+        report = run_experiments(registry_names(), instructions=TINY)
+    misses = trace_cache_info()["misses"]
     out_dir = tmp_path_factory.mktemp("manifest")
     write_manifest(report, str(out_dir))
-    yield report, out_dir
+    yield report, out_dir, (built, misses)
     clear_result_store()
     clear_trace_cache()
 
@@ -60,15 +70,27 @@ class TestGoldenByteIdentity:
     @pytest.mark.parametrize("name", sorted(registry_names()))
     @pytest.mark.parametrize("extension", ["csv", "json"])
     def test_manifest_file_is_byte_identical(self, full_run, name, extension):
-        _, out_dir = full_run
+        _, out_dir, _ = full_run
         emitted = (out_dir / f"{name}.{extension}").read_bytes()
         golden = (GOLDEN / f"{name}.{extension}").read_bytes()
         assert emitted == golden
 
 
+class TestTheRunKeepsNoProgram:
+    def test_each_trace_miss_builds_once_and_nothing_keeps_the_program(
+        self, full_run
+    ):
+        # No experiment reads block objects: a trace's program is built
+        # for its generation only, and the cached traces hold none.
+        _, _, (built, misses) = full_run
+        assert misses > 0
+        assert len(built) == misses
+        assert [ref() for ref in built if ref() is not None] == []
+
+
 class TestStoredFrameContract:
     def test_every_artifact_is_frame_native(self, full_run):
-        report, _ = full_run
+        report, _, _ = full_run
         for outcome in report.outcomes:
             artifact = outcome.artifact
             assert artifact["schema"] == ARTIFACT_SCHEMA_VERSION, outcome.name
@@ -80,7 +102,7 @@ class TestStoredFrameContract:
 
     def test_every_stored_frame_slices(self, full_run):
         """select()/column() work on every experiment's stored frames."""
-        report, _ = full_run
+        report, _, _ = full_run
         for outcome in report.outcomes:
             for name in sorted(outcome.artifact["frames"]):
                 frame = outcome.stored_frame(name)
@@ -98,7 +120,7 @@ class TestStoredFrameContract:
 
     def test_primary_frame_supports_workload_selection(self, full_run):
         """The acceptance example: select(workload=...) on a payload."""
-        report, _ = full_run
+        report, _, _ = full_run
         frame = report.outcome("fig11").stored_frame()
         workload = frame.column("workload")[0]
         narrowed = frame.select(workload=workload)

@@ -46,6 +46,15 @@ PASS_EXAMPLES = settings(EXAMPLES, max_examples=15)
 category_fractions = st.floats(min_value=0.0, max_value=0.15)
 unit_fractions = st.floats(min_value=0.0, max_value=1.0)
 
+#: The non-conditional branch categories, as fractions of all branches.
+CATEGORY_FIELDS = (
+    "call_fraction",
+    "indirect_call_fraction",
+    "indirect_branch_fraction",
+    "unconditional_fraction",
+    "syscall_fraction",
+)
+
 
 @st.composite
 def profile_fields(draw) -> dict:
@@ -125,19 +134,14 @@ def test_a_vanishing_serial_share_builds():
         static_code_kb=2.0,
         threads=2,
     )
-    serial, parallel = _build(spec).schedule.steady
+    serial, parallel = synthesis.build_workload(spec).schedule.steady
     assert (serial.repeat, parallel.repeat) == (1, synthesis._MAX_PARALLEL_REPEAT)
-
-
-def _build(spec: WorkloadSpec):
-    """Build without memoizing: examples must not pile up in the cache."""
-    return synthesis.build_workload.__wrapped__(spec)
 
 
 @EXAMPLES
 @given(workload_specs())
 def test_a_drawn_spec_builds_and_runs(spec):
-    workload = _build(spec)
+    workload = synthesis.build_workload(spec)
     assert workload.program.blocks
     assert workload.schedule.steady
     assert all(phase.repeat >= 1 for phase in workload.schedule.steady)
@@ -151,7 +155,7 @@ def test_a_drawn_spec_builds_and_runs(spec):
     st.integers(min_value=2_000, max_value=20_000),
 )
 def test_compiled_trace_equals_the_reference(spec, seed, instructions):
-    workload = _build(spec)
+    workload = synthesis.build_workload(spec)
     reference = TraceGenerator(workload.program, workload.schedule, seed=seed).run(
         instructions
     )
@@ -165,7 +169,7 @@ def test_compiled_trace_equals_the_reference(spec, seed, instructions):
 @PASS_EXAMPLES
 @given(workload_specs(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_counting_a_pass_equals_recording_it(spec, seed):
-    for phase in _build(spec).schedule.steady:
+    for phase in synthesis.build_workload(spec).schedule.steady:
         function = phase.function
         ctx = ExecutionContext(np.random.default_rng(seed), max_instructions=10**12)
         function.body.execute(ctx)
@@ -203,6 +207,23 @@ PROFILE_BREAKERS = {
     "branch_mix": st.floats(min_value=0.5, max_value=1.0).map(
         lambda calls: {"call_fraction": calls}
     ),
+    "category_fraction": st.tuples(
+        st.sampled_from(CATEGORY_FIELDS),
+        st.floats(min_value=-1.0, max_value=0.0, exclude_max=True),
+    ).map(lambda pair: dict([pair])),
+    "if_share_sign": st.tuples(
+        st.sampled_from(["balanced_if_share", "moderate_if_share"]),
+        st.floats(min_value=-1.0, max_value=0.0, exclude_max=True),
+    ).map(lambda pair: dict([pair])),
+    "if_taken_dominant_share": st.one_of(
+        st.floats(min_value=-1.0, max_value=0.0, exclude_max=True),
+        st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
+    ).map(lambda value: {"if_taken_dominant_share": value}),
+    # Constructed only: a sub-byte instruction size must never reach the
+    # builder, which would size its hot code in ~10^12 instructions.
+    "bytes_per_instruction": st.floats(
+        min_value=-8.0, max_value=1.0, exclude_max=True
+    ).map(lambda value: {"bytes_per_instruction": value}),
 }
 
 
@@ -212,6 +233,25 @@ def test_an_out_of_range_profile_field_is_refused(fields, name, data):
     fields.update(data.draw(PROFILE_BREAKERS[name]))
     with pytest.raises(ValueError):
         SectionProfile(**fields)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("call_fraction", -0.05),
+        ("syscall_fraction", -0.01),
+        ("bytes_per_instruction", 0.0),
+        ("bytes_per_instruction", -4.0),
+        ("if_taken_dominant_share", 1.5),
+        ("balanced_if_share", -0.2),
+    ],
+)
+def test_a_profile_synthesis_cannot_build_is_refused(field, value):
+    """Values that once passed construction and then failed in (or slipped
+    through) synthesis: a negative fraction raised in the error diffuser,
+    a zero instruction size divided by zero, the rest built silently."""
+    with pytest.raises(ValueError, match=field):
+        SectionProfile(branch_fraction=0.1, hot_code_kb=2.0, **{field: value})
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,10 @@ A built and compiled workload must also hold no reference cycle:
 ``build_workload`` and ``compile_schedule`` pause the cyclic collector
 while they construct, so anything a cycle kept alive would wait for the
 next full collection.
+
+The trace cache keeps traces, not workloads: the program a cached trace
+was generated from is dead once ``workload_trace`` returns, and the
+trace builds a program again only when block objects are asked for.
 """
 
 from __future__ import annotations
@@ -20,11 +24,14 @@ import hashlib
 
 import numpy as np
 
+from repro.api.runtime_config import RuntimeConfig, activated
 from repro.trace.columns import STATIC_ARRAYS, program_columns
 from repro.trace.instruction import CodeSection
 from repro.workloads import synthesis
 from repro.workloads.catalog import WORKLOADS, get_workload
-from repro.workloads.trace_cache import clear_trace_cache
+from repro.workloads.trace_cache import clear_trace_cache, workload_trace
+
+from trace_fixtures import record_builds
 
 #: sha256 of the whole catalog's production (see ``_catalog_digest``).
 CATALOG_DIGEST = "6794546f7ea8c8d863cfdaaba86783f78d601f025e4ae2dc1cc5136b980f2ad2"
@@ -111,4 +118,46 @@ def test_building_restores_the_collectors_state():
             gc.enable()
         else:
             gc.disable()
+        clear_trace_cache()
+
+
+def test_a_cached_trace_leaves_its_program_dead(monkeypatch):
+    """Generate gobmk through the cache with the collector off."""
+    built = record_builds(monkeypatch)
+    clear_trace_cache()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with activated(RuntimeConfig()):  # No disk layer: the key misses.
+            trace = workload_trace(get_workload("gobmk"), 20_000)
+        assert len(trace) > 0
+        assert len(built) == 1
+        assert built[0]() is None
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+        clear_trace_cache()
+
+
+def test_a_cached_trace_builds_its_program_on_first_access(monkeypatch):
+    built = record_builds(monkeypatch)
+    clear_trace_cache()
+    try:
+        with activated(RuntimeConfig()):
+            trace = workload_trace(get_workload("gobmk"), 20_000)
+        assert len(built) == 1
+        program = trace.program
+        assert len(built) == 2 and built[1]() is program
+        columns = program_columns(program)
+        for name in STATIC_ARRAYS:
+            assert np.array_equal(getattr(columns, name), getattr(trace.static, name))
+        for event in trace.events[:100]:
+            block = trace.blocks_for(event)
+            assert block is program.blocks[event.block_id]
+            assert block.address == trace.static.addresses[event.block_id]
+        assert trace.program is program
+        assert len(built) == 2
+    finally:
         clear_trace_cache()

@@ -1,8 +1,10 @@
 """Tests for workload synthesis (spec -> program -> trace)."""
 
+import numpy as np
 import pytest
 
 from repro.trace import CodeSection
+from repro.trace.columns import STATIC_ARRAYS, program_columns
 from repro.workloads import SectionProfile, Suite, WorkloadSpec, build_workload, get_workload
 from repro.workloads.synthesis import _Diffuser, _SectionPlan
 from repro.workloads.trace_cache import workload_trace
@@ -53,9 +55,25 @@ class TestSectionPlan:
 
 
 class TestBuildWorkload:
-    def test_build_is_cached(self):
+    def test_each_build_is_new_and_equal(self):
+        # Nothing keeps a built workload: a second build is a new object
+        # with the same blocks and schedule.
         spec = get_workload("IS")
-        assert build_workload(spec) is build_workload(spec)
+        first, second = build_workload(spec), build_workload(spec)
+        assert first is not second and first.program is not second.program
+        first_columns = program_columns(first.program)
+        second_columns = program_columns(second.program)
+        for name in STATIC_ARRAYS:
+            assert np.array_equal(
+                getattr(first_columns, name), getattr(second_columns, name)
+            )
+        assert [
+            (phase.function.name, phase.section, phase.repeat)
+            for phase in first.schedule.steady
+        ] == [
+            (phase.function.name, phase.section, phase.repeat)
+            for phase in second.schedule.steady
+        ]
 
     def test_a_direct_trace_takes_an_explicit_budget(self):
         # The one budget default lives in the runtime config and reaches
@@ -72,9 +90,7 @@ class TestBuildWorkload:
 
     def test_trace_is_deterministic_across_builds(self):
         spec = _toy_spec()
-        build_workload.cache_clear()
         first = build_workload(spec).trace(SMALL).events
-        build_workload.cache_clear()
         second = build_workload(spec).trace(SMALL).events
         assert first == second
 

@@ -1,4 +1,5 @@
-"""Hand-built tiny programs shared by the trace-layer tests.
+"""Hand-built tiny programs, and a recorder of workload builds, shared
+by the trace-layer tests.
 
 Kept in an unambiguously named module (not ``conftest``) so tests can
 import the helpers directly: ``conftest`` is also the name of the
@@ -7,6 +8,9 @@ benchmark harness configuration, and which of the two wins the
 """
 
 from __future__ import annotations
+
+import weakref
+from typing import List
 
 from repro.trace import (
     CodeSection,
@@ -22,6 +26,7 @@ from repro.trace import (
     TraceGenerator,
     layout_program,
 )
+from repro.workloads import trace_cache
 
 
 def build_tiny_program(loop_trips: int = 5, probability_then: float = 0.8) -> Program:
@@ -48,3 +53,22 @@ def trace_of(program: Program, instructions: int = 2_000, seed: int = 7):
         steady=[Phase(program.entry_function, CodeSection.SERIAL)]
     )
     return TraceGenerator(program, schedule, seed=seed).run(instructions)
+
+
+def record_builds(patch) -> List[weakref.ref]:
+    """Record every workload the trace cache builds while ``patch`` lasts.
+
+    ``patch`` is a ``pytest.MonkeyPatch``; the list it returns gains a
+    weak reference to each built program, so a test can count the
+    builds and see which programs are still alive.
+    """
+    programs: List[weakref.ref] = []
+    build = trace_cache.build_workload
+
+    def recording_build(spec):
+        workload = build(spec)
+        programs.append(weakref.ref(workload.program))
+        return workload
+
+    patch.setattr(trace_cache, "build_workload", recording_build)
+    return programs
